@@ -222,7 +222,7 @@ def q_exact_beta2(n_dim: int, m_dim: int, x: float) -> float:
     """Survival function at beta=2 via the Laguerre determinant route."""
     if n_dim < 1 or m_dim < n_dim:
         raise DomainError(f"need M >= N >= 1, got N={n_dim}, M={m_dim}")
-    if x < 0:
+    if not (x >= 0):
         raise DomainError(f"x must be >= 0, got {x}")
     alpha = m_dim - n_dim
     _warn_envelope(n_dim, alpha)

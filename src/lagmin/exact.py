@@ -11,12 +11,43 @@ partition sum: with G = beta*M*N/2, m the Jack index, and nu = beta/2,
 
 supported on 0 <= x <= 1/N (N values >= x summing to 1 force x <= 1/N).
 The k-sum is finite because (-N)_{kappa_1} kills parts above N and
-C_kappa(1^m) kills partitions longer than m.
+C_kappa(1^m) kills partitions longer than m, so kappa runs over the
+m x N box: C(N+m, m) partitions.
 
-Everything x-independent is collected once per parameter set into
-coefficients A_k, held in log-magnitude + sign form; grid evaluation then
-costs one exponential per k per point.  The density is the exact termwise
-derivative P = -dQ/dx, never a finite difference.
+Every coefficient A_k (the x-independent factor of x^k (1-Nx)^{G-k-1})
+is positive.  Each of the k factors -N - r/nu + t of [-N]_kappa is
+negative, each factor (m-r)/nu + t of [2m/beta]_kappa is positive (row
+r < m), and the (-1)^k of (-2/beta)^k cancels the sign.  The nu^k and k!
+of C_kappa(1^m) (see jack.py) cancel (2/beta)^k = nu^-k and the 1/k!.  So
+A_k = [Gamma(G)/Gamma(G-k)] * sum_{|kappa|=k} W_kappa with W_kappa > 0,
+and the inner sums have no cancellation.
+
+W_kappa factorises by rows (Koev & Edelman, Math. Comp. 75 (2006)
+833-846).  Group the cells of row i by the row j whose end bounds their
+leg: the cells with leg j-1-i are those in columns kappa_j..kappa_{j-1}-1,
+and their arms run over an interval fixed by kappa_i - kappa_j and
+kappa_i - kappa_{j-1}.  With 0-based rows and kappa_m = 0 this gives
+
+    log W_kappa = sum_{r<m} R_r[kappa_r]
+                + sum_{0<=i<j<m} T_{j-i}[kappa_i - kappa_j],
+
+where R_r[p] sums log((nu*N + r - nu*t) / ((nu*t + m - r)
+(nu*t + nu + m - 1 - r))) over t < p (the cells of row r, their
+generalized-factorial and C_kappa numerator factors, and the hooks
+against the empty row m), and T_l[p] sums log((nu*d + l + 1)
+(nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1))) over d < p (the
+hook-length ratio of the row pair).  The tables are m x (N+1) prefix
+sums built once per parameter set, so a partition costs m(m+1)/2 table
+lookups and no Python work.
+
+The box is streamed as int32 arrays, a run of first parts kappa_1 per
+chunk (the other rows form the (m-1) x kappa_1 box).  Each chunk is
+reduced by weight with a per-k max shift and a positive sum, and merged
+into running (peak, sum) pairs; memory stays at one chunk.  The
+coefficients are cached in log-magnitude + sign form (every sign +1);
+grid evaluation then costs one exponential per k per point, and the
+moments are Beta integrals of the same A_k.  The density is the exact
+termwise derivative P = -dQ/dx, never a finite difference.
 
 q_oracle_n2 is the independent cross-check for N=2: the delta constraint
 collapses the joint density to one dimension and Q becomes a ratio of two
@@ -31,12 +62,12 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy.integrate import quad
 
 from .core import DEFAULT_ACCURACY, EnsembleParams, SeriesAccuracy, require_jack_index
 from .errors import DomainError, NumericalInconsistency, PrecisionWarning
-from .jack import JackTable, _enum_raw, gen_factorial_log_sign
-from .numerics import log_gamma_ratio_falling, neumaier_sum
+from .numerics import neumaier_sum
 
 #: Validated envelope for the partition-series routes.
 N_ENVELOPE = 50
@@ -79,59 +110,114 @@ def _warn_envelope(params: EnsembleParams, m: int):
         )
 
 
-@lru_cache(maxsize=None)
+#: Target rows per streamed chunk of the partition box.
+CHUNK_ROWS = 1 << 17
+
+
+def _box_chunks(m: int, n: int):
+    """Stream the partitions of the m x N box (m rows, parts <= N) as
+    int32 arrays of shape (rows, m) with contiguous columns, trailing
+    zero parts included; C(N+m, m) rows in all.
+
+    A chunk holds the partitions whose first part lies in a run of
+    consecutive values v (the other rows of each form the (m-1) x v
+    box, C(v+m-1, m-1) of them), runs being as long as fit in
+    CHUNK_ROWS and at least one value long.  Columns are built left to
+    right: a row whose last entry is f gains every next entry u in [0, f].
+    """
+    if m == 0:
+        yield np.zeros((1, 0), dtype=np.int32)
+        return
+    v0 = 0
+    while v0 <= n:
+        v1, rows = v0 + 1, math.comb(v0 + m - 1, m - 1)
+        while v1 <= n and rows + math.comb(v1 + m - 1, m - 1) <= CHUNK_ROWS:
+            rows += math.comb(v1 + m - 1, m - 1)
+            v1 += 1
+        box = np.arange(v0, v1, dtype=np.int32)[:, None]
+        for j in range(1, m):
+            counts = box[:, j - 1] + 1
+            rep = np.repeat(np.arange(len(box)), counts)
+            grown = np.empty((len(rep), j + 1), dtype=np.int32, order="F")
+            for c in range(j):
+                np.take(box[:, c], rep, out=grown[:, c])
+            starts = np.cumsum(counts) - counts
+            grown[:, j] = np.arange(len(rep)) - starts[rep]
+            box = grown
+        yield box
+        v0 = v1
+
+
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """Correctly rounded prefix sums along each row, with a leading 0."""
+    out = np.zeros((terms.shape[0], terms.shape[1] + 1))
+    for row, t in zip(out, terms.tolist()):
+        row[1:] = [math.fsum(t[:p]) for p in range(1, len(t) + 1)]
+    return out
+
+
+def _log_falling(g: float, k_max: int) -> list:
+    """log(Gamma(g)/Gamma(g-k)) for k = 0..k_max, each an exact fsum of
+    its k factor logs (the values log_gamma_ratio_falling returns)."""
+    logs = [math.log(g - i) for i in range(1, k_max + 1)]
+    return [math.fsum(logs[:k]) for k in range(k_max + 1)]
+
+
+@lru_cache(maxsize=32)  # each entry holds m*N + 1 pairs
 def _series_coeffs(params: EnsembleParams) -> tuple:
     """x-independent coefficients A_k of Q(x) = sum_k A_k x^k (1-Nx)^{G-k-1},
-    as a tuple of (log|A_k|, sign) for k = 0..m*N."""
-    beta = params.beta
+    as a tuple of (log|A_k|, sign) for k = 0..m*N; every sign is +1."""
     n = params.n_dim
     m = params.jack_index
-    nu = 0.5 * beta
-    g = 0.5 * beta * params.m_dim * n
-    b_param = 2.0 * m / beta  # = m/nu, the denominator parameter
-    table = JackTable(nu, m)
-    log_2_over_beta = math.log(2.0) - math.log(beta)
+    nu = 0.5 * params.beta
+    g = 0.5 * params.beta * params.m_dim * n
+    k_max = m * n
+    # row tables (cells of row r, with the hook pairs against the empty row m)
+    t = nu * np.arange(n, dtype=float)
+    r = np.arange(m, dtype=float)[:, None]
+    row_tab = _prefix_sums(
+        np.log(nu * n + r - t) - np.log(t + m - r) - np.log(t + nu + m - 1 - r)
+    )
+    # row-pair tables T_l, l = j - i = 1..m-1 (hooks of row i against row j)
+    l_ = np.arange(1, m, dtype=float)[:, None]
+    pair_tab = _prefix_sums(
+        np.log(t + l_ + 1) + np.log(t + nu + l_) - np.log(t + l_) - np.log(t + nu + l_ - 1)
+    )
 
-    coeffs = []
-    for k in range(m * n + 1):
-        ratio_log = log_gamma_ratio_falling(g, k) if k else 0.0
-        term_logs = []
-        term_signs = []
-        for parts in _enum_raw(k, m, n):
-            num_log, num_sign = gen_factorial_log_sign(-float(n), parts, nu)
-            if num_sign == 0.0:
-                continue
-            den_log, den_sign = gen_factorial_log_sign(b_param, parts, nu)
-            c_log = table.log_value(parts)
-            if c_log == float("-inf"):
-                continue
-            term_logs.append(num_log - den_log + c_log)
-            sign = num_sign * den_sign
-            if k % 2:
-                sign = -sign
-            term_signs.append(sign)
-        if not term_logs:
-            coeffs.append((float("-inf"), 0.0))
-            continue
-        base = k * log_2_over_beta + ratio_log - math.lgamma(k + 1)
-        peak = max(term_logs)
-        acc_val = neumaier_sum(
-            s * math.exp(lg - peak) for lg, s in zip(term_logs, term_signs)
+    peak = np.full(k_max + 1, -np.inf)
+    total = np.zeros(k_max + 1)
+    for box in _box_chunks(m, n):
+        lw = np.zeros(len(box))
+        for i in range(m):
+            col = box[:, i]
+            lw += row_tab[i][col]
+            for j in range(i + 1, m):
+                lw += pair_tab[j - i - 1][col - box[:, j]]
+        k = box.sum(axis=1, dtype=np.intp)
+        # a chunk of first parts v0..v1-1 holds every weight v0..m*(v1-1),
+        # so no entry of this slice stays -inf
+        lo, hi = int(k.min()), int(k.max()) + 1
+        k -= lo
+        chunk_peak = np.full(hi - lo, -np.inf)
+        np.maximum.at(chunk_peak, k, lw)
+        chunk_sum = np.bincount(k, weights=np.exp(lw - chunk_peak[k]), minlength=hi - lo)
+        new_peak = np.maximum(peak[lo:hi], chunk_peak)
+        total[lo:hi] = (
+            total[lo:hi] * np.exp(peak[lo:hi] - new_peak)
+            + chunk_sum * np.exp(chunk_peak - new_peak)
         )
-        if acc_val == 0.0:
-            coeffs.append((float("-inf"), 0.0))
-        else:
-            coeffs.append(
-                (base + peak + math.log(abs(acc_val)), math.copysign(1.0, acc_val))
-            )
-    return tuple(coeffs)
+        peak[lo:hi] = new_peak
+
+    log_ratio = _log_falling(g, k_max)
+    return tuple(
+        (log_ratio[k] + float(peak[k]) + math.log(total[k]), 1.0)
+        for k in range(k_max + 1)
+    )
 
 
 def _signed_logsum(logs, signs) -> float:
     """sum_i signs[i]*exp(logs[i]) with max-scaling and compensation."""
     peak = max(logs)
-    if peak == float("-inf"):
-        return 0.0
     acc_val = neumaier_sum(s * math.exp(lg - peak) for lg, s in zip(logs, signs))
     return acc_val * math.exp(peak)
 
@@ -147,7 +233,7 @@ def q_exact(
     function 1_{x < 1}.
     """
     m = require_jack_index(params)
-    if x < 0:
+    if not (x >= 0):
         raise DomainError(f"x must be >= 0, got {x}")
     _warn_envelope(params, m)
     n = params.n_dim
@@ -161,16 +247,8 @@ def q_exact(
     coeffs = _series_coeffs(params)
     log_x = math.log(x)
     log_edge = math.log1p(-n * x)
-    logs = []
-    signs = []
-    for k, (lg, s) in enumerate(coeffs):
-        if s == 0.0:
-            continue
-        logs.append(lg + k * log_x + (g - k - 1.0) * log_edge)
-        signs.append(s)
-    if not logs:
-        return 0.0
-    return _signed_logsum(logs, signs)
+    logs = [lg + k * log_x + (g - k - 1.0) * log_edge for k, (lg, _) in enumerate(coeffs)]
+    return _signed_logsum(logs, [s for _, s in coeffs])
 
 
 def p_exact(
@@ -183,7 +261,7 @@ def p_exact(
     is a point mass at x=1, so the density part is identically 0.
     """
     m = require_jack_index(params)
-    if x < 0:
+    if not (x >= 0):
         raise DomainError(f"x must be >= 0, got {x}")
     _warn_envelope(params, m)
     n = params.n_dim
@@ -197,13 +275,11 @@ def p_exact(
 
     if x == 0.0:
         # only the x^0 pieces survive: P(0) = N*E*A_0 - A_1
-        out = 0.0
         lg0, s0 = coeffs[0]
-        out += n * e * s0 * math.exp(lg0)
+        out = n * e * s0 * math.exp(lg0)
         if len(coeffs) > 1:
             lg1, s1 = coeffs[1]
-            if s1 != 0.0:
-                out -= s1 * math.exp(lg1)
+            out -= s1 * math.exp(lg1)
         return _clamp_density(out)
 
     log_x = math.log(x)
@@ -211,16 +287,12 @@ def p_exact(
     logs = []
     signs = []
     for k, (lg, s) in enumerate(coeffs):
-        if s == 0.0:
-            continue
         # -d/dx [x^k (1-Nx)^(E-k)] contributes two monomials
         logs.append(lg + math.log(n * (e - k)) + k * log_x + (e - k - 1.0) * log_edge)
         signs.append(s)
         if k >= 1:
             logs.append(lg + math.log(k) + (k - 1.0) * log_x + (e - k) * log_edge)
             signs.append(-s)
-    if not logs:
-        return 0.0
     return _clamp_density(_signed_logsum(logs, signs))
 
 
@@ -235,57 +307,35 @@ def moment(
 ) -> float:
     """p-th moment of the smallest eigenvalue, p >= 1 integer.
 
-    mu_p = p * sum_{k,kappa} (-2/beta)^k
-           * Gamma(G) Gamma(p+k) / (Gamma(G+p) N^(p+k))
-           * ([-N]_kappa / [2m/beta]_kappa) * C_kappa(1^m) / k!
+    mu_p = int_0^(1/N) p x^(p-1) Q(x) dx term by term (Beta integrals):
 
-    The ratio Gamma(G)/Gamma(G+p) is an exact p-factor product (never a
-    difference of log-gammas), which keeps the m=0 single-term case
-    accurate to ~1e-15 relative.
+        mu_p = p * sum_k A_k Gamma(p+k) Gamma(G-k) / (Gamma(G+p) N^(p+k)),
+
+    from the cached coefficients A_k, so after the first call it costs
+    O(mN).  Gamma(G-k)/Gamma(G+p) is taken as exact factor products
+    (never a difference of log-gammas), which keeps the m=0 single-term
+    case accurate to ~1e-15 relative.  Every term is positive.
     """
     m = require_jack_index(params)
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise DomainError(f"moment order p must be an integer >= 1, got {p!r}")
     _warn_envelope(params, m)
-    beta = params.beta
     n = params.n_dim
     if n == 1:
         # point mass at x=1: every moment is exactly 1
         return 1.0
-    nu = 0.5 * beta
-    g = 0.5 * beta * params.m_dim * n
-    b_param = 2.0 * m / beta
-    table = JackTable(nu, m)
-    log_2_over_beta = math.log(2.0) - math.log(beta)
+    g = 0.5 * params.beta * params.m_dim * n
+    coeffs = _series_coeffs(params)
+    log_ratio = _log_falling(g, len(coeffs) - 1)
     log_n = math.log(n)
     # log of Gamma(G+p)/Gamma(G) = (G)(G+1)...(G+p-1), exact factors
     log_poch_g = math.fsum(math.log(g + i) for i in range(p))
-
-    logs = []
-    signs = []
-    for k in range(m * n + 1):
-        base = (
-            math.log(p)
-            + math.lgamma(p + k)
-            - log_poch_g
-            - (p + k) * log_n
-            + k * log_2_over_beta
-            - math.lgamma(k + 1)
-        )
-        for parts in _enum_raw(k, m, n):
-            num_log, num_sign = gen_factorial_log_sign(-float(n), parts, nu)
-            if num_sign == 0.0:
-                continue
-            den_log, den_sign = gen_factorial_log_sign(b_param, parts, nu)
-            c_log = table.log_value(parts)
-            if c_log == float("-inf"):
-                continue
-            logs.append(base + num_log - den_log + c_log)
-            sign = num_sign * den_sign
-            if k % 2:
-                sign = -sign
-            signs.append(sign)
-    return _signed_logsum(logs, signs)
+    logs = [
+        math.log(p) + math.lgamma(p + k) - (p + k) * log_n
+        + (lg - log_ratio[k]) - log_poch_g
+        for k, (lg, _) in enumerate(coeffs)
+    ]
+    return _signed_logsum(logs, [s for _, s in coeffs])
 
 
 def norm_const_log(params: EnsembleParams) -> float:

@@ -140,24 +140,6 @@ def gen_factorial(a: float, kappa, nu: float) -> float:
     return out
 
 
-def gen_factorial_log_sign(a: float, kappa, nu: float) -> tuple:
-    """[a]_kappa^(nu) in (log|value|, sign) form; sign 0.0 means exact zero."""
-    if not (nu > 0):
-        raise DomainError(f"nu must be positive, got {nu}")
-    log_abs = 0.0
-    sign = 1.0
-    for j, kj in enumerate(_parts_of(kappa)):
-        base = a - j / nu
-        for i in range(kj):
-            f = base + i
-            if f == 0.0:
-                return float("-inf"), 0.0
-            if f < 0.0:
-                sign = -sign
-            log_abs += math.log(abs(f))
-    return log_abs, sign
-
-
 def jack_c_one_log(kappa, nu: float, m_vars: int) -> float:
     """log C_kappa^(nu)(1^m), or -inf when the value is exactly 0
     (more parts than variables)."""

@@ -201,6 +201,11 @@ def test_q_beta2_edges_and_errors():
         q_exact_beta2(32, 33, 0.001)
 
 
+def test_q_beta2_rejects_nan():
+    with pytest.raises(DomainError):
+        q_exact_beta2(3, 5, math.nan)
+
+
 def test_route_agreement_spot():
     # full N<=6, alpha<=3 sweep lives in the acceptance suite
     for n, m_dim in [(3, 5), (4, 6), (5, 5)]:

@@ -1,11 +1,17 @@
 """Finite-size survival function, density, moments, normalization."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lagmin import exact
+from lagmin.beta2 import det_laguerre
 from lagmin.core import params_new
 from lagmin.errors import (
     DomainError,
@@ -22,6 +28,7 @@ from lagmin.exact import (
     q_exact,
     q_oracle_n2,
 )
+from lagmin.jack import enumerate_partitions, gen_factorial, jack_c_one_log
 
 
 # ---------- closed forms (hand-expanded low-order cases) ----------
@@ -85,9 +92,112 @@ def test_domain_and_index_errors():
         p_exact(params_new(0.7, 3, 5), 0.1)
 
 
+def test_nan_x_is_a_domain_error():
+    p = params_new(2.0, 3, 5)
+    with pytest.raises(DomainError):
+        q_exact(p, math.nan)
+    with pytest.raises(DomainError):
+        p_exact(p, math.nan)
+
+
 def test_envelope_warning():
     with pytest.warns(PrecisionWarning):
         q_exact(params_new(2.0, 55, 55), 0.001)
+
+
+# ---------- series coefficients A_k ----------
+
+def _exact_log(q: Fraction) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(Decimal(q.numerator).ln() - Decimal(q.denominator).ln())
+
+
+@pytest.mark.parametrize("n,alpha", [(10, 2), (20, 2), (40, 2), (12, 3), (16, 4)])
+def test_coeffs_match_exact_beta2_rationals(n, alpha):
+    # at beta=2, A_k = c_k * Gamma(MN)/Gamma(MN-k) with c_k the exact
+    # coefficients of the Laguerre determinant
+    coeffs = exact._series_coeffs(params_new(2.0, n, n + alpha))
+    rational = det_laguerre(n, alpha).coeffs
+    assert len(coeffs) == len(rational)
+    mn = (n + alpha) * n
+    falling = 1
+    for k, c in enumerate(rational):
+        if k:
+            falling *= mn - k
+        assert abs(coeffs[k][0] - _exact_log(c * falling)) <= 2e-13
+
+
+def _per_partition_coeffs(beta, n, m_dim, m):
+    """A_k partition by partition, straight from the series definition."""
+    nu = 0.5 * beta
+    g = 0.5 * beta * m_dim * n
+    out = []
+    for k in range(m * n + 1):
+        ratio = math.prod(g - i for i in range(1, k + 1))
+        terms = [
+            gen_factorial(-float(n), kappa, nu) / gen_factorial(2.0 * m / beta, kappa, nu)
+            * math.exp(jack_c_one_log(kappa, nu, m))
+            for kappa in enumerate_partitions(k, m, n)
+        ]
+        out.append((-2.0 / beta) ** k * ratio * math.fsum(terms) / math.factorial(k))
+    return out
+
+
+@st.composite
+def _series_params(draw):
+    beta = draw(st.sampled_from([1.0, 2.0, 4.0, 2.0 / 3.0]))
+    # M = N - 1 + 2(m+1)/beta must be an integer >= N
+    ms = [m for m in range(4) if (2 * (m + 1) / beta) % 1 == 0 and 2 * (m + 1) >= beta]
+    m = draw(st.sampled_from(ms))
+    n = draw(st.integers(1, 10))
+    return beta, n, n - 1 + round(2 * (m + 1) / beta), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(_series_params())
+def test_coeffs_match_per_partition_reference(case):
+    beta, n, m_dim, m = case
+    p = params_new(beta, n, m_dim)
+    assert p.jack_index == m
+    coeffs = exact._series_coeffs(p)
+    want = _per_partition_coeffs(beta, n, m_dim, m)
+    assert len(coeffs) == len(want)
+    for (lg, sign), w in zip(coeffs, want):
+        assert sign * math.exp(lg) == pytest.approx(w, rel=1e-12)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 20, exact.CHUNK_ROWS])
+@pytest.mark.parametrize("m,n", [(0, 5), (1, 4), (2, 7), (3, 6), (5, 4)])
+def test_box_stream_is_the_whole_box(m, n, chunk_rows, monkeypatch):
+    monkeypatch.setattr(exact, "CHUNK_ROWS", chunk_rows)
+    rows = np.concatenate(list(exact._box_chunks(m, n)))
+    assert rows.shape == (math.comb(n + m, m), m)
+    assert len({tuple(r) for r in rows.tolist()}) == len(rows)
+    assert np.all((rows >= 0) & (rows <= n))
+    assert np.all(np.diff(rows, axis=1) <= 0)
+
+
+def test_coeffs_do_not_depend_on_the_chunking(monkeypatch):
+    # one first part per chunk merges the running (peak, sum) pairs
+    p = params_new(1.0, 9, 16)
+    whole = exact._series_coeffs(p)
+    exact._series_coeffs.cache_clear()
+    monkeypatch.setattr(exact, "CHUNK_ROWS", 1)
+    split = exact._series_coeffs(p)
+    exact._series_coeffs.cache_clear()
+    assert [s for _, s in split] == [s for _, s in whole]
+    assert [lg for lg, _ in split] == pytest.approx([lg for lg, _ in whole], abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "beta,n,m_dim", [(2.0, 40, 44), (1.0, 12, 17), (4.0, 9, 11), (2.0 / 3.0, 8, 16)]
+)
+def test_coeffs_are_positive(beta, n, m_dim):
+    p = params_new(beta, n, m_dim)
+    coeffs = exact._series_coeffs(p)
+    assert len(coeffs) == p.jack_index * n + 1
+    assert all(sign == 1.0 and math.isfinite(lg) for lg, sign in coeffs)
 
 
 # ---------- density ----------
@@ -156,6 +266,21 @@ def test_first_moment_equals_integral_of_q():
         lambda x: q_exact(p2, x), 0.0, 1.0 / 3.0, limit=200
     )
     assert moment(p2, 1) == pytest.approx(val2, abs=max(1e-10, 10 * err2))
+
+
+@pytest.mark.parametrize("n,alpha", [(6, 1), (12, 3), (40, 2)])
+def test_moments_match_exact_beta2_rationals(n, alpha):
+    # mu_p = p sum_k c_k Gamma(MN)Gamma(p+k) / (Gamma(MN+p) N^(p+k)) at beta=2
+    mn = (n + alpha) * n
+    c = det_laguerre(n, alpha).coeffs
+    for order in (1, 2):
+        want = order * sum(
+            ck * math.factorial(order + k - 1)
+            / Fraction(math.prod(range(mn, mn + order)) * n ** (order + k))
+            for k, ck in enumerate(c)
+        )
+        got = moment(params_new(2.0, n, n + alpha), order)
+        assert got == pytest.approx(float(want), rel=1e-13)
 
 
 def test_moment_errors():

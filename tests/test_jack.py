@@ -12,7 +12,6 @@ from lagmin.jack import (
     Partition,
     enumerate_partitions,
     gen_factorial,
-    gen_factorial_log_sign,
     hyper_pfq_equal,
     jack_c_one,
     pochhammer,
@@ -93,14 +92,6 @@ def test_gen_factorial_two_rows():
     a, nu = 5.0, 2.0
     want = (a * (a + 1)) * (a - 0.5)
     assert gen_factorial(a, (2, 1), nu) == pytest.approx(want, rel=1e-14)
-    lg, s = gen_factorial_log_sign(a, (2, 1), nu)
-    assert s == 1.0 and math.exp(lg) == pytest.approx(want, rel=1e-13)
-
-
-def test_gen_factorial_log_sign_zero():
-    # (-N)_kappa vanishes as soon as kappa_1 > N
-    lg, s = gen_factorial_log_sign(-2.0, (3,), 1.0)
-    assert s == 0.0
 
 
 # Frozen Jack values at the all-ones point, worked out by hand from the
