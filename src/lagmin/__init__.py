@@ -23,8 +23,6 @@ from .errors import (
     PrecisionWarning,
 )
 from .exact import (
-    DistributionCurve,
-    evaluate_curve,
     moment,
     norm_const,
     norm_const_log,
@@ -57,9 +55,8 @@ from .limit import (
     q_limit,
     q_limit_closed,
 )
-from .numerics import bessel_i, neumaier_sum
+from .numerics import bessel_i
 from .sampler import (
-    ECDF,
     KSReport,
     SampleBatch,
     kolmogorov_sf,
@@ -67,8 +64,6 @@ from .sampler import (
     ks_validate,
     load_batch,
     run_batch,
-    sample_chi,
-    sample_smallest,
     save_batch,
     tridiag_smallest,
     write_batch,
@@ -78,10 +73,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_ACCURACY",
-    "DistributionCurve",
     "DivergenceError",
     "DomainError",
-    "ECDF",
     "EigensolverFailure",
     "EmptySample",
     "EnsembleParams",
@@ -98,7 +91,6 @@ __all__ = [
     "bessel_i",
     "det_laguerre",
     "enumerate_partitions",
-    "evaluate_curve",
     "gen_factorial",
     "hyper_pfq_equal",
     "jack_c_one",
@@ -109,7 +101,6 @@ __all__ = [
     "limit_prefactor",
     "load_batch",
     "moment",
-    "neumaier_sum",
     "norm_const",
     "norm_const_log",
     "p_exact",
@@ -126,8 +117,6 @@ __all__ = [
     "q_oracle_n2",
     "require_jack_index",
     "run_batch",
-    "sample_chi",
-    "sample_smallest",
     "save_batch",
     "tridiag_smallest",
     "write_batch",

@@ -29,8 +29,10 @@ import warnings
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import DomainError, PrecisionWarning
-from .numerics import log_gamma_ratio_falling, neumaier_sum
+from .numerics import _edge_sum, _points, log_gamma_ratio_falling
 
 N_ENVELOPE = 30
 ALPHA_ENVELOPE = 6
@@ -218,39 +220,36 @@ def _warn_envelope(n_dim: int, alpha: int):
         )
 
 
-def q_exact_beta2(n_dim: int, m_dim: int, x: float) -> float:
-    """Survival function at beta=2 via the Laguerre determinant route."""
+@lru_cache(maxsize=32)
+def _beta2_coeffs(n_dim: int, alpha: int) -> tuple:
+    """(log|a_j|, sign a_j) arrays of a_j = c_j * Gamma(MN)/Gamma(MN-j),
+    the coefficient of x^j (1-Nx)^(MN-1-j) in Q, each taken from its exact
+    rational value with one rounding."""
+    mn = (n_dim + alpha) * n_dim
+    logs, signs = [], []
+    falling = 1  # Gamma(MN)/Gamma(MN-j) = (MN-1)(MN-2)...(MN-j)
+    for j, c in enumerate(det_laguerre(n_dim, alpha).coeffs):
+        a = c * falling
+        falling *= mn - 1 - j
+        logs.append(math.log(abs(a.numerator)) - math.log(a.denominator) if a else -math.inf)
+        signs.append(float((a > 0) - (a < 0)))
+    out = np.array(logs), np.array(signs)
+    for arr in out:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def q_exact_beta2(n_dim: int, m_dim: int, x):
+    """Survival function at beta=2 via the Laguerre determinant route, at
+    a float x (returns a float) or at every entry of an array."""
     if n_dim < 1 or m_dim < n_dim:
         raise DomainError(f"need M >= N >= 1, got N={n_dim}, M={m_dim}")
-    if not (x >= 0):
-        raise DomainError(f"x must be >= 0, got {x}")
+    xs = _points(x)
     alpha = m_dim - n_dim
     _warn_envelope(n_dim, alpha)
-    poly = det_laguerre(n_dim, alpha)
-    if x == 0.0:
-        return float(poly.coeffs[0])  # = 1: the determinant at s=0
-    if x >= 1.0 / n_dim:
-        return 0.0
-    mn = m_dim * n_dim
-    log_x = math.log(x)
-    log_edge = math.log1p(-n_dim * x)
-    logs = []
-    signs = []
-    for j, c in enumerate(poly.coeffs):
-        if c == 0:
-            continue
-        lg = (
-            math.log(abs(c.numerator))
-            - math.log(c.denominator)
-            + log_gamma_ratio_falling(float(mn), j)
-            + j * log_x
-            + (mn - j - 1.0) * log_edge
-        )
-        logs.append(lg)
-        signs.append(1.0 if c > 0 else -1.0)
-    peak = max(logs)
-    acc = neumaier_sum(s * math.exp(lg - peak) for lg, s in zip(logs, signs))
-    return acc * math.exp(peak)
+    log_a, sign_a = _beta2_coeffs(n_dim, alpha)
+    out = _edge_sum(log_a, sign_a, n_dim, m_dim * n_dim - 1.0, xs)
+    return out if xs.ndim else float(out)
 
 
 def q_alpha2_sum(n_dim: int, x: float) -> float:

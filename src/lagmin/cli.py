@@ -34,11 +34,13 @@ variable, else a fixed default, so runs are reproducible by default.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import os
 import sys
 import warnings
+
+import numpy as np
 
 from .core import SeriesAccuracy, params_new
 from .errors import (
@@ -112,7 +114,9 @@ def _add_sampling(sp):
     sp.add_argument("--workers", type=_positive_int, default=1)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lagmin",
         description="smallest-eigenvalue laws of the fixed-trace beta-Laguerre ensemble",
@@ -126,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         _add_ensemble(sp)
         sp.add_argument("--grid", type=_grid, required=True, metavar="START:STOP:POINTS")
-        _add_accuracy(sp)
         _add_output(sp)
 
     sp = sub.add_parser("beta2-cdf", help="Q(x) at beta=2 via the determinant route")
@@ -141,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ensemble(sp)
     sp.add_argument("--p", type=_positive_int, nargs="+", required=True,
                     help="one or more moment orders")
-    _add_accuracy(sp)
     _add_output(sp)
 
     for name, help_text in (
@@ -222,10 +224,6 @@ def _emit(config: dict, rows: list, warn_msgs: list, fmt: str, out):
 
 
 def _dispatch(args) -> int:
-    acc = None
-    if hasattr(args, "tol"):
-        acc = SeriesAccuracy(tail_tol=args.tol, k_max=args.kmax)
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = 0
@@ -234,11 +232,11 @@ def _dispatch(args) -> int:
             params = params_new(args.beta, args.n_dim, args.m_dim)
             fn = q_exact if args.command == "exact-cdf" else p_exact
             name = "Q" if args.command == "exact-cdf" else "P"
-            rows = [{"x": x, name: fn(params, x, acc)} for x in args.grid]
+            values = fn(params, np.array(args.grid)).tolist()
+            rows = [{"x": x, name: v} for x, v in zip(args.grid, values)]
             config = {
                 "command": args.command, "beta": params.beta, "N": params.n_dim,
                 "M": params.m_dim, "jack_index": params.jack_index,
-                "tol": args.tol, "kmax": args.kmax,
             }
 
         elif args.command == "beta2-cdf":
@@ -246,10 +244,8 @@ def _dispatch(args) -> int:
                 raise DomainError(
                     f"beta2-cdf is the beta=2 determinant route; got beta={args.beta}"
                 )
-            rows = [
-                {"x": x, "Q": q_exact_beta2(args.n_dim, args.m_dim, x)}
-                for x in args.grid
-            ]
+            values = q_exact_beta2(args.n_dim, args.m_dim, np.array(args.grid)).tolist()
+            rows = [{"x": x, "Q": v} for x, v in zip(args.grid, values)]
             config = {
                 "command": args.command, "beta": 2.0,
                 "N": args.n_dim, "M": args.m_dim,
@@ -257,17 +253,17 @@ def _dispatch(args) -> int:
 
         elif args.command == "moments":
             params = params_new(args.beta, args.n_dim, args.m_dim)
-            rows = [{"p": p, "value": moment(params, p, acc)} for p in args.p]
+            rows = [{"p": p, "value": moment(params, p)} for p in args.p]
             config = {
                 "command": args.command, "beta": params.beta, "N": params.n_dim,
                 "M": params.m_dim, "jack_index": params.jack_index,
-                "tol": args.tol, "kmax": args.kmax,
             }
 
         elif args.command in ("limit-cdf", "limit-pdf"):
             if args.m_limit < 0:
                 raise DomainError(f"--m must be >= 0, got {args.m_limit}")
             lp = LimitParams(args.beta, args.m_limit)
+            acc = SeriesAccuracy(tail_tol=args.tol, k_max=args.kmax)
             fn = q_limit if args.command == "limit-cdf" else p_limit
             name = "Q" if args.command == "limit-cdf" else "P"
             rows = [{"y": y, name: fn(lp, y, acc)} for y in args.grid]
@@ -302,7 +298,9 @@ def _dispatch(args) -> int:
                 route = "quadrature"
                 report = ks_validate(
                     batch,
-                    lambda x: 1.0 - q_oracle_n2(params, x, args.quad_tol),
+                    lambda xs: np.array(
+                        [1.0 - q_oracle_n2(params, x, args.quad_tol) for x in xs]
+                    ),
                     level=0.01,
                 )
             else:

@@ -15,6 +15,7 @@ that value when it exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NonIntegerJackIndex
@@ -36,17 +37,19 @@ class EnsembleParams:
     jack_index: int | None
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        if not (0 < self.beta < math.inf):
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
         if self.n_dim < 1:
             raise DomainError(f"n_dim must be >= 1, got {self.n_dim}")
         if self.m_dim < self.n_dim:
             raise DomainError(
                 f"m_dim must be >= n_dim, got M={self.m_dim} < N={self.n_dim}"
             )
-        # alpha > -2/beta is automatic for M >= N; a violation means the
-        # derived fields were tampered with.
-        assert self.alpha > -2.0 / self.beta
+        # recomputed by the same expression, so rounding cannot trip it
+        if self.alpha != self.m_dim - self.n_dim + 1 - 2.0 / self.beta:
+            raise DomainError(
+                f"alpha must equal M - N + 1 - 2/beta, got alpha={self.alpha}"
+            )
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,8 @@ def params_new(beta: float, n_dim: int, m_dim: int) -> EnsembleParams:
     m = 2(M-N)+1 always.
     """
     beta = float(beta)
-    if not (beta > 0):
-        raise DomainError(f"beta must be positive, got {beta}")
+    if not (0 < beta < math.inf):
+        raise DomainError(f"beta must be positive and finite, got {beta}")
     n_dim = _as_int(n_dim, "n_dim")
     m_dim = _as_int(m_dim, "m_dim")
     alpha = m_dim - n_dim + 1 - 2.0 / beta

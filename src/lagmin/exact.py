@@ -44,10 +44,20 @@ The box is streamed as int32 arrays, a run of first parts kappa_1 per
 chunk (the other rows form the (m-1) x kappa_1 box).  Each chunk is
 reduced by weight with a per-k max shift and a positive sum, and merged
 into running (peak, sum) pairs; memory stays at one chunk.  The
-coefficients are cached in log-magnitude + sign form (every sign +1);
-grid evaluation then costs one exponential per k per point, and the
-moments are Beta integrals of the same A_k.  The density is the exact
-termwise derivative P = -dQ/dx, never a finite difference.
+coefficients are cached in log-magnitude + sign form (every sign +1).
+
+Q and P are sums of one shape, c_j x^j (1-Nx)^(e-j), and the one
+assembler numerics._edge_sum evaluates both over an array of x.  Q takes
+c_j = A_j with e = G-1.  The density P = -dQ/dx (exact, never a finite
+difference) takes e = G-2 and
+
+    d_j = N(G-1-j) A_j - (j+1) A_(j+1),
+
+which vanish for j < m: P has an m-fold zero at the hard edge x = 0.
+Those d_j are cancellation noise in floating point, so P sums from
+j = m; it is exactly 0 at x = 0 and keeps full relative accuracy as
+x -> 0.  The moments are Beta integrals of the same A_k, summed by the
+assembler's max-shifted reduction.
 
 q_oracle_n2 is the independent cross-check for N=2: the delta constraint
 collapses the joint density to one dimension and Q becomes a ratio of two
@@ -59,44 +69,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from .core import DEFAULT_ACCURACY, EnsembleParams, SeriesAccuracy, require_jack_index
+from .core import EnsembleParams, require_jack_index
 from .errors import DomainError, NumericalInconsistency, PrecisionWarning
-from .numerics import neumaier_sum
+from .numerics import _edge_sum, _points, _shifted_sum
 
 #: Validated envelope for the partition-series routes.
 N_ENVELOPE = 50
 JACK_INDEX_ENVELOPE = 6
-
-
-@dataclass(frozen=True)
-class DistributionCurve:
-    """A sampled curve: kind "Q" (survival function) or "P" (density)."""
-
-    params: EnsembleParams
-    points: tuple  # of (x, value) pairs
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("Q", "P"):
-            raise DomainError(f"kind must be 'Q' or 'P', got {self.kind!r}")
-        xs = [p[0] for p in self.points]
-        vals = [p[1] for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise DomainError("curve x values must be strictly increasing")
-        if self.kind == "Q":
-            if any(v < -1e-9 or v > 1 + 1e-9 for v in vals):
-                raise NumericalInconsistency("Q values must lie in [0, 1]")
-            if any(b > a + 1e-9 for a, b in zip(vals, vals[1:])):
-                raise NumericalInconsistency("Q values must be nonincreasing")
-        else:
-            if any(v < -1e-9 for v in vals):
-                raise NumericalInconsistency("P values must be nonnegative")
 
 
 def _warn_envelope(params: EnsembleParams, m: int):
@@ -166,7 +150,8 @@ def _log_falling(g: float, k_max: int) -> list:
 @lru_cache(maxsize=32)  # each entry holds m*N + 1 pairs
 def _series_coeffs(params: EnsembleParams) -> tuple:
     """x-independent coefficients A_k of Q(x) = sum_k A_k x^k (1-Nx)^{G-k-1},
-    as a tuple of (log|A_k|, sign) for k = 0..m*N; every sign is +1."""
+    as a read-only (m*N+1) x 2 array of rows (log|A_k|, sign), k = 0..m*N;
+    every sign is +1."""
     n = params.n_dim
     m = params.jack_index
     nu = 0.5 * params.beta
@@ -209,23 +194,35 @@ def _series_coeffs(params: EnsembleParams) -> tuple:
         peak[lo:hi] = new_peak
 
     log_ratio = _log_falling(g, k_max)
-    return tuple(
+    out = np.array([
         (log_ratio[k] + float(peak[k]) + math.log(total[k]), 1.0)
         for k in range(k_max + 1)
-    )
+    ])
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
 
 
-def _signed_logsum(logs, signs) -> float:
-    """sum_i signs[i]*exp(logs[i]) with max-scaling and compensation."""
-    peak = max(logs)
-    acc_val = neumaier_sum(s * math.exp(lg - peak) for lg, s in zip(logs, signs))
-    return acc_val * math.exp(peak)
+def _density_coeffs(params: EnsembleParams) -> tuple:
+    """(log|d_j|, sign d_j) arrays, j = 0..m*N, of the density
+    P(x) = -dQ/dx = sum_j d_j x^j (1-Nx)^(G-2-j), with
+
+        d_j = N(G-1-j) A_j - (j+1) A_(j+1)        (A_(mN+1) = 0).
+
+    d_j = 0 for j < m in exact arithmetic (P has an m-fold zero at x = 0);
+    in floating point those d_j are roundoff, and p_exact drops them."""
+    n = params.n_dim
+    g = 0.5 * params.beta * params.m_dim * n
+    log_a = _series_coeffs(params)[:, 0]
+    j = np.arange(len(log_a))
+    ratio = np.exp(np.append(log_a[1:] - log_a[:-1], -np.inf))  # A_(j+1) / A_j
+    d = n * (g - 1.0 - j) - (j + 1) * ratio
+    with np.errstate(divide="ignore"):
+        return log_a + np.log(np.abs(d)), np.sign(d)
 
 
-def q_exact(
-    params: EnsembleParams, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY
-) -> float:
-    """Survival function Q_{N,M}(x) of the smallest eigenvalue.
+def q_exact(params: EnsembleParams, x):
+    """Survival function Q_{N,M}(x) of the smallest eigenvalue, at a float
+    x (returns a float) or at every entry of an array (returns an array).
 
     Exactly 1 at x=0 and exactly 0 for x >= 1/N.  Requires an integer
     Jack index (NonIntegerJackIndex otherwise).  For N=1 the trace
@@ -233,78 +230,46 @@ def q_exact(
     function 1_{x < 1}.
     """
     m = require_jack_index(params)
-    if not (x >= 0):
-        raise DomainError(f"x must be >= 0, got {x}")
+    xs = _points(x)
     _warn_envelope(params, m)
     n = params.n_dim
-    if x == 0.0:
-        return 1.0
-    if x >= 1.0 / n:
-        return 0.0
     if n == 1:
-        return 1.0
-    g = 0.5 * params.beta * params.m_dim * n
-    coeffs = _series_coeffs(params)
-    log_x = math.log(x)
-    log_edge = math.log1p(-n * x)
-    logs = [lg + k * log_x + (g - k - 1.0) * log_edge for k, (lg, _) in enumerate(coeffs)]
-    return _signed_logsum(logs, [s for _, s in coeffs])
+        out = np.where(xs < 1.0, 1.0, 0.0)
+    else:
+        g = 0.5 * params.beta * params.m_dim * n
+        log_a, sign_a = _series_coeffs(params).T
+        out = _edge_sum(log_a, sign_a, n, g - 1.0, xs)
+    return out if xs.ndim else float(out)
 
 
-def p_exact(
-    params: EnsembleParams, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY
-) -> float:
-    """Density P_{N,M}(x) = -dQ/dx by exact termwise differentiation.
+def p_exact(params: EnsembleParams, x):
+    """Density P_{N,M}(x) = -dQ/dx from the exact coefficients d_j (see
+    _density_coeffs), at a float x or at every entry of an array.
 
-    Nonnegative on [0, 1/N]; tiny negative roundoff is clamped to 0 and
-    anything below -1e-9 raises NumericalInconsistency.  For N=1 the law
-    is a point mass at x=1, so the density part is identically 0.
+    Nonnegative on [0, 1/N], exactly 0 at x=0 when m >= 1; tiny negative
+    roundoff is clamped to 0 and anything below -1e-9 raises
+    NumericalInconsistency.  For N=1 the law is a point mass at x=1, so
+    the density part is identically 0.
     """
     m = require_jack_index(params)
-    if not (x >= 0):
-        raise DomainError(f"x must be >= 0, got {x}")
+    xs = _points(x)
     _warn_envelope(params, m)
     n = params.n_dim
     if n == 1:
-        return 0.0
-    if x >= 1.0 / n:
-        return 0.0
-    g = 0.5 * params.beta * params.m_dim * n
-    e = g - 1.0
-    coeffs = _series_coeffs(params)
-
-    if x == 0.0:
-        # only the x^0 pieces survive: P(0) = N*E*A_0 - A_1
-        lg0, s0 = coeffs[0]
-        out = n * e * s0 * math.exp(lg0)
-        if len(coeffs) > 1:
-            lg1, s1 = coeffs[1]
-            out -= s1 * math.exp(lg1)
-        return _clamp_density(out)
-
-    log_x = math.log(x)
-    log_edge = math.log1p(-n * x)
-    logs = []
-    signs = []
-    for k, (lg, s) in enumerate(coeffs):
-        # -d/dx [x^k (1-Nx)^(E-k)] contributes two monomials
-        logs.append(lg + math.log(n * (e - k)) + k * log_x + (e - k - 1.0) * log_edge)
-        signs.append(s)
-        if k >= 1:
-            logs.append(lg + math.log(k) + (k - 1.0) * log_x + (e - k) * log_edge)
-            signs.append(-s)
-    return _clamp_density(_signed_logsum(logs, signs))
+        out = np.zeros(xs.shape)
+    else:
+        g = 0.5 * params.beta * params.m_dim * n
+        log_d, sign_d = _density_coeffs(params)
+        out = _edge_sum(log_d[m:], sign_d[m:], n, g - 2.0, xs, first=m)
+        if np.any(out < -1e-9):
+            raise NumericalInconsistency(
+                f"density evaluated to {out.min()}, below -1e-9"
+            )
+        out = np.where(out > 0.0, out, 0.0)
+    return out if xs.ndim else float(out)
 
 
-def _clamp_density(value: float) -> float:
-    if value < -1e-9:
-        raise NumericalInconsistency(f"density evaluated to {value}, below -1e-9")
-    return 0.0 if value < 0.0 else value
-
-
-def moment(
-    params: EnsembleParams, p: int, acc: SeriesAccuracy = DEFAULT_ACCURACY
-) -> float:
+def moment(params: EnsembleParams, p: int) -> float:
     """p-th moment of the smallest eigenvalue, p >= 1 integer.
 
     mu_p = int_0^(1/N) p x^(p-1) Q(x) dx term by term (Beta integrals):
@@ -325,17 +290,17 @@ def moment(
         # point mass at x=1: every moment is exactly 1
         return 1.0
     g = 0.5 * params.beta * params.m_dim * n
-    coeffs = _series_coeffs(params)
-    log_ratio = _log_falling(g, len(coeffs) - 1)
-    log_n = math.log(n)
+    log_a = _series_coeffs(params)[:, 0]
+    k = np.arange(len(log_a))
+    log_ratio = np.array(_log_falling(g, len(log_a) - 1))
+    log_gamma_pk = np.array([math.lgamma(p + i) for i in range(len(log_a))])
     # log of Gamma(G+p)/Gamma(G) = (G)(G+1)...(G+p-1), exact factors
     log_poch_g = math.fsum(math.log(g + i) for i in range(p))
-    logs = [
-        math.log(p) + math.lgamma(p + k) - (p + k) * log_n
-        + (lg - log_ratio[k]) - log_poch_g
-        for k, (lg, _) in enumerate(coeffs)
-    ]
-    return _signed_logsum(logs, [s for _, s in coeffs])
+    logs = (
+        math.log(p) + log_gamma_pk - (p + k) * math.log(n)
+        + (log_a - log_ratio) - log_poch_g
+    )
+    return float(_shifted_sum(logs, 1.0))
 
 
 def norm_const_log(params: EnsembleParams) -> float:
@@ -399,15 +364,3 @@ def q_oracle_n2(params: EnsembleParams, x: float, quad_tol: float = 1e-10) -> fl
         limit=200,
     )
     return num / _oracle_weight_norm(beta, params.m_dim, quad_tol)
-
-
-def evaluate_curve(
-    params: EnsembleParams,
-    xs,
-    kind: str = "Q",
-    acc: SeriesAccuracy = DEFAULT_ACCURACY,
-) -> DistributionCurve:
-    """Evaluate q_exact or p_exact on a grid and wrap as a checked curve."""
-    fn = q_exact if kind == "Q" else p_exact
-    pts = tuple((float(x), fn(params, float(x), acc)) for x in xs)
-    return DistributionCurve(params=params, points=pts, kind=kind)

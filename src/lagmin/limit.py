@@ -94,11 +94,14 @@ def _f01_coeff(beta: float, m: int, k: int) -> float:
 
 
 def q_limit(lp: LimitParams, y: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
-    """Limiting survival function Q(y) = Prob(scaled smallest eigenvalue > y)."""
-    if y < 0:
+    """Limiting survival function Q(y) = Prob(scaled smallest eigenvalue > y);
+    exactly 0 at y = +inf."""
+    if not (y >= 0):
         raise DomainError(f"y must be >= 0, got {y}")
     if y == 0.0:
         return 1.0
+    if y == math.inf:
+        return 0.0
     _warn_envelope(lp, y)
     m = lp.jack_index
     damp = math.exp(-lp.beta * y / 8.0)
@@ -110,13 +113,16 @@ def q_limit(lp: LimitParams, y: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -
 
 def p_limit(lp: LimitParams, y: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """Limiting density P(y) = -dQ/dy, assembled termwise from the
-    hypergeometric coefficients (no finite differencing)."""
-    if y < 0:
+    hypergeometric coefficients (no finite differencing); exactly 0 at
+    y = +inf."""
+    if not (y >= 0):
         raise DomainError(f"y must be >= 0, got {y}")
     beta, m = lp.beta, lp.jack_index
     if y == 0.0:
         # d_0 = (beta/8) c_0 - c_1/4 and c_1 = beta/2 whenever m >= 1
         return beta / 8.0 if m == 0 else 0.0
+    if y == math.inf:
+        return 0.0
     _warn_envelope(lp, y)
     u = y / 4.0
     total = 0.0

@@ -1,29 +1,37 @@
 """Shared numerical kernels.
 
-Log-gamma, exact gamma-ratio products, the modified Bessel function of the
-first kind by its ascending series, compensated (Neumaier) summation, and
-exact rational arithmetic.  Consumer modules represent series terms in
-log-magnitude + sign form because Gamma(beta*M*N/2) overflows double
-precision already near N ~ 60; the helpers here are the building blocks
-for that representation.
+Log-gamma and log gamma-ratio products, the modified Bessel function of
+the first kind by its ascending series, and the one assembler of the
+finite-N laws.  Consumer modules represent series terms in log-magnitude
++ sign form because Gamma(beta*M*N/2) overflows double precision already
+near N ~ 60; the helpers here are the building blocks for that
+representation.
+
+Every finite-N law of the package (the survival function of both exact
+routes and the density) is a sum of one shape,
+
+    S(x) = sum_j c_j x^j (1-Nx)^(e-j),        0 <= x < 1/N,
+
+and ``_edge_sum`` is the only code that assembles it: over an array of
+x, in blocks, with each point's terms scaled by their largest magnitude
+(``_shifted_sum``, which the Beta-integral moments share).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from fractions import Fraction
+
+import numpy as np
 
 from .core import DEFAULT_ACCURACY, SeriesAccuracy
 from .errors import DivergenceError, DomainError, PrecisionWarning
 
-# Exact rational arithmetic: arbitrary-precision integers, always stored in
-# lowest terms with positive denominator.  fractions.Fraction guarantees all
-# of that, so it IS the rational type of this package.
-Rational = Fraction
-
 #: Largest Bessel argument inside the validated accuracy envelope.
 BESSEL_X_ENVELOPE = 60.0
+
+#: Points x terms per block of the assembler's temporaries.
+EDGE_SUM_BLOCK = 1 << 16
 
 
 def log_gamma(x: float) -> float:
@@ -34,22 +42,6 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def gamma_ratio_falling(a: float, k: int) -> float:
-    """Gamma(a)/Gamma(a-k) as the exact product (a-1)(a-2)...(a-k).
-
-    Never evaluated as a difference of two log-gammas: the product is
-    exact to one rounding per factor, which the consumers rely on.
-    """
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    if not (a - k > 0):
-        raise DomainError(f"gamma_ratio_falling requires a - k > 0, got a={a}, k={k}")
-    out = 1.0
-    for i in range(1, k + 1):
-        out *= a - i
-    return out
-
-
 def log_gamma_ratio_falling(a: float, k: int) -> float:
     """log(Gamma(a)/Gamma(a-k)) summed factor by factor (requires a-k > 0)."""
     if not (a - k > 0):
@@ -57,35 +49,46 @@ def log_gamma_ratio_falling(a: float, k: int) -> float:
     return math.fsum(math.log(a - i) for i in range(1, k + 1))
 
 
-def pochhammer_log_sign(a: float, k: int) -> tuple[float, float]:
-    """Rising factorial (a)_k = a(a+1)...(a+k-1) in (log|value|, sign) form.
+def _points(x) -> np.ndarray:
+    """x (a float or an array) as a float array, every entry >= 0."""
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs >= 0):
+        raise DomainError(f"x must be >= 0, got {xs[~(xs >= 0)].flat[0]}")
+    return xs
 
-    sign is -1.0, 0.0 or +1.0; a zero factor yields (-inf, 0.0).
+
+def _shifted_sum(logs: np.ndarray, signs) -> np.ndarray:
+    """sum_j signs[j] * exp(logs[..., j]) along the last axis, each row
+    scaled by its largest log first; a row of -inf logs sums to 0."""
+    peak = logs.max(axis=-1, keepdims=True)
+    peak[peak == -np.inf] = 0.0
+    return (signs * np.exp(logs - peak)).sum(axis=-1) * np.exp(peak[..., 0])
+
+
+def _edge_sum(log_c, sign_c, n: int, e: float, x: np.ndarray, first: int = 0) -> np.ndarray:
+    """S(x) = sum_j c_j x^j (1-Nx)^(e-j), j = first, first+1, ..., at every
+    entry of the array x (entries >= 0; S = 0 for x >= 1/N).
+
+    The coefficients come as arrays log_c[i] = log|c_(first+i)| and
+    sign_c[i] = its sign.  x^0 = 1 also at x = 0.  The points x terms
+    temporary is bounded by processing x in blocks of EDGE_SUM_BLOCK
+    elements; a point's value does not depend on the block it falls in.
     """
-    log_abs = 0.0
-    sign = 1.0
-    for i in range(k):
-        f = a + i
-        if f == 0.0:
-            return float("-inf"), 0.0
-        if f < 0.0:
-            sign = -sign
-        log_abs += math.log(abs(f))
-    return log_abs, sign
-
-
-def neumaier_sum(values) -> float:
-    """Compensated summation (Neumaier's variant of Kahan's algorithm)."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+    flat = x.ravel()
+    out = np.zeros(flat.shape)
+    inside = np.flatnonzero(flat < 1.0 / n)
+    j = np.arange(first, first + len(log_c), dtype=float)
+    block = max(1, EDGE_SUM_BLOCK // len(j))
+    with np.errstate(divide="ignore"):  # log 0 = -inf at x = 0 and where Nx rounds to 1
+        log_x = np.log(flat[inside])[:, None]
+        log_edge = np.log1p(-n * flat[inside])[:, None]
+    for lo in range(0, len(inside), block):
+        lx, le = log_x[lo:lo + block], log_edge[lo:lo + block]
+        t = np.multiply(lx, j, out=np.zeros((len(lx), len(j))), where=j > 0)
+        t += log_c
+        t += (e - j) * le
+        out[inside[lo:lo + block]] = _shifted_sum(t, sign_c)
+    return out.reshape(x.shape)
 
 
 def bessel_i(rho: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:

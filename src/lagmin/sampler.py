@@ -61,24 +61,6 @@ class SampleBatch:
 
 
 @dataclass(frozen=True)
-class ECDF:
-    """Right-continuous empirical CDF of a sorted sample."""
-
-    sorted_values: np.ndarray
-    n: int
-
-    @classmethod
-    def from_values(cls, values):
-        arr = np.sort(np.asarray(values, dtype=float))
-        if arr.size == 0:
-            raise EmptySample("cannot build an ECDF from an empty sample")
-        return cls(arr, int(arr.size))
-
-    def __call__(self, x):
-        return np.searchsorted(self.sorted_values, x, side="right") / self.n
-
-
-@dataclass(frozen=True)
 class KSReport:
     """One-sided summary of a Kolmogorov-Smirnov test."""
 
@@ -132,13 +114,6 @@ def kolmogorov_sf(t: float) -> float:
         if term < 1e-18:
             break
     return min(1.0, max(0.0, 2.0 * total))
-
-
-def sample_chi(a: float, rng) -> float:
-    """One chi-distributed draw with a degrees of freedom (a > 0, real)."""
-    if not (a > 0.0):
-        raise DomainError(f"chi degrees of freedom must be positive, got {a}")
-    return math.sqrt(rng.gamma(0.5 * a, 2.0))
 
 
 def _chi_dofs(params: EnsembleParams):
@@ -233,25 +208,6 @@ def tridiag_smallest(d, e):
     return 0.5 * (lo + hi)
 
 
-def sample_smallest(params: EnsembleParams, rng) -> float:
-    """One draw of the trace-normalized smallest eigenvalue using the
-    caller-supplied numpy Generator (for ad-hoc use; batches should go
-    through run_batch for the per-index reproducibility contract)."""
-    n = params.n_dim
-    diag_dof, sub_dof = _chi_dofs(params)
-    shape = 0.5 * np.concatenate([diag_dof, sub_dof])
-    sq = rng.gamma(shape, 2.0)
-    if n == 1:
-        return 1.0
-    asq, bsq = sq[:n], sq[n:]
-    a, b = np.sqrt(asq), np.sqrt(bsq)
-    d = asq.copy()
-    d[1:] += bsq
-    e = a[:-1] * b
-    lam = tridiag_smallest(d[None, :], e[None, :])[0]
-    return float(lam / (asq.sum() + bsq.sum()))
-
-
 def run_batch(
     params: EnsembleParams, count: int, seed: int, workers: int = 1
 ) -> SampleBatch:
@@ -321,15 +277,18 @@ def load_batch(path) -> SampleBatch:
 
 
 def ks_validate(batch: SampleBatch, cdf, level: float = 0.01) -> KSReport:
-    """One-sample Kolmogorov-Smirnov test of the batch against a CDF
-    callable; passes when the p-value is at least `level`."""
+    """One-sample Kolmogorov-Smirnov test of the batch against a CDF;
+    passes when the p-value is at least `level`.
+
+    `cdf` maps an array of x to the array of CDF values; it is called
+    once, on the sorted sample."""
     if batch.count == 0:
         raise EmptySample("cannot run a KS test on an empty batch")
     if not (0.0 < level < 1.0):
         raise DomainError(f"level must lie in (0, 1), got {level}")
     xs = np.sort(batch.values)
     n = batch.count
-    f = np.array([float(cdf(x)) for x in xs])
+    f = np.asarray(cdf(xs), dtype=float)
     grid = np.arange(1, n + 1, dtype=float) / n
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lagmin.beta2 import q_exact_beta2
-from lagmin.cli import DEFAULT_SEED, main
+from lagmin.cli import DEFAULT_SEED, build_parser, main
 from lagmin.core import params_new
 from lagmin.exact import moment, q_exact
 from lagmin.limit import LimitParams, q_limit
@@ -223,3 +223,63 @@ def test_selfcheck_passes(capsys):
     assert code == 0
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    calls = [
+        ("exact-cdf", "--beta", "2", "--N", "3", "--M", "5", "--grid", "0:0.3:4"),
+        ("exact-cdf", "--beta", "2", "--N", "3"),  # usage error
+        ("moments", "--beta", "4", "--N", "2", "--M", "3", "--p", "1", "2"),
+        ("limit-pdf", "--beta", "1", "--m", "2", "--grid", "0:5:3", "--tol", "1e-10"),
+        ("beta2-cdf", "--N", "2", "--M", "4", "--grid", "0:0.5:3", "--format", "json"),
+        ("no-such-command",),
+        ("exact-pdf", "--beta", "1", "--N", "3", "--M", "6", "--grid", "0:0.2:3"),
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert build_parser() is build_parser()
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert [r[0] for r in fresh] == [0, 2, 0, 0, 0, 2, 0]
+
+
+@pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e-300", "0"])
+def test_bad_beta_is_one_error_line(capsys, beta):
+    code, out, err = run_cli(
+        capsys, "exact-cdf", f"--beta={beta}", "--N", "3", "--M", "5", "--grid", "0:0.3:3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_accuracy_flags_only_on_the_limit_commands(capsys):
+    for cmd in ("exact-cdf", "exact-pdf"):
+        assert run_cli(capsys, cmd, "--beta", "2", "--N", "2", "--M", "3",
+                       "--grid", "0:0.5:3", "--tol", "1e-8")[0] == 2
+    assert run_cli(capsys, "moments", "--beta", "2", "--N", "2", "--M", "3",
+                   "--p", "1", "--kmax", "50")[0] == 2
+    code, out, _ = run_cli(capsys, "limit-cdf", "--beta", "2", "--m", "1",
+                           "--grid", "0:4:3", "--tol", "1e-8", "--kmax", "400")
+    assert code == 0
+    config, _ = parse_csv(out)
+    assert config["tol"] == 1e-8 and config["kmax"] == 400
+
+
+def test_exact_json_config_and_one_warning_per_call(capsys):
+    # N=55 is outside the envelope: one message for the whole grid
+    for argv in (
+        ("exact-cdf", "--grid", "0:0.018:7"),
+        ("exact-pdf", "--grid", "0:0.018:7"),
+        ("moments", "--p", "1"),
+    ):
+        code, out, err = run_cli(capsys, argv[0], "--beta", "2", "--N", "55", "--M", "56",
+                                 *argv[1:], "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert set(doc["config"]) == {"command", "beta", "N", "M", "jack_index"}
+        assert len(doc["warnings"]) == 1 and "envelope" in doc["warnings"][0]
+        assert err.count("warning: ") == 1

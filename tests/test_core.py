@@ -90,3 +90,16 @@ def test_series_accuracy():
 def test_direct_constructor_rejects_bad_fields():
     with pytest.raises(DomainError):
         EnsembleParams(beta=2.0, n_dim=2, m_dim=1, alpha=0.0, jack_index=0)
+    with pytest.raises(DomainError):  # alpha not derived from (beta, N, M)
+        EnsembleParams(beta=2.0, n_dim=2, m_dim=3, alpha=-5.0, jack_index=None)
+
+
+def test_nonfinite_and_tiny_beta():
+    for beta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            params_new(beta, 3, 5)
+        with pytest.raises(DomainError):
+            EnsembleParams(beta=beta, n_dim=3, m_dim=5, alpha=1.0, jack_index=None)
+    # 2/beta swamps M - N + 1 in alpha; the derived fields stay consistent
+    p = params_new(1e-300, 3, 5)
+    assert p.alpha == 5 - 3 + 1 - 2.0 / 1e-300 and p.jack_index is None

@@ -13,21 +13,9 @@ from hypothesis import strategies as st
 from lagmin import exact
 from lagmin.beta2 import det_laguerre
 from lagmin.core import params_new
-from lagmin.errors import (
-    DomainError,
-    NonIntegerJackIndex,
-    NumericalInconsistency,
-    PrecisionWarning,
-)
-from lagmin.exact import (
-    DistributionCurve,
-    evaluate_curve,
-    moment,
-    norm_const,
-    p_exact,
-    q_exact,
-    q_oracle_n2,
-)
+from lagmin.beta2 import q_exact_beta2
+from lagmin.errors import DomainError, NonIntegerJackIndex, PrecisionWarning
+from lagmin.exact import moment, norm_const, p_exact, q_exact, q_oracle_n2
 from lagmin.jack import enumerate_partitions, gen_factorial, jack_c_one_log
 
 
@@ -98,6 +86,11 @@ def test_nan_x_is_a_domain_error():
         q_exact(p, math.nan)
     with pytest.raises(DomainError):
         p_exact(p, math.nan)
+    # one NaN or negative entry spoils an array call
+    for bad in ([0.1, math.nan, 0.2], [0.1, -1e-300, 0.2]):
+        for fn in (lambda x: q_exact(p, x), lambda x: p_exact(p, x), lambda x: q_exact_beta2(3, 5, x)):
+            with pytest.raises(DomainError):
+                fn(np.array(bad))
 
 
 def test_envelope_warning():
@@ -222,9 +215,9 @@ def test_p_integrates_to_one():
 def test_p_at_zero():
     # m=0: P(0) = N(G-1); e.g. beta=2, N=M=2 gives 6 (from Q=(1-2x)^3)
     assert p_exact(params_new(2.0, 2, 2), 0.0) == pytest.approx(6.0, rel=1e-13)
-    # m>=1: the two leading series terms cancel and the density vanishes
-    assert abs(p_exact(params_new(2.0, 2, 3), 0.0)) < 1e-9
-    assert abs(p_exact(params_new(4.0, 2, 3), 0.0)) < 1e-9
+    # m>=1: the density has an m-fold zero at the hard edge
+    assert p_exact(params_new(2.0, 2, 3), 0.0) == 0.0
+    assert p_exact(params_new(4.0, 2, 3), 0.0) == 0.0
 
 
 def test_p_nonnegative():
@@ -336,26 +329,103 @@ def test_oracle_handles_non_integer_index():
     assert 0.0 < v < 1.0
 
 
-# ---------- curve container ----------
+# ---------- the one assembler, against the exact beta=2 rationals ----------
 
-def test_evaluate_curve():
-    p = params_new(2.0, 2, 3)
-    xs = np.linspace(0.0, 0.5, 21)
-    curve = evaluate_curve(p, xs, kind="Q")
-    assert curve.kind == "Q"
-    assert len(curve.points) == 21
-    assert curve.points[0][1] == 1.0
-    pcurve = evaluate_curve(p, xs, kind="P")
-    assert all(v >= 0 for _, v in pcurve.points)
+BETA2_CASES = [(3, 2), (10, 2), (25, 2), (40, 2), (12, 3), (16, 4), (24, 4)]
 
 
-def test_curve_validation():
-    p = params_new(2.0, 2, 3)
-    with pytest.raises(DomainError):
-        DistributionCurve(p, ((0.2, 0.5), (0.1, 0.6)), "Q")  # x not increasing
-    with pytest.raises(NumericalInconsistency):
-        DistributionCurve(p, ((0.0, 0.4), (0.1, 0.9)), "Q")  # Q increasing
-    with pytest.raises(NumericalInconsistency):
-        DistributionCurve(p, ((0.0, 0.1), (0.1, -0.2)), "P")  # negative density
-    with pytest.raises(DomainError):
-        evaluate_curve(p, [0.1, 0.2], kind="R")
+def _exact_beta2_law(n, alpha, x, density=False):
+    """Q (or P = -dQ/dx) at the float x, 0 < x < 1/N, from the exact
+    rational coefficients of the Laguerre determinant, to 60 digits."""
+    mn = (n + alpha) * n
+    a, falling = [], 1
+    for j, c in enumerate(det_laguerre(n, alpha).coeffs):
+        a.append(c * falling)
+        falling *= mn - 1 - j
+    e = mn - 1
+    if density:
+        a = [n * (mn - 1 - j) * aj - (j + 1) * sum(a[j + 1:j + 2]) for j, aj in enumerate(a)]
+        e = mn - 2
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dx = Decimal(x)
+        w = 1 - n * dx
+        return float(sum(
+            Decimal(c.numerator) / Decimal(c.denominator) * dx**j * w ** (e - j)
+            for j, c in enumerate(a) if c
+        ))
+
+
+def _support_grid(n):
+    """Points of (0, 1/N) from deep in the hard edge to near the far edge."""
+    nx = [1e-9, 1e-7, 1e-5, 1e-4, 1e-3, 3e-3] + list(np.linspace(0.01, 0.95, 20))
+    return [t / n for t in nx]
+
+
+@pytest.mark.filterwarnings("ignore::lagmin.errors.PrecisionWarning")  # beta2 route, N=40
+@pytest.mark.parametrize("n,alpha", BETA2_CASES)
+def test_q_matches_exact_beta2_rationals(n, alpha):
+    p = params_new(2.0, n, n + alpha)
+    xs = np.array(_support_grid(n))
+    want = np.array([_exact_beta2_law(n, alpha, x) for x in xs])
+    assert np.max(np.abs(q_exact(p, xs) - want)) <= 1e-14
+    assert np.max(np.abs(q_exact_beta2(n, n + alpha, xs) - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n,alpha", BETA2_CASES)
+def test_p_matches_exact_beta2_rationals(n, alpha):
+    # down to N x = 1e-9, where P ~ x^m is far below its maximum
+    p = params_new(2.0, n, n + alpha)
+    xs = np.array(_support_grid(n))
+    want = np.array([_exact_beta2_law(n, alpha, x, density=True) for x in xs])
+    normal = want > 1e-290  # towards 1/N, P underflows at large N
+    assert normal[:12].all()
+    assert np.max(np.abs(p_exact(p, xs[normal]) / want[normal] - 1.0)) <= 1e-12
+    assert p_exact(p, 0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "beta,n,m_dim", [(1.0, 12, 17), (1.0, 5, 12), (4.0, 9, 11), (4.0, 6, 7), (2.0 / 3.0, 8, 16)]
+)
+def test_density_coeffs_below_m_vanish(beta, n, m_dim):
+    # d_j = N(G-1-j) A_j - (j+1) A_(j+1) is 0 for j < m; in floats the two
+    # parts must cancel to roundoff before p_exact drops them
+    p = params_new(beta, n, m_dim)
+    m = p.jack_index
+    g = 0.5 * beta * m_dim * n
+    log_a = np.array([lg for lg, _ in exact._series_coeffs(p)])
+    log_d, _ = exact._density_coeffs(p)
+    j = np.arange(m)
+    assert m >= 1
+    assert np.all(log_d[:m] - np.log(n * (g - 1.0 - j)) - log_a[:m] <= math.log(1e-12))
+
+
+@pytest.mark.filterwarnings("ignore::lagmin.errors.PrecisionWarning")  # beta2 route, N=40
+@pytest.mark.parametrize(
+    "beta,n,m_dim", [(2.0, 2, 3), (4.0, 3, 4), (1.0, 4, 7), (2.0, 40, 42), (2.0, 1, 4), (4.0, 1, 2)]
+)
+def test_array_call_equals_scalar_calls(beta, n, m_dim):
+    p = params_new(beta, n, m_dim)
+    # edges, the support edge 1/N, beyond it, and enough points to span
+    # several blocks of the assembler
+    xs = np.concatenate([[0.0, 1.0 / n, 1.5 / n, 2.0], np.linspace(0.0, 1.0 / n, 3001)])
+    for fn in (q_exact, p_exact):
+        got = fn(p, xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert np.array_equal(got, [fn(p, float(x)) for x in xs])
+        assert isinstance(fn(p, 0.5 / n), float)
+        assert np.array_equal(fn(p, xs.reshape(-1, 5)), got.reshape(-1, 5))
+    if beta == 2.0:
+        got = q_exact_beta2(n, m_dim, xs)
+        assert np.array_equal(got, [q_exact_beta2(n, m_dim, float(x)) for x in xs])
+
+
+def test_grid_is_a_law_through_the_array_call():
+    # Q nonincreasing from 1 to 0, P >= 0, on one grid call each
+    for beta, n, m_dim in [(2.0, 2, 3), (4.0, 3, 4), (1.0, 5, 8)]:
+        p = params_new(beta, n, m_dim)
+        xs = np.linspace(0.0, 1.0 / n, 401)
+        qs = q_exact(p, xs)
+        assert qs[0] == 1.0 and qs[-1] == 0.0
+        assert np.all(np.diff(qs) <= 1e-15)
+        assert np.all(p_exact(p, xs) >= 0.0)

@@ -31,6 +31,17 @@ def test_params_validation():
         LimitParams(2.0, 1.0)  # must be a true int
 
 
+def test_nan_and_infinite_y():
+    for m in (0, 1, 2):
+        lp = LimitParams(2.0, m)
+        assert q_limit(lp, math.inf) == 0.0
+        assert p_limit(lp, math.inf) == 0.0
+        with pytest.raises(DomainError):
+            q_limit(lp, math.nan)
+        with pytest.raises(DomainError):
+            p_limit(lp, math.nan)
+
+
 def test_q_at_zero_and_domain():
     assert q_limit(LimitParams(2.0, 3), 0.0) == 1.0
     with pytest.raises(DomainError):

@@ -1,7 +1,5 @@
 """Monte Carlo sampler: tridiagonal model, eigensolver, KS machinery."""
 
-import math
-
 import numpy as np
 import pytest
 import scipy.special
@@ -10,37 +8,15 @@ from lagmin.core import params_new
 from lagmin.errors import DomainError, EmptySample
 from lagmin.exact import q_exact
 from lagmin.sampler import (
-    ECDF,
     SampleBatch,
     kolmogorov_sf,
     ks_two_sample,
     ks_validate,
     load_batch,
     run_batch,
-    sample_chi,
-    sample_smallest,
     save_batch,
     tridiag_smallest,
 )
-
-
-def test_sample_chi_moments():
-    rng = np.random.Generator(np.random.Philox(key=[123, 0]))
-    a = 3.0
-    draws = np.array([sample_chi(a, rng) for _ in range(20000)])
-    # E[chi_a^2] = a; mean of chi_3 = sqrt(2)*Gamma(2)/Gamma(1.5)
-    se = math.sqrt(2.0 * a) / math.sqrt(draws.size)  # rough var(x^2) bound
-    assert np.mean(draws**2) == pytest.approx(a, abs=4 * se)
-    want_mean = math.sqrt(2.0) * math.gamma(2.0) / math.gamma(1.5)
-    assert draws.mean() == pytest.approx(want_mean, abs=4 * draws.std() / math.sqrt(draws.size))
-
-
-def test_sample_chi_domain():
-    rng = np.random.default_rng(0)
-    with pytest.raises(DomainError):
-        sample_chi(0.0, rng)
-    with pytest.raises(DomainError):
-        sample_chi(-2.0, rng)
 
 
 class TestTridiagSmallest:
@@ -142,10 +118,9 @@ class TestRunBatch:
 
 def test_sample_smallest_single_draw():
     p = params_new(2.0, 3, 4)
-    rng = np.random.Generator(np.random.Philox(key=[5, 0]))
-    v = sample_smallest(p, rng)
+    v = run_batch(p, 1, seed=5).values[0]
     assert 0.0 < v <= 1.0 / 3.0
-    assert sample_smallest(params_new(4.0, 1, 2), rng) == 1.0
+    assert run_batch(params_new(4.0, 1, 2), 1, seed=5).values[0] == 1.0
 
 
 # ---------- persistence ----------
@@ -165,18 +140,6 @@ def test_batch_count_mismatch():
     p = params_new(2.0, 2, 3)
     with pytest.raises(DomainError):
         SampleBatch(p, 0, np.zeros(3), 5)
-
-
-# ---------- empirical CDF ----------
-
-def test_ecdf_steps():
-    e = ECDF.from_values([0.3, 0.1, 0.2])
-    assert e(0.05) == 0.0
-    assert e(0.1) == pytest.approx(1 / 3)
-    assert e(0.25) == pytest.approx(2 / 3)
-    assert e(1.0) == 1.0
-    with pytest.raises(EmptySample):
-        ECDF.from_values([])
 
 
 # ---------- Kolmogorov machinery ----------
@@ -206,12 +169,26 @@ def test_ks_validate_accepts_true_cdf():
     assert rep.as_dict()["pass"] is True
 
 
+def test_ks_validate_calls_cdf_once_on_the_sorted_sample():
+    p = params_new(2.0, 2, 3)
+    batch = run_batch(p, 500, seed=3)
+    calls = []
+
+    def cdf(xs):
+        calls.append(np.array(xs, copy=True))
+        return 1.0 - q_exact(p, xs)
+
+    ks_validate(batch, cdf)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.sort(batch.values))
+
+
 def test_ks_validate_rejects_shifted_cdf():
     p = params_new(2.0, 2, 3)
     batch = run_batch(p, 8000, seed=11, workers=2)
 
     def shifted(x):
-        return 1.0 - q_exact(p, min(max(x - 0.05, 0.0), 0.5))
+        return 1.0 - q_exact(p, np.clip(x - 0.05, 0.0, 0.5))
 
     rep = ks_validate(batch, shifted, level=0.01)
     assert not rep.passed
