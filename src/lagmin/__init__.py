@@ -38,11 +38,9 @@ from .beta2 import (
     q_exact_beta2,
 )
 from .jack import (
-    JackTable,
     Partition,
     enumerate_partitions,
     gen_factorial,
-    hyper_pfq_equal,
     jack_c_one,
     pochhammer,
 )
@@ -78,7 +76,6 @@ __all__ = [
     "EigensolverFailure",
     "EmptySample",
     "EnsembleParams",
-    "JackTable",
     "KSReport",
     "LimitParams",
     "NonIntegerJackIndex",
@@ -92,7 +89,6 @@ __all__ = [
     "det_laguerre",
     "enumerate_partitions",
     "gen_factorial",
-    "hyper_pfq_equal",
     "jack_c_one",
     "kolmogorov_sf",
     "ks_two_sample",

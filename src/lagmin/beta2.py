@@ -194,7 +194,7 @@ def _bareiss_det(mat) -> RationalPolynomial:
     return -det if sign < 0 else det
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # an entry holds alpha*N + 1 exact rationals
 def det_laguerre(n_dim: int, alpha: int) -> RationalPolynomial:
     """det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1} as an exact polynomial
     in s; the empty determinant (alpha=0) is the constant 1."""

@@ -266,7 +266,8 @@ def _dispatch(args) -> int:
             acc = SeriesAccuracy(tail_tol=args.tol, k_max=args.kmax)
             fn = q_limit if args.command == "limit-cdf" else p_limit
             name = "Q" if args.command == "limit-cdf" else "P"
-            rows = [{"y": y, name: fn(lp, y, acc)} for y in args.grid]
+            values = fn(lp, np.array(args.grid), acc).tolist()
+            rows = [{"y": y, name: v} for y, v in zip(args.grid, values)]
             config = {
                 "command": args.command, "beta": lp.beta, "m": lp.jack_index,
                 "tol": args.tol, "kmax": args.kmax,

@@ -36,15 +36,17 @@ where R_r[p] sums log((nu*N + r - nu*t) / ((nu*t + m - r)
 generalized-factorial and C_kappa numerator factors, and the hooks
 against the empty row m), and T_l[p] sums log((nu*d + l + 1)
 (nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1))) over d < p (the
-hook-length ratio of the row pair).  The tables are m x (N+1) prefix
-sums built once per parameter set, so a partition costs m(m+1)/2 table
-lookups and no Python work.
+hook-length ratio of the row pair, jack._pair_tables, which the limit
+route shares).  The tables are m x (N+1) prefix sums built once per
+parameter set, so a partition costs m(m+1)/2 table lookups and no Python
+work.
 
 The box is streamed as int32 arrays, a run of first parts kappa_1 per
-chunk (the other rows form the (m-1) x kappa_1 box).  Each chunk is
-reduced by weight with a per-k max shift and a positive sum, and merged
-into running (peak, sum) pairs; memory stays at one chunk.  The
-coefficients are cached in log-magnitude + sign form (every sign +1).
+chunk (the other rows form the (m-1) x kappa_1 box).  jack._weight_sums
+reduces each chunk by weight with a per-k max shift and a positive sum,
+and merges it into running (peak, sum) pairs; memory stays at one chunk.
+The coefficients are cached in log-magnitude + sign form (every sign
++1), and log Gamma(G)/Gamma(G-k) beside them for the moments.
 
 Q and P are sums of one shape, c_j x^j (1-Nx)^(e-j), and the one
 assembler numerics._edge_sum evaluates both over an array of x.  Q takes
@@ -76,6 +78,7 @@ from scipy.integrate import quad
 
 from .core import EnsembleParams, require_jack_index
 from .errors import DomainError, NumericalInconsistency, PrecisionWarning
+from .jack import _pair_tables, _prefix_sums, _weight_sums
 from .numerics import _edge_sum, _points, _shifted_sum
 
 #: Validated envelope for the partition-series routes.
@@ -132,19 +135,23 @@ def _box_chunks(m: int, n: int):
         v0 = v1
 
 
-def _prefix_sums(terms: np.ndarray) -> np.ndarray:
-    """Correctly rounded prefix sums along each row, with a leading 0."""
-    out = np.zeros((terms.shape[0], terms.shape[1] + 1))
-    for row, t in zip(out, terms.tolist()):
-        row[1:] = [math.fsum(t[:p]) for p in range(1, len(t) + 1)]
+@lru_cache(maxsize=32)  # one entry per parameter set, as _series_coeffs
+def _log_falling(g: float, k_max: int) -> np.ndarray:
+    """log(Gamma(g)/Gamma(g-k)) for k = 0..k_max, each an exact fsum of
+    its k factor logs (the values log_gamma_ratio_falling returns), as a
+    read-only array."""
+    logs = [math.log(g - i) for i in range(1, k_max + 1)]
+    out = np.array([math.fsum(logs[:k]) for k in range(k_max + 1)])
+    out.flags.writeable = False
     return out
 
 
-def _log_falling(g: float, k_max: int) -> list:
-    """log(Gamma(g)/Gamma(g-k)) for k = 0..k_max, each an exact fsum of
-    its k factor logs (the values log_gamma_ratio_falling returns)."""
-    logs = [math.log(g - i) for i in range(1, k_max + 1)]
-    return [math.fsum(logs[:k]) for k in range(k_max + 1)]
+@lru_cache(maxsize=32)
+def _log_gammas(p: int, count: int) -> np.ndarray:
+    """log Gamma(p + k) for k = 0..count-1, as a read-only array."""
+    out = np.array([math.lgamma(p + k) for k in range(count)])
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=32)  # each entry holds m*N + 1 pairs
@@ -157,41 +164,13 @@ def _series_coeffs(params: EnsembleParams) -> tuple:
     nu = 0.5 * params.beta
     g = 0.5 * params.beta * params.m_dim * n
     k_max = m * n
-    # row tables (cells of row r, with the hook pairs against the empty row m)
+    # row tables: cells of row r, with the hooks against the empty row m
     t = nu * np.arange(n, dtype=float)
     r = np.arange(m, dtype=float)[:, None]
     row_tab = _prefix_sums(
         np.log(nu * n + r - t) - np.log(t + m - r) - np.log(t + nu + m - 1 - r)
     )
-    # row-pair tables T_l, l = j - i = 1..m-1 (hooks of row i against row j)
-    l_ = np.arange(1, m, dtype=float)[:, None]
-    pair_tab = _prefix_sums(
-        np.log(t + l_ + 1) + np.log(t + nu + l_) - np.log(t + l_) - np.log(t + nu + l_ - 1)
-    )
-
-    peak = np.full(k_max + 1, -np.inf)
-    total = np.zeros(k_max + 1)
-    for box in _box_chunks(m, n):
-        lw = np.zeros(len(box))
-        for i in range(m):
-            col = box[:, i]
-            lw += row_tab[i][col]
-            for j in range(i + 1, m):
-                lw += pair_tab[j - i - 1][col - box[:, j]]
-        k = box.sum(axis=1, dtype=np.intp)
-        # a chunk of first parts v0..v1-1 holds every weight v0..m*(v1-1),
-        # so no entry of this slice stays -inf
-        lo, hi = int(k.min()), int(k.max()) + 1
-        k -= lo
-        chunk_peak = np.full(hi - lo, -np.inf)
-        np.maximum.at(chunk_peak, k, lw)
-        chunk_sum = np.bincount(k, weights=np.exp(lw - chunk_peak[k]), minlength=hi - lo)
-        new_peak = np.maximum(peak[lo:hi], chunk_peak)
-        total[lo:hi] = (
-            total[lo:hi] * np.exp(peak[lo:hi] - new_peak)
-            + chunk_sum * np.exp(chunk_peak - new_peak)
-        )
-        peak[lo:hi] = new_peak
+    peak, total = _weight_sums(_box_chunks(m, n), row_tab, _pair_tables(nu, m, n), 0, k_max)
 
     log_ratio = _log_falling(g, k_max)
     out = np.array([
@@ -292,8 +271,8 @@ def moment(params: EnsembleParams, p: int) -> float:
     g = 0.5 * params.beta * params.m_dim * n
     log_a = _series_coeffs(params)[:, 0]
     k = np.arange(len(log_a))
-    log_ratio = np.array(_log_falling(g, len(log_a) - 1))
-    log_gamma_pk = np.array([math.lgamma(p + i) for i in range(len(log_a))])
+    log_ratio = _log_falling(g, len(log_a) - 1)
+    log_gamma_pk = _log_gammas(p, len(log_a))
     # log of Gamma(G+p)/Gamma(G) = (G)(G+1)...(G+p-1), exact factors
     log_poch_g = math.fsum(math.log(g + i) for i in range(p))
     logs = (
@@ -320,7 +299,7 @@ def norm_const(params: EnsembleParams) -> float:
     return math.exp(norm_const_log(params))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _oracle_weight_norm(beta: float, m_dim: int, quad_tol: float) -> float:
     expo = 0.5 * beta * (m_dim - 1) - 1.0  # beta*alpha/2 at N=2
     val, _ = quad(

@@ -1,15 +1,16 @@
-"""Partition combinatorics and Jack-polynomial series machinery.
+"""Partition combinatorics, Jack polynomials at the all-ones point, and
+the row-pair tables shared by the two partition-series builders.
 
-Everything here serves one purpose: evaluating generalized hypergeometric
-functions of matrix argument at the equal-argument point x*(1,...,1),
+Both series of the package (the finite-N coefficients A_k in exact.py
+and the hard-edge 0F1 coefficients c_k in limit.py) are sums over
+integer partitions kappa of terms built from generalized factorials
+and Jack values at x*(1,...,1),
 
-    pFq^(nu)(a_1..a_p; b_1..b_q; x*1^m)
-        = sum_k (x^k / k!) sum_{|kappa|=k, len(kappa)<=m}
-              ([a_1]_kappa ... [a_p]_kappa / [b_1]_kappa ... [b_q]_kappa)
-              * C_kappa^(nu)(1^m),
+    sum_{|kappa|=k, len(kappa)<=m} (ratio of [a]_kappa factors)
+        * C_kappa^(nu)(1^m) / k!,
 
-where kappa runs over integer partitions, [a]_kappa is the generalized
-factorial built from rising factorials row by row with step 1/nu,
+where [a]_kappa is the generalized factorial built from rising
+factorials row by row with step 1/nu,
 
     [a]_kappa^(nu) = prod_{j=1..len(kappa)} (a - (j-1)/nu)_{kappa_j},
 
@@ -30,9 +31,22 @@ validation suite: the normalization identity above, the N=2 quadrature
 cross-checks at nu != 1, and the Bessel-function reduction at nu = 1 all
 hold for this mapping and all fail for the reciprocal one.
 
-The 1/k! in the series is part of the definition used throughout this
-package; with it, 0F1(; b; x*1^1) reduces to the classical one-variable
-hypergeometric series.
+The per-partition helpers here (enumerate_partitions, gen_factorial,
+jack_c_one) are the references the tests check the builders against.
+The builders never call them.  They use the row/pair factorisation of
+the hook product (Koev & Edelman, Math. Comp. 75 (2006) 833-846): with
+0-based rows, kappa_m = 0 and the cells of each row grouped by the row
+whose end bounds their leg,
+
+    log W_kappa = sum_{r<m} R_r[kappa_r]
+                + sum_{0<=i<j<m} T_{j-i}[kappa_i - kappa_j],
+
+where R_r is a per-route row table (the cells of row r, with their hooks
+against the empty row m) and T_l[p] sums log((nu*d + l + 1)
+(nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1))) over d < p, the
+hook-length ratio of a row pair.  _pair_tables builds the T_l for both
+routes, and _weight_sums reduces a stream of partition chunks to
+sum_{|kappa|=k} W_kappa, k by k.
 """
 
 from __future__ import annotations
@@ -41,10 +55,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import DEFAULT_ACCURACY, SeriesAccuracy
-from .errors import DivergenceError, DomainError
+import numpy as np
 
-_INT_TOL = 1e-12
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,7 @@ def _parts_of(kappa) -> tuple:
     return Partition(tuple(kappa)).parts
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # one entry per (weight, length, part) subproblem
 def _enum_raw(k: int, max_len: int, max_part) -> tuple:
     """All partitions of k (length <= max_len, parts <= max_part) as bare
     tuples, largest-first reverse-lexicographic."""
@@ -177,133 +190,56 @@ def jack_c_one(kappa, nu: float, m_vars: int) -> float:
     return 0.0 if lv == float("-inf") else math.exp(lv)
 
 
-class JackTable:
-    """Memo of C_kappa^(nu)(1^m) values for one (nu, m_vars) pair.
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """Correctly rounded prefix sums along each row, with a leading 0."""
+    out = np.zeros((terms.shape[0], terms.shape[1] + 1))
+    for row, t in zip(out, terms.tolist()):
+        row[1:] = [math.fsum(t[:p]) for p in range(1, len(t) + 1)]
+    return out
 
-    Values are cached in log form as they are requested.  Fill is not
-    thread-safe; share a table across threads only after it is fully
-    populated (or give each thread its own — construction is cheap).
+
+def _pair_tables(nu: float, m: int, length: int) -> np.ndarray:
+    """Row-pair hook tables T_l[p], l = 1..m-1 (row l-1 of the result),
+    p = 0..length: the log hook-length ratio of the cells of row i
+    against row i + l when kappa_i - kappa_(i+l) = p."""
+    t = nu * np.arange(length, dtype=float)
+    l_ = np.arange(1, m, dtype=float)[:, None]
+    return _prefix_sums(
+        np.log(t + l_ + 1) + np.log(t + nu + l_) - np.log(t + l_) - np.log(t + nu + l_ - 1)
+    )
+
+
+def _weight_sums(chunks, row_tab: np.ndarray, pair_tab: np.ndarray, k_lo: int, k_hi: int):
+    """sum_{|kappa|=k} W_kappa for k = k_lo..k_hi, as a pair of arrays
+    (peak, total) with the sum equal to total * exp(peak).
+
+    ``chunks`` yields int32 arrays of partitions, one per row with m
+    columns (trailing zero parts included), every weight in
+    [k_lo, k_hi]; log W_kappa is gathered from the row tables R_r
+    (row r of ``row_tab``) and the pair tables T_l.  Each chunk is
+    reduced by weight with a per-k max shift and merged into running
+    (peak, sum) pairs, so memory stays at one chunk; a weight that no
+    partition has keeps peak -inf and total 0.
     """
-
-    def __init__(self, nu: float, m_vars: int):
-        if not (nu > 0):
-            raise DomainError(f"nu must be positive, got {nu}")
-        if m_vars < 0:
-            raise DomainError(f"m_vars must be >= 0, got {m_vars}")
-        self.nu = nu
-        self.m_vars = m_vars
-        self._logs = {}
-
-    def log_value(self, kappa) -> float:
-        parts = _parts_of(kappa)
-        try:
-            return self._logs[parts]
-        except KeyError:
-            lv = jack_c_one_log(parts, self.nu, self.m_vars)
-            self._logs[parts] = lv
-            return lv
-
-    def value(self, kappa) -> float:
-        lv = self.log_value(kappa)
-        return 0.0 if lv == float("-inf") else math.exp(lv)
-
-    @property
-    def values(self) -> dict:
-        """Everything cached so far, as {Partition: value}."""
-        return {
-            Partition(p): (0.0 if lv == float("-inf") else math.exp(lv))
-            for p, lv in self._logs.items()
-        }
-
-
-def _terminating_bound(a_params, m_vars: int) -> int | None:
-    """Weight beyond which every term vanishes, when some a-parameter is a
-    nonpositive integer -L: parts are then capped at L, so k <= L*m_vars."""
-    bound = None
-    for a in a_params:
-        if a <= _INT_TOL and abs(a - round(a)) <= _INT_TOL:
-            cap = int(round(-a)) * m_vars
-            bound = cap if bound is None else min(bound, cap)
-    return bound
-
-
-def hyper_pfq_equal(
-    a_params,
-    b_params,
-    nu: float,
-    m_vars: int,
-    x: float,
-    acc: SeriesAccuracy = DEFAULT_ACCURACY,
-) -> float:
-    """pFq^(nu)(a; b; x*1^m) with all m arguments equal to x.
-
-    Terminates exactly when some a-parameter is a nonpositive integer
-    (e.g. a = -N kills every partition with a part exceeding N); otherwise
-    stops when two consecutive terms fall below acc.tail_tol relative to
-    the running sum.  A vanishing denominator [b]_kappa on a partition
-    whose numerator has not already vanished is a DomainError (pole).
-    """
-    if not (nu > 0):
-        raise DomainError(f"nu must be positive, got {nu}")
-    if m_vars < 0:
-        raise DomainError(f"m_vars must be >= 0, got {m_vars}")
-    a_params = tuple(float(a) for a in a_params)
-    b_params = tuple(float(b) for b in b_params)
-    if m_vars == 0 or x == 0.0:
-        return 1.0
-
-    bound = _terminating_bound(a_params, m_vars)
-    if bound is not None and bound > acc.k_max:
-        raise DivergenceError(
-            f"terminating series needs weight {bound} > k_max={acc.k_max}"
-        )
-    last_k = acc.k_max if bound is None else bound
-
-    table = JackTable(nu, m_vars)
-    total = 0.0
-    comp = 0.0
-    x_pow = 1.0  # running x^k / k!
-    small_streak = 0
-    for k in range(last_k + 1):
-        if k > 0:
-            x_pow *= x / k
-        coeff_terms = []
-        for parts in _enum_raw(k, m_vars, None):
-            num = 1.0
-            for a in a_params:
-                num *= gen_factorial(a, parts, nu)
-                if num == 0.0:
-                    break
-            if num == 0.0:
-                continue
-            den = 1.0
-            for b in b_params:
-                den *= gen_factorial(b, parts, nu)
-            if den == 0.0:
-                raise DomainError(
-                    f"denominator parameter hit a pole on partition {parts} "
-                    f"(b_params={b_params}, nu={nu})"
-                )
-            c = table.value(parts)
-            if c != 0.0:
-                coeff_terms.append(num / den * c)
-        term = math.fsum(coeff_terms) * x_pow
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        if bound is None:
-            if abs(term) <= acc.tail_tol * max(abs(total), 1e-300):
-                small_streak += 1
-                if small_streak >= 2:
-                    return total + comp
-            else:
-                small_streak = 0
-    if bound is None:
-        raise DivergenceError(
-            f"hypergeometric series did not meet tail_tol={acc.tail_tol:g} "
-            f"within k_max={acc.k_max} (x={x}, m_vars={m_vars})"
-        )
-    return total + comp
+    m = row_tab.shape[0]
+    peak = np.full(k_hi - k_lo + 1, -np.inf)
+    total = np.zeros(k_hi - k_lo + 1)
+    for box in chunks:
+        lw = np.zeros(len(box))
+        for i in range(m):
+            col = box[:, i]
+            lw += row_tab[i][col]
+            for j in range(i + 1, m):
+                lw += pair_tab[j - i - 1][col - box[:, j]]
+        k = box.sum(axis=1, dtype=np.intp)
+        lo, hi = int(k.min()), int(k.max()) + 1
+        k -= lo
+        chunk_peak = np.full(hi - lo, -np.inf)
+        np.maximum.at(chunk_peak, k, lw)
+        chunk_sum = np.bincount(k, weights=np.exp(lw - chunk_peak[k]), minlength=hi - lo)
+        s = slice(lo - k_lo, hi - k_lo)
+        new_peak = np.maximum(peak[s], chunk_peak)
+        ref = np.where(new_peak > -np.inf, new_peak, 0.0)  # both -inf: weight absent so far
+        total[s] = total[s] * np.exp(peak[s] - ref) + chunk_sum * np.exp(chunk_peak - ref)
+        peak[s] = new_peak
+    return peak, total

@@ -5,15 +5,54 @@ beta and Jack index m, to
 
     Q(y) = exp(-beta*y/8) * 0F1^{(beta/2)}(2m/beta; (y/4) * 1^m),
 
-a hypergeometric function of m equal arguments.  The density is
-P(y) = -dQ/dy, assembled here termwise from the same series: with
-F(u) = sum_k c_k u^k (u = y/4) one has
+a hypergeometric function of m equal arguments.  With nu = beta/2 and
+u = y/4, 0F1 = sum_k c_k u^k with
+
+    c_k = sum_{|kappa|=k, len<=m} C_kappa(1^m) / ([b]_kappa k!),
+
+b = 2m/beta.  Every term is positive, and with the row/pair
+factorisation of jack.py
+
+    log W_kappa = sum_{r<m} R_r[kappa_r] + sum_{i<j} T_{j-i}[kappa_i - kappa_j],
+    R_r[p] = sum_{t<p} [2 log nu - log(nu*t + nu*b - r)
+                                 - log(nu*t + nu + m - 1 - r)]
+
+(the C_kappa numerator m + nu*t - r cancels the hook against the empty
+row m).  For b = 2m/beta, nu*b = m and this is c_k = nu^(2k) *
+sum_kappa 1/prod(hooks): the inverse product of the lower and upper
+hook lengths nu*a + l + 1 and nu*(a+1) + l over the cells of kappa.
+
+The coefficients are built weight band by weight band on a fixed ladder
+of tops K_0 = 8, K_(i+1) = K_i + ceil(K_i/4): the partitions with at most
+m parts and weight in (K_(i-1), K_i] are streamed in bounded int32
+chunks and reduced by weight with bincount (jack._weight_sums).  The
+table of each rung is cached and extends the one below it, so c_k does
+not depend on how far a call needed to go, and a point's value does not
+depend on the other points of its call.
+
+The density P = -dQ/dy is the same kind of sum.  With F(u) = sum_k c_k u^k,
 
     P(y) = exp(-beta*y/8) * sum_j d_j u^j,
     d_j  = (beta/8) c_j - ((j+1)/4) c_{j+1},
 
-which is exact, avoids finite differencing, and keeps every coefficient
-positive until the subtraction.
+and d_j = 0 for j < m: P has an m-fold zero at y = 0.  For j >= m the
+difference has a positive form,
+
+    d_j = D_m c'_{j-m},      D_m = nu^(2m+1) / (4 m! (1+nu)_m),
+
+with c'_k the coefficients at b = 2m/beta + 2 (an identity the tests
+check in exact rational arithmetic).  So P sums positive terms from
+j = m, with no cancellation: it is exactly 0 at y = 0 for m >= 1 and
+keeps full relative accuracy as y -> 0, where the difference form loses
+up to all its digits (at beta = 1/2, m = 5 the difference d_5 is 5e-6 of
+its first term).
+
+Q and P are evaluated over an array of y.  Each term carries the factor
+exp(-beta*y/8) inside its exponent, so the partial sums stay on the
+scale of Q and P.  A point stops at its second consecutive term at or
+below tail_tol times its partial sum; the table grows until every point
+has stopped, and a point that needs a power of u beyond k_max is a
+DivergenceError.
 
 Closed forms (q_limit_closed) exist for m = 0 (pure exponential), m = 1
 (a single Bessel-I factor), and (beta, m) = (2, 2) (a Wronskian-like
@@ -25,10 +64,11 @@ series (and with the beta = 2 Bessel kernel) is 2/beta - 1.  Orders that
 look like beta/2 - 1 appear plausible but disagree with the series for
 beta != 2 and are rejected by prefactor_diagnostics.
 
-p_limit_printed implements a frequently quoted "explicit density"
-prefactor A(m, beta); it does NOT integrate to one and disagrees with
--dQ/dy by parameter-dependent constant factors (already at m = 0 it
-gives (beta/2)^(beta/2+1) instead of beta/8 at y -> 0).  It is retained
+p_limit_printed implements a frequently quoted "explicit density":
+the prefactor A(m, beta) times y^m e^(-beta*y/8) 0F1 at b = 2m/beta + 2.
+Its shape is that of P, but it does NOT integrate to one: A(m, beta)
+is 2^(4m+2) (beta/2)^(beta/2) times 4^m D_m (already at m = 0 it gives
+(beta/2)^(beta/2+1) instead of beta/8 at y -> 0).  It is retained
 solely so prefactor_diagnostics can quantify the mismatch; use p_limit
 for anything quantitative.
 """
@@ -40,13 +80,21 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .core import DEFAULT_ACCURACY, SeriesAccuracy
-from .errors import DivergenceError, DomainError, NumericalInconsistency, PrecisionWarning
-from .jack import JackTable, enumerate_partitions, gen_factorial, hyper_pfq_equal
-from .numerics import bessel_i, log_gamma
+from .errors import DivergenceError, DomainError, PrecisionWarning
+from .jack import _pair_tables, _prefix_sums, _weight_sums
+from .numerics import EDGE_SUM_BLOCK, _points, bessel_i, log_gamma
 
 Y_ENVELOPE = 100.0
 M_ENVELOPE = 6
+
+#: Top weight of the first band of the coefficient table.
+LADDER_START = 8
+
+#: Row bound of the streamed partition chunks.
+CHUNK_ROWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -66,107 +114,163 @@ class LimitParams:
             raise DomainError(f"jack_index must be >= 0, got {self.jack_index}")
 
 
-def _warn_envelope(lp: LimitParams, y: float):
-    if y > Y_ENVELOPE or lp.jack_index > M_ENVELOPE:
+def _warn_envelope(lp: LimitParams, ys: np.ndarray):
+    inner = ys[(ys > 0.0) & (ys < math.inf)]
+    if inner.size and (inner.max() > Y_ENVELOPE or lp.jack_index > M_ENVELOPE):
         warnings.warn(
-            f"y={y}, m={lp.jack_index} is outside the validated envelope "
+            f"y={inner.max()}, m={lp.jack_index} is outside the validated envelope "
             f"(y <= {Y_ENVELOPE}, m <= {M_ENVELOPE}); results are best-effort",
             PrecisionWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of q_limit, p_limit or p_limit_printed
         )
 
 
-@lru_cache(maxsize=None)
-def _f01_coeff(beta: float, m: int, k: int) -> float:
-    """Taylor coefficient c_k of 0F1^{(beta/2)}(2m/beta; u * 1^m):
-    c_k = sum_{|kappa|=k, len<=m} C_kappa(1^m) / ([2m/beta]_kappa k!)."""
+def _band_chunks(m: int, lo: int, hi: int):
+    """Stream the partitions with at most m parts and weight in [lo, hi]
+    as int32 arrays of shape (rows, m), trailing zero parts included.
+
+    Columns are built left to right.  A prefix of weight w whose last
+    part is f, with r columns still to fill, gains every next part u in
+    [ceil((lo - w)/r), min(f, hi - w)], so every prefix completes to at
+    least one partition in the band.  A prefix array whose next column
+    would exceed CHUNK_ROWS rows is split in halves first; the chunks
+    come out in a fixed order.
+    """
     if m == 0:
-        return 1.0 if k == 0 else 0.0
-    if k == 0:
-        return 1.0
+        if lo == 0:
+            yield np.zeros((1, 0), dtype=np.int32)
+        return
+    stack = [np.arange(-(-lo // m), hi + 1, dtype=np.int32)[:, None]]
+    while stack:
+        box = stack.pop()
+        j = box.shape[1]
+        if j == m:
+            yield box
+            continue
+        w = box.sum(axis=1, dtype=np.int64)
+        low = np.maximum(-((w - lo) // (m - j)), 0)
+        counts = np.minimum(box[:, j - 1], hi - w) - low + 1
+        rows = int(counts.sum())
+        if rows > CHUNK_ROWS and len(box) > 1:
+            half = len(box) // 2
+            stack += [box[half:], box[:half]]
+            continue
+        rep = np.repeat(np.arange(len(box)), counts)
+        grown = np.empty((rows, j + 1), dtype=np.int32, order="F")
+        for c in range(j):
+            np.take(box[:, c], rep, out=grown[:, c])
+        starts = np.cumsum(counts) - counts
+        grown[:, j] = low[rep] + (np.arange(rows) - starts[rep])
+        stack.append(grown)
+
+
+def _ladder_top(rung: int) -> int:
+    """Top weight K_rung of the coefficient ladder."""
+    top = LADDER_START
+    for _ in range(rung):
+        top += -(-top // 4)
+    return top
+
+
+@lru_cache(maxsize=64)  # an entry holds K_rung + 1 floats
+def _f01_coeffs(beta: float, m: int, shift: int, rung: int) -> np.ndarray:
+    """log c_k, k = 0..K_rung, of 0F1^{(beta/2)}(b; u * 1^m) = sum_k c_k u^k
+    with b = 2m/beta + shift, as a read-only array (log 0 = -inf for
+    k >= 1 when m = 0)."""
+    lo = 0 if rung == 0 else _ladder_top(rung - 1) + 1
+    hi = _ladder_top(rung)
     nu = 0.5 * beta
-    b = 2.0 * m / beta
-    table = JackTable(nu, m)
-    total = 0.0
-    for kappa in enumerate_partitions(k, max_len=m):
-        total += table.value(kappa) / gen_factorial(b, kappa, nu)
-    return total / math.factorial(k)
+    t = nu * np.arange(hi, dtype=float)
+    r = np.arange(m, dtype=float)[:, None]
+    row_tab = _prefix_sums(
+        2.0 * math.log(nu) - np.log(t + m + nu * shift - r) - np.log(t + nu + m - 1 - r)
+    )
+    peak, total = _weight_sums(_band_chunks(m, lo, hi), row_tab, _pair_tables(nu, m, hi), lo, hi)
+    with np.errstate(divide="ignore"):  # weights no partition has (m = 0)
+        band = peak + np.log(total)
+    out = band if rung == 0 else np.concatenate([_f01_coeffs(beta, m, shift, rung - 1), band])
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
 
 
-def q_limit(lp: LimitParams, y: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
-    """Limiting survival function Q(y) = Prob(scaled smallest eigenvalue > y);
-    exactly 0 at y = +inf."""
-    if not (y >= 0):
-        raise DomainError(f"y must be >= 0, got {y}")
-    if y == 0.0:
-        return 1.0
-    if y == math.inf:
-        return 0.0
-    _warn_envelope(lp, y)
-    m = lp.jack_index
-    damp = math.exp(-lp.beta * y / 8.0)
-    if m == 0:
-        return damp
-    f = hyper_pfq_equal((), (2.0 * m / lp.beta,), 0.5 * lp.beta, m, y / 4.0, acc)
-    return damp * f
+def _density_constant(lp: LimitParams) -> float:
+    """D_m = nu^(2m+1) / (4 m! (1+nu)_m), the factor that turns the 0F1
+    coefficients at b = 2m/beta + 2 into the density coefficients d_(m+k)."""
+    nu, m = 0.5 * lp.beta, lp.jack_index
+    return nu ** (2 * m + 1) / (4.0 * math.factorial(m) * math.prod(i + nu for i in range(1, m + 1)))
 
 
-def p_limit(lp: LimitParams, y: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
-    """Limiting density P(y) = -dQ/dy, assembled termwise from the
-    hypergeometric coefficients (no finite differencing); exactly 0 at
-    y = +inf."""
-    if not (y >= 0):
-        raise DomainError(f"y must be >= 0, got {y}")
-    beta, m = lp.beta, lp.jack_index
-    if y == 0.0:
-        # d_0 = (beta/8) c_0 - c_1/4 and c_1 = beta/2 whenever m >= 1
-        return beta / 8.0 if m == 0 else 0.0
-    if y == math.inf:
-        return 0.0
-    _warn_envelope(lp, y)
-    u = y / 4.0
-    total = 0.0
-    comp = 0.0
-    scale = 0.0
-    u_pow = 1.0
-    streak = 0
-    for j in range(acc.k_max):
-        cj = _f01_coeff(beta, m, j)
-        cj1 = _f01_coeff(beta, m, j + 1)
-        pos = (beta / 8.0) * cj + ((j + 1) / 4.0) * cj1
-        dj = (beta / 8.0) * cj - ((j + 1) / 4.0) * cj1
-        term = dj * u_pow
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        scale += pos * u_pow
-        if pos * u_pow <= acc.tail_tol * max(scale, 1e-300):
-            streak += 1
-            if streak >= 2:
-                break
-        else:
-            streak = 0
-        u_pow *= u
-        if not math.isfinite(u_pow) or not math.isfinite(scale):
+def _series(lp: LimitParams, y, acc: SeriesAccuracy, shift: int, first: int, factor: float):
+    """(ys, values) for a float or an array y: ys = y as an array, and
+
+        factor * exp(-beta*y/8) * sum_k c_k (y/4)^(k + first)
+
+    at every entry, the c_k being the 0F1 coefficients at
+    b = 2m/beta + shift; 0 at y = +inf, DomainError on NaN or negative
+    entries, one PrecisionWarning outside the envelope.
+
+    Each point stops at its second consecutive term at or below
+    acc.tail_tol times its partial sum; its value is that partial sum,
+    summed in index order, so it does not depend on the table size or
+    on the other points.  The table grows rung by rung until every point
+    has stopped.  The powers of y/4 stop at acc.k_max; a point still
+    running once they are all in raises DivergenceError.
+    """
+    ys = _points(y)
+    _warn_envelope(lp, ys)
+    flat = ys.ravel()
+    out = np.zeros(flat.shape)  # 0 at y = +inf
+    todo = np.flatnonzero(flat < math.inf)
+    with np.errstate(divide="ignore"):  # log 0 = -inf at y = 0
+        log_u = np.log(flat / 4.0)
+    damp = lp.beta * flat / 8.0
+    rung = 0
+    while todo.size:
+        log_c = _f01_coeffs(lp.beta, lp.jack_index, shift, rung)[:max(0, acc.k_max + 1 - first)]
+        j = np.arange(first, first + len(log_c), dtype=float)
+        if len(j) >= 2:  # the stopping rule reads two terms
+            block = EDGE_SUM_BLOCK // len(j) + 1
+            running = []
+            for lo in range(0, todo.size, block):
+                pts = todo[lo:lo + block]
+                t = np.multiply(log_u[pts, None], j, out=np.zeros((len(pts), len(j))), where=j > 0)
+                t -= damp[pts, None]
+                t = np.exp(t + log_c)
+                partial = np.cumsum(t, axis=1)
+                small = t <= acc.tail_tol * partial
+                stop = small[:, 1:] & small[:, :-1]
+                done = stop.any(axis=1)
+                at = stop.argmax(axis=1)[done] + 1
+                out[pts[done]] = factor * partial[done, at]
+                running.append(pts[~done])
+            todo = np.concatenate(running)
+        if todo.size and first + len(log_c) > acc.k_max:
             raise DivergenceError(
-                f"density series overflowed at y={y} (beta={beta}, m={m})"
+                f"0F1 series did not meet tail_tol={acc.tail_tol:g} within "
+                f"k_max={acc.k_max} at y={flat[todo[0]]} (beta={lp.beta}, m={lp.jack_index})"
             )
-    else:
-        raise DivergenceError(
-            f"density series did not converge within k_max={acc.k_max} "
-            f"at y={y} (beta={beta}, m={m})"
-        )
-    val = (total + comp) * math.exp(-beta * y / 8.0)
-    if val < 0.0:
-        if val < -1e-9:
-            raise NumericalInconsistency(
-                f"density {val} is negative beyond roundoff at y={y}"
-            )
-        return 0.0
-    return val
+        rung += 1
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError(f"0F1 series overflowed (beta={lp.beta}, m={lp.jack_index})")
+    return ys, out.reshape(ys.shape)
+
+
+def q_limit(lp: LimitParams, y, acc: SeriesAccuracy = DEFAULT_ACCURACY):
+    """Limiting survival function Q(y) = Prob(scaled smallest eigenvalue > y)
+    at a float y (returns a float) or at every entry of an array (returns
+    an array of its shape); exactly 1 at y = 0 and 0 at y = +inf."""
+    ys, out = _series(lp, y, acc, 0, 0, 1.0)
+    return out if ys.ndim else float(out)
+
+
+def p_limit(lp: LimitParams, y, acc: SeriesAccuracy = DEFAULT_ACCURACY):
+    """Limiting density P(y) = -dQ/dy at a float y or at every entry of an
+    array: D_m exp(-beta*y/8) sum_k c'_k (y/4)^(m+k), the exact termwise
+    derivative summed from j = m (see the module docstring; no finite
+    differencing).  beta/8 at y = 0 when m = 0, else 0 there, and 0 at
+    y = +inf."""
+    ys, out = _series(lp, y, acc, 2, lp.jack_index, _density_constant(lp))
+    return out if ys.ndim else float(out)
 
 
 def q_limit_closed(lp: LimitParams, y: float):
@@ -214,22 +318,14 @@ def limit_prefactor(lp: LimitParams) -> float:
     )
 
 
-def p_limit_printed(
-    lp: LimitParams, y: float, acc: SeriesAccuracy = DEFAULT_ACCURACY
-) -> float:
+def p_limit_printed(lp: LimitParams, y, acc: SeriesAccuracy = DEFAULT_ACCURACY):
     """The "explicit density" as printed:
-    A(m, beta) y^m e^(-beta*y/8) 0F1^{(beta/2)}(2m/beta + 2; (y/4) 1^m).
+    A(m, beta) y^m e^(-beta*y/8) 0F1^{(beta/2)}(2m/beta + 2; (y/4) 1^m),
+    at a float y or at every entry of an array.
     Diagnostics only -- disagrees with p_limit by constant factors."""
-    if y < 0:
-        raise DomainError(f"y must be >= 0, got {y}")
-    beta, m = lp.beta, lp.jack_index
-    if y == 0.0:
-        return limit_prefactor(lp) if m == 0 else 0.0
-    _warn_envelope(lp, y)
-    f = hyper_pfq_equal(
-        (), (2.0 * m / beta + 2.0,), 0.5 * beta, m, y / 4.0, acc
-    )
-    return limit_prefactor(lp) * y**m * math.exp(-beta * y / 8.0) * f
+    ys, out = _series(lp, y, acc, 2, 0, 1.0)
+    out *= limit_prefactor(lp) * np.where(ys < math.inf, ys, 0.0) ** lp.jack_index  # 0 at +inf
+    return out if ys.ndim else float(out)
 
 
 def prefactor_diagnostics(lp: LimitParams, ys, acc: SeriesAccuracy = DEFAULT_ACCURACY):
@@ -238,13 +334,14 @@ def prefactor_diagnostics(lp: LimitParams, ys, acc: SeriesAccuracy = DEFAULT_ACC
     spread of the ratio; a constant ratio != 1 means the printed prefactor
     is off by exactly that constant, a varying ratio means the functional
     form itself differs."""
+    ys = [float(y) for y in ys]
+    truth = p_limit(lp, np.array(ys), acc).tolist()
+    printed = p_limit_printed(lp, np.array(ys), acc).tolist()
     rows = []
     ratios = []
-    for y in ys:
-        truth = p_limit(lp, y, acc)
-        printed = p_limit_printed(lp, y, acc)
-        ratio = printed / truth if truth > 0.0 else math.inf
-        rows.append({"y": y, "p_series": truth, "p_printed": printed, "ratio": ratio})
+    for y, t, pr in zip(ys, truth, printed):
+        ratio = pr / t if t > 0.0 else math.inf
+        rows.append({"y": y, "p_series": t, "p_printed": pr, "ratio": ratio})
         if math.isfinite(ratio):
             ratios.append(ratio)
     finite = [r for r in ratios if r > 0.0]

@@ -111,6 +111,16 @@ def test_limit_warning_is_reported(capsys):
     assert "envelope" in err
 
 
+def test_limit_kmax_too_small_is_one_error_line(capsys):
+    for cmd in ("limit-cdf", "limit-pdf"):
+        code, out, err = run_cli(capsys, cmd, "--beta", "1", "--m", "1",
+                                 "--grid", "0:40:3", "--kmax", "4")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "k_max=4" in err
+
+
 def test_sample_to_file(capsys, tmp_path):
     out_path = tmp_path / "draws.txt"
     code, _, _ = run_cli(

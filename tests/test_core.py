@@ -103,3 +103,22 @@ def test_nonfinite_and_tiny_beta():
     # 2/beta swamps M - N + 1 in alpha; the derived fields stay consistent
     p = params_new(1e-300, 3, 5)
     assert p.alpha == 5 - 3 + 1 - 2.0 / 1e-300 and p.jack_index is None
+
+
+def test_every_cache_is_bounded():
+    # an lru_cache without maxsize grows with every distinct argument
+    import importlib
+    import pkgutil
+
+    import lagmin
+
+    caches = []
+    for info in pkgutil.iter_modules(lagmin.__path__):
+        module = importlib.import_module(f"lagmin.{info.name}")
+        for name, obj in vars(module).items():
+            params = getattr(obj, "cache_parameters", None)
+            if callable(params) and getattr(obj, "__module__", None) == module.__name__:
+                caches.append((f"{info.name}.{name}", params()["maxsize"]))
+    assert len(caches) >= 9  # the walk reaches the known caches
+    unbounded = [name for name, maxsize in caches if maxsize is None]
+    assert unbounded == []

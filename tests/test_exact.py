@@ -429,3 +429,13 @@ def test_grid_is_a_law_through_the_array_call():
         assert qs[0] == 1.0 and qs[-1] == 0.0
         assert np.all(np.diff(qs) <= 1e-15)
         assert np.all(p_exact(p, xs) >= 0.0)
+
+
+def test_moment_reuses_the_cached_gamma_ratio():
+    # log Gamma(G)/Gamma(G-k) is built once per parameter set, with the A_k
+    p = params_new(2.0, 13, 15)
+    first = moment(p, 1)
+    misses = exact._log_falling.cache_info().misses
+    second = moment(p, 2)
+    assert exact._log_falling.cache_info().misses == misses
+    assert moment(p, 1) == first and moment(p, 2) == second

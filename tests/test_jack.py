@@ -1,18 +1,20 @@
-"""Partition combinatorics, Jack values at the all-ones point, and the
-equal-argument hypergeometric series."""
+"""Partition combinatorics, Jack values at the all-ones point (the
+per-partition references of the series builders), and the equal-argument
+0F1 series built from the shared row/pair tables."""
 
 import math
 
+import numpy as np
 import pytest
+import scipy.special
 
+from lagmin import limit
 from lagmin.core import SeriesAccuracy
 from lagmin.errors import DivergenceError, DomainError
 from lagmin.jack import (
-    JackTable,
     Partition,
     enumerate_partitions,
     gen_factorial,
-    hyper_pfq_equal,
     jack_c_one,
     pochhammer,
 )
@@ -110,8 +112,7 @@ def test_jack_value_quaternion_case():
 
 def test_jack_too_long_vanishes():
     assert jack_c_one((1, 1, 1), 1.0, 2) == 0.0
-    table = JackTable(0.5, 2)
-    assert table.value(Partition((2, 1, 1))) == 0.0
+    assert jack_c_one(Partition((2, 1, 1)), 0.5, 2) == 0.0
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
@@ -130,48 +131,34 @@ def test_jack_positive():
         assert jack_c_one(kappa, 0.5, 3) >= 0.0
 
 
-def test_jack_table_memoizes_consistently():
-    table = JackTable(1.0, 3)
-    a = table.value(Partition((2, 1)))
-    b = jack_c_one((2, 1), 1.0, 3)
-    assert a == b
-
-
-def test_hyper_terminating_scalar():
-    # 1F1(-2; 1; x) with one variable: 1 - 2x + x^2/2
-    for x in (0.0, 0.3, 1.0, 2.5):
-        got = hyper_pfq_equal((-2.0,), (1.0,), 1.0, 1, x)
-        assert got == pytest.approx(1 - 2 * x + 0.5 * x * x, rel=1e-13, abs=1e-13)
-
-
 def test_hyper_0f1_is_bessel():
-    # 0F1(; 1; u) = I_0(2 sqrt(u)) for a single variable
-    i0_at_1 = 1.2660658777520084
-    assert hyper_pfq_equal((), (1.0,), 1.0, 1, 0.25) == pytest.approx(
-        i0_at_1, rel=1e-13
+    # one variable: c_k = 1 / (k! (b)_k) at both b = 2/beta and 2/beta + 2,
+    # and 0F1(; b; u) = Gamma(b) u^((1-b)/2) I_(b-1)(2 sqrt(u))
+    for beta in (0.5, 0.7, 1.0, 2.0, 4.0):
+        for shift in (0, 2):
+            b = 2.0 / beta + shift
+            got = np.exp(limit._f01_coeffs(beta, 1, shift, 4)[:21])  # rung 4 reaches k = 22
+            want = [1.0 / (math.factorial(k) * scipy.special.poch(b, k)) for k in range(21)]
+            assert got == pytest.approx(want, rel=1e-13)
+        lp = limit.LimitParams(beta, 1)
+        for y in (0.5, 4.0, 30.0):
+            u = y / 4.0
+            f01 = (math.gamma(2.0 / beta) * u ** (0.5 - 1.0 / beta)
+                   * scipy.special.iv(2.0 / beta - 1.0, 2.0 * math.sqrt(u)))
+            assert limit.q_limit(lp, y) == pytest.approx(math.exp(-beta * y / 8.0) * f01, rel=1e-13)
+    # 0F1(; 1; 1/4) = I_0(1)
+    assert limit.q_limit(limit.LimitParams(2.0, 1), 1.0) * math.exp(0.25) == pytest.approx(
+        1.2660658777520084, rel=1e-14
     )
 
 
-def test_hyper_edge_cases():
-    assert hyper_pfq_equal((-3.0,), (2.0,), 0.5, 2, 0.0) == 1.0
-    assert hyper_pfq_equal((), (), 1.0, 0, 5.0) == 1.0  # no variables
-
-
-def test_hyper_denominator_pole():
-    with pytest.raises(DomainError):
-        hyper_pfq_equal((), (0.0,), 1.0, 1, 0.5)
-
-
 def test_hyper_divergence_guard():
+    # 0F1(; 2; 10) needs far more than the powers u^0..u^4
+    lp = limit.LimitParams(1.0, 1)
     with pytest.raises(DivergenceError):
-        hyper_pfq_equal((), (2.0,), 1.0, 1, 50.0, SeriesAccuracy(k_max=4))
-
-
-def test_hyper_nu_consistency_across_conventions():
-    # the same scalar series must come out for any nu when m=1 ... the
-    # one-variable case collapses every convention to 1F1
-    for nu in (0.5, 1.0, 2.0):
-        a = hyper_pfq_equal((-2.0,), (1.5,), nu, 1, 0.7)
-        assert a == pytest.approx(
-            1 - 2 * 0.7 / 1.5 + (2 * 1 / (1.5 * 2.5)) * 0.49 / 2, rel=1e-12
-        )
+        limit.q_limit(lp, 40.0, SeriesAccuracy(k_max=4))
+    with pytest.raises(DivergenceError):
+        limit.p_limit(lp, 40.0, SeriesAccuracy(k_max=4))
+    # the density starts at u^m: m > k_max leaves no term to sum
+    with pytest.raises(DivergenceError):
+        limit.p_limit(limit.LimitParams(2.0, 5), 1.0, SeriesAccuracy(k_max=4))

@@ -2,12 +2,17 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.special
 
+from lagmin import limit
 from lagmin.core import SeriesAccuracy
 from lagmin.errors import DomainError, PrecisionWarning
+from lagmin.jack import enumerate_partitions, gen_factorial, jack_c_one
 from lagmin.limit import (
     LimitParams,
     limit_prefactor,
@@ -198,3 +203,190 @@ def test_printed_density_shape():
     assert p_limit_printed(lp, 0.0) == 0.0
     v = p_limit_printed(lp, 1.0)
     assert v == pytest.approx(64.0 * p_limit(lp, 1.0), rel=1e-8)
+
+
+# ---------- the 0F1 coefficient table ----------
+
+def _table(beta, m, shift, k_max):
+    rung = 0
+    while limit._ladder_top(rung) < k_max:
+        rung += 1
+    return np.exp(limit._f01_coeffs(beta, m, shift, rung)[:k_max + 1])
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0 / 3.0, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("shift", [0, 2])
+def test_coeffs_match_per_partition_reference(beta, shift):
+    # c_k = sum_{|kappa|=k, len<=m} C_kappa(1^m) / ([b]_kappa k!), b = 2m/beta + shift
+    nu = 0.5 * beta
+    for m in range(5):
+        b = 2.0 * m / beta + shift
+        got = _table(beta, m, shift, 12)
+        for k in range(13):
+            want = math.fsum(
+                jack_c_one(kappa, nu, m) / gen_factorial(b, kappa, nu)
+                for kappa in enumerate_partitions(k, m)
+            ) / math.factorial(k)
+            assert got[k] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_stopping_rule_reads_two_small_terms():
+    # beta=2, m=1, y=4: Q = e^-1 sum_k 1/(k!)^2; at tail_tol=1e-3 the terms
+    # k=4 (1/576) and k=5 (1/14400) are the first two in a row at or below
+    # 1e-3 of the partial sum, so the sum stops after k=5
+    lp = LimitParams(2.0, 1)
+    want = math.exp(-1.0) * math.fsum(1.0 / math.factorial(k) ** 2 for k in range(6))
+    assert q_limit(lp, 4.0, SeriesAccuracy(tail_tol=1e-3)) == pytest.approx(want, rel=1e-15)
+    assert q_limit(lp, 4.0) == pytest.approx(math.exp(-1.0) * scipy.special.iv(0, 2.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 20, limit.CHUNK_ROWS])
+@pytest.mark.parametrize("m,lo,hi", [(0, 0, 6), (0, 3, 6), (1, 0, 9), (2, 5, 13), (3, 0, 13), (4, 9, 17), (5, 14, 22)])
+def test_band_stream_is_the_whole_band(m, lo, hi, chunk_rows, monkeypatch):
+    monkeypatch.setattr(limit, "CHUNK_ROWS", chunk_rows)
+    chunks = list(limit._band_chunks(m, lo, hi))
+    rows = np.concatenate(chunks) if chunks else np.zeros((0, m), dtype=np.int32)
+    want = {
+        kappa.parts + (0,) * (m - kappa.length)
+        for k in range(lo, hi + 1)
+        for kappa in enumerate_partitions(k, m)
+    }
+    assert len(rows) == len(want)
+    assert {tuple(r) for r in rows.tolist()} == want
+    assert all(len(c) <= max(chunk_rows, hi + 1) for c in chunks)
+
+
+def test_coeffs_do_not_depend_on_the_chunking(monkeypatch):
+    whole = limit._f01_coeffs(1.0, 4, 0, 4).copy()
+    limit._f01_coeffs.cache_clear()
+    monkeypatch.setattr(limit, "CHUNK_ROWS", 1)
+    split = limit._f01_coeffs(1.0, 4, 0, 4).copy()
+    limit._f01_coeffs.cache_clear()
+    assert split == pytest.approx(whole, rel=0.0, abs=1e-13)
+
+
+# ---------- exact rational reference ----------
+
+def _hook_sum(nu: Fraction, m: int, k: int) -> Fraction:
+    """c_k at b = 2m/beta: nu^(2k) sum_{|kappa|=k, len<=m} 1/prod(hooks), exactly."""
+    p, q = nu.numerator, nu.denominator
+    total = Fraction(0)
+    for kappa in enumerate_partitions(k, m):
+        parts = kappa.parts
+        conj = [sum(1 for x in parts if x > j) for j in range(parts[0])] if parts else []
+        h = 1
+        for i, row in enumerate(parts):
+            for j in range(row):
+                a, l = row - 1 - j, conj[j] - 1 - i
+                h *= (p * a + q * (l + 1)) * (p * (a + 1) + q * l)
+        total += Fraction(p ** (2 * k), h)
+    return total
+
+
+def _exact_q_p(beta: Fraction, m: int, ys):
+    """Q(y) and P(y) = exp(-beta*y/8) sum_j d_j u^j, d_j = (beta/8) c_j - ((j+1)/4) c_(j+1),
+    to 40 digits; the series runs until its terms at the largest y fall
+    below 1e-25 of the partial sum."""
+    u_max = Fraction(max(ys)) / 4
+    c, s, k = [], Fraction(0), 0
+    while True:
+        c.append(_hook_sum(beta / 2, m, k))
+        term = c[-1] * u_max**k
+        s += term
+        if k > m + 2 and term < s / 10**25 and term < c[-2] * u_max ** (k - 1):
+            break
+        k += 1
+    c.append(_hook_sum(beta / 2, m, len(c)))
+    out = []
+    for y in ys:
+        u = Fraction(y) / 4
+        f = sum(ck * u**k for k, ck in enumerate(c[:-1]))
+        g = sum((beta / 8 * c[j] - Fraction(j + 1, 4) * c[j + 1]) * u**j for j in range(len(c) - 1))
+        with localcontext() as ctx:
+            ctx.prec = 40
+            damp = (-Decimal(beta.numerator) * Decimal(Fraction(y).numerator)
+                    / (8 * Decimal(beta.denominator) * Decimal(Fraction(y).denominator))).exp()
+            out.append((damp * Decimal(f.numerator) / Decimal(f.denominator),
+                        damp * Decimal(g.numerator) / Decimal(g.denominator)))
+    return out
+
+
+EDGE_YS = (1e-8, 1e-4, 1e-2, 0.5, 2.0, 10.0, 30.0)
+
+
+@pytest.mark.parametrize("beta,m", [
+    (Fraction(2, 3), 4), (Fraction(1), 3), (Fraction(4), 2), (Fraction(2), 4), (Fraction(1, 2), 5),
+])
+def test_q_and_p_match_exact_rationals(beta, m):
+    # the difference form of d_j loses up to all digits of P near y = 0
+    # (d_5 is 5e-6 of its first term at beta = 1/2, m = 5)
+    lp = LimitParams(float(beta), m)
+    for y, (q, p) in zip(EDGE_YS, _exact_q_p(beta, m, EDGE_YS)):
+        assert abs(Decimal(q_limit(lp, y)) - q) <= Decimal("1e-13") * q
+        assert abs(Decimal(p_limit(lp, y)) - p) <= Decimal("1e-12") * p
+
+
+def _general_c(nu: Fraction, m: int, nub: Fraction, k: int) -> Fraction:
+    """c_k at any b (nub = nu*b), straight from C_kappa(1^m) / ([b]_kappa k!)."""
+    total = Fraction(0)
+    for kappa in enumerate_partitions(k, m):
+        parts = kappa.parts
+        conj = [sum(1 for x in parts if x > j) for j in range(parts[0])] if parts else []
+        w = Fraction(1)
+        for i, row in enumerate(parts):
+            for j in range(row):
+                a, l = row - 1 - j, conj[j] - 1 - i
+                w *= nu * nu * (m + nu * j - i) / ((nu * j + nub - i) * (nu * a + l + 1) * (nu * (a + 1) + l))
+        total += w
+    return total
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(2), Fraction(4), Fraction(7, 3)])
+def test_density_coefficients_identity_exact(beta):
+    # d_j = (beta/8) c_j - ((j+1)/4) c_(j+1) is 0 for j < m and
+    # D_m c'_(j-m) for j >= m, c' the coefficients at b = 2m/beta + 2
+    nu = beta / 2
+    for m in range(5):
+        c = [_general_c(nu, m, Fraction(m), k) for k in range(10)]
+        c2 = [_general_c(nu, m, m + beta, k) for k in range(9)]
+        d_m = nu ** (2 * m + 1) / (4 * math.factorial(m) * math.prod(i + nu for i in range(1, m + 1)))
+        assert float(d_m) == pytest.approx(limit._density_constant(LimitParams(float(beta), m)), rel=1e-15)
+        for j in range(9):
+            d = beta / 8 * c[j] - Fraction(j + 1, 4) * c[j + 1]
+            assert d == (d_m * c2[j - m] if j >= m else 0)
+
+
+# ---------- array calls ----------
+
+ARRAY_YS = [0.0, 1e-8, 0.3, 2.0, 17.5, 40.0, 99.0, math.inf]
+
+
+@pytest.mark.parametrize("beta,m", [(0.5, 0), (2.0, 1), (2.0 / 3.0, 3), (5.9, 5)])
+def test_array_call_equals_scalar_calls(beta, m):
+    lp = LimitParams(beta, m)
+    for fn in (q_limit, p_limit, p_limit_printed):
+        limit._f01_coeffs.cache_clear()
+        arr = fn(lp, np.array(ARRAY_YS))
+        assert isinstance(arr, np.ndarray) and arr.shape == (len(ARRAY_YS),)
+        warm = [fn(lp, y) for y in ARRAY_YS]
+        cold = []
+        for y in ARRAY_YS:
+            limit._f01_coeffs.cache_clear()
+            cold.append(fn(lp, y))
+        assert all(isinstance(v, float) for v in cold)
+        assert arr.tolist() == warm == cold
+        grid = fn(lp, np.array(ARRAY_YS).reshape(2, 4))
+        assert grid.shape == (2, 4) and grid.ravel().tolist() == warm
+
+
+def test_array_call_warns_once_and_rejects_bad_entries():
+    lp = LimitParams(2.0, 1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        q_limit(lp, np.array([1.0, 120.0, 150.0]))
+    assert len(caught) == 1 and issubclass(caught[0].category, PrecisionWarning)
+    for fn in (q_limit, p_limit, p_limit_printed):
+        with pytest.raises(DomainError):
+            fn(lp, np.array([1.0, math.nan]))
+        with pytest.raises(DomainError):
+            fn(lp, np.array([[1.0], [-2.0]]))
