@@ -4,7 +4,7 @@ Laguerre ensembles.
 The survival function Q(x) = Prob(lambda_min > x) is a single polynomial
 expression sum_k A_k x^k (1-Nx)^{G-k-1} supported on [0, 1/N], with
 G = beta*M*N/2.  This script prints the law for a few ensembles, checks
-it against an independent quadrature oracle at N=2, and tabulates
+it against an independent closed-form oracle at N=2, and tabulates
 moments including the exact mu_1 = 1/N^3 identity at beta=2, M=N.
 
 Run:  python3 demos/exact_distribution.py
@@ -46,11 +46,11 @@ def show_law(beta, n, mm, points=9):
     print()
 
 
-def compare_quadrature_oracle():
-    # at N=2 the law reduces to a one-dimensional integral that can be
-    # integrated numerically without any series machinery
-    print("N=2 cross-check against direct quadrature of the joint density")
-    print(f"  {'beta':>5} {'M':>3} {'x':>8} {'series':>20} {'quadrature':>20} {'diff':>10}")
+def compare_closed_form_oracle():
+    # at N=2 the law reduces to a one-dimensional integral, a regularized
+    # incomplete beta function, evaluated without any series machinery
+    print("N=2 cross-check against the incomplete-beta closed form")
+    print(f"  {'beta':>5} {'M':>3} {'x':>8} {'series':>20} {'closed form':>20} {'diff':>10}")
     worst = 0.0
     for beta, mm in [(2.0, 2), (2.0, 4), (1.0, 5), (4.0, 3)]:
         p = params_new(beta, 2, mm)
@@ -59,7 +59,7 @@ def compare_quadrature_oracle():
             b = q_oracle_n2(p, x)
             worst = max(worst, abs(a - b))
             print(f"  {beta:>5.2f} {mm:>3d} {x:>8.3f} {a:>20.15f} {b:>20.15f} {abs(a - b):>10.2e}")
-    print(f"  worst |series - quadrature| = {worst:.2e}")
+    print(f"  worst |series - closed form| = {worst:.2e}")
     print()
 
 
@@ -93,7 +93,7 @@ def main():
     cases = [(2.0, 3, 4), (1.0, 4, 7), (4.0, 2, 3), (2.0, 5, 5)]
     show_params(cases)
     show_law(2.0, 3, 4)
-    compare_quadrature_oracle()
+    compare_closed_form_oracle()
     show_moments()
     closed_form_spot_check()
 

@@ -14,8 +14,9 @@ sample      Monte Carlo batch of trace-normalized smallest eigenvalues,
             per line).
 validate    sample, then Kolmogorov-Smirnov test against the best
             available reference CDF: the partition series when the Jack
-            index is an integer, the N=2 quadrature oracle otherwise,
-            and a split-half self-consistency test as the fallback.
+            index is an integer, the N=2 closed-form oracle (an
+            incomplete beta function) otherwise, and a split-half
+            self-consistency test as the fallback.
 selfcheck   fast internal invariant suite.
 
 Exit status: 0 success, 1 validation/self-check failure (or a numerical
@@ -166,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="KS-test Monte Carlo draws against theory")
     _add_ensemble(sp)
     _add_sampling(sp)
-    sp.add_argument("--quad-tol", type=float, default=1e-10, dest="quad_tol",
-                    help="quadrature tolerance for the N=2 oracle CDF")
     _add_output(sp)
 
     sub.add_parser("selfcheck", help="run the fast internal invariant suite")
@@ -296,13 +295,9 @@ def _dispatch(args) -> int:
                     batch, lambda x: 1.0 - q_exact(params, x), level=0.01
                 )
             elif params.n_dim == 2:
-                route = "quadrature"
+                route = "quadrature"  # the N=2 oracle's stable JSON label
                 report = ks_validate(
-                    batch,
-                    lambda xs: np.array(
-                        [1.0 - q_oracle_n2(params, x, args.quad_tol) for x in xs]
-                    ),
-                    level=0.01,
+                    batch, lambda x: 1.0 - q_oracle_n2(params, x), level=0.01
                 )
             else:
                 route = "split-half"

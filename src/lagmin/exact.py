@@ -63,7 +63,8 @@ assembler's max-shifted reduction.
 
 q_oracle_n2 is the independent cross-check for N=2: the delta constraint
 collapses the joint density to one dimension and Q becomes a ratio of two
-ordinary integrals, evaluated by adaptive quadrature with no partition
+ordinary integrals, a regularized incomplete beta function I_z(a, b)
+(DLMF 8.17), evaluated from its continued fraction with no partition
 machinery at all.
 """
 
@@ -74,10 +75,9 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import EnsembleParams, require_jack_index
-from .errors import DomainError, NumericalInconsistency, PrecisionWarning
+from .errors import DivergenceError, DomainError, NumericalInconsistency, PrecisionWarning
 from .jack import _pair_tables, _prefix_sums, _weight_sums
 from .numerics import _edge_sum, _points, _shifted_sum
 
@@ -299,47 +299,127 @@ def norm_const(params: EnsembleParams) -> float:
     return math.exp(norm_const_log(params))
 
 
-@lru_cache(maxsize=32)
-def _oracle_weight_norm(beta: float, m_dim: int, quad_tol: float) -> float:
-    expo = 0.5 * beta * (m_dim - 1) - 1.0  # beta*alpha/2 at N=2
-    val, _ = quad(
-        lambda lam: (lam * (1.0 - lam)) ** expo * abs(2.0 * lam - 1.0) ** beta,
-        0.0,
-        1.0,
-        points=[0.5],
-        epsabs=quad_tol,
-        epsrel=quad_tol,
-        limit=200,
+#: Coefficients B_2k / (2k(2k-1)) of the Stirling series of
+#: omega(x) = lgamma(x) - (x - 1/2) log x + x - log(2 pi)/2, k = 1..6;
+#: from x = 25 on, the next term is below 1e-19.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+#: From this larger argument on, log B takes the Stirling-difference form.
+_STIRLING_FROM = 25.0
+#: Continued-fraction stopping rule and iteration cap, and the modified
+#: Lentz guard against a zero denominator.
+_CF_EPS = 2.0 * np.finfo(float).eps
+_CF_MAX_ITER = 10_000
+_CF_TINY = 1e-300
+
+
+def _stirling_omega(x: float) -> float:
+    """omega(x) = lgamma(x) - ((x - 1/2) log x - x + log(2 pi)/2), x >= 25."""
+    r = 1.0 / (x * x)
+    out = 0.0
+    for c in reversed(_STIRLING):
+        out = out * r + c
+    return out / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b).  Once the larger argument l reaches _STIRLING_FROM,
+    lgamma(l) - lgamma(a+b) is taken as the Stirling difference
+
+        -(l - 1/2) log1p(s/l) - s log(a+b) + s + omega(l) - omega(a+b)
+
+    (s the smaller argument): a plain lgamma difference there loses
+    |lgamma(l)| * eps, about 5e-13 at l = 800."""
+    small, large = sorted((a, b))
+    if large < _STIRLING_FROM:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (
+        math.lgamma(small) - (large - 0.5) * math.log1p(small / large)
+        - small * math.log(a + b) + small
+        + _stirling_omega(large) - _stirling_omega(a + b)
     )
-    return val
 
 
-def q_oracle_n2(params: EnsembleParams, x: float, quad_tol: float = 1e-10) -> float:
-    """Brute-force survival function for N=2 by adaptive quadrature.
+def _beta_cf(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """The continued fraction of DLMF 8.17.22,
+
+        I_z(a, b) = z^a (1-z)^b / (a B(a, b)) * 1/(1+ d_1/(1+ d_2/(1+ ...))),
+
+    d_2j = j(b-j) z / ((a+2j-1)(a+2j)),
+    d_2j+1 = -(a+j)(a+b+j) z / ((a+2j)(a+2j+1)),
+
+    evaluated by modified Lentz at every entry of the 1-D array z, each
+    entry stopping on its own once a step changes it by at most _CF_EPS.
+    Converges fast for z < (a+1)/(a+b+2).  Raises DivergenceError if an
+    entry has not converged within _CF_MAX_ITER steps."""
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
+    c = np.ones_like(z)
+    d = 1.0 - (a + b) * z / (a + 1.0)
+    d = 1.0 / np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
+    h = d
+    j = 0
+    while idx.size:
+        j += 1
+        if j > _CF_MAX_ITER:
+            raise DivergenceError(
+                f"incomplete-beta continued fraction (a={a}, b={b}) did not "
+                f"converge in {_CF_MAX_ITER} steps at z={z[0]}"
+            )
+        for dj in (
+            j * (b - j) * z / ((a + 2 * j - 1.0) * (a + 2 * j)),
+            -(a + j) * (a + b + j) * z / ((a + 2 * j) * (a + 2 * j + 1.0)),
+        ):
+            d = 1.0 + dj * d
+            d = 1.0 / np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
+            c = 1.0 + dj / c
+            c = np.where(np.abs(c) < _CF_TINY, _CF_TINY, c)
+            step = d * c
+            h = h * step
+        more = np.abs(step - 1.0) > _CF_EPS
+        out[idx[~more]] = h[~more]
+        idx, z, c, d, h = idx[more], z[more], c[more], d[more], h[more]
+    return out
+
+
+def q_oracle_n2(params: EnsembleParams, x):
+    """Survival function for N=2 in closed form, at a float x (returns a
+    float) or at every entry of an array (returns an array).
 
     The trace constraint leaves a single free eigenvalue lambda on
-    [x, 1-x] with weight (lambda(1-lambda))^(beta*alpha/2)|2lambda-1|^beta;
-    Q is the normalized integral.  Works for ANY beta > 0 (no integer Jack
-    index needed) and shares no code with the series routes, which is the
+    [x, 1-x] with weight (lambda(1-lambda))^(beta*alpha/2)|2lambda-1|^beta,
+    and Q is its normalized integral.  With s = (2lambda-1)^2 that is the
+    regularized incomplete beta function
+
+        Q(x) = I_z(a, b),  z = (1-2x)^2,  a = (beta+1)/2,  b = beta(M-1)/2,
+
+    taken from its continued fraction where z <= (a+1)/(a+b+2) and from
+    1 - I_(1-z)(b, a) above, with 1-z = 4x(1-x) formed directly and the
+    prefactor z^a (1-z)^b / B(a, b) in logs: log z = 2 log1p(-2x), and
+    log(1-z) = log1p(-z) below z = 1/2, log(4x(1-x)) above.  Exactly 1 at x=0 and 0 at
+    x=1/2.  Works for ANY beta > 0 (no integer Jack index needed) and
+    shares no code with the series or determinant routes, which is the
     whole point.
     """
     if params.n_dim != 2:
         raise DomainError(f"q_oracle_n2 requires N=2, got N={params.n_dim}")
-    if not (0.0 <= x <= 0.5):
-        raise DomainError(f"q_oracle_n2 requires 0 <= x <= 1/2, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x >= 0.5:
-        return 0.0
-    beta = params.beta
-    expo = 0.5 * beta * (params.m_dim - 1) - 1.0
-    num, _ = quad(
-        lambda lam: (lam * (1.0 - lam)) ** expo * abs(2.0 * lam - 1.0) ** beta,
-        x,
-        1.0 - x,
-        points=[0.5],
-        epsabs=quad_tol,
-        epsrel=quad_tol,
-        limit=200,
-    )
-    return num / _oracle_weight_norm(beta, params.m_dim, quad_tol)
+    xs = _points(x)
+    if np.any(xs > 0.5):
+        raise DomainError(f"q_oracle_n2 requires 0 <= x <= 1/2, got {xs[xs > 0.5].flat[0]}")
+    a = 0.5 * (params.beta + 1.0)
+    b = 0.5 * params.beta * (params.m_dim - 1)
+    log_beta = _log_beta(a, b)
+    flat = xs.ravel()
+    out = np.where(flat == 0.0, 1.0, 0.0)
+    inner = np.flatnonzero((flat > 0.0) & (flat < 0.5))
+    t = flat[inner]
+    z = (1.0 - 2.0 * t) ** 2
+    w = 4.0 * t * (1.0 - t)  # 1 - z
+    log_w = np.log(w)
+    small = z < 0.5
+    log_w[small] = np.log1p(-z[small])
+    log_pref = 2.0 * a * np.log1p(-2.0 * t) + b * log_w - log_beta  # z^a (1-z)^b / B
+    low = z <= (a + 1.0) / (a + b + 2.0)
+    out[inner[low]] = np.exp(log_pref[low] - math.log(a)) * _beta_cf(a, b, z[low])
+    out[inner[~low]] = 1.0 - np.exp(log_pref[~low] - math.log(b)) * _beta_cf(b, a, w[~low])
+    out = out.reshape(xs.shape)
+    return out if xs.ndim else float(out)

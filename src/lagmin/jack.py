@@ -27,9 +27,9 @@ arm lengths a(s) and leg lengths l(s):
 
 with k = |kappa|.  The identification of nu with the internal Jack
 parameter (rather than its reciprocal) is pinned empirically by the
-validation suite: the normalization identity above, the N=2 quadrature
-cross-checks at nu != 1, and the Bessel-function reduction at nu = 1 all
-hold for this mapping and all fail for the reciprocal one.
+validation suite: the normalization identity above, the N=2 closed-form
+oracle cross-checks at nu != 1, and the Bessel-function reduction at
+nu = 1 all hold for this mapping and all fail for the reciprocal one.
 
 The per-partition helpers here (enumerate_partitions, gen_factorial,
 jack_c_one) are the references the tests check the builders against.

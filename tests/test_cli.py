@@ -1,14 +1,21 @@
 """End-to-end command-line behavior: formats, exit codes, seeding."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lagmin
+from lagmin import cli
 from lagmin.beta2 import q_exact_beta2
 from lagmin.cli import DEFAULT_SEED, build_parser, main
 from lagmin.core import params_new
-from lagmin.exact import moment, q_exact
+from lagmin.exact import moment, q_exact, q_oracle_n2
 from lagmin.limit import LimitParams, q_limit
 from lagmin.sampler import load_batch, run_batch
 
@@ -172,6 +179,69 @@ def test_validate_quadrature_route(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["route"] == "quadrature"
+
+
+def test_validate_quadrature_route_calls_the_oracle_once(capsys, monkeypatch):
+    calls = []
+
+    def oracle(params, x):
+        calls.append(np.array(x, copy=True))
+        return q_oracle_n2(params, x)
+
+    monkeypatch.setattr(cli, "q_oracle_n2", oracle)
+    code, _, _ = run_cli(
+        capsys, "validate", "--beta", "1", "--N", "2", "--M", "4",
+        "--samples", "300", "--seed", "5",
+    )
+    assert code in (0, 1)
+    batch = run_batch(params_new(1.0, 2, 4), 300, seed=5)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.sort(batch.values))
+
+
+def test_validate_quadrature_route_at_large_beta_times_m(capsys):
+    # beta*(M-1) = 1492: the normalising integral of the weight underflows
+    code, out, err = run_cli(
+        capsys, "validate", "--beta", "7.5", "--N", "2", "--M", "200",
+        "--samples", "100", "--seed", "1", "--format", "json",
+    )
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert json.loads(out)["results"][0]["route"] == "quadrature"
+
+
+def test_validate_has_no_quadrature_tolerance(capsys):
+    code, out, err = run_cli(
+        capsys, "validate", "--beta", "1", "--N", "2", "--M", "4",
+        "--samples", "10", "--quad-tol", "1e-8",
+    )
+    assert code == 2 and out == ""
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
+
+
+def test_commands_import_no_scipy():
+    # this test process imports scipy itself, so the commands run in a
+    # fresh interpreter
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import lagmin.cli
+        argv = ["validate", "--beta", "1", "--N", "2", "--M", "4",
+                "--samples", "200", "--seed", "3"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [lagmin.cli.main(argv), lagmin.cli.main(["selfcheck"])]
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        print(json.dumps({"codes": codes, "scipy": loaded}))
+    """)
+    src = str(Path(lagmin.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"][0] in (0, 1) and doc["codes"][1] == 0
+    assert doc["scipy"] == []
 
 
 def test_validate_split_half_route(capsys):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -327,6 +328,81 @@ def test_oracle_handles_non_integer_index():
     assert q_oracle_n2(p, 0.0) == pytest.approx(1.0, abs=1e-9)
     v = q_oracle_n2(p, 0.2)
     assert 0.0 < v < 1.0
+
+
+def test_oracle_small_beta_near_the_hard_edge():
+    # 1 - Q = I_(4x(1-x))(b, a) ~ (4x)^b / (b B(a, b)) with b = 0.05 is
+    # far from 0 at x = 1e-9; the value is 50-digit mpmath
+    p = params_new(0.1, 2, 2)
+    assert q_oracle_n2(p, 1e-9) == pytest.approx(0.64005084704357226, rel=1e-13)
+
+
+def test_oracle_at_large_beta_times_m():
+    # beta*(M-1) = 1492: the weight (lambda(1-lambda))^745 underflows
+    p = params_new(7.5, 2, 200)
+    qs = q_oracle_n2(p, np.linspace(0.0, 0.5, 501))
+    assert np.all(np.isfinite(qs)) and np.all((qs >= 0.0) & (qs <= 1.0))
+    assert qs[0] == 1.0 and qs[-1] == 0.0 and np.all(np.diff(qs) <= 0.0)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 2.0 / 3.0, 1.0, 2.0, 3.7, 4.0, 8.0])
+def test_oracle_against_betainc(beta):
+    # Q = I_z(a, b) with z = (1-2x)^2; above z = 1/2 the reference is
+    # the complement in 1 - z = 4x(1-x), formed as the oracle forms it
+    edge = np.logspace(-12, -1, 45)
+    xs = np.concatenate([edge, [0.15, 0.25, 0.35], 0.5 - edge])
+    z = (1.0 - 2.0 * xs) ** 2
+    a = 0.5 * (beta + 1.0)
+    for m_dim in (2, 3, 4, 7, 50, 200):
+        b = 0.5 * beta * (m_dim - 1)
+        ref = np.where(
+            z <= 0.5,
+            scipy.special.betainc(a, b, z),
+            scipy.special.betaincc(b, a, 4.0 * xs * (1.0 - xs)),
+        )
+        got = q_oracle_n2(params_new(beta, 2, m_dim), xs)
+        assert np.all(ref > 0.0)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+
+@pytest.mark.parametrize("beta,m_dim", [(0.5, 3), (1.0, 4), (4.0, 7), (2.0 / 3.0, 5)])
+def test_oracle_against_quadrature_of_the_weight(beta, m_dim):
+    # the definition: the normalized integral of the one free eigenvalue
+    e = 0.5 * beta * (m_dim - 1) - 1.0
+
+    def mass(lo, hi):
+        val, _ = scipy.integrate.quad(
+            lambda lam: (lam * (1.0 - lam)) ** e * abs(2.0 * lam - 1.0) ** beta,
+            lo, hi, points=[0.5], epsabs=1e-13, epsrel=1e-13, limit=200,
+        )
+        return val
+
+    total = mass(0.0, 1.0)
+    p = params_new(beta, 2, m_dim)
+    for x in (0.01, 0.1, 0.25, 0.4, 0.49):
+        assert q_oracle_n2(p, x) == pytest.approx(mass(x, 1.0 - x) / total, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta,m_dim", [(0.1, 2), (1.0, 4), (4.0, 3), (7.5, 200)])
+def test_oracle_array_call_equals_scalar_calls(beta, m_dim):
+    p = params_new(beta, 2, m_dim)
+    xs = np.concatenate([[0.0, 0.5, 1e-300, 0.5 - 1e-12], np.linspace(0.0, 0.5, 996)])
+    got = q_oracle_n2(p, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert np.array_equal(got, [q_oracle_n2(p, float(x)) for x in xs])
+    assert got[0] == 1.0 and got[1] == 0.0
+    assert isinstance(q_oracle_n2(p, 0.2), float)
+    assert np.array_equal(q_oracle_n2(p, xs.reshape(-1, 5)), got.reshape(-1, 5))
+    assert q_oracle_n2(p, np.zeros(0)).shape == (0,)
+
+
+def test_oracle_rejects_points_off_its_support():
+    p = params_new(1.0, 2, 4)
+    for bad in (math.nan, -1e-300, 0.5 + 1e-12, 1.0):
+        with pytest.raises(DomainError):
+            q_oracle_n2(p, bad)
+        with pytest.raises(DomainError):
+            q_oracle_n2(p, np.array([0.1, bad, 0.2]))
 
 
 # ---------- the one assembler, against the exact beta=2 rationals ----------
