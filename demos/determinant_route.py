@@ -1,6 +1,7 @@
 """At beta=2 the survival function has a second, fully independent
-derivation: an alpha x alpha determinant of Laguerre polynomials
-evaluated in exact rational arithmetic, then assembled into
+derivation: an alpha x alpha determinant of Laguerre polynomials,
+whose exact rational coefficients are computed in integer arithmetic,
+then assembled into
 Q(x) = sum_j c_j [Gamma(MN)/Gamma(MN-j)] x^j (1-Nx)^{MN-j-1}.
 
 This script prints the exact determinant polynomial for a small case,
@@ -15,9 +16,9 @@ from lagmin import det_laguerre, params_new, q_alpha2_sum, q_exact, q_exact_beta
 
 
 def show_determinant_polynomial(n, alpha):
-    poly = det_laguerre(n, alpha)
-    print(f"det polynomial for N={n}, alpha={alpha} (exact rationals, degree {poly.degree})")
-    for j, c in enumerate(poly.coeffs):
+    coeffs = det_laguerre(n, alpha)
+    print(f"det polynomial for N={n}, alpha={alpha} (exact rationals, degree {len(coeffs) - 1})")
+    for j, c in enumerate(coeffs):
         print(f"  s^{j}: {c}")
     print()
 

@@ -31,9 +31,7 @@ from .exact import (
     q_oracle_n2,
 )
 from .beta2 import (
-    RationalPolynomial,
     det_laguerre,
-    laguerre_poly,
     q_alpha2_sum,
     q_exact_beta2,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "NumericalInconsistency",
     "Partition",
     "PrecisionWarning",
-    "RationalPolynomial",
     "SampleBatch",
     "SeriesAccuracy",
     "bessel_i",
@@ -93,7 +90,6 @@ __all__ = [
     "kolmogorov_sf",
     "ks_two_sample",
     "ks_validate",
-    "laguerre_poly",
     "limit_prefactor",
     "load_batch",
     "moment",

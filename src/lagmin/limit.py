@@ -280,14 +280,19 @@ def q_limit_closed(lp: LimitParams, y: float):
     m = 1:             2^(2/beta - 1) Gamma(2/beta) e^(-beta*y/8)
                        * y^(1/2 - 1/beta) I_{2/beta - 1}(sqrt(y))
     (beta, m) = (2,2): e^(-y/4) [I_0(sqrt(y))^2 - I_1(sqrt(y))^2]
+
+    Q(0) = 1 and Q(+inf) = 0 at every m; a NaN or negative y raises
+    DomainError.
     """
-    if y < 0:
+    if not (y >= 0):
         raise DomainError(f"y must be >= 0, got {y}")
     beta, m = lp.beta, lp.jack_index
     if m == 0:
         return math.exp(-beta * y / 8.0)
     if y == 0.0:
         return 1.0
+    if y == math.inf:
+        return 0.0
     r = math.sqrt(y)
     if m == 1:
         rho = 2.0 / beta - 1.0

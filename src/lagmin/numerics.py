@@ -118,9 +118,9 @@ def bessel_i(rho: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> fl
     float
         I_rho(x).  For x=0: 1 if rho=0, 0 if rho>0, +inf if -1<rho<0.
     """
-    if rho <= -1:
+    if not (rho > -1):
         raise DomainError(f"bessel_i requires rho > -1, got {rho}")
-    if x < 0:
+    if not (x >= 0):
         raise DomainError(f"bessel_i requires x >= 0, got {x}")
     if x > BESSEL_X_ENVELOPE:
         warnings.warn(

@@ -1,18 +1,14 @@
 """The beta=2 Laguerre-determinant route and its exact rational identities."""
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from laguerre_reference import cofactor_det, derivative, evaluate, laguerre, laguerre_matrix
 
-from lagmin.beta2 import (
-    RationalPolynomial,
-    det_laguerre,
-    laguerre_poly,
-    q_alpha2_sum,
-    q_exact_beta2,
-)
+from lagmin.beta2 import det_laguerre, q_alpha2_sum, q_exact_beta2
 from lagmin.core import params_new
 from lagmin.errors import DomainError, PrecisionWarning
 from lagmin.exact import q_exact
@@ -25,58 +21,29 @@ def frac_poch(a: Fraction, k: int) -> Fraction:
     return out
 
 
-# ---------- rational polynomial arithmetic ----------
-
-def test_polynomial_basics():
-    p = RationalPolynomial([1, 2, 3])
-    q = RationalPolynomial([0, 1])
-    assert (p + q).coeffs == (Fraction(1), Fraction(3), Fraction(3))
-    assert (p * q).coeffs == (Fraction(0), Fraction(1), Fraction(2), Fraction(3))
-    assert (-p).coeffs == (Fraction(-1), Fraction(-2), Fraction(-3))
-    assert p.degree == 2
-    assert RationalPolynomial([0, 0]).is_zero()
-    assert RationalPolynomial.zero().degree == -1
-
-
-def test_polynomial_divmod_exact():
-    a = RationalPolynomial([Fraction(1), Fraction(2)])       # 1 + 2s
-    b = RationalPolynomial([Fraction(3), Fraction(0), Fraction(1)])  # 3 + s^2
-    prod = a * b
-    q, r = divmod(prod, a)
-    assert r.is_zero() and q == b
-    q, r = divmod(prod, b)
-    assert r.is_zero() and q == a
-
-
-def test_polynomial_evaluation():
-    p = RationalPolynomial([1, -2, Fraction(1, 2)])
-    assert p(Fraction(2)) == Fraction(1) - 4 + 2
-    assert p(0.5) == pytest.approx(1 - 1 + 0.125)
-
-
-# ---------- Laguerre polynomials ----------
+# ---------- Laguerre polynomials (test-side reference) ----------
 
 def test_laguerre_small_cases():
-    assert laguerre_poly(0, 0).coeffs == (Fraction(1),)
+    assert laguerre(0, 0) == [Fraction(1)]
     # L_2^(0) = 1 - 2x + x^2/2
-    assert laguerre_poly(2, 0).coeffs == (Fraction(1), Fraction(-2), Fraction(1, 2))
+    assert laguerre(2, 0) == [Fraction(1), Fraction(-2), Fraction(1, 2)]
     # L_1^(3) = 4 - x
-    assert laguerre_poly(1, 3).coeffs == (Fraction(4), Fraction(-1))
-    assert laguerre_poly(-1, 2).is_zero()
+    assert laguerre(1, 3) == [Fraction(4), Fraction(-1)]
+    assert laguerre(-1, 2) == []
 
 
 def test_laguerre_value_at_zero_is_binomial():
     for n in range(6):
         for l in range(5):
-            assert laguerre_poly(n, l)(Fraction(0)) == math.comb(n + l, n)
+            assert evaluate(laguerre(n, l), Fraction(0)) == math.comb(n + l, n)
 
 
 def test_differential_difference_relation_exact():
     # d/dx L_n^(rho) = -L_{n-1}^(rho+1), exactly in rationals
     for n in range(0, 13):
         for rho in range(0, 5):
-            lhs = laguerre_poly(n, rho).derivative()
-            rhs = -laguerre_poly(n - 1, rho + 1)
+            lhs = derivative(laguerre(n, rho))
+            rhs = [-c for c in laguerre(n - 1, rho + 1)]
             assert lhs == rhs, (n, rho)
 
 
@@ -130,15 +97,17 @@ def test_identity_spot_case():
 # ---------- determinant ----------
 
 def test_det_examples():
-    assert det_laguerre(1, 2).coeffs == (Fraction(1), Fraction(1), Fraction(1, 2))
-    assert det_laguerre(2, 1).coeffs == (Fraction(1), Fraction(2), Fraction(1, 2))
-    assert det_laguerre(4, 0) == RationalPolynomial.one()
+    assert det_laguerre(1, 2) == (Fraction(1), Fraction(1), Fraction(1, 2))
+    assert det_laguerre(2, 1) == (Fraction(1), Fraction(2), Fraction(1, 2))
+    assert det_laguerre(4, 0) == (Fraction(1),)
 
 
 def test_det_degree_is_alpha_times_n():
     for n in range(1, 6):
         for alpha in range(0, 4):
-            assert det_laguerre(n, alpha).degree == (alpha * n if alpha else 0)
+            coeffs = det_laguerre(n, alpha)
+            assert len(coeffs) == alpha * n + 1
+            assert coeffs[-1] != 0
 
 
 def _cofactor_det(mat):
@@ -168,7 +137,62 @@ def test_det_constant_term_matches_direct_evaluation():
                 for k in range(alpha)
             ]
             direct = _cofactor_det(mat)
-            assert det_laguerre(n, alpha).coeffs[0] == direct
+            assert det_laguerre(n, alpha)[0] == direct
+
+
+def test_det_matches_cofactor_reference():
+    # the integer evaluate-eliminate-interpolate route against a Laplace
+    # expansion of the polynomial matrix, coefficient by coefficient
+    for n in range(1, 13):
+        for alpha in range(0, 5):
+            want = cofactor_det(laguerre_matrix(n, alpha))
+            assert list(det_laguerre(n, alpha)) == want, (n, alpha)
+
+
+# sha256 of the exact (numerator, denominator) pairs, captured from the
+# polynomial Bareiss elimination over Fractions that this route replaced
+GOLDEN_DIGESTS = {
+    (16, 4): "a2e878760ed5a189c30df6782ccb58bb21dfeaa4b8f45c827ca10ee4bc747d45",
+    (24, 4): "6101abbebf8a6dc389159a1e25352895aaad8c36d4d1fe7c17f63146f9e85b3e",
+    (20, 6): "e9ef81f364cf8e6be561490b52fbc4059edf81dc56e59c9cc2cc60c1b23ca96f",
+    (30, 6): "2b884006afe876818f2450afa5068e6d58a9d9e1a65e551f175f11411a6794be",
+}
+
+
+@pytest.mark.parametrize("n,alpha", sorted(GOLDEN_DIGESTS))
+def test_det_golden_digest(n, alpha):
+    coeffs = det_laguerre(n, alpha)
+    pairs = repr([(c.numerator, c.denominator) for c in coeffs]).encode()
+    assert hashlib.sha256(pairs).hexdigest() == GOLDEN_DIGESTS[n, alpha]
+
+
+@pytest.mark.parametrize("n,alpha", [(12, 4), (8, 6)])
+@pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(5, 2)])
+def test_det_off_sample_points(n, alpha, s):
+    # the route interpolates through s = 0..alpha*N; at non-integer s the
+    # polynomial must still equal the determinant of the entries there
+    mat = [[evaluate(p, s) for p in row] for row in laguerre_matrix(n, alpha)]
+    assert evaluate(list(det_laguerre(n, alpha)), s) == _cofactor_det(mat)
+
+
+def test_det_coefficients_positive():
+    # the integer elimination takes the diagonal as pivots without a
+    # search; they are leading minors, positive because these are
+    for n in range(1, 13):
+        for alpha in range(0, 7):
+            assert all(c > 0 for c in det_laguerre(n, alpha)), (n, alpha)
+
+
+def test_det_integer_arguments():
+    assert det_laguerre(3.0, 2) == det_laguerre(3, 2)
+    det_laguerre(1, 2)  # a cached int entry must not answer for a bool
+    for args in [(True, 2), (3, False), (2.5, 2), (3, "2")]:
+        with pytest.raises(DomainError):
+            det_laguerre(*args)
+    with pytest.raises(DomainError):
+        det_laguerre(0, 2)
+    with pytest.raises(DomainError):
+        det_laguerre(3, -1)
 
 
 # ---------- survival function ----------
@@ -199,6 +223,14 @@ def test_q_beta2_edges_and_errors():
         q_exact_beta2(3, 2, 0.1)  # M < N
     with pytest.warns(PrecisionWarning):
         q_exact_beta2(32, 33, 0.001)
+
+
+def test_q_beta2_integer_arguments():
+    assert q_exact_beta2(3.0, 5, 0.1) == q_exact_beta2(3, 5, 0.1)
+    assert q_exact_beta2(3, 5.0, 0.1) == q_exact_beta2(3, 5, 0.1)
+    for n_dim, m_dim in [(True, 3), (2, True), (2.5, 4), (2, 4.5), (None, 3)]:
+        with pytest.raises(DomainError):
+            q_exact_beta2(n_dim, m_dim, 0.1)
 
 
 def test_q_beta2_rejects_nan():
@@ -254,3 +286,7 @@ def test_alpha2_sum_domain():
         q_alpha2_sum(2, 0.51)
     with pytest.raises(DomainError):
         q_alpha2_sum(0, 0.1)
+    for n_dim in (2.5, True, "2"):
+        with pytest.raises(DomainError):
+            q_alpha2_sum(n_dim, 0.1)
+    assert q_alpha2_sum(2.0, 0.1) == q_alpha2_sum(2, 0.1)

@@ -112,7 +112,7 @@ def test_coeffs_match_exact_beta2_rationals(n, alpha):
     # at beta=2, A_k = c_k * Gamma(MN)/Gamma(MN-k) with c_k the exact
     # coefficients of the Laguerre determinant
     coeffs = exact._series_coeffs(params_new(2.0, n, n + alpha))
-    rational = det_laguerre(n, alpha).coeffs
+    rational = det_laguerre(n, alpha)
     assert len(coeffs) == len(rational)
     mn = (n + alpha) * n
     falling = 1
@@ -266,7 +266,7 @@ def test_first_moment_equals_integral_of_q():
 def test_moments_match_exact_beta2_rationals(n, alpha):
     # mu_p = p sum_k c_k Gamma(MN)Gamma(p+k) / (Gamma(MN+p) N^(p+k)) at beta=2
     mn = (n + alpha) * n
-    c = det_laguerre(n, alpha).coeffs
+    c = det_laguerre(n, alpha)
     for order in (1, 2):
         want = order * sum(
             ck * math.factorial(order + k - 1)
@@ -415,7 +415,7 @@ def _exact_beta2_law(n, alpha, x, density=False):
     rational coefficients of the Laguerre determinant, to 60 digits."""
     mn = (n + alpha) * n
     a, falling = [], 1
-    for j, c in enumerate(det_laguerre(n, alpha).coeffs):
+    for j, c in enumerate(det_laguerre(n, alpha)):
         a.append(c * falling)
         falling *= mn - 1 - j
     e = mn - 1

@@ -127,6 +127,19 @@ def test_closed_form_unavailable():
     assert q_limit_closed(LimitParams(0.7, 2), 2.0) is None
 
 
+def test_closed_form_nan_and_infinity():
+    # NaN y is a DomainError at every m (it used to come back as NaN at
+    # m = 0 and as DivergenceError from bessel_i at m >= 1); y = +inf is
+    # Q = 0, as in q_limit
+    for lp in (LimitParams(2.0, 0), LimitParams(1.0, 1), LimitParams(2.0, 2), LimitParams(1.0, 3)):
+        with pytest.raises(DomainError):
+            q_limit_closed(lp, math.nan)
+        with pytest.raises(DomainError):
+            q_limit_closed(lp, -1.0)
+        assert q_limit_closed(lp, math.inf) == 0.0
+        assert q_limit(lp, math.inf) == 0.0
+
+
 def test_density_at_zero():
     assert p_limit(LimitParams(2.0, 0), 0.0) == 0.25
     assert p_limit(LimitParams(1.0, 0), 0.0) == 0.125

@@ -62,6 +62,9 @@ class TestBesselI:
             bessel_i(-1.0, 1.0)
         with pytest.raises(DomainError):
             bessel_i(0.0, -0.5)
+        for rho, x in [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)]:
+            with pytest.raises(DomainError):
+                bessel_i(rho, x)
 
     def test_envelope_warning(self):
         with pytest.warns(PrecisionWarning):
