@@ -1,10 +1,11 @@
 """Monte Carlo cross-validation of the exact law.
 
-Samples come from the tridiagonal chi model of the Laguerre ensemble,
+Samples come from the bidiagonal chi model of the Laguerre ensemble,
 normalized by the trace; the smallest eigenvalue of each draw is found
-by Sturm bisection.  Streams are counter-based (one Philox key per
-draw index), so results are reproducible and independent of the worker
-count, and a longer run is a bit-exact extension of a shorter one.
+from a qd Sturm count on the bidiagonal.  Streams are counter-based (one
+Philox key per block of 256 draws), so results are reproducible and
+independent of the worker count, and a longer run is a bit-exact
+extension of a shorter one.
 
 Run:  python3 demos/monte_carlo.py [n_samples]
 """

@@ -54,7 +54,7 @@ from .errors import (
 from .exact import moment, p_exact, q_exact, q_oracle_n2
 from .beta2 import q_exact_beta2
 from .limit import LimitParams, p_limit, q_limit
-from .sampler import ks_two_sample, ks_validate, run_batch, write_batch
+from .sampler import STREAM, ks_two_sample, ks_validate, run_batch, write_batch
 
 DEFAULT_SEED = 20260819
 SEED_ENV_VAR = "LAGMIN_SEED"
@@ -313,7 +313,8 @@ def _dispatch(args) -> int:
             config = {
                 "command": args.command, "beta": params.beta, "N": params.n_dim,
                 "M": params.m_dim, "jack_index": params.jack_index,
-                "samples": args.samples, "seed": seed, "workers": args.workers,
+                "samples": args.samples, "seed": seed, "stream": STREAM,
+                "workers": args.workers,
             }
             code = 0 if report.passed else 1
 

@@ -85,7 +85,7 @@ import numpy as np
 from .core import DEFAULT_ACCURACY, SeriesAccuracy
 from .errors import DivergenceError, DomainError, PrecisionWarning
 from .jack import _pair_tables, _prefix_sums, _weight_sums
-from .numerics import EDGE_SUM_BLOCK, _points, bessel_i, log_gamma
+from .numerics import EDGE_SUM_BLOCK, _bessel_i_scaled, _points, log_gamma
 
 Y_ENVELOPE = 100.0
 M_ENVELOPE = 6
@@ -294,16 +294,23 @@ def q_limit_closed(lp: LimitParams, y: float):
     if y == math.inf:
         return 0.0
     r = math.sqrt(y)
+    # factors combined in logs: e^(-beta y/8) underflows and I(r)
+    # overflows long before their product leaves double range
     if m == 1:
         rho = 2.0 / beta - 1.0
         log_pref = (2.0 / beta - 1.0) * math.log(2.0) + log_gamma(2.0 / beta)
+        i, scale = _bessel_i_scaled(rho, r, DEFAULT_ACCURACY)
         return math.exp(
             log_pref - beta * y / 8.0 + (0.5 - 1.0 / beta) * math.log(y)
-        ) * bessel_i(rho, r)
+            + math.log(i) + scale
+        )
     if m == 2 and abs(beta - 2.0) < 1e-12:
-        i0 = bessel_i(0.0, r)
-        i1 = bessel_i(1.0, r)
-        return math.exp(-y / 4.0) * (i0 * i0 - i1 * i1)
+        i0, scale0 = _bessel_i_scaled(0.0, r, DEFAULT_ACCURACY)
+        i1, scale1 = _bessel_i_scaled(1.0, r, DEFAULT_ACCURACY)
+        diff = i0 * i0 - i1 * i1 * math.exp(2.0 * (scale1 - scale0))
+        if not diff > 0.0:
+            return 0.0
+        return math.exp(-y / 4.0 + 2.0 * scale0 + math.log(diff))
     return None
 
 

@@ -94,15 +94,17 @@ def _edge_sum(log_c, sign_c, n: int, e: float, x: np.ndarray, first: int = 0) ->
 def bessel_i(rho: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
     """Modified Bessel function of the first kind, I_rho(x).
 
-    Evaluates the ascending series
+    Up to x = BESSEL_X_ENVELOPE, evaluates the ascending series
 
         I_rho(x) = (x/2)^rho * sum_{k>=0} (x/2)^(2k) / (k! Gamma(rho+k+1))
 
     truncated once the next term falls below ``acc.tail_tol`` times the
     partial sum.  All terms are positive, so there is no cancellation and
-    the relative error is <= 1e-12 on the validated envelope x in [0, 60];
-    larger x is flagged with a PrecisionWarning rather than silently
-    extrapolated.
+    the relative error is <= 1e-12 on the validated envelope x in [0, 60].
+    Beyond it, where the large-argument expansion (DLMF 10.40.1) reaches
+    ``acc.tail_tol``, e^(-x) I_rho(x) comes from that expansion; otherwise
+    the series is summed as before.  Larger x is flagged with a
+    PrecisionWarning.
 
     Parameters
     ----------
@@ -116,8 +118,27 @@ def bessel_i(rho: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> fl
     Returns
     -------
     float
-        I_rho(x).  For x=0: 1 if rho=0, 0 if rho>0, +inf if -1<rho<0.
+        I_rho(x), +inf once it overflows a double (x >~ 713) and at
+        x = +inf.  For x=0: 1 if rho=0, 0 if rho>0, +inf if -1<rho<0.
     """
+    value, scale = _bessel_i_scaled(rho, x, acc)
+    if scale == 0.0:
+        return value
+    try:
+        return value * math.exp(scale)
+    except OverflowError:  # e^x alone overflows past x ~ 709.8, I_rho(x) near 713
+        pass
+    try:
+        return math.exp(math.log(value) + scale)
+    except OverflowError:
+        return math.inf
+
+
+def _bessel_i_scaled(rho: float, x: float, acc: SeriesAccuracy) -> tuple:
+    """I_rho(x) = value * e^scale: (series value, 0.0), or beyond the
+    envelope (e^(-x) I_rho(x) by DLMF 10.40.1, x) where that expansion
+    reaches acc.tail_tol.  Validates like bessel_i and warns on behalf of
+    its caller's caller."""
     if not (rho > -1):
         raise DomainError(f"bessel_i requires rho > -1, got {rho}")
     if not (x >= 0):
@@ -127,12 +148,17 @@ def bessel_i(rho: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> fl
             f"bessel_i argument x={x:g} exceeds the validated envelope "
             f"x <= {BESSEL_X_ENVELOPE:g}; result is best-effort",
             PrecisionWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
+        if x == math.inf:
+            return math.inf, 0.0
+        scaled = _bessel_i_large(rho, x, acc.tail_tol)
+        if scaled is not None:
+            return scaled, x
     if x == 0.0:
         if rho == 0.0:
-            return 1.0
-        return 0.0 if rho > 0 else float("inf")
+            return 1.0, 0.0
+        return (0.0 if rho > 0 else math.inf), 0.0
 
     half = 0.5 * x
     # prefactor (x/2)^rho / Gamma(rho+1), folded into the k=0 term
@@ -149,8 +175,33 @@ def bessel_i(rho: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> fl
             comp += (term - t) + total
         total = t
         if term < acc.tail_tol * total:
-            return total + comp
+            return total + comp, 0.0
     raise DivergenceError(
         f"bessel_i series did not meet tail_tol={acc.tail_tol:g} within "
         f"k_max={acc.k_max} terms (rho={rho}, x={x})"
     )
+
+
+def _bessel_i_large(rho: float, x: float, tol: float):
+    """e^(-x) I_rho(x) from the large-argument expansion (DLMF 10.40.1)
+
+        (2 pi x)^(-1/2) sum_k (-1)^k a_k(rho) / x^k,
+        a_k = prod_{j=1..k} (4 rho^2 - (2j-1)^2) / (k! 8^k),
+
+    or None when its terms stop shrinking before they fall below tol
+    times the sum, or cancel to more than tol of it in rounding."""
+    mu = 4.0 * rho * rho
+    term = total = peak = 1.0
+    for k in range(1, 1000):
+        nxt = -term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        # past k = rho + 1/2 the term ratio only grows: the tail diverges
+        if k > rho + 0.5 and abs(nxt) >= abs(term):
+            return None
+        term = nxt
+        total += term
+        peak = max(peak, abs(term))
+        if abs(term) <= tol * abs(total):
+            if total <= 0.0 or peak * 2.0**-52 > tol * total:
+                return None
+            return total / math.sqrt(2.0 * math.pi * x)
+    return None

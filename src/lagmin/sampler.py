@@ -1,13 +1,13 @@
 """Monte Carlo sampling of the trace-normalized smallest eigenvalue.
 
 A draw from the unconstrained beta-Laguerre ensemble is generated from
-the bidiagonal model: B is N x M-shaped lower bidiagonal with
-independent entries
+the bidiagonal model: B is N x N lower bidiagonal with independent
+entries
 
     diagonal     a_i ~ chi_{beta*(M-i)},      i = 0..N-1,
     subdiagonal  b_i ~ chi_{beta*(N-1-i)},    i = 0..N-2,
 
-and T = B B^T is symmetric tridiagonal with
+and the Wishart matrix is T = B B^T, tridiagonal with
 
     d_0 = a_0^2,  d_i = a_i^2 + b_{i-1}^2,  e_i = a_i * b_i.
 
@@ -16,14 +16,27 @@ gives one draw of the fixed-trace statistic: the chi-square trace is
 independent of the normalized spectrum, so conditioning on trace = 1 is
 the same as dividing by the trace.
 
-Reproducibility contract: sample index i of a batch with seed s is
-generated from the counter-based stream Philox(key=[s, i]).  Draw i
-therefore never depends on how the batch is chunked across workers, and
-run_batch(workers=1) and run_batch(workers=8) return bit-identical
-arrays.
+Reproducibility contract (stream 2): draw i of a batch with seed s
+belongs to block i // BLOCK, and block k is generated by one call
 
-The smallest eigenvalue is extracted by a vectorized Sturm-count
-bisection (no dense solver in the hot path); numpy.linalg.eigvalsh is
+    Generator(Philox(key=[s, k])).gamma(shape, 2.0, size=(rows, 2N-1)),
+
+shape = (beta*(M-i)/2 for i < N, then beta*(N-1-i)/2 for i < N-1), which
+numpy fills row-major: row r holds a_0^2..a_{N-1}^2, b_0^2..b_{N-2}^2 of
+draw k*BLOCK + r.  A run draws only the rows it needs of its last block,
+so a longer run is a bit-exact extension of a shorter one, and workers
+take whole blocks, so run_batch(workers=1) and run_batch(workers=8)
+return bit-identical arrays.  Stream 1 (one Philox key per draw, before
+batch files carried a "stream" field) is no longer generated; its batch
+files still load.
+
+The smallest eigenvalue comes straight from the chi-square draws a^2,
+b^2 (no square root, and the count never forms T's entries): the
+differential stationary qd transform of Fernando & Parlett counts the
+eigenvalues of B B^T below a shift with high relative accuracy, and a
+bracket [0, min diag T] is
+narrowed by Laguerre steps from its left end, all rows at once, until
+it is 2**-48 wide relative to its upper end.  numpy.linalg.eigvalsh is
 used only as a cross-check oracle in the test suite.
 """
 
@@ -39,19 +52,28 @@ import numpy as np
 from .core import EnsembleParams, params_new
 from .errors import DomainError, EigensolverFailure, EmptySample
 
-_BISECTION_ITERS = 110
+#: Draws per Philox key: draw i of seed s comes from key [s, i // BLOCK].
+BLOCK = 256
+#: Version of the (seed, index) -> draw map; batch files record it.
+STREAM = 2
 _SEED_LIMIT = 1 << 64
+# The eigenvalue bracket is closed at this width relative to its upper end.
+_RTOL = 2.0 ** -48
+# Bisection alone closes a bracket [0, hi <= 2**1024] on any double in at
+# most 1024 + 1074 passes; Laguerre steps normally close it in under 15.
+_MAX_PASSES = 2100
 
 
 @dataclass(frozen=True)
 class SampleBatch:
     """A batch of smallest-eigenvalue draws plus the provenance needed to
-    regenerate it (parameters and seed)."""
+    regenerate it (parameters, seed and stream version)."""
 
     params: EnsembleParams
     seed: int
     values: np.ndarray
     count: int
+    stream: int = STREAM
 
     def __post_init__(self):
         if self.count != len(self.values):
@@ -116,130 +138,193 @@ def kolmogorov_sf(t: float) -> float:
     return min(1.0, max(0.0, 2.0 * total))
 
 
-def _chi_dofs(params: EnsembleParams):
+def _block(params: EnsembleParams, seed: int, block: int, rows: int) -> np.ndarray:
+    """The first `rows` draws of one block: a (rows, 2N-1) array of
+    chi-square variates, a_0^2..a_{N-1}^2 then b_0^2..b_{N-2}^2 per row."""
     beta, n, m = params.beta, params.n_dim, params.m_dim
     diag = beta * (m - np.arange(n, dtype=float))
     sub = beta * (n - 1 - np.arange(n - 1, dtype=float))
-    return diag, sub
+    shape = 0.5 * np.concatenate([diag, sub])
+    rng = np.random.Generator(np.random.Philox(key=[seed, block]))
+    return rng.gamma(shape, 2.0, size=(rows, 2 * n - 1))
 
 
-def _sample_chunk(params: EnsembleParams, seed: int, lo: int, hi: int):
-    """Draws lo..hi-1 of the batch: returns (d, e, trace) arrays."""
+def _span_values(params: EnsembleParams, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Trace-normalized smallest eigenvalues of draws lo..hi-1; lo is a
+    multiple of BLOCK."""
+    sq = np.concatenate([
+        _block(params, seed, k, min(hi, (k + 1) * BLOCK) - k * BLOCK)
+        for k in range(lo // BLOCK, -(-hi // BLOCK))
+    ])
     n = params.n_dim
-    diag_dof, sub_dof = _chi_dofs(params)
-    shape = 0.5 * np.concatenate([diag_dof, sub_dof])
-    count = hi - lo
-    d = np.empty((count, n))
-    e = np.empty((count, max(n - 1, 1)))
-    tr = np.empty(count)
-    for row, i in enumerate(range(lo, hi)):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        sq = rng.gamma(shape, 2.0)  # chi^2 draws in a fixed order
-        asq = sq[:n]
-        bsq = sq[n:]
-        a = np.sqrt(asq)
-        b = np.sqrt(bsq)
-        d[row, :] = asq
-        if n > 1:
-            d[row, 1:] += bsq
-            e[row, :] = a[:-1] * b
-        else:
-            e[row, 0] = 0.0
-        tr[row] = asq.sum() + bsq.sum()
-    return d, e, tr
+    trace = sq.sum(axis=1)
+    if not trace.all():
+        raise DomainError(
+            f"beta={params.beta:g} is too small: every chi-square variate of "
+            "a draw underflowed to 0, so its trace is 0")
+    return tridiag_smallest(sq[:, :n], sq[:, n:]) / trace
 
 
-def _sturm_count(d, e2, sigma, pivmin):
-    """Number of eigenvalues of each tridiagonal (rows of d, e2) strictly
-    below the per-row shift sigma, by the standard LDL^T pivot recursion."""
-    q = d[:, 0] - sigma
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, d.shape[1]):
-        q = d[:, i] - sigma - e2[:, i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
-    return count
+def _negcount(a2, b2, sigma) -> np.ndarray:
+    """Eigenvalues of B B^T below sigma for every column of a2 (N, R),
+    b2 (N-1, R), by the differential stationary qd transform with the
+    zero-pivot guard of LAPACK dlaneg: a quotient s/D+ that comes out NaN
+    (after a pivot D+ = 0) is replaced by 1."""
+    s = -sigma
+    count = np.zeros(sigma.shape, dtype=np.intp)
+    for i in range(a2.shape[0] - 1):
+        d = a2[i] + s
+        count += d < 0.0
+        t = s / d
+        t[np.isnan(t)] = 1.0
+        s = t * b2[i] - sigma
+    return count + (a2[-1] + s < 0.0)
 
 
-def tridiag_smallest(d, e):
-    """Smallest eigenvalue of each symmetric tridiagonal matrix in a batch
-    (d: (B, N) diagonals, e: (B, N-1) off-diagonals) by vectorized
-    Sturm-count bisection."""
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if d.ndim != 2:
-        raise DomainError("d must be a 2-d array of diagonals")
-    batch, n = d.shape
+def _qd_pass(a2, b2, ab, sigma):
+    """One differential stationary qd sweep L+ D+ L+^T = B B^T - sigma I
+    for every column of a2 (N, R), b2 (N-1, R), with ab = a2[:-1] * b2.
+
+    The pivots are D+_0 = a_0^2 - sigma, D+_(i+1) = a_(i+1)^2 + s_(i+1),
+    s_(i+1) = b_i^2 s_i / D+_i - sigma.  Returns the number of negative
+    pivots (the eigenvalues below sigma) and, from the first and second
+    sigma-derivatives of the pivots, S1 = sum_j 1/(lambda_j - sigma) and
+    S2 = sum_j 1/(lambda_j - sigma)^2, since det(T - sigma) = prod D+_i.
+    """
+    n = a2.shape[0]
+    piv = np.empty_like(a2)
+    d = np.subtract(a2[0], sigma, out=piv[0])
+    s = -sigma
+    ds = np.full_like(sigma, -1.0)  # d s_i / d sigma
+    dds = np.zeros_like(sigma)  # d^2 s_i / d sigma^2
+    s1 = np.zeros_like(sigma)
+    s2 = np.zeros_like(sigma)
+    r, u, q, t, v = (np.empty_like(sigma) for _ in range(5))
+    for i in range(n):
+        np.divide(ds, d, out=r)  # D'/D
+        s1 -= r
+        np.divide(dds, d, out=u)
+        np.multiply(r, r, out=q)
+        u -= q  # (D'/D)' = D''/D - (D'/D)^2
+        s2 -= u
+        if i == n - 1:
+            break
+        np.divide(s, d, out=t)
+        np.divide(ab[i], d, out=v)
+        # s_(i+1) = b^2 - a^2 b^2 / D - sigma, differentiated twice
+        u -= q
+        np.multiply(v, u, out=dds)
+        np.multiply(v, r, out=ds)
+        ds -= 1.0
+        s = t * b2[i]
+        s -= sigma
+        d = np.add(a2[i + 1], s, out=piv[i + 1])
+    count = np.count_nonzero(piv < 0.0, axis=0)
+    bad = np.isnan(d)  # a zero pivot turns every later pivot into NaN
+    if bad.any():
+        count[bad] = _negcount(a2[:, bad], b2[:, bad], sigma[bad])
+    return count, s1, s2
+
+
+def tridiag_smallest(a2, b2):
+    """Smallest eigenvalue of T = B B^T for each row of a batch, B the
+    lower bidiagonal matrix with squared diagonal a2 (draws, N) and
+    squared subdiagonal b2 (draws, N-1), all entries >= 0.
+
+    Each row keeps a bracket [lo, hi] with no eigenvalue below lo and at
+    least one at or below hi, from the qd count; it starts at
+    [0, min diag T] (T is positive semidefinite).  From lo, Laguerre's
+    step for the smallest root of det(T - sigma) lands at or below
+    lambda_min in exact arithmetic; the next shift is that estimate plus
+    a margin, so a converged estimate closes the bracket from above, and
+    a margin doubling below hi closes it from below.  Where the step is
+    unusable the shift bisects.  A row leaves the active set once
+    hi - lo <= 2**-48 hi, or lo and hi are adjacent doubles (a subnormal
+    lambda); the midpoint is returned.  A zero a_i makes B singular and
+    lambda exactly 0.  Rows are independent, so a row's value does not
+    depend on the rest of the batch.
+    """
+    a2 = np.asarray(a2, dtype=float)
+    b2 = np.asarray(b2, dtype=float)
+    if a2.ndim != 2:
+        raise DomainError("a2 must be a 2-d array of squared diagonals")
+    rows, n = a2.shape
+    if b2.shape != (rows, max(n - 1, 0)):
+        raise DomainError(f"b2 must have shape {(rows, max(n - 1, 0))}, got {b2.shape}")
+    if not (np.all(a2 >= 0) and np.all(b2 >= 0)
+            and np.isfinite(a2).all() and np.isfinite(b2).all()):
+        raise DomainError("a2 and b2 must be finite and >= 0")
     if n == 1:
-        return d[:, 0].copy()
-    if e.shape != (batch, n - 1):
-        raise DomainError(f"e must have shape {(batch, n - 1)}, got {e.shape}")
-    e2 = e * e
-    ae = np.abs(e)
-    radius = np.zeros_like(d)
-    radius[:, 0] = ae[:, 0]
-    radius[:, -1] = ae[:, -1]
-    if n > 2:
-        radius[:, 1:-1] = ae[:, :-1] + ae[:, 1:]
-    lo = (d - radius).min(axis=1)
-    hi = d.min(axis=1)
-    scale = max(np.abs(d).max(), np.abs(e).max(), 1.0)
-    pivmin = 1e-292 * scale
-    # hi = min(diag) can coincide with the eigenvalue on decoupled
-    # matrices; nudge the upper bracket until it strictly encloses one.
-    for _ in range(64):
-        short = _sturm_count(d, e2, hi, pivmin) < 1
-        if not short.any():
-            break
-        width = np.maximum(hi - lo, np.abs(hi)) * 1e-12 + pivmin
-        hi = np.where(short, hi + width * 4.0, hi)
-        lo = np.where(short, np.minimum(lo, hi - width), lo)
-    else:
-        raise EigensolverFailure("could not bracket the smallest eigenvalue")
-    for _ in range(_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        inside = _sturm_count(d, e2, mid, pivmin) >= 1
-        hi = np.where(inside, mid, hi)
-        lo = np.where(inside, lo, mid)
-        gap = hi - lo
-        if np.all(gap <= np.maximum(np.abs(hi), np.abs(lo)) * 1e-16 + 1e-305):
-            break
-    return 0.5 * (lo + hi)
+        return a2[:, 0].copy()
+    out = np.zeros(rows)
+    live = np.flatnonzero(a2.min(axis=1) > 0.0)
+    a2 = a2[live].T.copy()
+    b2 = b2[live].T.copy()
+    ab = a2[:-1] * b2
+    hi = np.minimum(a2[0], (a2[1:] + b2).min(axis=0))
+    lo, sigma, est, gap = (np.zeros(live.size) for _ in range(4))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_PASSES):
+            if not live.size:
+                return out
+            count, s1, s2 = _qd_pass(a2, b2, ab, sigma)
+            above = count >= 1
+            hi = np.where(above, sigma, hi)
+            lo = np.where(above, lo, sigma)
+            step = n / (s1 + np.sqrt((n - 1) * np.maximum(n * s2 - s1 * s1, 0.0)))
+            # where S2 overflows (lambda below ~1e-154), Newton's step
+            # 1/S1, which also stays at or below lambda_min
+            step = np.where(np.isfinite(s2), step, 1.0 / s1)
+            step = np.where(np.isfinite(step) & (step > 0.0), step, 0.0)
+            est = np.where(above, est, sigma + step)
+            # the margin doubles while the shifts stay on one side of
+            # lambda without the step beating it
+            gap = np.where(above | (step <= gap), 2.0 * gap, 0.125 * _RTOL * est)
+            mid = 0.5 * (lo + hi)
+            x = np.where(above, np.maximum(hi - gap, mid), est + gap)
+            x = np.where(~above & (x >= hi), hi - gap, x)
+            sigma = np.where((x > lo) & (x < hi), x, mid)
+            # subnormal brackets end with lo and hi adjacent doubles
+            done = (hi - lo <= _RTOL * hi) | (mid <= lo) | (mid >= hi)
+            if done.any():
+                out[live[done]] = mid[done]
+                keep = ~done
+                live, lo, hi, sigma, est, gap = (
+                    v[keep] for v in (live, lo, hi, sigma, est, gap))
+                a2, b2, ab = a2[:, keep], b2[:, keep], ab[:, keep]
+    raise EigensolverFailure(
+        f"eigenvalue bracket still open after {_MAX_PASSES} passes")
 
 
 def run_batch(
     params: EnsembleParams, count: int, seed: int, workers: int = 1
 ) -> SampleBatch:
     """Generate `count` independent draws; deterministic in (params, seed)
-    and independent of `workers`."""
+    and independent of `workers`, which split the run into spans of
+    whole blocks."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise DomainError(f"seed must be an integer, got {seed!r}")
     if not (0 <= seed < _SEED_LIMIT):
         raise DomainError(f"seed must fit in 64 bits, got {seed}")
-    if not isinstance(workers, int) or workers < 1:
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
-    n = params.n_dim
-    if n == 1:
+    if params.n_dim == 1:
         # the only eigenvalue carries the whole trace
         return SampleBatch(params, seed, np.ones(count), count)
-    workers = min(workers, count)
-    bounds = np.linspace(0, count, workers + 1).astype(int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(spans) == 1:
-        chunks = [_sample_chunk(params, seed, *spans[0])]
+    blocks = -(-count // BLOCK)
+    workers = min(workers, blocks)
+    edges = [min(count, BLOCK * (blocks * k // workers)) for k in range(workers + 1)]
+    if workers == 1:
+        values = _span_values(params, seed, 0, count)
     else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            chunks = list(
-                pool.map(lambda s: _sample_chunk(params, seed, *s), spans)
-            )
-    d = np.concatenate([c[0] for c in chunks])
-    e = np.concatenate([c[1] for c in chunks])
-    tr = np.concatenate([c[2] for c in chunks])
-    lam = tridiag_smallest(d, e)
-    return SampleBatch(params, seed, lam / tr, count)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(
+                lambda k: _span_values(params, seed, edges[k], edges[k + 1]),
+                range(workers)))
+        values = np.concatenate(parts)
+    return SampleBatch(params, seed, values, count)
 
 
 def write_batch(batch: SampleBatch, fh):
@@ -252,6 +337,7 @@ def write_batch(batch: SampleBatch, fh):
         "m_dim": batch.params.m_dim,
         "seed": batch.seed,
         "count": batch.count,
+        "stream": batch.stream,
     }
     fh.write(json.dumps(header) + "\n")
     for v in batch.values:
@@ -265,6 +351,7 @@ def save_batch(batch: SampleBatch, path):
 
 
 def load_batch(path) -> SampleBatch:
+    """Read a batch file; a header without a "stream" field is stream 1."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         values = np.array([float(line) for line in fh if line.strip()])
@@ -273,7 +360,12 @@ def load_batch(path) -> SampleBatch:
         raise DomainError(
             f"batch file holds {len(values)} values, header says {header['count']}"
         )
-    return SampleBatch(params, int(header["seed"]), values, int(header["count"]))
+    stream = header.get("stream", 1)
+    if stream not in (1, STREAM):
+        raise DomainError(f"unknown batch stream version {stream!r}")
+    return SampleBatch(
+        params, int(header["seed"]), values, int(header["count"]), stream
+    )
 
 
 def ks_validate(batch: SampleBatch, cdf, level: float = 0.01) -> KSReport:

@@ -252,6 +252,7 @@ def test_validate_split_half_route(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["route"] == "split-half"
+    assert doc["config"]["stream"] == 2
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,8 +1,4 @@
-"""The demo scripts run to completion as a user runs them.
-
-`monte_carlo.py` is left out: it draws a large sample and takes several
-seconds.
-"""
+"""The demo scripts run to completion as a user runs them."""
 
 import os
 import subprocess
@@ -16,7 +12,9 @@ import lagmin
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-@pytest.mark.parametrize("script", ["determinant_route.py", "exact_distribution.py", "scaling_limit.py"])
+@pytest.mark.parametrize("script", [
+    "determinant_route.py", "exact_distribution.py", "monte_carlo.py", "scaling_limit.py",
+])
 def test_demo_runs(script):
     src = str(Path(lagmin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)

@@ -140,6 +140,23 @@ def test_closed_form_nan_and_infinity():
         assert q_limit(lp, math.inf) == 0.0
 
 
+def test_closed_form_far_tail():
+    # the factors meet in logs: e^(-beta y/8) and I(sqrt y) no longer
+    # underflow and overflow (or run the Bessel series past 500 terms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionWarning)
+        for lp in (LimitParams(2.0, 1), LimitParams(2.0, 2)):
+            assert q_limit_closed(lp, 1e6) == 0.0 == q_limit(lp, 1e6)
+        for beta, y in [(0.1, 1e4), (0.1, 3000.0), (0.5, 1e4)]:
+            rho, r = 2.0 / beta - 1.0, math.sqrt(y)
+            want = math.exp(
+                rho * math.log(2.0) + math.lgamma(2.0 / beta) - beta * y / 8.0
+                + (0.5 - 1.0 / beta) * math.log(y)
+                + math.log(scipy.special.ive(rho, r)) + r
+            )
+            assert q_limit_closed(LimitParams(beta, 1), y) == pytest.approx(want, rel=1e-12)
+
+
 def test_density_at_zero():
     assert p_limit(LimitParams(2.0, 0), 0.0) == 0.25
     assert p_limit(LimitParams(1.0, 0), 0.0) == 0.125

@@ -70,6 +70,36 @@ class TestBesselI:
         with pytest.warns(PrecisionWarning):
             bessel_i(0.0, 75.0)
 
+    def test_series_values_unchanged_up_to_the_envelope(self):
+        # the ascending series still answers at x <= 60, bit for bit
+        golden = [
+            (0.0, 60.0, "0x1.3807a3acd786fp+82"),
+            (1.0, 37.5, "0x1.1b519ea3dc11bp+50"),
+            (0.25, 7.0, "0x1.4f8e771919135p+7"),
+            (1.8571428571428572, 59.9, "0x1.127cb7e9b1cd1p+82"),
+            (0.0, 1e-3, "0x1.00000431bdec9p+0"),
+            (-0.5, 2.0, "0x1.0fb1150bb69a9p+1"),
+        ]
+        for rho, x, want in golden:
+            assert bessel_i(rho, x).hex() == want
+
+    @pytest.mark.filterwarnings("ignore::lagmin.errors.PrecisionWarning")
+    def test_large_argument_expansion(self):
+        # past the envelope e^-x I_rho(x) comes from DLMF 10.40.1, where
+        # the series needed more than 500 terms from x ~ 700 on
+        for rho in (0.0, 1.0, 0.25, 1.8571428571428572, 19.0):
+            for x in (61.0, 100.0, 300.0, 700.0):
+                assert bessel_i(rho, x) == pytest.approx(
+                    scipy.special.iv(rho, x), rel=1e-13
+                )
+
+    @pytest.mark.filterwarnings("ignore::lagmin.errors.PrecisionWarning")
+    def test_overflow_is_infinity(self):
+        assert bessel_i(0.0, 1000.0) == math.inf
+        assert bessel_i(0.0, math.inf) == math.inf
+        assert bessel_i(2.5, math.inf) == math.inf
+        assert math.isfinite(bessel_i(0.0, 712.0))
+
     def test_divergence_guard(self):
         with pytest.raises(DivergenceError):
             bessel_i(0.0, 30.0, SeriesAccuracy(tail_tol=1e-12, k_max=3))

@@ -1,5 +1,8 @@
 """Monte Carlo sampler: tridiagonal model, eigensolver, KS machinery."""
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.special
@@ -8,7 +11,12 @@ from lagmin.core import params_new
 from lagmin.errors import DomainError, EmptySample
 from lagmin.exact import q_exact
 from lagmin.sampler import (
+    BLOCK,
+    STREAM,
     SampleBatch,
+    _block,
+    _negcount,
+    _qd_pass,
     kolmogorov_sf,
     ks_two_sample,
     ks_validate,
@@ -19,41 +27,118 @@ from lagmin.sampler import (
 )
 
 
+def _ensemble_squares(params, seed, rows):
+    """The first `rows` chi-square draws of a batch: (a2, b2) arrays."""
+    n = params.n_dim
+    sq = np.concatenate([
+        _block(params, seed, k, min(rows, (k + 1) * BLOCK) - k * BLOCK)
+        for k in range(-(-rows // BLOCK))
+    ])
+    return sq[:, :n], sq[:, n:]
+
+
+def _dense_t(a2, b2):
+    """T = B B^T as a dense matrix, from one row of squared entries."""
+    e = np.sqrt(a2[:-1] * b2)
+    return np.diag(np.concatenate([a2[:1], a2[1:] + b2])) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _exact_count(a2, b2, sigma) -> int:
+    """Eigenvalues of T = B B^T below sigma, exactly: the Sturm sequence
+    p_i = (d_i - sigma) p_(i-1) - e_(i-1)^2 p_(i-2) in integers, every
+    input scaled by one power of two (a double is an integer times a
+    power of two), counted as sign changes.  A zero p_i fails the test."""
+    vals = [float(v) for v in a2] + [float(v) for v in b2] + [float(sigma)]
+    shift = max(Fraction(v).denominator.bit_length() - 1 for v in vals)
+    A, B, (s,) = ([int(Fraction(v) * 2**shift) for v in part]
+                  for part in (vals[:len(a2)], vals[len(a2):-1], vals[-1:]))
+    d = [A[0]] + [A[i] + B[i - 1] for i in range(1, len(A))]
+    p_prev, p = 1, d[0] - s
+    assert p != 0
+    changes = int(p < 0)
+    for i in range(1, len(A)):
+        # d and s carry 2**shift, e^2 = a^2 b^2 carries 2**(2 shift): p_i is
+        # the true p_i times 2**(i shift), so its sign is exact
+        p_prev, p = p, (d[i] - s) * p - A[i - 1] * B[i - 1] * p_prev
+        assert p != 0
+        changes += (p < 0) != (p_prev < 0)
+    return changes
+
+
 class TestTridiagSmallest:
     def test_against_dense_solver_on_ensemble_draws(self):
-        from lagmin.sampler import _sample_chunk
-
         for beta, n, m_dim in [(2.0, 4, 6), (1.0, 5, 7), (4.0, 3, 4), (2.0, 10, 12)]:
-            p = params_new(beta, n, m_dim)
-            d, e, _ = _sample_chunk(p, 99, 0, 100)
-            lam = tridiag_smallest(d, e)
-            for i in range(d.shape[0]):
-                t = np.diag(d[i]) + np.diag(e[i], 1) + np.diag(e[i], -1)
-                ref = np.linalg.eigvalsh(t)[0]
+            a2, b2 = _ensemble_squares(params_new(beta, n, m_dim), 99, 100)
+            lam = tridiag_smallest(a2, b2)
+            for i in range(a2.shape[0]):
+                ref = np.linalg.eigvalsh(_dense_t(a2[i], b2[i]))[0]
                 assert lam[i] == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("beta,n,m_dim", [(2.0, 3, 5), (1.0, 40, 42), (2.0, 200, 203), (0.5, 200, 200)])
+    def test_relative_accuracy_by_exact_count(self, beta, n, m_dim):
+        # lambda_min of B B^T to 1e-14 relative, whatever its size
+        # against ||T||: no eigenvalue below 0.99999999999999 lambda, one
+        # at or below 1.00000000000001 lambda, in exact arithmetic
+        a2, b2 = _ensemble_squares(params_new(beta, n, m_dim), 41, 12)
+        lam = tridiag_smallest(a2, b2)
+        for i in range(a2.shape[0]):
+            assert _exact_count(a2[i], b2[i], lam[i] * (1 - 1e-14)) == 0
+            assert _exact_count(a2[i], b2[i], lam[i] * (1 + 1e-14)) >= 1
+
     def test_generic_random_tridiagonals(self):
+        # T = B B^T for random bidiagonal B, entries spread over twelve
+        # decades: the count needs no scale and no pivot floor
         rng = np.random.default_rng(5)
         for _ in range(60):
             n = int(rng.integers(2, 12))
-            d = rng.normal(size=n) * 3.0
-            e = rng.normal(size=n - 1)
-            lam = tridiag_smallest(d[None, :], e[None, :])[0]
-            t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-            ref = np.linalg.eigvalsh(t)[0]
-            scale = max(1.0, np.abs(t).max())
-            assert abs(lam - ref) <= 1e-10 * scale
+            a2 = 10.0 ** rng.uniform(-6, 6, size=n)
+            b2 = 10.0 ** rng.uniform(-6, 6, size=n - 1)
+            lam = tridiag_smallest(a2[None, :], b2[None, :])[0]
+            assert _exact_count(a2, b2, lam * (1 - 1e-14)) == 0
+            assert _exact_count(a2, b2, lam * (1 + 1e-14)) >= 1
+            ref = np.linalg.eigvalsh(_dense_t(a2, b2))[0]
+            assert abs(lam - ref) <= 1e-10 * np.abs(_dense_t(a2, b2)).max()
 
     def test_decoupled_matrix(self):
-        # zero off-diagonals: the answer is exactly the smallest diagonal
-        d = np.array([[3.0, 1.0, 2.0]])
-        e = np.array([[0.0, 0.0]])
-        assert tridiag_smallest(d, e)[0] == pytest.approx(1.0, abs=1e-15)
+        # zero subdiagonal: T = diag(a^2), the answer is min a^2
+        a2 = np.array([[3.0, 1.0, 2.0], [0.5, 4.0, 0.25]])
+        b2 = np.zeros((2, 2))
+        assert tridiag_smallest(a2, b2) == pytest.approx([1.0, 0.25], rel=1e-14)
+
+    def test_singular_bidiagonal(self):
+        # a zero diagonal entry makes B singular: lambda_min is exactly 0
+        a2 = np.array([[2.0, 0.0, 3.0], [2.0, 1.0, 3.0]])
+        b2 = np.array([[1.0, 1.0], [1.0, 1.0]])
+        lam = tridiag_smallest(a2, b2)
+        assert lam[0] == 0.0
+        assert lam[1] == pytest.approx(np.linalg.eigvalsh(_dense_t(a2[1], b2[1]))[0], rel=1e-14)
+
+    def test_zero_pivot_guard(self):
+        # sigma = a_0^2 makes D+_0 = 0; without the guard every later
+        # pivot is NaN and the count comes out wrong
+        a2 = np.array([[1.0, 3.0, 0.5, 0.2], [1.0, 0.5, 0.25, 2.0]]).T
+        b2 = np.array([[0.5, 0.1, 4.0], [2.0, 1.0, 0.5]]).T
+        sigma = np.array([1.0, 1.0])
+        want = []
+        for j in range(2):
+            eig = np.linalg.eigvalsh(_dense_t(a2[:, j], b2[:, j]))
+            assert np.abs(eig - 1.0).min() > 1e-3
+            want.append(int((eig < 1.0).sum()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            count, _, _ = _qd_pass(a2, b2, a2[:-1] * b2, sigma)
+            assert _negcount(a2, b2, sigma).tolist() == want
+        assert count.tolist() == want
+
+    def test_rows_do_not_depend_on_the_batch(self):
+        a2, b2 = _ensemble_squares(params_new(2.0, 40, 42), 8, 50)
+        whole = tridiag_smallest(a2, b2)
+        one_by_one = [tridiag_smallest(a2[i:i + 1], b2[i:i + 1])[0] for i in range(50)]
+        assert np.array_equal(whole, one_by_one)
 
     def test_one_by_one(self):
-        d = np.array([[4.5], [2.0]])
-        e = np.zeros((2, 0))
-        out = tridiag_smallest(d, e)
+        a2 = np.array([[4.5], [2.0]])
+        b2 = np.zeros((2, 0))
+        out = tridiag_smallest(a2, b2)
         assert out[0] == 4.5 and out[1] == 2.0
 
     def test_shape_errors(self):
@@ -61,6 +146,10 @@ class TestTridiagSmallest:
             tridiag_smallest(np.zeros(3), np.zeros(2))
         with pytest.raises(DomainError):
             tridiag_smallest(np.zeros((2, 3)), np.zeros((2, 1)))
+        with pytest.raises(DomainError):
+            tridiag_smallest(np.ones((1, 3)), -np.ones((1, 2)))
+        with pytest.raises(DomainError):
+            tridiag_smallest(np.array([[1.0, np.nan]]), np.ones((1, 1)))
 
 
 class TestRunBatch:
@@ -89,20 +178,51 @@ class TestRunBatch:
         long = run_batch(p, 50, seed=7).values
         assert np.array_equal(short, long[:20])
 
+    @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_block_boundaries(self, count):
+        # worker spans start on block boundaries and a run draws only the
+        # rows it needs of its last block
+        p = params_new(1.0, 3, 5)
+        runs = [run_batch(p, count, seed=13, workers=w).values for w in (1, 2, 3)]
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], runs[2])
+        longest = run_batch(p, 2 * BLOCK + 3, seed=13).values
+        assert np.array_equal(runs[0], longest[:count])
+
+    def test_stream_contract(self):
+        # draw i is row i % BLOCK of one gamma call under Philox key
+        # [seed, i // BLOCK], a^2 first, then b^2
+        beta, n, m_dim, seed = 2.0, 4, 6, 21
+        values = run_batch(params_new(beta, n, m_dim), BLOCK + 6, seed=seed).values
+        shape = 0.5 * beta * np.array([6, 5, 4, 3, 3, 2, 1], dtype=float)
+        rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
+        row = rng.gamma(shape, 2.0, size=(6, 2 * n - 1))[5]
+        eig = np.linalg.eigvalsh(_dense_t(row[:n], row[n:]))
+        assert values[BLOCK + 5] == pytest.approx(eig[0] / row.sum(), rel=1e-12)
+        assert STREAM == 2
+
+    def test_underflowed_draws(self):
+        # at beta = 1e-3 many chi-square variates underflow to 0: a zero
+        # a_i gives the exact lambda = 0, a draw with trace 0 an error,
+        # never NaN or a negative value
+        values = run_batch(params_new(0.01, 40, 40), 300, seed=1).values
+        assert (values >= 0).all() and (values == 0).any()
+        with pytest.raises(DomainError):
+            run_batch(params_new(0.001, 3, 3), 300, seed=1)
+
     def test_degenerate_n1(self):
         b = run_batch(params_new(2.0, 1, 4), 10, seed=3)
         assert (b.values == 1.0).all()
 
     def test_trace_normalization(self):
-        from lagmin.sampler import _sample_chunk
-
         p = params_new(2.0, 4, 5)
-        d, e, tr = _sample_chunk(p, 11, 0, 32)
-        # trace of the tridiagonal equals the chi-square total
-        assert np.allclose(d.sum(axis=1), tr, rtol=1e-12)
-        # eigenvalues of each matrix sum to the trace
-        t0 = np.diag(d[0]) + np.diag(e[0], 1) + np.diag(e[0], -1)
-        assert np.linalg.eigvalsh(t0).sum() == pytest.approx(tr[0], rel=1e-12)
+        a2, b2 = _ensemble_squares(p, 11, 32)
+        values = run_batch(p, 32, seed=11).values
+        for i in range(32):
+            eig = np.linalg.eigvalsh(_dense_t(a2[i], b2[i]))
+            # the eigenvalues sum to the chi-square total, the divisor
+            assert eig.sum() == pytest.approx(a2[i].sum() + b2[i].sum(), rel=1e-12)
+            assert values[i] == pytest.approx(eig[0] / eig.sum(), rel=1e-12)
 
     def test_input_validation(self):
         p = params_new(2.0, 2, 3)
@@ -114,6 +234,8 @@ class TestRunBatch:
             run_batch(p, 10, seed=1 << 64)
         with pytest.raises(DomainError):
             run_batch(p, 10, seed=1, workers=0)
+        with pytest.raises(DomainError):
+            run_batch(p, 10, seed=1, workers=True)
 
 
 def test_sample_smallest_single_draw():
@@ -134,6 +256,32 @@ def test_batch_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.values, batch.values)
     assert back.params == batch.params
     assert back.seed == batch.seed and back.count == batch.count
+    assert back.stream == batch.stream == STREAM
+    assert json.loads(path.read_text().splitlines()[0])["stream"] == STREAM
+
+
+def test_batch_old_header_is_stream_1(tmp_path):
+    # files written before the "stream" field hold stream-1 draws; they
+    # load, and are written back as stream 1
+    old = tmp_path / "old.txt"
+    old.write_text('{"beta": 2.0, "n_dim": 2, "m_dim": 3, "seed": 5, "count": 2}\n'
+                   "0.125\n0.0625\n")
+    batch = load_batch(old)
+    assert batch.stream == 1 and batch.seed == 5
+    assert batch.values.tolist() == [0.125, 0.0625]
+    again = tmp_path / "again.txt"
+    save_batch(batch, again)
+    assert json.loads(again.read_text().splitlines()[0])["stream"] == 1
+    back = load_batch(again)
+    assert back.stream == 1 and np.array_equal(back.values, batch.values)
+
+
+def test_batch_unknown_stream(tmp_path):
+    path = tmp_path / "future.txt"
+    path.write_text('{"beta": 2.0, "n_dim": 2, "m_dim": 3, "seed": 5, "count": 1, '
+                    '"stream": 3}\n0.125\n')
+    with pytest.raises(DomainError):
+        load_batch(path)
 
 
 def test_batch_count_mismatch():
