@@ -34,10 +34,10 @@ The smallest eigenvalue comes straight from the chi-square draws a^2,
 b^2 (no square root, and the count never forms T's entries): the
 differential stationary qd transform of Fernando & Parlett counts the
 eigenvalues of B B^T below a shift with high relative accuracy, and a
-bracket [0, min diag T] is
-narrowed by Laguerre steps from its left end, all rows at once, until
-it is 2**-48 wide relative to its upper end.  numpy.linalg.eigvalsh is
-used only as a cross-check oracle in the test suite.
+bracket [0, min diag T] is narrowed by Laguerre steps from its left end,
+all rows at once, until it is 2**-49 wide relative to its upper end.
+numpy.linalg.eigvalsh is used only as a cross-check oracle in the test
+suite.
 """
 
 from __future__ import annotations
@@ -58,7 +58,13 @@ BLOCK = 256
 STREAM = 2
 _SEED_LIMIT = 1 << 64
 # The eigenvalue bracket is closed at this width relative to its upper end.
-_RTOL = 2.0 ** -48
+_RTOL = 2.0 ** -49
+# A worker span takes at least this many blocks and this many draws x N:
+# below either, a second thread costs more than it saves, since each span
+# pays per-call numpy overhead (a Generator per block, a sweep per column)
+# under the GIL.
+_MIN_SPAN_BLOCKS = 16
+_MIN_SPAN_WORK = 200_000
 # Bisection alone closes a bracket [0, hi <= 2**1024] on any double in at
 # most 1024 + 1074 passes; Laguerre steps normally close it in under 15.
 _MAX_PASSES = 2100
@@ -190,6 +196,8 @@ def _qd_pass(a2, b2, ab, sigma):
     pivots (the eigenvalues below sigma) and, from the first and second
     sigma-derivatives of the pivots, S1 = sum_j 1/(lambda_j - sigma) and
     S2 = sum_j 1/(lambda_j - sigma)^2, since det(T - sigma) = prod D+_i.
+    As in LAPACK dlaneg, the sweep runs unguarded and only the columns
+    whose last pivot came out NaN are counted again by _negcount.
     """
     n = a2.shape[0]
     piv = np.empty_like(a2)
@@ -238,11 +246,13 @@ def tridiag_smallest(a2, b2):
     lambda_min in exact arithmetic; the next shift is that estimate plus
     a margin, so a converged estimate closes the bracket from above, and
     a margin doubling below hi closes it from below.  Where the step is
-    unusable the shift bisects.  A row leaves the active set once
-    hi - lo <= 2**-48 hi, or lo and hi are adjacent doubles (a subnormal
-    lambda); the midpoint is returned.  A zero a_i makes B singular and
-    lambda exactly 0.  Rows are independent, so a row's value does not
-    depend on the rest of the batch.
+    unusable (after a zero pivot, or where S2 overflows, lambda below
+    ~1e-154) the shift bisects.  A row leaves the active set once
+    hi - lo <= 2**-49 hi, or lo and hi are adjacent doubles (a subnormal
+    lambda); the midpoint is returned, within 2**-50 relative of the
+    count's lambda.  A zero a_i makes B singular and lambda exactly 0.
+    Rows are independent, so a row's value does not depend on the rest
+    of the batch.
     """
     a2 = np.asarray(a2, dtype=float)
     b2 = np.asarray(b2, dtype=float)
@@ -272,14 +282,13 @@ def tridiag_smallest(a2, b2):
             hi = np.where(above, sigma, hi)
             lo = np.where(above, lo, sigma)
             step = n / (s1 + np.sqrt((n - 1) * np.maximum(n * s2 - s1 * s1, 0.0)))
-            # where S2 overflows (lambda below ~1e-154), Newton's step
-            # 1/S1, which also stays at or below lambda_min
-            step = np.where(np.isfinite(s2), step, 1.0 / s1)
             step = np.where(np.isfinite(step) & (step > 0.0), step, 0.0)
             est = np.where(above, est, sigma + step)
             # the margin doubles while the shifts stay on one side of
-            # lambda without the step beating it
-            gap = np.where(above | (step <= gap), 2.0 * gap, 0.125 * _RTOL * est)
+            # lambda without the step beating it; it starts a little under
+            # _RTOL / 2 so that est - gap and est + gap, once rounded, still
+            # close the bracket
+            gap = np.where(above | (step <= gap), 2.0 * gap, 0.45 * _RTOL * est)
             mid = 0.5 * (lo + hi)
             x = np.where(above, np.maximum(hi - gap, mid), est + gap)
             x = np.where(~above & (x >= hi), hi - gap, x)
@@ -300,8 +309,10 @@ def run_batch(
     params: EnsembleParams, count: int, seed: int, workers: int = 1
 ) -> SampleBatch:
     """Generate `count` independent draws; deterministic in (params, seed)
-    and independent of `workers`, which split the run into spans of
-    whole blocks."""
+    and independent of `workers`, the most threads the run may use.  A
+    run is split into spans of whole blocks, one per thread, only as far
+    as each span gets _MIN_SPAN_BLOCKS blocks and _MIN_SPAN_WORK draws x N;
+    smaller runs stay on the calling thread."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -314,11 +325,12 @@ def run_batch(
         # the only eigenvalue carries the whole trace
         return SampleBatch(params, seed, np.ones(count), count)
     blocks = -(-count // BLOCK)
-    workers = min(workers, blocks)
-    edges = [min(count, BLOCK * (blocks * k // workers)) for k in range(workers + 1)]
+    workers = max(1, min(workers, blocks // _MIN_SPAN_BLOCKS,
+                         count * params.n_dim // _MIN_SPAN_WORK))
     if workers == 1:
         values = _span_values(params, seed, 0, count)
     else:
+        edges = [min(count, BLOCK * (blocks * k // workers)) for k in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
                 lambda k: _span_values(params, seed, edges[k], edges[k + 1]),

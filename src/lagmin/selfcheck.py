@@ -94,11 +94,12 @@ def _check_limit():
 
 
 def _check_sampler_determinism():
-    p = params_new(2.0, 3, 4)
-    b1 = run_batch(p, 64, seed=5, workers=1)
-    b3 = run_batch(p, 64, seed=5, workers=3)
-    ok = np.array_equal(b1.values, b3.values)
-    return ok, "workers=1 and workers=3 bit-identical"
+    # large enough for two worker spans
+    p = params_new(2.0, 25, 26)
+    b1 = run_batch(p, 16384, seed=5, workers=1)
+    b2 = run_batch(p, 16384, seed=5, workers=2)
+    ok = np.array_equal(b1.values, b2.values)
+    return ok, "workers=1 and workers=2 bit-identical"
 
 
 def _check_eigensolver():

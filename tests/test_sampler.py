@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from lagmin import sampler
 from lagmin.core import params_new
 from lagmin.errors import DomainError, EmptySample
 from lagmin.exact import q_exact
@@ -99,11 +100,28 @@ class TestTridiagSmallest:
             ref = np.linalg.eigvalsh(_dense_t(a2, b2))[0]
             assert abs(lam - ref) <= 1e-10 * np.abs(_dense_t(a2, b2)).max()
 
+    @pytest.mark.parametrize("a2,b2", [([1e-200, 2.0, 1.5], [0.5, 1.0]), ([1.0, 1e-170], [1.0])])
+    def test_tiny_eigenvalue_by_bisection(self, a2, b2):
+        # lambda below ~1e-154 overflows S2, so no Laguerre step is taken
+        # and the bracket closes by bisection alone
+        a2, b2 = np.array(a2), np.array(b2)
+        lam = tridiag_smallest(a2[None, :], b2[None, :])[0]
+        assert 0.0 < lam < 1e-160
+        assert _exact_count(a2, b2, lam * (1 - 1e-14)) == 0
+        assert _exact_count(a2, b2, lam * (1 + 1e-14)) >= 1
+
     def test_decoupled_matrix(self):
-        # zero subdiagonal: T = diag(a^2), the answer is min a^2
+        # zero subdiagonal: T = diag(a^2), the answer is exactly min a^2
         a2 = np.array([[3.0, 1.0, 2.0], [0.5, 4.0, 0.25]])
         b2 = np.zeros((2, 2))
-        assert tridiag_smallest(a2, b2) == pytest.approx([1.0, 0.25], rel=1e-14)
+        lam = tridiag_smallest(a2, b2)
+        assert lam[0] == pytest.approx(1.0, abs=1e-15)
+        assert lam[1] == pytest.approx(0.25, abs=1e-15)
+        # here the count is exact, so the midpoint of the closed bracket is
+        # within 2**-50 relative of min a^2, over six decades
+        a2 = 10.0 ** np.random.default_rng(2).uniform(-3, 3, size=(500, 5))
+        lam = tridiag_smallest(a2, np.zeros((500, 4)))
+        assert np.all(np.abs(lam - a2.min(axis=1)) <= 1e-15 * a2.min(axis=1))
 
     def test_singular_bidiagonal(self):
         # a zero diagonal entry makes B singular: lambda_min is exactly 0
@@ -179,15 +197,44 @@ class TestRunBatch:
         assert np.array_equal(short, long[:20])
 
     @pytest.mark.parametrize("count", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
-    def test_block_boundaries(self, count):
+    def test_block_boundaries(self, count, monkeypatch):
         # worker spans start on block boundaries and a run draws only the
-        # rows it needs of its last block
+        # rows it needs of its last block; spans of one block each here
+        monkeypatch.setattr(sampler, "_MIN_SPAN_BLOCKS", 1)
+        monkeypatch.setattr(sampler, "_MIN_SPAN_WORK", 1)
         p = params_new(1.0, 3, 5)
         runs = [run_batch(p, count, seed=13, workers=w).values for w in (1, 2, 3)]
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0], runs[2])
         longest = run_batch(p, 2 * BLOCK + 3, seed=13).values
         assert np.array_equal(runs[0], longest[:count])
+
+    @pytest.mark.parametrize("n,count,workers,spans", [
+        (3, 20000, 4, 1),  # under _MIN_SPAN_WORK draws x N per span
+        (200, 2000, 4, 1),  # under _MIN_SPAN_BLOCKS blocks per span
+        (200, 8192, 4, 2),
+        (40, 20000, 2, 2),
+        (40, 20000, 1, 1),
+        (100, 100000, 4, 4),
+    ])
+    def test_span_split(self, monkeypatch, n, count, workers, spans):
+        # workers caps the threads; a span needs enough work to pay for one
+        calls = []
+
+        def record(params, seed, lo, hi):
+            calls.append((lo, hi))
+            return np.zeros(hi - lo)
+
+        monkeypatch.setattr(sampler, "_span_values", record)
+        run_batch(params_new(2.0, n, n + 2), count, seed=1, workers=workers)
+        calls.sort()
+        assert len(calls) == spans
+        assert calls[0][0] == 0 and calls[-1][1] == count
+        for (lo, hi), (nxt, _) in zip(calls, calls[1:]):
+            assert hi == nxt and nxt % BLOCK == 0
+        if spans > 1:
+            assert min(hi - lo for lo, hi in calls) >= sampler._MIN_SPAN_BLOCKS * BLOCK
+            assert min(hi - lo for lo, hi in calls) * n >= sampler._MIN_SPAN_WORK
 
     def test_stream_contract(self):
         # draw i is row i % BLOCK of one gamma call under Philox key
@@ -202,13 +249,17 @@ class TestRunBatch:
         assert STREAM == 2
 
     def test_underflowed_draws(self):
-        # at beta = 1e-3 many chi-square variates underflow to 0: a zero
-        # a_i gives the exact lambda = 0, a draw with trace 0 an error,
-        # never NaN or a negative value
+        # at beta = 0.01 some chi-square variates underflow to 0; the
+        # values stay finite and >= 0
         values = run_batch(params_new(0.01, 40, 40), 300, seed=1).values
-        assert (values >= 0).all() and (values == 0).any()
-        with pytest.raises(DomainError):
-            run_batch(params_new(0.001, 3, 3), 300, seed=1)
+        assert np.isfinite(values).all() and (values >= 0).all()
+
+    @pytest.mark.xfail(raises=DomainError, reason=(
+        "at beta = 1e-3 every chi-square variate of some draws underflows "
+        "to 0, so their trace is 0 (a FOUND line in CHANGES.md)"))
+    def test_draws_at_tiny_beta(self):
+        values = run_batch(params_new(0.001, 3, 3), 300, seed=1).values
+        assert np.isfinite(values).all() and (values >= 0).all()
 
     def test_degenerate_n1(self):
         b = run_batch(params_new(2.0, 1, 4), 10, seed=3)
