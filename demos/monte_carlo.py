@@ -43,15 +43,18 @@ def split_half_when_no_series(n_samples):
 
 
 def reproducibility():
-    p = params_new(2.0, 4, 6)
-    one = run_batch(p, 200, seed=777, workers=1)
-    eight = run_batch(p, 200, seed=777, workers=8)
-    prefix = run_batch(p, 50, seed=777, workers=3)
-    same = (one.values == eight.values).all()
-    ext = (one.values[:50] == prefix.values).all()
-    print("reproducibility")
-    print(f"  1 worker vs 8 workers, same seed: identical = {same}")
-    print(f"  50-draw run is a prefix of the 200-draw run: {ext}")
+    # a run splits across threads only where each span gets 16 blocks of
+    # 256 draws and 200,000 draws x N of work: 10,000 draws at N=40 is
+    # two spans, a smaller run stays on one thread
+    p = params_new(2.0, 40, 42)
+    one = run_batch(p, 10000, seed=777, workers=1)
+    two = run_batch(p, 10000, seed=777, workers=2)
+    prefix = run_batch(p, 2500, seed=777, workers=1)
+    same = (one.values == two.values).all()
+    ext = (one.values[:2500] == prefix.values).all()
+    print("reproducibility (N=40)")
+    print(f"  1 thread vs 2 threads (10,000 draws in two spans), same seed: identical = {same}")
+    print(f"  2,500-draw run is a prefix of the 10,000-draw run: {ext}")
     print(f"  first three draws: {one.values[:3]}")
     print()
 

@@ -35,13 +35,6 @@ from .beta2 import (
     q_alpha2_sum,
     q_exact_beta2,
 )
-from .jack import (
-    Partition,
-    enumerate_partitions,
-    gen_factorial,
-    jack_c_one,
-    pochhammer,
-)
 from .limit import (
     LimitParams,
     limit_prefactor,
@@ -78,15 +71,11 @@ __all__ = [
     "LimitParams",
     "NonIntegerJackIndex",
     "NumericalInconsistency",
-    "Partition",
     "PrecisionWarning",
     "SampleBatch",
     "SeriesAccuracy",
     "bessel_i",
     "det_laguerre",
-    "enumerate_partitions",
-    "gen_factorial",
-    "jack_c_one",
     "kolmogorov_sf",
     "ks_two_sample",
     "ks_validate",
@@ -99,7 +88,6 @@ __all__ = [
     "p_limit",
     "p_limit_printed",
     "params_new",
-    "pochhammer",
     "prefactor_diagnostics",
     "q_alpha2_sum",
     "q_exact",

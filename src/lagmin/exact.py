@@ -36,17 +36,17 @@ where R_r[p] sums log((nu*N + r - nu*t) / ((nu*t + m - r)
 generalized-factorial and C_kappa numerator factors, and the hooks
 against the empty row m), and T_l[p] sums log((nu*d + l + 1)
 (nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1))) over d < p (the
-hook-length ratio of the row pair, jack._pair_tables, which the limit
-route shares).  The tables are m x (N+1) prefix sums built once per
-parameter set, so a partition costs m(m+1)/2 table lookups and no Python
-work.
+hook-length ratio of the row pair, shared with the limit route).  The
+tables are m x (N+1) prefix sums built once per parameter set, so a
+partition costs m(m+1)/2 table lookups and no Python work.
 
-The box is streamed as int32 arrays, a run of first parts kappa_1 per
-chunk (the other rows form the (m-1) x kappa_1 box).  jack._weight_sums
-reduces each chunk by weight with a per-k max shift and a positive sum,
-and merges it into running (peak, sum) pairs; memory stays at one chunk.
-The coefficients are cached in log-magnitude + sign form (every sign
-+1), and log Gamma(G)/Gamma(G-k) beside them for the moments.
+The sums over the box come from the one partition-weight builder,
+jack._log_weight_sums, given these row terms: it streams the box in
+chunks of at most jack.CHUNK_ROWS partitions, reduces each chunk by
+weight with a per-k max shift and a positive sum, and merges it into
+running (peak, sum) pairs; memory stays at one chunk.  The
+coefficients are cached in log-magnitude + sign form (every sign +1),
+and log Gamma(G)/Gamma(G-k) beside them for the moments.
 
 Q and P are sums of one shape, c_j x^j (1-Nx)^(e-j), and the one
 assembler numerics._edge_sum evaluates both over an array of x.  Q takes
@@ -78,7 +78,7 @@ import numpy as np
 
 from .core import EnsembleParams, require_jack_index
 from .errors import DivergenceError, DomainError, NumericalInconsistency, PrecisionWarning
-from .jack import _pair_tables, _prefix_sums, _weight_sums
+from .jack import _log_weight_sums
 from .numerics import _edge_sum, _points, _shifted_sum
 
 #: Validated envelope for the partition-series routes.
@@ -95,44 +95,6 @@ def _warn_envelope(params: EnsembleParams, m: int):
             PrecisionWarning,
             stacklevel=3,
         )
-
-
-#: Target rows per streamed chunk of the partition box.
-CHUNK_ROWS = 1 << 17
-
-
-def _box_chunks(m: int, n: int):
-    """Stream the partitions of the m x N box (m rows, parts <= N) as
-    int32 arrays of shape (rows, m) with contiguous columns, trailing
-    zero parts included; C(N+m, m) rows in all.
-
-    A chunk holds the partitions whose first part lies in a run of
-    consecutive values v (the other rows of each form the (m-1) x v
-    box, C(v+m-1, m-1) of them), runs being as long as fit in
-    CHUNK_ROWS and at least one value long.  Columns are built left to
-    right: a row whose last entry is f gains every next entry u in [0, f].
-    """
-    if m == 0:
-        yield np.zeros((1, 0), dtype=np.int32)
-        return
-    v0 = 0
-    while v0 <= n:
-        v1, rows = v0 + 1, math.comb(v0 + m - 1, m - 1)
-        while v1 <= n and rows + math.comb(v1 + m - 1, m - 1) <= CHUNK_ROWS:
-            rows += math.comb(v1 + m - 1, m - 1)
-            v1 += 1
-        box = np.arange(v0, v1, dtype=np.int32)[:, None]
-        for j in range(1, m):
-            counts = box[:, j - 1] + 1
-            rep = np.repeat(np.arange(len(box)), counts)
-            grown = np.empty((len(rep), j + 1), dtype=np.int32, order="F")
-            for c in range(j):
-                np.take(box[:, c], rep, out=grown[:, c])
-            starts = np.cumsum(counts) - counts
-            grown[:, j] = np.arange(len(rep)) - starts[rep]
-            box = grown
-        yield box
-        v0 = v1
 
 
 @lru_cache(maxsize=32)  # one entry per parameter set, as _series_coeffs
@@ -164,13 +126,13 @@ def _series_coeffs(params: EnsembleParams) -> tuple:
     nu = 0.5 * params.beta
     g = 0.5 * params.beta * params.m_dim * n
     k_max = m * n
-    # row tables: cells of row r, with the hooks against the empty row m
+    # row terms: cells of row r, with the hooks against the empty row m;
+    # n columns bound the parts by N, so the partitions fill the m x N box
     t = nu * np.arange(n, dtype=float)
     r = np.arange(m, dtype=float)[:, None]
-    row_tab = _prefix_sums(
-        np.log(nu * n + r - t) - np.log(t + m - r) - np.log(t + nu + m - 1 - r)
+    peak, total = _log_weight_sums(
+        nu, np.log(nu * n + r - t) - np.log(t + m - r) - np.log(t + nu + m - 1 - r), 0, k_max
     )
-    peak, total = _weight_sums(_box_chunks(m, n), row_tab, _pair_tables(nu, m, n), 0, k_max)
 
     log_ratio = _log_falling(g, k_max)
     out = np.array([

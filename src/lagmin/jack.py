@@ -1,10 +1,9 @@
-"""Partition combinatorics, Jack polynomials at the all-ones point, and
-the row-pair tables shared by the two partition-series builders.
+"""The one builder of partition weights, shared by both series of the
+package: the finite-N coefficients A_k (exact.py) and the hard-edge 0F1
+coefficients c_k (limit.py).
 
-Both series of the package (the finite-N coefficients A_k in exact.py
-and the hard-edge 0F1 coefficients c_k in limit.py) are sums over
-integer partitions kappa of terms built from generalized factorials
-and Jack values at x*(1,...,1),
+Both are sums over integer partitions kappa with at most m parts of
+terms built from generalized factorials and Jack values at x*(1,...,1),
 
     sum_{|kappa|=k, len(kappa)<=m} (ratio of [a]_kappa factors)
         * C_kappa^(nu)(1^m) / k!,
@@ -31,163 +30,34 @@ validation suite: the normalization identity above, the N=2 closed-form
 oracle cross-checks at nu != 1, and the Bessel-function reduction at
 nu = 1 all hold for this mapping and all fail for the reciprocal one.
 
-The per-partition helpers here (enumerate_partitions, gen_factorial,
-jack_c_one) are the references the tests check the builders against.
-The builders never call them.  They use the row/pair factorisation of
-the hook product (Koev & Edelman, Math. Comp. 75 (2006) 833-846): with
-0-based rows, kappa_m = 0 and the cells of each row grouped by the row
-whose end bounds their leg,
+The hook product factorises by rows (Koev & Edelman, Math. Comp. 75
+(2006) 833-846): with 0-based rows, kappa_m = 0 and the cells of each
+row grouped by the row whose end bounds their leg,
 
     log W_kappa = sum_{r<m} R_r[kappa_r]
                 + sum_{0<=i<j<m} T_{j-i}[kappa_i - kappa_j],
 
-where R_r is a per-route row table (the cells of row r, with their hooks
-against the empty row m) and T_l[p] sums log((nu*d + l + 1)
-(nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1))) over d < p, the
-hook-length ratio of a row pair.  _pair_tables builds the T_l for both
-routes, and _weight_sums reduces a stream of partition chunks to
-sum_{|kappa|=k} W_kappa, k by k.
+where R_r[p] sums a per-route row term over the cells t < p of row r
+(with their hooks against the empty row m) and T_l[p] sums
+log((nu*d + l + 1)(nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1)))
+over d < p, the hook-length ratio of a row pair.
+
+_log_weight_sums is the one builder: given a route's row terms it builds
+the prefix tables R_r and T_l, streams the partitions with
+_partition_chunks (weight in a band [lo, hi], parts bounded by the width
+of the row terms: the m x N box of the finite-N law, or a weight band of
+the 0F1 ladder), and reduces them to sum_{|kappa|=k} W_kappa, k by k.
+Memory stays at one chunk of at most CHUNK_ROWS partitions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing sequence of positive integers (possibly empty)."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        prev = None
-        for p in self.parts:
-            if p < 1:
-                raise DomainError(f"partition parts must be >= 1, got {self.parts}")
-            if prev is not None and p > prev:
-                raise DomainError(
-                    f"partition parts must be weakly decreasing, got {self.parts}"
-                )
-            prev = p
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    def conjugate(self) -> "Partition":
-        parts = self.parts
-        if not parts:
-            return Partition(())
-        return Partition(
-            tuple(sum(1 for p in parts if p > j) for j in range(parts[0]))
-        )
-
-    def __iter__(self):
-        return iter(self.parts)
-
-
-def _parts_of(kappa) -> tuple:
-    """Accept a Partition or a bare iterable of parts."""
-    if isinstance(kappa, Partition):
-        return kappa.parts
-    return Partition(tuple(kappa)).parts
-
-
-@lru_cache(maxsize=4096)  # one entry per (weight, length, part) subproblem
-def _enum_raw(k: int, max_len: int, max_part) -> tuple:
-    """All partitions of k (length <= max_len, parts <= max_part) as bare
-    tuples, largest-first reverse-lexicographic."""
-    if k == 0:
-        return ((),)
-    if max_len == 0:
-        return ()
-    out = []
-    top = k if max_part is None else min(k, max_part)
-    for first in range(top, 0, -1):
-        for rest in _enum_raw(k - first, max_len - 1, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-def enumerate_partitions(k: int, max_len: int, max_part: int | None = None):
-    """Partitions of weight k with length <= max_len and largest part
-    <= max_part (None = unbounded), in reverse-lexicographic order."""
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    if max_len < 0:
-        raise DomainError(f"max_len must be >= 0, got {max_len}")
-    if max_part is not None and max_part < 1:
-        raise DomainError(f"max_part must be >= 1 or None, got {max_part}")
-    return [Partition(p) for p in _enum_raw(k, max_len, max_part)]
-
-
-def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a(a+1)...(a+k-1); (a)_0 = 1."""
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    out = 1.0
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def gen_factorial(a: float, kappa, nu: float) -> float:
-    """Generalized factorial [a]_kappa^(nu) = prod_j (a - (j-1)/nu)_{kappa_j}."""
-    if not (nu > 0):
-        raise DomainError(f"nu must be positive, got {nu}")
-    out = 1.0
-    for j, kj in enumerate(_parts_of(kappa)):
-        out *= pochhammer(a - j / nu, kj)
-    return out
-
-
-def jack_c_one_log(kappa, nu: float, m_vars: int) -> float:
-    """log C_kappa^(nu)(1^m), or -inf when the value is exactly 0
-    (more parts than variables)."""
-    if not (nu > 0):
-        raise DomainError(f"nu must be positive, got {nu}")
-    if m_vars < 0:
-        raise DomainError(f"m_vars must be >= 0, got {m_vars}")
-    parts = _parts_of(kappa)
-    if len(parts) > m_vars:
-        return float("-inf")
-    k = sum(parts)
-    if k == 0:
-        return 0.0
-    # conjugate partition for leg lengths
-    conj = [0] * parts[0]
-    for p in parts:
-        for j in range(p):
-            conj[j] += 1
-    log_val = k * math.log(nu) + math.lgamma(k + 1)
-    for i, p in enumerate(parts):  # i, j are 0-based cell coordinates
-        for j in range(p):
-            arm = p - 1 - j
-            leg = conj[j] - 1 - i
-            log_val += math.log(m_vars + nu * j - i)
-            log_val -= math.log(nu * arm + leg + 1.0)
-            log_val -= math.log(nu * (arm + 1) + leg)
-    return log_val
-
-
-def jack_c_one(kappa, nu: float, m_vars: int) -> float:
-    """C_kappa^(nu)(1^m): the Jack polynomial at the all-ones point, in the
-    normalization with sum_{|kappa|=k} C_kappa = m^k.  Exactly 0 when
-    kappa has more parts than there are variables."""
-    lv = jack_c_one_log(kappa, nu, m_vars)
-    return 0.0 if lv == float("-inf") else math.exp(lv)
+#: Row bound of the streamed partition chunks.
+CHUNK_ROWS = 1 << 17
 
 
 def _prefix_sums(terms: np.ndarray) -> np.ndarray:
@@ -209,22 +79,68 @@ def _pair_tables(nu: float, m: int, length: int) -> np.ndarray:
     )
 
 
-def _weight_sums(chunks, row_tab: np.ndarray, pair_tab: np.ndarray, k_lo: int, k_hi: int):
-    """sum_{|kappa|=k} W_kappa for k = k_lo..k_hi, as a pair of arrays
+def _partition_chunks(m: int, lo: int, hi: int, cap: int | None = None):
+    """Stream the partitions with at most m parts, weight in [lo, hi]
+    and first part at most cap (None: no bound beyond hi) as int32
+    arrays of shape (rows, m), trailing zero parts included.
+
+    Columns are built left to right.  The first part runs over
+    [ceil(lo/m), min(cap, hi)]; a prefix of weight w whose last part is
+    f, with r columns still to fill, gains every next part u in
+    [ceil((lo - w)/r), min(f, hi - w)], so every prefix completes to at
+    least one partition in the band.  A prefix array whose next column
+    would exceed CHUNK_ROWS rows is split in halves first, so a chunk
+    has at most max(CHUNK_ROWS, top + 1) rows, top = min(cap, hi); the
+    chunks come out in a fixed order.
+    """
+    if m == 0:
+        if lo == 0:
+            yield np.zeros((1, 0), dtype=np.int32)
+        return
+    top = hi if cap is None else min(cap, hi)
+    stack = [np.arange(-(-lo // m), top + 1, dtype=np.int32)[:, None]]
+    while stack:
+        box = stack.pop()
+        j = box.shape[1]
+        if j == m:
+            yield box
+            continue
+        w = box.sum(axis=1, dtype=np.int64)
+        low = np.maximum(-((w - lo) // (m - j)), 0)
+        counts = np.minimum(box[:, j - 1], hi - w) - low + 1
+        rows = int(counts.sum())
+        if rows > CHUNK_ROWS and len(box) > 1:
+            half = len(box) // 2
+            stack += [box[half:], box[:half]]
+            continue
+        rep = np.repeat(np.arange(len(box)), counts)
+        grown = np.empty((rows, j + 1), dtype=np.int32, order="F")
+        for c in range(j):
+            np.take(box[:, c], rep, out=grown[:, c])
+        starts = np.cumsum(counts) - counts
+        grown[:, j] = low[rep] + (np.arange(rows) - starts[rep])
+        stack.append(grown)
+
+
+def _log_weight_sums(nu: float, row_terms: np.ndarray, lo: int, hi: int):
+    """sum_{|kappa|=k} W_kappa for k = lo..hi, as a pair of arrays
     (peak, total) with the sum equal to total * exp(peak).
 
-    ``chunks`` yields int32 arrays of partitions, one per row with m
-    columns (trailing zero parts included), every weight in
-    [k_lo, k_hi]; log W_kappa is gathered from the row tables R_r
-    (row r of ``row_tab``) and the pair tables T_l.  Each chunk is
-    reduced by weight with a per-k max shift and merged into running
-    (peak, sum) pairs, so memory stays at one chunk; a weight that no
-    partition has keeps peak -inf and total 0.
+    kappa runs over the partitions with at most m parts, m the number of
+    rows of ``row_terms``, and parts at most its width; row_terms[r, t]
+    is the log term of cell t of row r, whose prefix sums are the row
+    table R_r.  log W_kappa is gathered from R_r and the pair tables T_l
+    for each streamed chunk; the chunk is reduced by weight with a per-k
+    max shift and merged into running (peak, sum) pairs, so memory stays
+    at one chunk.  A weight that no partition has keeps peak -inf and
+    total 0.
     """
-    m = row_tab.shape[0]
-    peak = np.full(k_hi - k_lo + 1, -np.inf)
-    total = np.zeros(k_hi - k_lo + 1)
-    for box in chunks:
+    m, top = row_terms.shape
+    row_tab = _prefix_sums(row_terms)
+    pair_tab = _pair_tables(nu, m, top)
+    peak = np.full(hi - lo + 1, -np.inf)
+    total = np.zeros(hi - lo + 1)
+    for box in _partition_chunks(m, lo, hi, top):
         lw = np.zeros(len(box))
         for i in range(m):
             col = box[:, i]
@@ -232,12 +148,12 @@ def _weight_sums(chunks, row_tab: np.ndarray, pair_tab: np.ndarray, k_lo: int, k
             for j in range(i + 1, m):
                 lw += pair_tab[j - i - 1][col - box[:, j]]
         k = box.sum(axis=1, dtype=np.intp)
-        lo, hi = int(k.min()), int(k.max()) + 1
-        k -= lo
-        chunk_peak = np.full(hi - lo, -np.inf)
+        k0, k1 = int(k.min()), int(k.max()) + 1
+        k -= k0
+        chunk_peak = np.full(k1 - k0, -np.inf)
         np.maximum.at(chunk_peak, k, lw)
-        chunk_sum = np.bincount(k, weights=np.exp(lw - chunk_peak[k]), minlength=hi - lo)
-        s = slice(lo - k_lo, hi - k_lo)
+        chunk_sum = np.bincount(k, weights=np.exp(lw - chunk_peak[k]), minlength=k1 - k0)
+        s = slice(k0 - lo, k1 - lo)
         new_peak = np.maximum(peak[s], chunk_peak)
         ref = np.where(new_peak > -np.inf, new_peak, 0.0)  # both -inf: weight absent so far
         total[s] = total[s] * np.exp(peak[s] - ref) + chunk_sum * np.exp(chunk_peak - ref)

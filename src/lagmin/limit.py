@@ -25,10 +25,11 @@ hook lengths nu*a + l + 1 and nu*(a+1) + l over the cells of kappa.
 The coefficients are built weight band by weight band on a fixed ladder
 of tops K_0 = 8, K_(i+1) = K_i + ceil(K_i/4): the partitions with at most
 m parts and weight in (K_(i-1), K_i] are streamed in bounded int32
-chunks and reduced by weight with bincount (jack._weight_sums).  The
-table of each rung is cached and extends the one below it, so c_k does
-not depend on how far a call needed to go, and a point's value does not
-depend on the other points of its call.
+chunks and reduced by weight (jack._log_weight_sums, the builder the
+finite-N route shares).  The table of each rung is cached and extends
+the one below it, so c_k does not depend on how far a call needed to
+go, and a point's value does not depend on the other points of its
+call.
 
 The density P = -dQ/dy is the same kind of sum.  With F(u) = sum_k c_k u^k,
 
@@ -84,7 +85,7 @@ import numpy as np
 
 from .core import DEFAULT_ACCURACY, SeriesAccuracy
 from .errors import DivergenceError, DomainError, PrecisionWarning
-from .jack import _pair_tables, _prefix_sums, _weight_sums
+from .jack import _log_weight_sums
 from .numerics import EDGE_SUM_BLOCK, _bessel_i_scaled, _points, log_gamma
 
 Y_ENVELOPE = 100.0
@@ -92,9 +93,6 @@ M_ENVELOPE = 6
 
 #: Top weight of the first band of the coefficient table.
 LADDER_START = 8
-
-#: Row bound of the streamed partition chunks.
-CHUNK_ROWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -125,45 +123,6 @@ def _warn_envelope(lp: LimitParams, ys: np.ndarray):
         )
 
 
-def _band_chunks(m: int, lo: int, hi: int):
-    """Stream the partitions with at most m parts and weight in [lo, hi]
-    as int32 arrays of shape (rows, m), trailing zero parts included.
-
-    Columns are built left to right.  A prefix of weight w whose last
-    part is f, with r columns still to fill, gains every next part u in
-    [ceil((lo - w)/r), min(f, hi - w)], so every prefix completes to at
-    least one partition in the band.  A prefix array whose next column
-    would exceed CHUNK_ROWS rows is split in halves first; the chunks
-    come out in a fixed order.
-    """
-    if m == 0:
-        if lo == 0:
-            yield np.zeros((1, 0), dtype=np.int32)
-        return
-    stack = [np.arange(-(-lo // m), hi + 1, dtype=np.int32)[:, None]]
-    while stack:
-        box = stack.pop()
-        j = box.shape[1]
-        if j == m:
-            yield box
-            continue
-        w = box.sum(axis=1, dtype=np.int64)
-        low = np.maximum(-((w - lo) // (m - j)), 0)
-        counts = np.minimum(box[:, j - 1], hi - w) - low + 1
-        rows = int(counts.sum())
-        if rows > CHUNK_ROWS and len(box) > 1:
-            half = len(box) // 2
-            stack += [box[half:], box[:half]]
-            continue
-        rep = np.repeat(np.arange(len(box)), counts)
-        grown = np.empty((rows, j + 1), dtype=np.int32, order="F")
-        for c in range(j):
-            np.take(box[:, c], rep, out=grown[:, c])
-        starts = np.cumsum(counts) - counts
-        grown[:, j] = low[rep] + (np.arange(rows) - starts[rep])
-        stack.append(grown)
-
-
 def _ladder_top(rung: int) -> int:
     """Top weight K_rung of the coefficient ladder."""
     top = LADDER_START
@@ -182,10 +141,9 @@ def _f01_coeffs(beta: float, m: int, shift: int, rung: int) -> np.ndarray:
     nu = 0.5 * beta
     t = nu * np.arange(hi, dtype=float)
     r = np.arange(m, dtype=float)[:, None]
-    row_tab = _prefix_sums(
-        2.0 * math.log(nu) - np.log(t + m + nu * shift - r) - np.log(t + nu + m - 1 - r)
+    peak, total = _log_weight_sums(
+        nu, 2.0 * math.log(nu) - np.log(t + m + nu * shift - r) - np.log(t + nu + m - 1 - r), lo, hi
     )
-    peak, total = _weight_sums(_band_chunks(m, lo, hi), row_tab, _pair_tables(nu, m, hi), lo, hi)
     with np.errstate(divide="ignore"):  # weights no partition has (m = 0)
         band = peak + np.log(total)
     out = band if rung == 0 else np.concatenate([_f01_coeffs(beta, m, shift, rung - 1), band])

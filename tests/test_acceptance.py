@@ -11,12 +11,12 @@ import warnings
 import numpy as np
 import pytest
 from laguerre_reference import derivative, laguerre
+from partition_reference import enumerate_partitions, jack_c_one
 
 from lagmin.beta2 import q_alpha2_sum, q_exact_beta2
 from lagmin.core import params_new
 from lagmin.errors import NonIntegerJackIndex, PrecisionWarning
 from lagmin.exact import moment, q_exact, q_oracle_n2
-from lagmin.jack import enumerate_partitions, jack_c_one
 from lagmin.limit import LimitParams, p_limit, prefactor_diagnostics, q_limit, q_limit_closed
 from lagmin.sampler import ks_two_sample, ks_validate, run_batch
 

@@ -10,14 +10,19 @@ import scipy.integrate
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from partition_reference import (
+    check_partition_stream,
+    enumerate_partitions,
+    gen_factorial,
+    jack_c_one_log,
+)
 
-from lagmin import exact
+from lagmin import exact, jack
 from lagmin.beta2 import det_laguerre
 from lagmin.core import params_new
 from lagmin.beta2 import q_exact_beta2
 from lagmin.errors import DomainError, NonIntegerJackIndex, PrecisionWarning
 from lagmin.exact import moment, norm_const, p_exact, q_exact, q_oracle_n2
-from lagmin.jack import enumerate_partitions, gen_factorial, jack_c_one_log
 
 
 # ---------- closed forms (hand-expanded low-order cases) ----------
@@ -161,23 +166,27 @@ def test_coeffs_match_per_partition_reference(case):
         assert sign * math.exp(lg) == pytest.approx(w, rel=1e-12)
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 20, exact.CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [1, 20, jack.CHUNK_ROWS])
 @pytest.mark.parametrize("m,n", [(0, 5), (1, 4), (2, 7), (3, 6), (5, 4)])
 def test_box_stream_is_the_whole_box(m, n, chunk_rows, monkeypatch):
-    monkeypatch.setattr(exact, "CHUNK_ROWS", chunk_rows)
-    rows = np.concatenate(list(exact._box_chunks(m, n)))
-    assert rows.shape == (math.comb(n + m, m), m)
-    assert len({tuple(r) for r in rows.tolist()}) == len(rows)
-    assert np.all((rows >= 0) & (rows <= n))
-    assert np.all(np.diff(rows, axis=1) <= 0)
+    # the m x N box: weight in [0, mN], first part capped at N
+    assert check_partition_stream(monkeypatch, m, 0, m * n, n, chunk_rows) == math.comb(n + m, m)
+
+
+def test_box_stream_chunks_are_bounded():
+    # at (m, N) = (6, 25) the partitions with first part 25 alone number
+    # C(30, 5) = 142,506, more than CHUNK_ROWS: a chunk must split them
+    rows = [len(c) for c in jack._partition_chunks(6, 0, 6 * 25, 25)]
+    assert sum(rows) == math.comb(31, 6)
+    assert max(rows) <= jack.CHUNK_ROWS
 
 
 def test_coeffs_do_not_depend_on_the_chunking(monkeypatch):
-    # one first part per chunk merges the running (peak, sum) pairs
+    # chunks of at most N + 1 rows merge the running (peak, sum) pairs
     p = params_new(1.0, 9, 16)
     whole = exact._series_coeffs(p)
     exact._series_coeffs.cache_clear()
-    monkeypatch.setattr(exact, "CHUNK_ROWS", 1)
+    monkeypatch.setattr(jack, "CHUNK_ROWS", 1)
     split = exact._series_coeffs(p)
     exact._series_coeffs.cache_clear()
     assert [s for _, s in split] == [s for _, s in whole]

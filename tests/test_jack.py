@@ -1,23 +1,24 @@
-"""Partition combinatorics, Jack values at the all-ones point (the
-per-partition references of the series builders), and the equal-argument
-0F1 series built from the shared row/pair tables."""
+"""Partition combinatorics and Jack values at the all-ones point (the
+per-partition references in partition_reference.py that the series
+builders are checked against), and the equal-argument 0F1 series built
+by the shared partition-weight builder."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.special
-
-from lagmin import limit
-from lagmin.core import SeriesAccuracy
-from lagmin.errors import DivergenceError, DomainError
-from lagmin.jack import (
+from partition_reference import (
     Partition,
     enumerate_partitions,
     gen_factorial,
     jack_c_one,
     pochhammer,
 )
+
+from lagmin import limit
+from lagmin.core import SeriesAccuracy
+from lagmin.errors import DivergenceError, DomainError
 
 
 def test_partition_basics():

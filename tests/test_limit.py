@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from partition_reference import check_partition_stream, enumerate_partitions, gen_factorial, jack_c_one
 
-from lagmin import limit
+from lagmin import jack, limit
 from lagmin.core import SeriesAccuracy
 from lagmin.errors import DomainError, PrecisionWarning
-from lagmin.jack import enumerate_partitions, gen_factorial, jack_c_one
 from lagmin.limit import (
     LimitParams,
     limit_prefactor,
@@ -270,26 +270,17 @@ def test_stopping_rule_reads_two_small_terms():
     assert q_limit(lp, 4.0) == pytest.approx(math.exp(-1.0) * scipy.special.iv(0, 2.0), rel=1e-15)
 
 
-@pytest.mark.parametrize("chunk_rows", [1, 20, limit.CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [1, 20, jack.CHUNK_ROWS])
 @pytest.mark.parametrize("m,lo,hi", [(0, 0, 6), (0, 3, 6), (1, 0, 9), (2, 5, 13), (3, 0, 13), (4, 9, 17), (5, 14, 22)])
 def test_band_stream_is_the_whole_band(m, lo, hi, chunk_rows, monkeypatch):
-    monkeypatch.setattr(limit, "CHUNK_ROWS", chunk_rows)
-    chunks = list(limit._band_chunks(m, lo, hi))
-    rows = np.concatenate(chunks) if chunks else np.zeros((0, m), dtype=np.int32)
-    want = {
-        kappa.parts + (0,) * (m - kappa.length)
-        for k in range(lo, hi + 1)
-        for kappa in enumerate_partitions(k, m)
-    }
-    assert len(rows) == len(want)
-    assert {tuple(r) for r in rows.tolist()} == want
-    assert all(len(c) <= max(chunk_rows, hi + 1) for c in chunks)
+    # a weight band of the 0F1 ladder: no cap on the first part
+    check_partition_stream(monkeypatch, m, lo, hi, None, chunk_rows)
 
 
 def test_coeffs_do_not_depend_on_the_chunking(monkeypatch):
     whole = limit._f01_coeffs(1.0, 4, 0, 4).copy()
     limit._f01_coeffs.cache_clear()
-    monkeypatch.setattr(limit, "CHUNK_ROWS", 1)
+    monkeypatch.setattr(jack, "CHUNK_ROWS", 1)
     split = limit._f01_coeffs(1.0, 4, 0, 4).copy()
     limit._f01_coeffs.cache_clear()
     assert split == pytest.approx(whole, rel=0.0, abs=1e-13)

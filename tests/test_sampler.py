@@ -171,10 +171,23 @@ class TestTridiagSmallest:
 
 
 class TestRunBatch:
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_workers(self, monkeypatch):
+        # with the span minimums lowered, 3 * BLOCK + 101 draws split into
+        # four real spans, the last one partial
+        monkeypatch.setattr(sampler, "_MIN_SPAN_BLOCKS", 1)
+        monkeypatch.setattr(sampler, "_MIN_SPAN_WORK", 1)
         p = params_new(2.0, 4, 6)
-        b1 = run_batch(p, 101, seed=42, workers=1)
-        b4 = run_batch(p, 101, seed=42, workers=4)
+        b1 = run_batch(p, 3 * BLOCK + 101, seed=42, workers=1)
+        spans = []
+        span_values = sampler._span_values
+
+        def record(params, seed, lo, hi):
+            spans.append((lo, hi))
+            return span_values(params, seed, lo, hi)
+
+        monkeypatch.setattr(sampler, "_span_values", record)
+        b4 = run_batch(p, 3 * BLOCK + 101, seed=42, workers=4)
+        assert len(spans) == 4
         assert np.array_equal(b1.values, b4.values)
 
     def test_values_in_support(self):
