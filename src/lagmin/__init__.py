@@ -6,13 +6,7 @@ hard-edge scaling limit, and a matrix-model Monte Carlo sampler with
 KS validation.  See the command-line tool `lagmin` for a quick tour.
 """
 
-from .core import (
-    DEFAULT_ACCURACY,
-    EnsembleParams,
-    SeriesAccuracy,
-    params_new,
-    require_jack_index,
-)
+from .core import EnsembleParams, params_new, require_jack_index
 from .errors import (
     DivergenceError,
     DomainError,
@@ -61,7 +55,6 @@ from .sampler import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_ACCURACY",
     "DivergenceError",
     "DomainError",
     "EigensolverFailure",
@@ -73,7 +66,6 @@ __all__ = [
     "NumericalInconsistency",
     "PrecisionWarning",
     "SampleBatch",
-    "SeriesAccuracy",
     "bessel_i",
     "det_laguerre",
     "kolmogorov_sf",

@@ -38,19 +38,15 @@ to the determinant route at every finite N.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 import numpy as np
 
-from .core import _as_int
-from .errors import DomainError, PrecisionWarning
-from .numerics import _edge_sum, _points, log_gamma_ratio_falling
-
-N_ENVELOPE = 30
-ALPHA_ENVELOPE = 6
+from .core import _as_int, warn_outside
+from .errors import DomainError
+from .numerics import _edge_sum, _points
 
 
 def _bareiss(mat) -> int:
@@ -105,17 +101,6 @@ def det_laguerre(n_dim: int, alpha: int) -> tuple:
     return tuple(Fraction(c, denom) for c in coeffs)
 
 
-def _warn_envelope(n_dim: int, alpha: int):
-    if n_dim > N_ENVELOPE or alpha > ALPHA_ENVELOPE:
-        warnings.warn(
-            f"N={n_dim}, alpha={alpha} is outside the validated envelope "
-            f"(N <= {N_ENVELOPE}, alpha <= {ALPHA_ENVELOPE}); "
-            "results are best-effort",
-            PrecisionWarning,
-            stacklevel=3,
-        )
-
-
 @lru_cache(maxsize=32)
 def _beta2_coeffs(n_dim: int, alpha: int) -> np.ndarray:
     """log a_j of a_j = c_j * Gamma(MN)/Gamma(MN-j) > 0, the coefficient of
@@ -141,7 +126,7 @@ def q_exact_beta2(n_dim: int, m_dim: int, x):
         raise DomainError(f"need M >= N >= 1, got N={n_dim}, M={m_dim}")
     xs = _points(x)
     alpha = m_dim - n_dim
-    _warn_envelope(n_dim, alpha)
+    warn_outside("beta2", N=n_dim, alpha=alpha)
     log_a = _beta2_coeffs(n_dim, alpha)
     out = _edge_sum(log_a, np.ones(len(log_a)), n_dim, m_dim * n_dim - 1.0, xs)
     return out if xs.ndim else float(out)
@@ -175,7 +160,7 @@ def q_alpha2_sum(n_dim: int, x: float) -> float:
         if w == 0.0:
             return 0.0
         mag = math.exp(
-            log_gamma_ratio_falling(float(mn), q)
+            math.fsum(math.log(mn - i) for i in range(1, q + 1))
             + q * math.log(x)
             + (mn - 1.0 - q) * log_edge
         )

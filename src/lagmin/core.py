@@ -11,19 +11,46 @@ where alpha = M - N + 1 - 2/beta and M >= N is the larger dimension.
 The partition-series formulas for the smallest-eigenvalue law apply only
 when m = (beta/2)*alpha is a nonnegative integer; `jack_index` carries
 that value when it exists.
+
+The accuracy policy lives here too: TAIL_TOL and K_MAX truncate the
+hard-edge and Bessel series, ENVELOPES holds each route's validated
+parameter bands, and warn_outside issues the one PrecisionWarning of a
+call that leaves them (the call still returns its value).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, NonIntegerJackIndex
+from .errors import DomainError, NonIntegerJackIndex, PrecisionWarning
 
 # Absolute tolerance for deciding that (beta/2)*alpha is an integer.
 # beta is a machine real and every downstream series needs an exact
 # integer index, so detect-within-tolerance then round.
 _INT_TOL = 1e-12
+
+#: The hard-edge series stops at its second consecutive term at or below
+#: TAIL_TOL times its partial sum, the Bessel series at its first; either
+#: needing a power past K_MAX is a DivergenceError.  Read at call time.
+TAIL_TOL = 1e-12
+K_MAX = 500
+
+#: Validated envelope, route -> parameter -> (low, high), bounds included;
+#: the lows are the domain edges except the N=2 oracle's beta.  The limit
+#: row bounds the largest y in (0, inf): Q and P are exact at 0 and inf.
+ENVELOPES = {
+    "exact": {"N": (1, 50), "m": (0, 6)},  # q_exact, p_exact, moment
+    "beta2": {"N": (1, 30), "alpha": (0, 6)},  # q_exact_beta2, alpha = M - N
+    "limit": {"y": (0.0, 100.0), "m": (0, 6)},  # q_limit, p_limit, the printed density
+    "bessel": {"x": (0.0, 60.0)},  # bessel_i, q_limit_closed; past it the large-x expansion
+    "oracle_n2": {"beta": (0.1, 8.0), "M": (2, 200)},  # q_oracle_n2
+}
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass(frozen=True)
@@ -50,27 +77,6 @@ class EnsembleParams:
             raise DomainError(
                 f"alpha must equal M - N + 1 - 2/beta, got alpha={self.alpha}"
             )
-
-
-@dataclass(frozen=True)
-class SeriesAccuracy:
-    """Truncation policy for the partition series.
-
-    tail_tol : relative tail bound for stopping a convergent series.
-    k_max    : hard cap on the total partition weight k.
-    """
-
-    tail_tol: float = 1e-12
-    k_max: int = 500
-
-    def __post_init__(self):
-        if not (self.tail_tol > 0):
-            raise DomainError(f"tail_tol must be positive, got {self.tail_tol}")
-        if self.k_max < 1:
-            raise DomainError(f"k_max must be >= 1, got {self.k_max}")
-
-
-DEFAULT_ACCURACY = SeriesAccuracy()
 
 
 def params_new(beta: float, n_dim: int, m_dim: int) -> EnsembleParams:
@@ -117,3 +123,19 @@ def _as_int(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def warn_outside(route: str, **values) -> None:
+    """Issue one PrecisionWarning if a value leaves its band in
+    ENVELOPES[route], attributed to the innermost caller outside this
+    package."""
+    bands = ENVELOPES[route]
+    if all(bands[k][0] <= v <= bands[k][1] for k, v in values.items()):
+        return
+    level, frame = 1, sys._getframe()
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        level, frame = level + 1, frame.f_back
+    given = ", ".join(f"{k}={v}" for k, v in values.items())
+    limits = ", ".join(f"{lo} <= {k} <= {hi}" for k, (lo, hi) in bands.items())
+    warnings.warn(f"{given} is outside the validated envelope of the {route} route "
+                  f"({limits}); results are best-effort", PrecisionWarning, stacklevel=level)

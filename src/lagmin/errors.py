@@ -30,7 +30,8 @@ class EmptySample(ValueError):
 
 
 class PrecisionWarning(UserWarning):
-    """Emitted when parameters leave the validated accuracy envelope.
+    """Emitted when parameters leave the validated accuracy envelope
+    (the table core.ENVELOPES; core.warn_outside issues it).
 
     Results are still returned; accuracy beyond the envelope is
     best-effort rather than guaranteed."""

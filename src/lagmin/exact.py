@@ -71,37 +71,20 @@ machinery at all.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
 
-from .core import EnsembleParams, require_jack_index
-from .errors import DivergenceError, DomainError, NumericalInconsistency, PrecisionWarning
+from .core import EnsembleParams, require_jack_index, warn_outside
+from .errors import DivergenceError, DomainError, NumericalInconsistency
 from .jack import _log_weight_sums
 from .numerics import _edge_sum, _points, _shifted_sum
-
-#: Validated envelope for the partition-series routes.
-N_ENVELOPE = 50
-JACK_INDEX_ENVELOPE = 6
-
-
-def _warn_envelope(params: EnsembleParams, m: int):
-    if params.n_dim > N_ENVELOPE or m > JACK_INDEX_ENVELOPE:
-        warnings.warn(
-            f"N={params.n_dim}, m={m} is outside the validated envelope "
-            f"(N <= {N_ENVELOPE}, m <= {JACK_INDEX_ENVELOPE}); "
-            "results are best-effort",
-            PrecisionWarning,
-            stacklevel=3,
-        )
 
 
 @lru_cache(maxsize=32)  # one entry per parameter set, as _series_coeffs
 def _log_falling(g: float, k_max: int) -> np.ndarray:
     """log(Gamma(g)/Gamma(g-k)) for k = 0..k_max, each an exact fsum of
-    its k factor logs (the values log_gamma_ratio_falling returns), as a
-    read-only array."""
+    its k factor logs, as a read-only array."""
     logs = [math.log(g - i) for i in range(1, k_max + 1)]
     out = np.array([math.fsum(logs[:k]) for k in range(k_max + 1)])
     out.flags.writeable = False
@@ -172,7 +155,7 @@ def q_exact(params: EnsembleParams, x):
     """
     m = require_jack_index(params)
     xs = _points(x)
-    _warn_envelope(params, m)
+    warn_outside("exact", N=params.n_dim, m=m)
     n = params.n_dim
     if n == 1:
         out = np.where(xs < 1.0, 1.0, 0.0)
@@ -194,7 +177,7 @@ def p_exact(params: EnsembleParams, x):
     """
     m = require_jack_index(params)
     xs = _points(x)
-    _warn_envelope(params, m)
+    warn_outside("exact", N=params.n_dim, m=m)
     n = params.n_dim
     if n == 1:
         out = np.zeros(xs.shape)
@@ -225,7 +208,7 @@ def moment(params: EnsembleParams, p: int) -> float:
     m = require_jack_index(params)
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise DomainError(f"moment order p must be an integer >= 1, got {p!r}")
-    _warn_envelope(params, m)
+    warn_outside("exact", N=params.n_dim, m=m)
     n = params.n_dim
     if n == 1:
         # point mass at x=1: every moment is exactly 1
@@ -360,13 +343,17 @@ def q_oracle_n2(params: EnsembleParams, x):
     log(1-z) = log1p(-z) below z = 1/2, log(4x(1-x)) above.  Exactly 1 at x=0 and 0 at
     x=1/2.  Works for ANY beta > 0 (no integer Jack index needed) and
     shares no code with the series or determinant routes, which is the
-    whole point.
+    whole point.  Outside beta in [0.1, 8], M <= 200 (the "oracle_n2" row
+    of core.ENVELOPES) the reflected branch loses digits (near the switch
+    point it is conditioned like b, and 1 - I_w(b, a) cancels when
+    b << 1), so such a call issues one PrecisionWarning.
     """
     if params.n_dim != 2:
         raise DomainError(f"q_oracle_n2 requires N=2, got N={params.n_dim}")
     xs = _points(x)
     if np.any(xs > 0.5):
         raise DomainError(f"q_oracle_n2 requires 0 <= x <= 1/2, got {xs[xs > 0.5].flat[0]}")
+    warn_outside("oracle_n2", beta=params.beta, M=params.m_dim)
     a = 0.5 * (params.beta + 1.0)
     b = 0.5 * params.beta * (params.m_dim - 1)
     log_beta = _log_beta(a, b)

@@ -51,9 +51,10 @@ its first term).
 Q and P are evaluated over an array of y.  Each term carries the factor
 exp(-beta*y/8) inside its exponent, so the partial sums stay on the
 scale of Q and P.  A point stops at its second consecutive term at or
-below tail_tol times its partial sum; the table grows until every point
-has stopped, and a point that needs a power of u beyond k_max is a
-DivergenceError.
+below core.TAIL_TOL times its partial sum; the table grows until every
+point has stopped, and a point that needs a power of u beyond core.K_MAX
+is a DivergenceError.  Past the "limit" row of core.ENVELOPES (y <= 100,
+m <= 6) a call issues one PrecisionWarning.
 
 Closed forms (q_limit_closed) exist for m = 0 (pure exponential), m = 1
 (a single Bessel-I factor), and (beta, m) = (2, 2) (a Wronskian-like
@@ -77,19 +78,15 @@ for anything quantitative.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import DEFAULT_ACCURACY, SeriesAccuracy
-from .errors import DivergenceError, DomainError, PrecisionWarning
+from . import core
+from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
-from .numerics import EDGE_SUM_BLOCK, _bessel_i_scaled, _points, log_gamma
-
-Y_ENVELOPE = 100.0
-M_ENVELOPE = 6
+from .numerics import EDGE_SUM_BLOCK, _bessel_i_scaled, _points
 
 #: Top weight of the first band of the coefficient table.
 LADDER_START = 8
@@ -112,15 +109,15 @@ class LimitParams:
             raise DomainError(f"jack_index must be >= 0, got {self.jack_index}")
 
 
-def _warn_envelope(lp: LimitParams, ys: np.ndarray):
+def _limit_points(lp: LimitParams, y) -> np.ndarray:
+    """y as an array (DomainError on NaN or negative entries), with the
+    one PrecisionWarning of the call if its largest y in (0, inf) or m
+    leaves the envelope."""
+    ys = _points(y)
     inner = ys[(ys > 0.0) & (ys < math.inf)]
-    if inner.size and (inner.max() > Y_ENVELOPE or lp.jack_index > M_ENVELOPE):
-        warnings.warn(
-            f"y={inner.max()}, m={lp.jack_index} is outside the validated envelope "
-            f"(y <= {Y_ENVELOPE}, m <= {M_ENVELOPE}); results are best-effort",
-            PrecisionWarning,
-            stacklevel=4,  # the caller of q_limit, p_limit or p_limit_printed
-        )
+    if inner.size:
+        core.warn_outside("limit", y=inner.max(), m=lp.jack_index)
+    return ys
 
 
 def _ladder_top(rung: int) -> int:
@@ -158,24 +155,19 @@ def _density_constant(lp: LimitParams) -> float:
     return nu ** (2 * m + 1) / (4.0 * math.factorial(m) * math.prod(i + nu for i in range(1, m + 1)))
 
 
-def _series(lp: LimitParams, y, acc: SeriesAccuracy, shift: int, first: int, factor: float):
-    """(ys, values) for a float or an array y: ys = y as an array, and
-
-        factor * exp(-beta*y/8) * sum_k c_k (y/4)^(k + first)
-
-    at every entry, the c_k being the 0F1 coefficients at
-    b = 2m/beta + shift; 0 at y = +inf, DomainError on NaN or negative
-    entries, one PrecisionWarning outside the envelope.
+def _series(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: float) -> np.ndarray:
+    """factor * exp(-beta*y/8) * sum_k c_k (y/4)^(k + first) at every
+    entry y >= 0 of the array ys, as an array of its shape, the c_k being
+    the 0F1 coefficients at b = 2m/beta + shift; 0 at y = +inf.
 
     Each point stops at its second consecutive term at or below
-    acc.tail_tol times its partial sum; its value is that partial sum,
+    core.TAIL_TOL times its partial sum; its value is that partial sum,
     summed in index order, so it does not depend on the table size or
     on the other points.  The table grows rung by rung until every point
-    has stopped.  The powers of y/4 stop at acc.k_max; a point still
+    has stopped.  The powers of y/4 stop at core.K_MAX; a point still
     running once they are all in raises DivergenceError.
     """
-    ys = _points(y)
-    _warn_envelope(lp, ys)
+    tail_tol, k_max = core.TAIL_TOL, core.K_MAX
     flat = ys.ravel()
     out = np.zeros(flat.shape)  # 0 at y = +inf
     todo = np.flatnonzero(flat < math.inf)
@@ -184,7 +176,7 @@ def _series(lp: LimitParams, y, acc: SeriesAccuracy, shift: int, first: int, fac
     damp = lp.beta * flat / 8.0
     rung = 0
     while todo.size:
-        log_c = _f01_coeffs(lp.beta, lp.jack_index, shift, rung)[:max(0, acc.k_max + 1 - first)]
+        log_c = _f01_coeffs(lp.beta, lp.jack_index, shift, rung)[:max(0, k_max + 1 - first)]
         j = np.arange(first, first + len(log_c), dtype=float)
         if len(j) >= 2:  # the stopping rule reads two terms
             block = EDGE_SUM_BLOCK // len(j) + 1
@@ -195,39 +187,41 @@ def _series(lp: LimitParams, y, acc: SeriesAccuracy, shift: int, first: int, fac
                 t -= damp[pts, None]
                 t = np.exp(t + log_c)
                 partial = np.cumsum(t, axis=1)
-                small = t <= acc.tail_tol * partial
+                small = t <= tail_tol * partial
                 stop = small[:, 1:] & small[:, :-1]
                 done = stop.any(axis=1)
                 at = stop.argmax(axis=1)[done] + 1
                 out[pts[done]] = factor * partial[done, at]
                 running.append(pts[~done])
             todo = np.concatenate(running)
-        if todo.size and first + len(log_c) > acc.k_max:
+        if todo.size and first + len(log_c) > k_max:
             raise DivergenceError(
-                f"0F1 series did not meet tail_tol={acc.tail_tol:g} within "
-                f"k_max={acc.k_max} at y={flat[todo[0]]} (beta={lp.beta}, m={lp.jack_index})"
+                f"0F1 series did not meet tail_tol={tail_tol:g} within "
+                f"k_max={k_max} at y={flat[todo[0]]} (beta={lp.beta}, m={lp.jack_index})"
             )
         rung += 1
     if not np.all(np.isfinite(out)):
         raise DivergenceError(f"0F1 series overflowed (beta={lp.beta}, m={lp.jack_index})")
-    return ys, out.reshape(ys.shape)
+    return out.reshape(ys.shape)
 
 
-def q_limit(lp: LimitParams, y, acc: SeriesAccuracy = DEFAULT_ACCURACY):
+def q_limit(lp: LimitParams, y):
     """Limiting survival function Q(y) = Prob(scaled smallest eigenvalue > y)
     at a float y (returns a float) or at every entry of an array (returns
     an array of its shape); exactly 1 at y = 0 and 0 at y = +inf."""
-    ys, out = _series(lp, y, acc, 0, 0, 1.0)
+    ys = _limit_points(lp, y)
+    out = _series(lp, ys, 0, 0, 1.0)
     return out if ys.ndim else float(out)
 
 
-def p_limit(lp: LimitParams, y, acc: SeriesAccuracy = DEFAULT_ACCURACY):
+def p_limit(lp: LimitParams, y):
     """Limiting density P(y) = -dQ/dy at a float y or at every entry of an
     array: D_m exp(-beta*y/8) sum_k c'_k (y/4)^(m+k), the exact termwise
     derivative summed from j = m (see the module docstring; no finite
     differencing).  beta/8 at y = 0 when m = 0, else 0 there, and 0 at
     y = +inf."""
-    ys, out = _series(lp, y, acc, 2, lp.jack_index, _density_constant(lp))
+    ys = _limit_points(lp, y)
+    out = _series(lp, ys, 2, lp.jack_index, _density_constant(lp))
     return out if ys.ndim else float(out)
 
 
@@ -255,16 +249,18 @@ def q_limit_closed(lp: LimitParams, y: float):
     # factors combined in logs: e^(-beta y/8) underflows and I(r)
     # overflows long before their product leaves double range
     if m == 1:
+        core.warn_outside("bessel", x=r)
         rho = 2.0 / beta - 1.0
-        log_pref = (2.0 / beta - 1.0) * math.log(2.0) + log_gamma(2.0 / beta)
-        i, scale = _bessel_i_scaled(rho, r, DEFAULT_ACCURACY)
+        log_pref = (2.0 / beta - 1.0) * math.log(2.0) + math.lgamma(2.0 / beta)
+        i, scale = _bessel_i_scaled(rho, r)
         return math.exp(
             log_pref - beta * y / 8.0 + (0.5 - 1.0 / beta) * math.log(y)
             + math.log(i) + scale
         )
     if m == 2 and abs(beta - 2.0) < 1e-12:
-        i0, scale0 = _bessel_i_scaled(0.0, r, DEFAULT_ACCURACY)
-        i1, scale1 = _bessel_i_scaled(1.0, r, DEFAULT_ACCURACY)
+        core.warn_outside("bessel", x=r)
+        i0, scale0 = _bessel_i_scaled(0.0, r)
+        i1, scale1 = _bessel_i_scaled(1.0, r)
         diff = i0 * i0 - i1 * i1 * math.exp(2.0 * (scale1 - scale0))
         if not diff > 0.0:
             return 0.0
@@ -282,31 +278,37 @@ def limit_prefactor(lp: LimitParams) -> float:
     return math.exp(
         m * math.log(4.0)
         + (h + 2.0 * m + 1.0) * math.log(h)
-        + log_gamma(1.0 + h)
-        - log_gamma(1.0 + m)
-        - log_gamma(1.0 + m + h)
+        + math.lgamma(1.0 + h)
+        - math.lgamma(1.0 + m)
+        - math.lgamma(1.0 + m + h)
     )
 
 
-def p_limit_printed(lp: LimitParams, y, acc: SeriesAccuracy = DEFAULT_ACCURACY):
+def p_limit_printed(lp: LimitParams, y):
     """The "explicit density" as printed:
     A(m, beta) y^m e^(-beta*y/8) 0F1^{(beta/2)}(2m/beta + 2; (y/4) 1^m),
     at a float y or at every entry of an array.
     Diagnostics only -- disagrees with p_limit by constant factors."""
-    ys, out = _series(lp, y, acc, 2, 0, 1.0)
-    out *= limit_prefactor(lp) * np.where(ys < math.inf, ys, 0.0) ** lp.jack_index  # 0 at +inf
+    ys = _limit_points(lp, y)
+    out = _printed(lp, ys)
     return out if ys.ndim else float(out)
 
 
-def prefactor_diagnostics(lp: LimitParams, ys, acc: SeriesAccuracy = DEFAULT_ACCURACY):
+def _printed(lp: LimitParams, ys: np.ndarray) -> np.ndarray:
+    out = _series(lp, ys, 2, 0, 1.0)
+    out *= limit_prefactor(lp) * np.where(ys < math.inf, ys, 0.0) ** lp.jack_index  # 0 at +inf
+    return out
+
+
+def prefactor_diagnostics(lp: LimitParams, ys):
     """Compare the printed density against the series density -dQ/dy on a
     grid of y values.  Returns a report dict with per-point ratios and the
     spread of the ratio; a constant ratio != 1 means the printed prefactor
     is off by exactly that constant, a varying ratio means the functional
     form itself differs."""
     ys = [float(y) for y in ys]
-    truth = p_limit(lp, np.array(ys), acc).tolist()
-    printed = p_limit_printed(lp, np.array(ys), acc).tolist()
+    truth = p_limit(lp, np.array(ys)).tolist()  # the call's one PrecisionWarning
+    printed = _printed(lp, np.array(ys)).tolist()
     rows = []
     ratios = []
     for y, t, pr in zip(ys, truth, printed):

@@ -1,8 +1,7 @@
 """Shared numerical kernels.
 
-Log-gamma and log gamma-ratio products, the modified Bessel function of
-the first kind by its ascending series, and the one assembler of the
-finite-N laws.  Consumer modules represent series terms in log-magnitude
+The modified Bessel function of the first kind, and the one assembler of
+the finite-N laws.  Consumer modules represent series terms in log-magnitude
 + sign form because Gamma(beta*M*N/2) overflows double precision already
 near N ~ 60; the helpers here are the building blocks for that
 representation.
@@ -20,33 +19,14 @@ x, in blocks, with each point's terms scaled by their largest magnitude
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
-from .core import DEFAULT_ACCURACY, SeriesAccuracy
-from .errors import DivergenceError, DomainError, PrecisionWarning
-
-#: Largest Bessel argument inside the validated accuracy envelope.
-BESSEL_X_ENVELOPE = 60.0
+from . import core
+from .errors import DivergenceError, DomainError
 
 #: Points x terms per block of the assembler's temporaries.
 EDGE_SUM_BLOCK = 1 << 16
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0 (relative error <= 1e-13 on
-    [1e-3, 1e6])."""
-    if not (x > 0):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def log_gamma_ratio_falling(a: float, k: int) -> float:
-    """log(Gamma(a)/Gamma(a-k)) summed factor by factor (requires a-k > 0)."""
-    if not (a - k > 0):
-        raise DomainError(f"requires a - k > 0, got a={a}, k={k}")
-    return math.fsum(math.log(a - i) for i in range(1, k + 1))
 
 
 def _points(x) -> np.ndarray:
@@ -91,37 +71,32 @@ def _edge_sum(log_c, sign_c, n: int, e: float, x: np.ndarray, first: int = 0) ->
     return out.reshape(x.shape)
 
 
-def bessel_i(rho: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> float:
+def bessel_i(rho: float, x: float) -> float:
     """Modified Bessel function of the first kind, I_rho(x).
 
-    Up to x = BESSEL_X_ENVELOPE, evaluates the ascending series
+    Inside the envelope x <= 60 (the "bessel" row of core.ENVELOPES),
+    evaluates the ascending series
 
         I_rho(x) = (x/2)^rho * sum_{k>=0} (x/2)^(2k) / (k! Gamma(rho+k+1))
 
-    truncated once the next term falls below ``acc.tail_tol`` times the
-    partial sum.  All terms are positive, so there is no cancellation and
-    the relative error is <= 1e-12 on the validated envelope x in [0, 60].
-    Beyond it, where the large-argument expansion (DLMF 10.40.1) reaches
-    ``acc.tail_tol``, e^(-x) I_rho(x) comes from that expansion; otherwise
-    the series is summed as before.  Larger x is flagged with a
-    PrecisionWarning.
+    truncated once the next term falls below core.TAIL_TOL times the
+    partial sum (DivergenceError past core.K_MAX terms).  All terms are
+    positive, so there is no cancellation and the relative error is
+    <= 1e-12 there.  Beyond it, where the large-argument expansion
+    (DLMF 10.40.1) reaches core.TAIL_TOL, e^(-x) I_rho(x) comes from that
+    expansion; otherwise the series is summed as before.  Larger x is
+    flagged with a PrecisionWarning.
 
-    Parameters
-    ----------
-    rho : float
-        Order, must be > -1.
-    x : float
-        Argument, must be >= 0.
-    acc : SeriesAccuracy
-        Truncation policy.
-
-    Returns
-    -------
-    float
-        I_rho(x), +inf once it overflows a double (x >~ 713) and at
-        x = +inf.  For x=0: 1 if rho=0, 0 if rho>0, +inf if -1<rho<0.
+    Requires rho > -1 and x >= 0.  Returns +inf once I_rho(x) overflows a
+    double (x >~ 713) and at x = +inf; at x = 0, 1 if rho = 0, 0 if
+    rho > 0 and +inf if -1 < rho < 0.
     """
-    value, scale = _bessel_i_scaled(rho, x, acc)
+    if not (rho > -1):
+        raise DomainError(f"bessel_i requires rho > -1, got {rho}")
+    if not (x >= 0):
+        raise DomainError(f"bessel_i requires x >= 0, got {x}")
+    core.warn_outside("bessel", x=x)
+    value, scale = _bessel_i_scaled(rho, x)
     if scale == 0.0:
         return value
     try:
@@ -134,25 +109,15 @@ def bessel_i(rho: float, x: float, acc: SeriesAccuracy = DEFAULT_ACCURACY) -> fl
         return math.inf
 
 
-def _bessel_i_scaled(rho: float, x: float, acc: SeriesAccuracy) -> tuple:
-    """I_rho(x) = value * e^scale: (series value, 0.0), or beyond the
-    envelope (e^(-x) I_rho(x) by DLMF 10.40.1, x) where that expansion
-    reaches acc.tail_tol.  Validates like bessel_i and warns on behalf of
-    its caller's caller."""
-    if not (rho > -1):
-        raise DomainError(f"bessel_i requires rho > -1, got {rho}")
-    if not (x >= 0):
-        raise DomainError(f"bessel_i requires x >= 0, got {x}")
-    if x > BESSEL_X_ENVELOPE:
-        warnings.warn(
-            f"bessel_i argument x={x:g} exceeds the validated envelope "
-            f"x <= {BESSEL_X_ENVELOPE:g}; result is best-effort",
-            PrecisionWarning,
-            stacklevel=3,
-        )
+def _bessel_i_scaled(rho: float, x: float) -> tuple:
+    """I_rho(x) = value * e^scale for rho > -1, x >= 0: (series value, 0.0),
+    or past the envelope's x (e^(-x) I_rho(x) by DLMF 10.40.1, x) where
+    that expansion reaches core.TAIL_TOL.  Neither validates nor warns."""
+    tail_tol, k_max = core.TAIL_TOL, core.K_MAX
+    if x > core.ENVELOPES["bessel"]["x"][1]:
         if x == math.inf:
             return math.inf, 0.0
-        scaled = _bessel_i_large(rho, x, acc.tail_tol)
+        scaled = _bessel_i_large(rho, x, tail_tol)
         if scaled is not None:
             return scaled, x
     if x == 0.0:
@@ -166,7 +131,7 @@ def _bessel_i_scaled(rho: float, x: float, acc: SeriesAccuracy) -> tuple:
     total = term
     comp = 0.0
     hh = half * half
-    for k in range(1, acc.k_max + 1):
+    for k in range(1, k_max + 1):
         term *= hh / (k * (rho + k))
         t = total + term
         if abs(total) >= term:
@@ -174,11 +139,11 @@ def _bessel_i_scaled(rho: float, x: float, acc: SeriesAccuracy) -> tuple:
         else:
             comp += (term - t) + total
         total = t
-        if term < acc.tail_tol * total:
+        if term < tail_tol * total:
             return total + comp, 0.0
     raise DivergenceError(
-        f"bessel_i series did not meet tail_tol={acc.tail_tol:g} within "
-        f"k_max={acc.k_max} terms (rho={rho}, x={x})"
+        f"bessel_i series did not meet tail_tol={tail_tol:g} within "
+        f"k_max={k_max} terms (rho={rho}, x={x})"
     )
 
 

@@ -363,21 +363,26 @@ def save_batch(batch: SampleBatch, path):
 
 
 def load_batch(path) -> SampleBatch:
-    """Read a batch file; a header without a "stream" field is stream 1."""
+    """Read a batch file; a header without a "stream" field is stream 1.
+    A malformed header or value line, or a value that is not finite,
+    raises DomainError."""
     with open(path) as fh:
-        header = json.loads(fh.readline())
-        values = np.array([float(line) for line in fh if line.strip()])
-    params = params_new(header["beta"], header["n_dim"], header["m_dim"])
-    if len(values) != header["count"]:
-        raise DomainError(
-            f"batch file holds {len(values)} values, header says {header['count']}"
-        )
-    stream = header.get("stream", 1)
+        first, lines = fh.readline(), [line for line in fh if line.strip()]
+    try:
+        header = json.loads(first)
+        params = params_new(header["beta"], header["n_dim"], header["m_dim"])
+        seed, count = int(header["seed"]), header["count"]
+        stream = header.get("stream", 1)
+        values = np.array([float(line) for line in lines])
+    except (ValueError, KeyError, TypeError) as exc:  # DomainError is a ValueError
+        raise DomainError(f"malformed batch file {path}: {exc!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"batch file {path} holds a value that is not finite")
+    if len(values) != count:
+        raise DomainError(f"batch file holds {len(values)} values, header says {count}")
     if stream not in (1, STREAM):
         raise DomainError(f"unknown batch stream version {stream!r}")
-    return SampleBatch(
-        params, int(header["seed"]), values, int(header["count"]), stream
-    )
+    return SampleBatch(params, seed, values, int(count), stream)
 
 
 def ks_validate(batch: SampleBatch, cdf, level: float = 0.01) -> KSReport:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lagmin
-from lagmin import cli
+from lagmin import cli, core
 from lagmin.beta2 import q_exact_beta2
 from lagmin.cli import DEFAULT_SEED, build_parser, main
 from lagmin.core import params_new
@@ -118,10 +118,11 @@ def test_limit_warning_is_reported(capsys):
     assert "envelope" in err
 
 
-def test_limit_kmax_too_small_is_one_error_line(capsys):
+def test_limit_kmax_too_small_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(core, "K_MAX", 4)
     for cmd in ("limit-cdf", "limit-pdf"):
         code, out, err = run_cli(capsys, cmd, "--beta", "1", "--m", "1",
-                                 "--grid", "0:40:3", "--kmax", "4")
+                                 "--grid", "0:40:3")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -311,7 +312,7 @@ def test_parser_is_built_once_and_reused(capsys):
         ("exact-cdf", "--beta", "2", "--N", "3", "--M", "5", "--grid", "0:0.3:4"),
         ("exact-cdf", "--beta", "2", "--N", "3"),  # usage error
         ("moments", "--beta", "4", "--N", "2", "--M", "3", "--p", "1", "2"),
-        ("limit-pdf", "--beta", "1", "--m", "2", "--grid", "0:5:3", "--tol", "1e-10"),
+        ("limit-pdf", "--beta", "1", "--m", "2", "--grid", "0:5:3"),
         ("beta2-cdf", "--N", "2", "--M", "4", "--grid", "0:0.5:3", "--format", "json"),
         ("no-such-command",),
         ("exact-pdf", "--beta", "1", "--N", "3", "--M", "6", "--grid", "0:0.2:3"),
@@ -338,16 +339,27 @@ def test_bad_beta_is_one_error_line(capsys, beta):
 
 
 def test_accuracy_flags_only_on_the_limit_commands(capsys):
-    for cmd in ("exact-cdf", "exact-pdf"):
-        assert run_cli(capsys, cmd, "--beta", "2", "--N", "2", "--M", "3",
-                       "--grid", "0:0.5:3", "--tol", "1e-8")[0] == 2
-    assert run_cli(capsys, "moments", "--beta", "2", "--N", "2", "--M", "3",
-                   "--p", "1", "--kmax", "50")[0] == 2
-    code, out, _ = run_cli(capsys, "limit-cdf", "--beta", "2", "--m", "1",
-                           "--grid", "0:4:3", "--tol", "1e-8", "--kmax", "400")
+    # the limit commands lost --tol/--kmax too: on every command they are
+    # one usage error, and the limit config carries no accuracy keys
+    base = {
+        "exact-cdf": ("--beta", "2", "--N", "2", "--M", "3", "--grid", "0:0.5:3"),
+        "exact-pdf": ("--beta", "2", "--N", "2", "--M", "3", "--grid", "0:0.5:3"),
+        "beta2-cdf": ("--N", "2", "--M", "3", "--grid", "0:0.5:3"),
+        "moments": ("--beta", "2", "--N", "2", "--M", "3", "--p", "1"),
+        "limit-cdf": ("--beta", "2", "--m", "1", "--grid", "0:4:3"),
+        "limit-pdf": ("--beta", "2", "--m", "1", "--grid", "0:4:3"),
+        "sample": ("--beta", "2", "--N", "2", "--M", "3", "--samples", "4"),
+        "validate": ("--beta", "2", "--N", "2", "--M", "3", "--samples", "4"),
+    }
+    for cmd, args in base.items():
+        for flag in (("--tol", "1e-8"), ("--kmax", "400")):
+            code, out, err = run_cli(capsys, cmd, *args, *flag)
+            assert code == 2 and out == ""
+            assert err.count("error:") == 1 and flag[0] in err
+    code, out, _ = run_cli(capsys, "limit-cdf", *base["limit-cdf"])
     assert code == 0
     config, _ = parse_csv(out)
-    assert config["tol"] == 1e-8 and config["kmax"] == 400
+    assert config == {"command": "limit-cdf", "beta": 2.0, "m": 1}
 
 
 def test_exact_json_config_and_one_warning_per_call(capsys):

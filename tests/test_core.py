@@ -1,9 +1,27 @@
+import ast
+import importlib
+import inspect
 import math
+import pkgutil
+import warnings
 
 import pytest
 
-from lagmin.core import EnsembleParams, SeriesAccuracy, params_new, require_jack_index
-from lagmin.errors import DomainError, NonIntegerJackIndex
+import lagmin
+from lagmin import core
+from lagmin.core import EnsembleParams, params_new, require_jack_index
+from lagmin.errors import DomainError, NonIntegerJackIndex, PrecisionWarning
+from lagmin.exact import moment, p_exact, q_exact, q_oracle_n2
+from lagmin.beta2 import q_exact_beta2
+from lagmin.limit import (
+    LimitParams,
+    p_limit,
+    p_limit_printed,
+    prefactor_diagnostics,
+    q_limit,
+    q_limit_closed,
+)
+from lagmin.numerics import bessel_i
 
 
 def test_basic_derivation():
@@ -77,16 +95,6 @@ def test_alpha_lower_bound_holds_on_admissible_inputs():
             assert p.alpha > -2.0 / beta
 
 
-def test_series_accuracy():
-    acc = SeriesAccuracy()
-    assert acc.tail_tol == 1e-12 and acc.k_max == 500
-    assert math.isfinite(SeriesAccuracy(tail_tol=1e-8, k_max=50).tail_tol)
-    with pytest.raises(DomainError):
-        SeriesAccuracy(tail_tol=0.0)
-    with pytest.raises(DomainError):
-        SeriesAccuracy(k_max=0)
-
-
 def test_direct_constructor_rejects_bad_fields():
     with pytest.raises(DomainError):
         EnsembleParams(beta=2.0, n_dim=2, m_dim=1, alpha=0.0, jack_index=0)
@@ -105,20 +113,103 @@ def test_nonfinite_and_tiny_beta():
     assert p.alpha == 5 - 3 + 1 - 2.0 / 1e-300 and p.jack_index is None
 
 
+def _modules():
+    return [importlib.import_module(f"lagmin.{info.name}")
+            for info in pkgutil.iter_modules(lagmin.__path__)]
+
+
 def test_every_cache_is_bounded():
     # an lru_cache without maxsize grows with every distinct argument
-    import importlib
-    import pkgutil
-
-    import lagmin
-
     caches = []
-    for info in pkgutil.iter_modules(lagmin.__path__):
-        module = importlib.import_module(f"lagmin.{info.name}")
+    for module in _modules():
         for name, obj in vars(module).items():
             params = getattr(obj, "cache_parameters", None)
             if callable(params) and getattr(obj, "__module__", None) == module.__name__:
-                caches.append((f"{info.name}.{name}", params()["maxsize"]))
+                caches.append((f"{module.__name__}.{name}", params()["maxsize"]))
     assert len(caches) >= 7  # the walk reaches the known caches
     unbounded = [name for name, maxsize in caches if maxsize is None]
     assert unbounded == []
+
+
+# ---------- the accuracy policy: one envelope table, one warner ----------
+
+
+def test_only_core_warns_or_holds_envelopes():
+    # the envelope bounds live in core.ENVELOPES and only core.warn_outside
+    # issues PrecisionWarning: no other module names the class in its code
+    # or calls a warn function
+    offenders = []
+    for module in _modules():
+        offenders += [f"{module.__name__}.{name}" for name in vars(module)
+                      if name.endswith("_ENVELOPE")]
+        if module is core:
+            continue
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Name) and node.id == "PrecisionWarning":
+                offenders.append(f"{module.__name__}: PrecisionWarning at line {node.lineno}")
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn":
+                offenders.append(f"{module.__name__}: warn() at line {node.lineno}")
+    assert offenders == []
+
+
+def _recorded(call, **kw):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(**kw)
+    return caught
+
+
+# one call per route of the table, taking that row's parameters by name
+ROUTE_CALLS = {
+    "exact": lambda N=2, m=0: q_exact(params_new(2.0, N, N + m), 0.0),
+    "beta2": lambda N=2, alpha=0: q_exact_beta2(N, N + alpha, 0.0),
+    "limit": lambda y=1.0, m=0: q_limit(LimitParams(2.0, m), y),
+    "bessel": lambda x=1.0: bessel_i(0.0, x),
+    "oracle_n2": lambda beta=2.0, M=4: q_oracle_n2(params_new(beta, 2, M), 0.1),
+}
+# lower bounds that are domain edges: just past them the call is rejected
+DOMAIN_EDGES = {("exact", "N"), ("exact", "m"), ("beta2", "N"), ("beta2", "alpha"),
+                ("limit", "y"), ("limit", "m"), ("bessel", "x"), ("oracle_n2", "M")}
+
+
+def test_every_route_has_a_call():
+    assert set(ROUTE_CALLS) == set(core.ENVELOPES)
+
+
+@pytest.mark.parametrize("route,name,side", [
+    (route, name, side) for route, row in core.ENVELOPES.items() for name in row
+    for side in (-1, 1)
+])
+def test_envelope_bound_is_inside_and_just_past_warns(route, name, side):
+    bound = core.ENVELOPES[route][name][side > 0]
+    assert _recorded(ROUTE_CALLS[route], **{name: bound}) == []
+    past = bound + side if isinstance(bound, int) else math.nextafter(bound, side * math.inf)
+    if side < 0 and (route, name) in DOMAIN_EDGES:
+        with pytest.raises(DomainError):
+            ROUTE_CALLS[route](**{name: past})
+        return
+    caught = _recorded(ROUTE_CALLS[route], **{name: past})
+    assert [w.category for w in caught] == [PrecisionWarning]
+    assert "envelope" in str(caught[0].message)
+
+
+OUTSIDE_CALLS = {
+    "q_exact": lambda: q_exact(params_new(2.0, 51, 51), [0.0, 0.01]),
+    "p_exact": lambda: p_exact(params_new(2.0, 2, 9), 0.1),
+    "moment": lambda: moment(params_new(2.0, 51, 51), 2),
+    "q_exact_beta2": lambda: q_exact_beta2(3, 10, [0.0, 0.1]),
+    "q_oracle_n2": lambda: q_oracle_n2(params_new(8.5, 2, 4), [0.1, 0.2]),
+    "q_limit": lambda: q_limit(LimitParams(2.0, 1), [1.0, 150.0, 200.0]),
+    "p_limit": lambda: p_limit(LimitParams(2.0, 7), 1.0),
+    "p_limit_printed": lambda: p_limit_printed(LimitParams(2.0, 1), [150.0, 160.0]),
+    "prefactor_diagnostics": lambda: prefactor_diagnostics(LimitParams(2.0, 1), [150.0]),
+    "q_limit_closed": lambda: q_limit_closed(LimitParams(2.0, 2), 5000.0),  # two Bessel factors
+    "bessel_i": lambda: bessel_i(0.0, 70.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_CALLS))
+def test_one_warning_per_call_attributed_to_the_caller(name):
+    caught = _recorded(OUTSIDE_CALLS[name])
+    assert [w.category for w in caught] == [PrecisionWarning]
+    assert caught[0].filename == __file__

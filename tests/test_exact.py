@@ -1,6 +1,7 @@
 """Finite-size survival function, density, moments, normalization."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -403,6 +404,19 @@ def test_oracle_array_call_equals_scalar_calls(beta, m_dim):
     assert isinstance(q_oracle_n2(p, 0.2), float)
     assert np.array_equal(q_oracle_n2(p, xs.reshape(-1, 5)), got.reshape(-1, 5))
     assert q_oracle_n2(p, np.zeros(0)).shape == (0,)
+
+
+def test_oracle_warns_outside_its_measured_band():
+    # against 50-digit references the reflected branch is off by 3.7e-12
+    # at (beta, M) = (8, 1e5) and 2.9e-12 at (1e-3, 2): outside beta in
+    # [0.1, 8], M <= 200 a call issues one PrecisionWarning
+    for beta, m_dim in ((8.0, 100_000), (1e-3, 2)):
+        with pytest.warns(PrecisionWarning, match="oracle_n2") as caught:
+            q_oracle_n2(params_new(beta, 2, m_dim), np.linspace(0.0, 0.5, 11))
+        assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q_oracle_n2(params_new(1.7, 2, 4), np.linspace(0.0, 0.5, 11))
 
 
 def test_oracle_rejects_points_off_its_support():

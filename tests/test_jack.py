@@ -16,8 +16,7 @@ from partition_reference import (
     pochhammer,
 )
 
-from lagmin import limit
-from lagmin.core import SeriesAccuracy
+from lagmin import core, limit
 from lagmin.errors import DivergenceError, DomainError
 
 
@@ -153,13 +152,14 @@ def test_hyper_0f1_is_bessel():
     )
 
 
-def test_hyper_divergence_guard():
+def test_hyper_divergence_guard(monkeypatch):
     # 0F1(; 2; 10) needs far more than the powers u^0..u^4
+    monkeypatch.setattr(core, "K_MAX", 4)
     lp = limit.LimitParams(1.0, 1)
     with pytest.raises(DivergenceError):
-        limit.q_limit(lp, 40.0, SeriesAccuracy(k_max=4))
+        limit.q_limit(lp, 40.0)
     with pytest.raises(DivergenceError):
-        limit.p_limit(lp, 40.0, SeriesAccuracy(k_max=4))
-    # the density starts at u^m: m > k_max leaves no term to sum
+        limit.p_limit(lp, 40.0)
+    # the density starts at u^m: m > K_MAX leaves no term to sum
     with pytest.raises(DivergenceError):
-        limit.p_limit(limit.LimitParams(2.0, 5), 1.0, SeriesAccuracy(k_max=4))
+        limit.p_limit(limit.LimitParams(2.0, 5), 1.0)

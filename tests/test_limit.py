@@ -10,8 +10,7 @@ import pytest
 import scipy.special
 from partition_reference import check_partition_stream, enumerate_partitions, gen_factorial, jack_c_one
 
-from lagmin import jack, limit
-from lagmin.core import SeriesAccuracy
+from lagmin import core, jack, limit
 from lagmin.errors import DomainError, PrecisionWarning
 from lagmin.limit import (
     LimitParams,
@@ -200,13 +199,6 @@ def test_envelope_warnings():
         q_limit(LimitParams(2.0, 7), 1.0)
 
 
-def test_accuracy_override():
-    # a loose tail tolerance still lands within its own budget
-    lp = LimitParams(2.0, 1)
-    rough = q_limit(lp, 4.0, SeriesAccuracy(tail_tol=1e-6, k_max=200))
-    assert rough == pytest.approx(q_limit(lp, 4.0), rel=1e-5)
-
-
 # ---------- the printed prefactor and its documented mismatch ----------
 
 def test_prefactor_value():
@@ -260,14 +252,15 @@ def test_coeffs_match_per_partition_reference(beta, shift):
             assert got[k] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
-def test_stopping_rule_reads_two_small_terms():
+def test_stopping_rule_reads_two_small_terms(monkeypatch):
     # beta=2, m=1, y=4: Q = e^-1 sum_k 1/(k!)^2; at tail_tol=1e-3 the terms
     # k=4 (1/576) and k=5 (1/14400) are the first two in a row at or below
     # 1e-3 of the partial sum, so the sum stops after k=5
     lp = LimitParams(2.0, 1)
-    want = math.exp(-1.0) * math.fsum(1.0 / math.factorial(k) ** 2 for k in range(6))
-    assert q_limit(lp, 4.0, SeriesAccuracy(tail_tol=1e-3)) == pytest.approx(want, rel=1e-15)
     assert q_limit(lp, 4.0) == pytest.approx(math.exp(-1.0) * scipy.special.iv(0, 2.0), rel=1e-15)
+    want = math.exp(-1.0) * math.fsum(1.0 / math.factorial(k) ** 2 for k in range(6))
+    monkeypatch.setattr(core, "TAIL_TOL", 1e-3)
+    assert q_limit(lp, 4.0) == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 20, jack.CHUNK_ROWS])

@@ -348,6 +348,28 @@ def test_batch_unknown_stream(tmp_path):
         load_batch(path)
 
 
+_HEADER = '{"beta": 2.0, "n_dim": 2, "m_dim": 3, "seed": 5, "count": 1}\n'
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("not json\n0.125\n", id="header-not-json"),
+    pytest.param("[2.0, 2, 3]\n0.125\n", id="header-not-object"),
+    pytest.param('{"beta": 2.0, "n_dim": 2, "seed": 5, "count": 1}\n0.125\n', id="missing-key"),
+    pytest.param(_HEADER.replace("2.0", '"two"') + "0.125\n", id="bad-beta"),
+    pytest.param(_HEADER.replace("5", "null") + "0.125\n", id="bad-seed"),
+    pytest.param(_HEADER + "abc\n", id="value-not-float"),
+    pytest.param(_HEADER + "nan\n", id="value-nan"),
+    pytest.param(_HEADER.replace('"count": 1', '"count": 2') + "0.125\ninf\n", id="value-inf"),
+    pytest.param(_HEADER.replace('"count": 1', '"count": 2') + "0.125\n", id="count-mismatch"),
+    pytest.param("", id="empty-file"),
+])
+def test_load_batch_malformed_file_is_domain_error(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(DomainError):
+        load_batch(path)
+
+
 def test_batch_count_mismatch():
     p = params_new(2.0, 2, 3)
     with pytest.raises(DomainError):
