@@ -14,12 +14,28 @@ import math
 
 from lagmin import (
     moment,
-    norm_const,
     p_exact,
     params_new,
     q_exact,
     q_oracle_n2,
 )
+
+
+def norm_const_log(params):
+    """log of the normalization constant C_{N,M} of the joint density."""
+    beta = params.beta
+    n = params.n_dim
+    m_dim = params.m_dim
+    out = math.lgamma(0.5 * beta * m_dim * n) + n * math.lgamma(1.0 + 0.5 * beta)
+    for j in range(n):
+        out -= math.lgamma(0.5 * beta * (m_dim - j))
+        out -= math.lgamma(1.0 + 0.5 * beta * (n - j))
+    return out
+
+
+def norm_const(params):
+    """Normalization constant C_{N,M}; equals 1 when N=1."""
+    return math.exp(norm_const_log(params))
 
 
 def show_params(cases):

@@ -13,13 +13,10 @@ from .errors import (
     EigensolverFailure,
     EmptySample,
     NonIntegerJackIndex,
-    NumericalInconsistency,
     PrecisionWarning,
 )
 from .exact import (
     moment,
-    norm_const,
-    norm_const_log,
     p_exact,
     q_exact,
     q_oracle_n2,
@@ -63,7 +60,6 @@ __all__ = [
     "KSReport",
     "LimitParams",
     "NonIntegerJackIndex",
-    "NumericalInconsistency",
     "PrecisionWarning",
     "SampleBatch",
     "bessel_i",
@@ -74,8 +70,6 @@ __all__ = [
     "limit_prefactor",
     "load_batch",
     "moment",
-    "norm_const",
-    "norm_const_log",
     "p_exact",
     "p_limit",
     "p_limit_printed",

@@ -128,7 +128,7 @@ def q_exact_beta2(n_dim: int, m_dim: int, x):
     alpha = m_dim - n_dim
     warn_outside("beta2", N=n_dim, alpha=alpha)
     log_a = _beta2_coeffs(n_dim, alpha)
-    out = _edge_sum(log_a, np.ones(len(log_a)), n_dim, m_dim * n_dim - 1.0, xs)
+    out = _edge_sum(log_a, n_dim, m_dim * n_dim - 1.0, xs)
     return out if xs.ndim else float(out)
 
 

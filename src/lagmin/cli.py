@@ -49,7 +49,6 @@ from .errors import (
     DomainError,
     EigensolverFailure,
     EmptySample,
-    NumericalInconsistency,
 )
 from .exact import moment, p_exact, q_exact, q_oracle_n2
 from .beta2 import q_exact_beta2
@@ -321,7 +320,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, NumericalInconsistency, EigensolverFailure, EmptySample) as exc:
+    except (DivergenceError, EigensolverFailure, EmptySample) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,11 +16,6 @@ class DivergenceError(ArithmeticError):
     """A series failed to meet its tail tolerance within the term cap."""
 
 
-class NumericalInconsistency(ArithmeticError):
-    """A computed value violates a mathematical certainty (e.g. a density
-    below zero) by more than roundoff can explain."""
-
-
 class EigensolverFailure(RuntimeError):
     """Bisection failed to bracket the requested eigenvalue."""
 

@@ -45,21 +45,31 @@ jack._log_weight_sums, given these row terms: it streams the box in
 chunks of at most jack.CHUNK_ROWS partitions, reduces each chunk by
 weight with a per-k max shift and a positive sum, and merges it into
 running (peak, sum) pairs; memory stays at one chunk.  The
-coefficients are cached in log-magnitude + sign form (every sign +1),
-and log Gamma(G)/Gamma(G-k) beside them for the moments.
+coefficients are cached as their logs (every one is positive), and one
+table of log Gamma(G)/Gamma(G-k), k = 0..mN+1, per parameter set serves
+Q, P and the moments.
+
+The density P = -dQ/dx (exact, never a finite difference) has the
+coefficients d_j = N(G-1-j) A_j - (j+1) A_(j+1) of x^j (1-Nx)^(G-2-j).
+They vanish for j < m (P has an m-fold zero at the hard edge x = 0), and
+for j >= m they have a positive form of the same structure as A_k, with
+N -> N-1 and b = 2m/beta -> 2m/beta + 2 (the unconstrained density of
+Forrester, J. Math. Phys. 35 (1994) 2539, has the same shift):
+
+    d_(m+k) = D_(N,m) * [Gamma(G)/Gamma(G-m-1-k)] * S'_k,
+    D_(N,m) = (N/m!) prod_(i=1..m) (N nu + i)/(nu + i),
+
+S'_k the sum of W_kappa over the m x (N-1) box with row terms
+log(nu(N-1) + r - nu*t) - log(nu*t + m + 2 nu - r) - log(nu*t + nu + m - 1 - r);
+the tests prove the identity in exact rationals.  So P is built like Q,
+with no subtraction, from a box of N/(N+m) the partitions: it is exactly
+0 at x = 0 and keeps full relative accuracy as x -> 0.
 
 Q and P are sums of one shape, c_j x^j (1-Nx)^(e-j), and the one
-assembler numerics._edge_sum evaluates both over an array of x.  Q takes
-c_j = A_j with e = G-1.  The density P = -dQ/dx (exact, never a finite
-difference) takes e = G-2 and
-
-    d_j = N(G-1-j) A_j - (j+1) A_(j+1),
-
-which vanish for j < m: P has an m-fold zero at the hard edge x = 0.
-Those d_j are cancellation noise in floating point, so P sums from
-j = m; it is exactly 0 at x = 0 and keeps full relative accuracy as
-x -> 0.  The moments are Beta integrals of the same A_k, summed by the
-assembler's max-shifted reduction.
+assembler numerics._edge_sum evaluates both over an array of x: Q takes
+c_j = A_j with e = G-1, P takes c_j = d_j, j >= m, with e = G-2.  The
+moments are Beta integrals of the A_k, summed by the assembler's
+max-shifted reduction.
 
 q_oracle_n2 is the independent cross-check for N=2: the delta constraint
 collapses the joint density to one dimension and Q becomes a ratio of two
@@ -76,7 +86,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import EnsembleParams, require_jack_index, warn_outside
-from .errors import DivergenceError, DomainError, NumericalInconsistency
+from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
 from .numerics import _edge_sum, _points, _shifted_sum
 
@@ -84,8 +94,9 @@ from .numerics import _edge_sum, _points, _shifted_sum
 @lru_cache(maxsize=32)  # one entry per parameter set, as _series_coeffs
 def _log_falling(g: float, k_max: int) -> np.ndarray:
     """log(Gamma(g)/Gamma(g-k)) for k = 0..k_max, each an exact fsum of
-    its k factor logs, as a read-only array."""
-    logs = [math.log(g - i) for i in range(1, k_max + 1)]
+    its k factor logs, as a read-only array.  A factor g - i <= 0 (only
+    the last one, at N = 1, which no law reads) contributes -inf."""
+    logs = [math.log(g - i) if g > i else -math.inf for i in range(1, k_max + 1)]
     out = np.array([math.fsum(logs[:k]) for k in range(k_max + 1)])
     out.flags.writeable = False
     return out
@@ -99,49 +110,43 @@ def _log_gammas(p: int, count: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)  # each entry holds m*N + 1 pairs
-def _series_coeffs(params: EnsembleParams) -> tuple:
-    """x-independent coefficients A_k of Q(x) = sum_k A_k x^k (1-Nx)^{G-k-1},
-    as a read-only (m*N+1) x 2 array of rows (log|A_k|, sign), k = 0..m*N;
-    every sign is +1."""
+def _density_constant(params: EnsembleParams) -> float:
+    """D_(N,m) = (N/m!) prod_(i=1..m) (N nu + i)/(nu + i), the factor that
+    turns the m x (N-1) sums at b = 2m/beta + 2 into the density
+    coefficients d_(m+k)."""
+    nu, n, m = 0.5 * params.beta, params.n_dim, params.jack_index
+    return n * math.prod(n * nu + i for i in range(1, m + 1)) / (
+        math.factorial(m) * math.prod(nu + i for i in range(1, m + 1)))
+
+
+@lru_cache(maxsize=32)  # each entry holds at most m*N + 1 floats
+def _series_coeffs(params: EnsembleParams, shift: int) -> np.ndarray:
+    """log c_j of the coefficients of a finite-N law, as a read-only array:
+    shift 0 gives the A_k of Q, k = 0..m*N, from the m x N box; shift 2
+    gives the d_(m+k) of P, k = 0..m*(N-1), from the m x (N-1) box at
+    b = 2m/beta + 2.  Every coefficient is positive."""
     n = params.n_dim
     m = params.jack_index
     nu = 0.5 * params.beta
-    g = 0.5 * params.beta * params.m_dim * n
-    k_max = m * n
+    g = nu * params.m_dim * n
+    cols = n - shift // 2
     # row terms: cells of row r, with the hooks against the empty row m;
-    # n columns bound the parts by N, so the partitions fill the m x N box
-    t = nu * np.arange(n, dtype=float)
+    # the width bounds the parts, so the partitions fill the m x cols box
+    t = nu * np.arange(cols, dtype=float)
     r = np.arange(m, dtype=float)[:, None]
     peak, total = _log_weight_sums(
-        nu, np.log(nu * n + r - t) - np.log(t + m - r) - np.log(t + nu + m - 1 - r), 0, k_max
+        nu, np.log(nu * cols + r - t) - np.log(t + m + nu * shift - r) - np.log(t + nu + m - 1 - r),
+        0, m * cols,
     )
-
-    log_ratio = _log_falling(g, k_max)
+    # Gamma(G)/Gamma(G-k) for Q, Gamma(G)/Gamma(G-m-1-k) for P
+    log_ratio = _log_falling(g, m * n + 1)[m + 1 if shift else 0:]
     out = np.array([
-        (log_ratio[k] + float(peak[k]) + math.log(total[k]), 1.0)
-        for k in range(k_max + 1)
+        log_ratio[k] + float(peak[k]) + math.log(total[k]) for k in range(len(total))
     ])
+    if shift:
+        out += math.log(_density_constant(params))
     out.flags.writeable = False  # shared by every caller through the cache
     return out
-
-
-def _density_coeffs(params: EnsembleParams) -> tuple:
-    """(log|d_j|, sign d_j) arrays, j = 0..m*N, of the density
-    P(x) = -dQ/dx = sum_j d_j x^j (1-Nx)^(G-2-j), with
-
-        d_j = N(G-1-j) A_j - (j+1) A_(j+1)        (A_(mN+1) = 0).
-
-    d_j = 0 for j < m in exact arithmetic (P has an m-fold zero at x = 0);
-    in floating point those d_j are roundoff, and p_exact drops them."""
-    n = params.n_dim
-    g = 0.5 * params.beta * params.m_dim * n
-    log_a = _series_coeffs(params)[:, 0]
-    j = np.arange(len(log_a))
-    ratio = np.exp(np.append(log_a[1:] - log_a[:-1], -np.inf))  # A_(j+1) / A_j
-    d = n * (g - 1.0 - j) - (j + 1) * ratio
-    with np.errstate(divide="ignore"):
-        return log_a + np.log(np.abs(d)), np.sign(d)
 
 
 def q_exact(params: EnsembleParams, x):
@@ -161,19 +166,17 @@ def q_exact(params: EnsembleParams, x):
         out = np.where(xs < 1.0, 1.0, 0.0)
     else:
         g = 0.5 * params.beta * params.m_dim * n
-        log_a, sign_a = _series_coeffs(params).T
-        out = _edge_sum(log_a, sign_a, n, g - 1.0, xs)
+        out = _edge_sum(_series_coeffs(params, 0), n, g - 1.0, xs)
     return out if xs.ndim else float(out)
 
 
 def p_exact(params: EnsembleParams, x):
-    """Density P_{N,M}(x) = -dQ/dx from the exact coefficients d_j (see
-    _density_coeffs), at a float x or at every entry of an array.
+    """Density P_{N,M}(x) = -dQ/dx from its positive coefficients d_j,
+    j >= m (see _series_coeffs), at a float x or at every entry of an
+    array.
 
-    Nonnegative on [0, 1/N], exactly 0 at x=0 when m >= 1; tiny negative
-    roundoff is clamped to 0 and anything below -1e-9 raises
-    NumericalInconsistency.  For N=1 the law is a point mass at x=1, so
-    the density part is identically 0.
+    Nonnegative on [0, 1/N] and exactly 0 at x=0 when m >= 1.  For N=1
+    the law is a point mass at x=1, so the density part is identically 0.
     """
     m = require_jack_index(params)
     xs = _points(x)
@@ -183,13 +186,7 @@ def p_exact(params: EnsembleParams, x):
         out = np.zeros(xs.shape)
     else:
         g = 0.5 * params.beta * params.m_dim * n
-        log_d, sign_d = _density_coeffs(params)
-        out = _edge_sum(log_d[m:], sign_d[m:], n, g - 2.0, xs, first=m)
-        if np.any(out < -1e-9):
-            raise NumericalInconsistency(
-                f"density evaluated to {out.min()}, below -1e-9"
-            )
-        out = np.where(out > 0.0, out, 0.0)
+        out = _edge_sum(_series_coeffs(params, 2), n, g - 2.0, xs, first=m)
     return out if xs.ndim else float(out)
 
 
@@ -214,9 +211,9 @@ def moment(params: EnsembleParams, p: int) -> float:
         # point mass at x=1: every moment is exactly 1
         return 1.0
     g = 0.5 * params.beta * params.m_dim * n
-    log_a = _series_coeffs(params)[:, 0]
+    log_a = _series_coeffs(params, 0)
     k = np.arange(len(log_a))
-    log_ratio = _log_falling(g, len(log_a) - 1)
+    log_ratio = _log_falling(g, m * n + 1)[:-1]  # the table P shares
     log_gamma_pk = _log_gammas(p, len(log_a))
     # log of Gamma(G+p)/Gamma(G) = (G)(G+1)...(G+p-1), exact factors
     log_poch_g = math.fsum(math.log(g + i) for i in range(p))
@@ -224,24 +221,7 @@ def moment(params: EnsembleParams, p: int) -> float:
         math.log(p) + log_gamma_pk - (p + k) * math.log(n)
         + (log_a - log_ratio) - log_poch_g
     )
-    return float(_shifted_sum(logs, 1.0))
-
-
-def norm_const_log(params: EnsembleParams) -> float:
-    """log of the normalization constant C_{N,M} of the joint density."""
-    beta = params.beta
-    n = params.n_dim
-    m_dim = params.m_dim
-    out = math.lgamma(0.5 * beta * m_dim * n) + n * math.lgamma(1.0 + 0.5 * beta)
-    for j in range(n):
-        out -= math.lgamma(0.5 * beta * (m_dim - j))
-        out -= math.lgamma(1.0 + 0.5 * beta * (n - j))
-    return out
-
-
-def norm_const(params: EnsembleParams) -> float:
-    """Normalization constant C_{N,M}; equals 1 when N=1."""
-    return math.exp(norm_const_log(params))
+    return float(_shifted_sum(logs))
 
 
 #: Coefficients B_2k / (2k(2k-1)) of the Stirling series of

@@ -1,10 +1,10 @@
 """Shared numerical kernels.
 
 The modified Bessel function of the first kind, and the one assembler of
-the finite-N laws.  Consumer modules represent series terms in log-magnitude
-+ sign form because Gamma(beta*M*N/2) overflows double precision already
-near N ~ 60; the helpers here are the building blocks for that
-representation.
+the finite-N laws.  Consumer modules represent series coefficients by
+their logs, because Gamma(beta*M*N/2) overflows double precision already
+near N ~ 60; every coefficient of the package is positive, so a log is
+all a coefficient needs.
 
 Every finite-N law of the package (the survival function of both exact
 routes and the density) is a sum of one shape,
@@ -37,20 +37,20 @@ def _points(x) -> np.ndarray:
     return xs
 
 
-def _shifted_sum(logs: np.ndarray, signs) -> np.ndarray:
-    """sum_j signs[j] * exp(logs[..., j]) along the last axis, each row
-    scaled by its largest log first; a row of -inf logs sums to 0."""
+def _shifted_sum(logs: np.ndarray) -> np.ndarray:
+    """sum_j exp(logs[..., j]) along the last axis, each row scaled by its
+    largest log first; a row of -inf logs sums to 0."""
     peak = logs.max(axis=-1, keepdims=True)
     peak[peak == -np.inf] = 0.0
-    return (signs * np.exp(logs - peak)).sum(axis=-1) * np.exp(peak[..., 0])
+    return np.exp(logs - peak).sum(axis=-1) * np.exp(peak[..., 0])
 
 
-def _edge_sum(log_c, sign_c, n: int, e: float, x: np.ndarray, first: int = 0) -> np.ndarray:
+def _edge_sum(log_c, n: int, e: float, x: np.ndarray, first: int = 0) -> np.ndarray:
     """S(x) = sum_j c_j x^j (1-Nx)^(e-j), j = first, first+1, ..., at every
     entry of the array x (entries >= 0; S = 0 for x >= 1/N).
 
-    The coefficients come as arrays log_c[i] = log|c_(first+i)| and
-    sign_c[i] = its sign.  x^0 = 1 also at x = 0.  The points x terms
+    The coefficients are positive and come as the array log_c[i] =
+    log c_(first+i).  x^0 = 1 also at x = 0.  The points x terms
     temporary is bounded by processing x in blocks of EDGE_SUM_BLOCK
     elements; a point's value does not depend on the block it falls in.
     """
@@ -67,7 +67,7 @@ def _edge_sum(log_c, sign_c, n: int, e: float, x: np.ndarray, first: int = 0) ->
         t = np.multiply(lx, j, out=np.zeros((len(lx), len(j))), where=j > 0)
         t += log_c
         t += (e - j) * le
-        out[inside[lo:lo + block]] = _shifted_sum(t, sign_c)
+        out[inside[lo:lo + block]] = _shifted_sum(t)
     return out.reshape(x.shape)
 
 

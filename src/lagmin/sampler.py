@@ -57,6 +57,9 @@ BLOCK = 256
 #: Version of the (seed, index) -> draw map; batch files record it.
 STREAM = 2
 _SEED_LIMIT = 1 << 64
+# load_batch lets a value pass 1/N by this relative slack, for rounding;
+# a draw reaches 1/N only when all N eigenvalues coincide (always at N = 1).
+_EDGE_SLACK = 4.0 * np.finfo(float).eps
 # The eigenvalue bracket is closed at this width relative to its upper end.
 _RTOL = 2.0 ** -49
 # A worker span takes at least this many blocks and this many draws x N:
@@ -305,6 +308,14 @@ def tridiag_smallest(a2, b2):
         f"eigenvalue bracket still open after {_MAX_PASSES} passes")
 
 
+def _check_seed(seed) -> None:
+    """DomainError unless seed is an int in [0, 2^64)."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if not (0 <= seed < _SEED_LIMIT):
+        raise DomainError(f"seed must fit in 64 bits, got {seed}")
+
+
 def run_batch(
     params: EnsembleParams, count: int, seed: int, workers: int = 1
 ) -> SampleBatch:
@@ -315,10 +326,7 @@ def run_batch(
     smaller runs stay on the calling thread."""
     if not isinstance(count, int) or isinstance(count, bool) or count < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if not (0 <= seed < _SEED_LIMIT):
-        raise DomainError(f"seed must fit in 64 bits, got {seed}")
+    _check_seed(seed)
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
     if params.n_dim == 1:
@@ -364,20 +372,22 @@ def save_batch(batch: SampleBatch, path):
 
 def load_batch(path) -> SampleBatch:
     """Read a batch file; a header without a "stream" field is stream 1.
-    A malformed header or value line, or a value that is not finite,
-    raises DomainError."""
+    A malformed header or value line, a seed that run_batch rejects, or
+    a value outside [0, 1/N] (up to a few ulps past 1/N) raises
+    DomainError."""
     with open(path) as fh:
         first, lines = fh.readline(), [line for line in fh if line.strip()]
     try:
         header = json.loads(first)
         params = params_new(header["beta"], header["n_dim"], header["m_dim"])
-        seed, count = int(header["seed"]), header["count"]
+        seed, count = header["seed"], header["count"]
         stream = header.get("stream", 1)
         values = np.array([float(line) for line in lines])
     except (ValueError, KeyError, TypeError) as exc:  # DomainError is a ValueError
         raise DomainError(f"malformed batch file {path}: {exc!r}") from None
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"batch file {path} holds a value that is not finite")
+    _check_seed(seed)
+    if not np.all((values >= 0.0) & (values <= (1.0 + _EDGE_SLACK) / params.n_dim)):
+        raise DomainError(f"batch file {path} holds a value outside [0, 1/N]")
     if len(values) != count:
         raise DomainError(f"batch file holds {len(values)} values, header says {count}")
     if stream not in (1, STREAM):

@@ -4,11 +4,12 @@ import inspect
 import math
 import pkgutil
 import warnings
+from pathlib import Path
 
 import pytest
 
 import lagmin
-from lagmin import core
+from lagmin import core, errors
 from lagmin.core import EnsembleParams, params_new, require_jack_index
 from lagmin.errors import DomainError, NonIntegerJackIndex, PrecisionWarning
 from lagmin.exact import moment, p_exact, q_exact, q_oracle_n2
@@ -116,6 +117,23 @@ def test_nonfinite_and_tiny_beta():
 def _modules():
     return [importlib.import_module(f"lagmin.{info.name}")
             for info in pkgutil.iter_modules(lagmin.__path__)]
+
+
+def test_every_error_class_is_raised():
+    # an error class that no code of the package raises (or, for a warning,
+    # issues) is dead: every class of lagmin.errors must be named in a
+    # raise statement or passed to a warn call somewhere in src/lagmin
+    defined = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    used = set()
+    for path in Path(lagmin.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.add(getattr(exc, "id", None))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn":
+                used.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
+    assert defined and defined - used == set()
 
 
 def test_every_cache_is_bounded():

@@ -1,5 +1,6 @@
 """The demo scripts run to completion as a user runs them."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +11,14 @@ import pytest
 import lagmin
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def load_demo(name: str):
+    """The demo script demos/<name>.py, imported as a module by its path."""
+    spec = importlib.util.spec_from_file_location(name, DEMOS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("script", [

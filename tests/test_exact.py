@@ -23,7 +23,11 @@ from lagmin.beta2 import det_laguerre
 from lagmin.core import params_new
 from lagmin.beta2 import q_exact_beta2
 from lagmin.errors import DomainError, NonIntegerJackIndex, PrecisionWarning
-from lagmin.exact import moment, norm_const, p_exact, q_exact, q_oracle_n2
+from lagmin.exact import moment, p_exact, q_exact, q_oracle_n2
+from test_demos import load_demo
+
+# the normalization constant lives in the demo that prints it
+norm_const = load_demo("exact_distribution").norm_const
 
 
 # ---------- closed forms (hand-expanded low-order cases) ----------
@@ -117,15 +121,15 @@ def _exact_log(q: Fraction) -> float:
 def test_coeffs_match_exact_beta2_rationals(n, alpha):
     # at beta=2, A_k = c_k * Gamma(MN)/Gamma(MN-k) with c_k the exact
     # coefficients of the Laguerre determinant
-    coeffs = exact._series_coeffs(params_new(2.0, n, n + alpha))
+    log_a = exact._series_coeffs(params_new(2.0, n, n + alpha), 0)
     rational = det_laguerre(n, alpha)
-    assert len(coeffs) == len(rational)
+    assert len(log_a) == len(rational)
     mn = (n + alpha) * n
     falling = 1
     for k, c in enumerate(rational):
         if k:
             falling *= mn - k
-        assert abs(coeffs[k][0] - _exact_log(c * falling)) <= 2e-13
+        assert abs(log_a[k] - _exact_log(c * falling)) <= 2e-13
 
 
 def _per_partition_coeffs(beta, n, m_dim, m):
@@ -160,11 +164,11 @@ def test_coeffs_match_per_partition_reference(case):
     beta, n, m_dim, m = case
     p = params_new(beta, n, m_dim)
     assert p.jack_index == m
-    coeffs = exact._series_coeffs(p)
+    log_a = exact._series_coeffs(p, 0)
     want = _per_partition_coeffs(beta, n, m_dim, m)
-    assert len(coeffs) == len(want)
-    for (lg, sign), w in zip(coeffs, want):
-        assert sign * math.exp(lg) == pytest.approx(w, rel=1e-12)
+    assert len(log_a) == len(want)
+    for lg, w in zip(log_a, want):
+        assert math.exp(lg) == pytest.approx(w, rel=1e-12)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 20, jack.CHUNK_ROWS])
@@ -183,25 +187,30 @@ def test_box_stream_chunks_are_bounded():
 
 
 def test_coeffs_do_not_depend_on_the_chunking(monkeypatch):
-    # chunks of at most N + 1 rows merge the running (peak, sum) pairs
+    # chunks of at most N + 1 rows merge the running (peak, sum) pairs,
+    # in the m x N box of Q and the m x (N-1) box of P
     p = params_new(1.0, 9, 16)
-    whole = exact._series_coeffs(p)
+    whole = [exact._series_coeffs(p, shift) for shift in (0, 2)]
     exact._series_coeffs.cache_clear()
     monkeypatch.setattr(jack, "CHUNK_ROWS", 1)
-    split = exact._series_coeffs(p)
+    split = [exact._series_coeffs(p, shift) for shift in (0, 2)]
     exact._series_coeffs.cache_clear()
-    assert [s for _, s in split] == [s for _, s in whole]
-    assert [lg for lg, _ in split] == pytest.approx([lg for lg, _ in whole], abs=1e-13)
+    for s, w in zip(split, whole):
+        assert s.tolist() == pytest.approx(w.tolist(), abs=1e-13)
 
 
 @pytest.mark.parametrize(
     "beta,n,m_dim", [(2.0, 40, 44), (1.0, 12, 17), (4.0, 9, 11), (2.0 / 3.0, 8, 16)]
 )
 def test_coeffs_are_positive(beta, n, m_dim):
+    # each coefficient is held as its log, so it is positive; a finite
+    # log means it did not underflow.  A_k: m N + 1 of them; d_j, j >= m:
+    # m (N-1) + 1
     p = params_new(beta, n, m_dim)
-    coeffs = exact._series_coeffs(p)
-    assert len(coeffs) == p.jack_index * n + 1
-    assert all(sign == 1.0 and math.isfinite(lg) for lg, sign in coeffs)
+    for shift, cols in ((0, n), (2, n - 1)):
+        logs = exact._series_coeffs(p, shift)
+        assert len(logs) == p.jack_index * cols + 1
+        assert np.all(np.isfinite(logs))
 
 
 # ---------- density ----------
@@ -297,7 +306,7 @@ def test_moment_errors():
         moment(params_new(1.0, 2, 4), 1)
 
 
-# ---------- normalization constant ----------
+# ---------- normalization constant (demos/exact_distribution.py) ----------
 
 def test_norm_const_frozen_values():
     assert norm_const(params_new(2.0, 2, 2)) == pytest.approx(3.0, rel=1e-12)
@@ -471,7 +480,7 @@ def test_q_matches_exact_beta2_rationals(n, alpha):
     assert np.max(np.abs(q_exact_beta2(n, n + alpha, xs) - want)) <= 1e-14
 
 
-@pytest.mark.parametrize("n,alpha", BETA2_CASES)
+@pytest.mark.parametrize("n,alpha", BETA2_CASES + [(25, 5), (40, 6)])
 def test_p_matches_exact_beta2_rationals(n, alpha):
     # down to N x = 1e-9, where P ~ x^m is far below its maximum
     p = params_new(2.0, n, n + alpha)
@@ -483,20 +492,51 @@ def test_p_matches_exact_beta2_rationals(n, alpha):
     assert p_exact(p, 0.0) == 0.0
 
 
-@pytest.mark.parametrize(
-    "beta,n,m_dim", [(1.0, 12, 17), (1.0, 5, 12), (4.0, 9, 11), (4.0, 6, 7), (2.0 / 3.0, 8, 16)]
-)
-def test_density_coeffs_below_m_vanish(beta, n, m_dim):
-    # d_j = N(G-1-j) A_j - (j+1) A_(j+1) is 0 for j < m; in floats the two
-    # parts must cancel to roundoff before p_exact drops them
-    p = params_new(beta, n, m_dim)
-    m = p.jack_index
-    g = 0.5 * beta * m_dim * n
-    log_a = np.array([lg for lg, _ in exact._series_coeffs(p)])
-    log_d, _ = exact._density_coeffs(p)
-    j = np.arange(m)
-    assert m >= 1
-    assert np.all(log_d[:m] - np.log(n * (g - 1.0 - j)) - log_a[:m] <= math.log(1e-12))
+def _box_sum(nu: Fraction, m: int, cols: int, nub: Fraction, k: int) -> Fraction:
+    """sum of W_kappa over the partitions of weight k in the m x cols box,
+    W_kappa the product over the cells (i, j) of kappa of
+    (nu*cols + i - nu*j)(m + nu*j - i) / ((nub - i + nu*j)(nu*a + l + 1)(nu*(a+1) + l)),
+    nub = nu*b; at b = m/nu this is A_k / (Gamma(G)/Gamma(G-k))."""
+    total = Fraction(0)
+    for kappa in enumerate_partitions(k, m, cols):
+        parts = kappa.parts
+        conj = [sum(1 for x in parts if x > j) for j in range(parts[0])] if parts else []
+        w = Fraction(1)
+        for i, row in enumerate(parts):
+            for j in range(row):
+                a, l = row - 1 - j, conj[j] - 1 - i
+                w *= (nu * cols + i - nu * j) * (m + nu * j - i) / (
+                    (nub - i + nu * j) * (nu * a + l + 1) * (nu * (a + 1) + l))
+        total += w
+    return total
+
+
+@pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(2), Fraction(4)])
+def test_density_coefficients_identity_exact(beta):
+    # d_j = N(G-1-j) A_j - (j+1) A_(j+1) is 0 for j < m and
+    # D_(N,m) Gamma(G)/Gamma(G-m-1-k) S'_k for j = m + k, S'_k the sums
+    # over the m x (N-1) box at b = 2m/beta + 2
+    nu = beta / 2
+    for m in range(4):
+        for n in range(2, 6):
+            m_dim = n - 1 + (m + 1) / nu
+            if m_dim.denominator != 1:
+                continue
+            g = nu * m_dim * n
+
+            def falling(k):
+                return math.prod((g - i for i in range(1, k + 1)), start=Fraction(1))
+
+            a = [falling(k) * _box_sum(nu, m, n, Fraction(m), k) for k in range(m * n + 1)] + [0]
+            d_m = Fraction(n, math.factorial(m)) * math.prod(
+                ((n * nu + i) / (nu + i) for i in range(1, m + 1)), start=Fraction(1))
+            p = params_new(float(beta), n, int(m_dim))
+            assert p.jack_index == m
+            assert float(d_m) == pytest.approx(exact._density_constant(p), rel=1e-15)
+            for j in range(m * n + 1):
+                d = n * (g - 1 - j) * a[j] - (j + 1) * a[j + 1]
+                want = d_m * falling(j + 1) * _box_sum(nu, m, n - 1, m + beta, j - m) if j >= m else 0
+                assert d == want
 
 
 @pytest.mark.filterwarnings("ignore::lagmin.errors.PrecisionWarning")  # beta2 route, N=40
@@ -517,6 +557,26 @@ def test_array_call_equals_scalar_calls(beta, n, m_dim):
     if beta == 2.0:
         got = q_exact_beta2(n, m_dim, xs)
         assert np.array_equal(got, [q_exact_beta2(n, m_dim, float(x)) for x in xs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_params(), st.lists(st.floats(0.0, 1.5), min_size=1, max_size=40))
+def test_laws_over_x(case, ts):
+    # over parameters and x in [0, 1.5/N]: P finite and >= 0 with no clamp,
+    # 0 at the hard edge when m >= 1; Q in [0, 1] and nonincreasing up to
+    # the 1e-15 of rounding allowed on one grid call below (near N x = 1e-9
+    # Q reaches 1 + 2.2e-16 and rises by up to 6.7e-16); an array call
+    # equal to the scalar calls
+    beta, n, m_dim, m = case
+    p = params_new(beta, n, m_dim)
+    xs = np.sort(np.array(ts + [0.0]) / n)
+    ps, qs = p_exact(p, xs), q_exact(p, xs)
+    assert np.all(np.isfinite(ps)) and np.all(ps >= 0.0)
+    if m >= 1:
+        assert ps[0] == 0.0
+    assert np.all((qs >= 0.0) & (qs <= 1.0 + 1e-15)) and np.all(np.diff(qs) <= 1e-15)
+    assert ps.tolist() == [p_exact(p, float(x)) for x in xs]
+    assert qs.tolist() == [q_exact(p, float(x)) for x in xs]
 
 
 def test_grid_is_a_law_through_the_array_call():

@@ -362,12 +362,25 @@ _HEADER = '{"beta": 2.0, "n_dim": 2, "m_dim": 3, "seed": 5, "count": 1}\n'
     pytest.param(_HEADER.replace('"count": 1', '"count": 2') + "0.125\ninf\n", id="value-inf"),
     pytest.param(_HEADER.replace('"count": 1', '"count": 2') + "0.125\n", id="count-mismatch"),
     pytest.param("", id="empty-file"),
+    pytest.param(_HEADER.replace("5", "-5") + "0.125\n", id="negative-seed"),
+    pytest.param(_HEADER.replace("5", str(1 << 64)) + "0.125\n", id="seed-past-64-bits"),
+    pytest.param(_HEADER.replace("5", "5.5") + "0.125\n", id="float-seed"),
+    pytest.param(_HEADER + "0.75\n", id="value-past-1-over-n"),
+    pytest.param(_HEADER + "-0.5\n", id="value-negative"),
 ])
 def test_load_batch_malformed_file_is_domain_error(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(DomainError):
         load_batch(path)
+
+
+def test_load_batch_value_a_few_ulps_past_1_over_n(tmp_path):
+    # N = 2: 1/2 rounded up by two ulps still loads
+    edge = np.nextafter(np.nextafter(0.5, 1.0), 1.0)
+    path = tmp_path / "edge.txt"
+    path.write_text(_HEADER + repr(float(edge)) + "\n")
+    assert load_batch(path).values.tolist() == [edge]
 
 
 def test_batch_count_mismatch():
