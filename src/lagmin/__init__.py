@@ -44,7 +44,6 @@ from .sampler import (
     ks_validate,
     load_batch,
     run_batch,
-    save_batch,
     tridiag_smallest,
     write_batch,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "q_oracle_n2",
     "require_jack_index",
     "run_batch",
-    "save_batch",
     "tridiag_smallest",
     "write_batch",
 ]

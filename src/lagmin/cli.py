@@ -1,26 +1,29 @@
 """Command-line front end.
 
+Every subcommand is declared once, in COMMANDS (name -> help text and
+arguments), from which build_parser builds the parser.  The five grid
+commands share one path through _GRIDS (law, variable, column).  Every
+output goes through one writer, _write, to the --out file or to stdout;
+a sample batch is streamed there, never built in memory.
+
 Subcommands
 -----------
-exact-cdf   Q(x) on a grid via the partition series (any beta with
-            integer Jack index).
+exact-cdf   Q(x) on a grid via the partition series (integer Jack index).
 exact-pdf   P(x) = -dQ/dx on the same footing.
 beta2-cdf   Q(x) at beta=2 via the independent Laguerre-determinant route.
 moments     mu_p of the smallest eigenvalue for one or more orders p.
 limit-cdf   hard-edge limiting Q(y).
 limit-pdf   hard-edge limiting P(y).
-sample      Monte Carlo batch of trace-normalized smallest eigenvalues,
-            written in the batch text format (JSON header + one float
-            per line).
-validate    sample, then Kolmogorov-Smirnov test against the best
-            available reference CDF: the partition series when the Jack
-            index is an integer, the N=2 closed-form oracle (an
-            incomplete beta function) otherwise, and a split-half
-            self-consistency test as the fallback.
+sample      Monte Carlo batch of trace-normalized smallest eigenvalues in
+            the batch text format (JSON header + one float per line).
+validate    sample, then a Kolmogorov-Smirnov test against the partition
+            series (integer Jack index), else the N=2 closed-form oracle
+            (an incomplete beta function), else a split-half test.
 selfcheck   fast internal invariant suite.
 
 Exit status: 0 success, 1 validation/self-check failure (or a numerical
-failure), 2 usage or domain error.
+failure), 2 usage or domain error, or an --out file that cannot be
+written (one line `error: cannot write <path>: <reason>`).
 
 Output: --format csv (default) writes a `# config: {...}` comment line,
 a header row, then rows with floats at full precision (%.17g); --format
@@ -44,12 +47,7 @@ import warnings
 import numpy as np
 
 from .core import params_new
-from .errors import (
-    DivergenceError,
-    DomainError,
-    EigensolverFailure,
-    EmptySample,
-)
+from .errors import DivergenceError, DomainError, EigensolverFailure, EmptySample
 from .exact import moment, p_exact, q_exact, q_oracle_n2
 from .beta2 import q_exact_beta2
 from .limit import LimitParams, p_limit, q_limit
@@ -63,9 +61,7 @@ def _grid(text: str):
     """Parse 'start:stop:points' into an inclusive float grid."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"grid must look like start:stop:points, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"grid must look like start:stop:points, got {text!r}")
     try:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
@@ -90,78 +86,77 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _add_output(sp):
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default=None, help="output file (default: stdout)")
+_N_M = (("--N", dict(type=_positive_int, required=True, dest="n_dim")),
+        ("--M", dict(type=_positive_int, required=True, dest="m_dim")))
+_ENSEMBLE = (("--beta", dict(type=float, required=True, help="Dyson index > 0")), *_N_M)
+_GRID = ("--grid", dict(type=_grid, required=True, metavar="START:STOP:POINTS"))
+_LIMIT = (("--beta", dict(type=float, required=True)),
+          ("--m", dict(type=int, required=True, dest="m_limit", help="Jack index m >= 0")), _GRID)
+_SAMPLING = (("--samples", dict(type=_positive_int, default=10000)),
+             ("--seed", dict(type=int, default=None,
+                             help=f"64-bit seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")),
+             ("--workers", dict(type=_positive_int, default=1)))
+_OUT = ("--out", dict(default=None, help="output file (default: stdout)"))
+_OUTPUT = (("--format", dict(choices=("csv", "json"), default="csv")), _OUT)
+_ORDERS = ("--p", dict(type=_positive_int, nargs="+", required=True,
+                       help="one or more moment orders"))
 
-
-def _add_ensemble(sp, need_beta=True):
-    if need_beta:
-        sp.add_argument("--beta", type=float, required=True, help="Dyson index > 0")
-    sp.add_argument("--N", type=_positive_int, required=True, dest="n_dim")
-    sp.add_argument("--M", type=_positive_int, required=True, dest="m_dim")
-
-
-def _add_sampling(sp):
-    sp.add_argument("--samples", type=_positive_int, default=10000)
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"64-bit seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})")
-    sp.add_argument("--workers", type=_positive_int, default=1)
+#: Every subcommand: name -> (help, arguments as (flag, add_argument keywords)).
+COMMANDS = {
+    "exact-cdf": ("survival function Q(x) on a grid", (*_ENSEMBLE, _GRID, *_OUTPUT)),
+    "exact-pdf": ("density P(x) on a grid", (*_ENSEMBLE, _GRID, *_OUTPUT)),
+    "beta2-cdf": ("Q(x) at beta=2 via the determinant route", (*_N_M, _GRID, *_OUTPUT)),
+    "moments": ("moments mu_p of the smallest eigenvalue", (*_ENSEMBLE, _ORDERS, *_OUTPUT)),
+    "limit-cdf": ("hard-edge limiting Q(y)", (*_LIMIT, *_OUTPUT)),
+    "limit-pdf": ("hard-edge limiting P(y)", (*_LIMIT, *_OUTPUT)),
+    "sample": ("Monte Carlo batch in the batch text format", (*_ENSEMBLE, *_SAMPLING, _OUT)),
+    "validate": ("KS-test Monte Carlo draws against theory",
+                 (*_ENSEMBLE, *_SAMPLING, *_OUTPUT)),
+    "selfcheck": ("run the fast internal invariant suite", ()),
+}
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
+    """The command-line parser, built once per process from COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="lagmin",
         description="smallest-eigenvalue laws of the fixed-trace beta-Laguerre ensemble",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("exact-cdf", "survival function Q(x) on a grid"),
-        ("exact-pdf", "density P(x) on a grid"),
-    ):
+    for name, (help_text, arguments) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        _add_ensemble(sp)
-        sp.add_argument("--grid", type=_grid, required=True, metavar="START:STOP:POINTS")
-        _add_output(sp)
-
-    sp = sub.add_parser("beta2-cdf", help="Q(x) at beta=2 via the determinant route")
-    sp.add_argument("--N", type=_positive_int, required=True, dest="n_dim")
-    sp.add_argument("--M", type=_positive_int, required=True, dest="m_dim")
-    sp.add_argument("--grid", type=_grid, required=True, metavar="START:STOP:POINTS")
-    _add_output(sp)
-
-    sp = sub.add_parser("moments", help="moments mu_p of the smallest eigenvalue")
-    _add_ensemble(sp)
-    sp.add_argument("--p", type=_positive_int, nargs="+", required=True,
-                    help="one or more moment orders")
-    _add_output(sp)
-
-    for name, help_text in (
-        ("limit-cdf", "hard-edge limiting Q(y)"),
-        ("limit-pdf", "hard-edge limiting P(y)"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--beta", type=float, required=True)
-        sp.add_argument("--m", type=int, required=True, dest="m_limit",
-                        help="Jack index m >= 0")
-        sp.add_argument("--grid", type=_grid, required=True, metavar="START:STOP:POINTS")
-        _add_output(sp)
-
-    sp = sub.add_parser("sample", help="Monte Carlo batch in the batch text format")
-    _add_ensemble(sp)
-    _add_sampling(sp)
-    sp.add_argument("--out", default=None, help="output file (default: stdout)")
-
-    sp = sub.add_parser("validate", help="KS-test Monte Carlo draws against theory")
-    _add_ensemble(sp)
-    _add_sampling(sp)
-    _add_output(sp)
-
-    sub.add_parser("selfcheck", help="run the fast internal invariant suite")
+        for flag, keywords in arguments:
+            sp.add_argument(flag, **keywords)
     return parser
+
+
+def _ensemble(args):
+    """The validated EnsembleParams and the config of the ensemble commands."""
+    params = params_new(args.beta, args.n_dim, args.m_dim)
+    return params, {"command": args.command, "beta": params.beta, "N": params.n_dim,
+                    "M": params.m_dim, "jack_index": params.jack_index}
+
+
+def _beta2(args):
+    return args, {"command": args.command, "beta": 2.0, "N": args.n_dim, "M": args.m_dim}
+
+
+def _limit(args):
+    lp = LimitParams(args.beta, args.m_limit)
+    return lp, {"command": args.command, "beta": lp.beta, "m": lp.jack_index}
+
+
+#: The grid commands: name -> (setup, law, variable, column).  setup(args)
+#: gives the law's first argument and the config; law(first, grid array)
+#: looks its function up when called, so a wrapped module global is used.
+_GRIDS = {
+    "exact-cdf": (_ensemble, lambda p, x: q_exact(p, x), "x", "Q"),
+    "exact-pdf": (_ensemble, lambda p, x: p_exact(p, x), "x", "P"),
+    "beta2-cdf": (_beta2, lambda a, x: q_exact_beta2(a.n_dim, a.m_dim, x), "x", "Q"),
+    "limit-cdf": (_limit, lambda lp, y: q_limit(lp, y), "y", "Q"),
+    "limit-pdf": (_limit, lambda lp, y: p_limit(lp, y), "y", "P"),
+}
 
 
 def _resolve_seed(args) -> int:
@@ -186,7 +181,7 @@ def _format_cell(v):
     return str(v)
 
 
-def _emit(config: dict, rows: list, warn_msgs: list, fmt: str, out):
+def _emit(config: dict, rows: list, warn_msgs: list, fmt: str, fh):
     if fmt == "json":
         text = json.dumps(
             {"config": config, "results": rows, "warnings": warn_msgs}, indent=2
@@ -199,114 +194,68 @@ def _emit(config: dict, rows: list, warn_msgs: list, fmt: str, out):
             for row in rows:
                 lines.append(",".join(_format_cell(row[k]) for k in keys))
         text = "\n".join(lines) + "\n"
-    if out:
+    fh.write(text)
+
+
+def _write(out, write) -> int:
+    """Call write(fh) on the --out file, or on stdout when there is none.
+    Returns 0, or 2 after one error line when the file cannot be written."""
+    if not out:
+        write(sys.stdout)
+        return 0
+    try:
         with open(out, "w") as fh:
-            fh.write(text)
+            write(fh)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return 0
+
+
+def _run(args):
+    """(result, exit code) of one command: the SampleBatch of sample,
+    else the (config, rows) that _emit writes."""
+    if args.command in _GRIDS:
+        setup, law, var, col = _GRIDS[args.command]
+        first, config = setup(args)
+        values = law(first, np.array(args.grid)).tolist()
+        return (config, [{var: x, col: v} for x, v in zip(args.grid, values)]), 0
+    params, config = _ensemble(args)
+    if args.command == "moments":
+        return (config, [{"p": p, "value": moment(params, p)} for p in args.p]), 0
+    seed = _resolve_seed(args)
+    batch = run_batch(params, args.samples, seed, args.workers)
+    if args.command == "sample":
+        return batch, 0
+    if params.jack_index is not None:
+        route = "series"
+        report = ks_validate(batch, lambda x: 1.0 - q_exact(params, x), level=0.01)
+    elif params.n_dim == 2:
+        route = "quadrature"  # the N=2 oracle's stable JSON label
+        report = ks_validate(batch, lambda x: 1.0 - q_oracle_n2(params, x), level=0.01)
     else:
-        sys.stdout.write(text)
+        route = "split-half"
+        half = batch.count // 2
+        if half == 0:
+            raise EmptySample("need at least 2 samples for split-half")
+        report = ks_two_sample(batch.values[:half], batch.values[half:], level=0.01)
+    config.update(samples=args.samples, seed=seed, stream=STREAM, workers=args.workers)
+    return (config, [{**report.as_dict(), "route": route}]), 0 if report.passed else 1
 
 
 def _dispatch(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = 0
-
-        if args.command in ("exact-cdf", "exact-pdf"):
-            params = params_new(args.beta, args.n_dim, args.m_dim)
-            fn = q_exact if args.command == "exact-cdf" else p_exact
-            name = "Q" if args.command == "exact-cdf" else "P"
-            values = fn(params, np.array(args.grid)).tolist()
-            rows = [{"x": x, name: v} for x, v in zip(args.grid, values)]
-            config = {
-                "command": args.command, "beta": params.beta, "N": params.n_dim,
-                "M": params.m_dim, "jack_index": params.jack_index,
-            }
-
-        elif args.command == "beta2-cdf":
-            values = q_exact_beta2(args.n_dim, args.m_dim, np.array(args.grid)).tolist()
-            rows = [{"x": x, "Q": v} for x, v in zip(args.grid, values)]
-            config = {
-                "command": args.command, "beta": 2.0,
-                "N": args.n_dim, "M": args.m_dim,
-            }
-
-        elif args.command == "moments":
-            params = params_new(args.beta, args.n_dim, args.m_dim)
-            rows = [{"p": p, "value": moment(params, p)} for p in args.p]
-            config = {
-                "command": args.command, "beta": params.beta, "N": params.n_dim,
-                "M": params.m_dim, "jack_index": params.jack_index,
-            }
-
-        elif args.command in ("limit-cdf", "limit-pdf"):
-            lp = LimitParams(args.beta, args.m_limit)
-            fn = q_limit if args.command == "limit-cdf" else p_limit
-            name = "Q" if args.command == "limit-cdf" else "P"
-            values = fn(lp, np.array(args.grid)).tolist()
-            rows = [{"y": y, name: v} for y, v in zip(args.grid, values)]
-            config = {"command": args.command, "beta": lp.beta, "m": lp.jack_index}
-
-        elif args.command == "sample":
-            params = params_new(args.beta, args.n_dim, args.m_dim)
-            seed = _resolve_seed(args)
-            batch = run_batch(params, args.samples, seed, args.workers)
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    write_batch(batch, fh)
-            else:
-                write_batch(batch, sys.stdout)
-            return 0
-
-        elif args.command == "validate":
-            params = params_new(args.beta, args.n_dim, args.m_dim)
-            seed = _resolve_seed(args)
-            batch = run_batch(params, args.samples, seed, args.workers)
-            if params.jack_index is not None:
-                route = "series"
-                report = ks_validate(
-                    batch, lambda x: 1.0 - q_exact(params, x), level=0.01
-                )
-            elif params.n_dim == 2:
-                route = "quadrature"  # the N=2 oracle's stable JSON label
-                report = ks_validate(
-                    batch, lambda x: 1.0 - q_oracle_n2(params, x), level=0.01
-                )
-            else:
-                route = "split-half"
-                half = batch.count // 2
-                if half == 0:
-                    raise EmptySample("need at least 2 samples for split-half")
-                report = ks_two_sample(
-                    batch.values[:half], batch.values[half:], level=0.01
-                )
-            row = report.as_dict()
-            row["route"] = route
-            rows = [row]
-            config = {
-                "command": args.command, "beta": params.beta, "N": params.n_dim,
-                "M": params.m_dim, "jack_index": params.jack_index,
-                "samples": args.samples, "seed": seed, "stream": STREAM,
-                "workers": args.workers,
-            }
-            code = 0 if report.passed else 1
-
-        elif args.command == "selfcheck":
+        if args.command == "selfcheck":
             from .selfcheck import run_all
-
-            failures = run_all()
-            return 0 if failures == 0 else 1
-
-        else:  # pragma: no cover - argparse enforces the choices
-            raise DomainError(f"unknown command {args.command!r}")
-
-        warn_msgs = [str(w.message) for w in caught]
-
+            return 0 if run_all() == 0 else 1
+        result, code = _run(args)
+    warn_msgs = [str(w.message) for w in caught]
     for msg in warn_msgs:
         print(f"warning: {msg}", file=sys.stderr)
-    _emit(config, rows, warn_msgs, args.format, args.out)
-    return code
+    if args.command == "sample":
+        return _write(args.out, lambda fh: write_batch(result, fh))
+    return _write(args.out, lambda fh: _emit(*result, warn_msgs, args.format, fh)) or code
 
 
 def main(argv=None) -> int:
@@ -317,12 +266,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _dispatch(args)
-    except DomainError as exc:
+    except (DomainError, DivergenceError, EigensolverFailure, EmptySample) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DivergenceError, EigensolverFailure, EmptySample) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, DomainError) else 1
 
 
 def entry():  # console-script hook

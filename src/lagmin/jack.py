@@ -79,10 +79,10 @@ def _pair_tables(nu: float, m: int, length: int) -> np.ndarray:
     )
 
 
-def _partition_chunks(m: int, lo: int, hi: int, cap: int | None = None):
+def _partition_chunks(m: int, lo: int, hi: int, cap: int):
     """Stream the partitions with at most m parts, weight in [lo, hi]
-    and first part at most cap (None: no bound beyond hi) as int32
-    arrays of shape (rows, m), trailing zero parts included.
+    and first part at most cap as int32 arrays of shape (rows, m),
+    trailing zero parts included.
 
     Columns are built left to right.  The first part runs over
     [ceil(lo/m), min(cap, hi)]; a prefix of weight w whose last part is
@@ -97,7 +97,7 @@ def _partition_chunks(m: int, lo: int, hi: int, cap: int | None = None):
         if lo == 0:
             yield np.zeros((1, 0), dtype=np.int32)
         return
-    top = hi if cap is None else min(cap, hi)
+    top = min(cap, hi)
     stack = [np.arange(-(-lo // m), top + 1, dtype=np.int32)[:, None]]
     while stack:
         box = stack.pop()

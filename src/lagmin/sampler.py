@@ -364,12 +364,6 @@ def write_batch(batch: SampleBatch, fh):
         fh.write(repr(float(v)) + "\n")
 
 
-def save_batch(batch: SampleBatch, path):
-    """write_batch to a file path."""
-    with open(path, "w") as fh:
-        write_batch(batch, fh)
-
-
 def load_batch(path) -> SampleBatch:
     """Read a batch file; a header without a "stream" field is stream 1.
     A malformed header or value line, a seed that run_batch rejects, or

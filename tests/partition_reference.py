@@ -160,7 +160,7 @@ def jack_c_one(kappa, nu: float, m_vars: int) -> float:
 def check_partition_stream(monkeypatch, m: int, lo: int, hi: int, cap, chunk_rows: int):
     """Assert that lagmin's streamer, at chunk_rows rows per chunk, yields
     exactly the partitions with at most m parts, weight in [lo, hi] and
-    first part at most cap (None = unbounded), each once and padded with
+    first part at most cap, each once and padded with
     zero parts to m columns, in chunks of at most max(chunk_rows, top + 1)
     rows, top = min(cap, hi); returns the number of partitions."""
     monkeypatch.setattr(jack, "CHUNK_ROWS", chunk_rows)
@@ -173,6 +173,6 @@ def check_partition_stream(monkeypatch, m: int, lo: int, hi: int, cap, chunk_row
     }
     assert rows.shape == (len(want), m)
     assert {tuple(r) for r in rows.tolist()} == want
-    top = hi if cap is None else min(cap, hi)
+    top = min(cap, hi)
     assert all(len(c) <= max(chunk_rows, top + 1) for c in chunks)
     return len(want)

@@ -15,9 +15,9 @@ from lagmin import cli, core
 from lagmin.beta2 import q_exact_beta2
 from lagmin.cli import DEFAULT_SEED, build_parser, main
 from lagmin.core import params_new
-from lagmin.exact import moment, q_exact, q_oracle_n2
-from lagmin.limit import LimitParams, q_limit
-from lagmin.sampler import load_batch, run_batch
+from lagmin.exact import moment, p_exact, q_exact, q_oracle_n2
+from lagmin.limit import LimitParams, p_limit, q_limit
+from lagmin.sampler import ks_validate, load_batch, run_batch
 
 
 def run_cli(capsys, *argv):
@@ -376,3 +376,102 @@ def test_exact_json_config_and_one_warning_per_call(capsys):
         assert set(doc["config"]) == {"command", "beta", "N", "M", "jack_index"}
         assert len(doc["warnings"]) == 1 and "envelope" in doc["warnings"][0]
         assert err.count("warning: ") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact-cdf", "--beta", "2", "--N", "2", "--M", "3", "--grid", "0:0.5:3"),
+    ("exact-cdf", "--beta", "2", "--N", "2", "--M", "3", "--grid", "0:0.5:3",
+     "--format", "json"),
+    ("sample", "--beta", "2", "--N", "2", "--M", "3", "--samples", "4"),
+    ("validate", "--beta", "2", "--N", "2", "--M", "3", "--samples", "4"),
+])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_is_one_error_line(capsys, tmp_path, argv, where):
+    path = tmp_path / "no" / "such" / "x.txt" if where == "missing" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_output_bytes(capsys):
+    # the layout is written out literally; only the numbers come from the
+    # library, so a change to indent, key order, header or %.17g fails here
+    def g(v):
+        return f"{v:.17g}"
+
+    p = params_new(2.0, 2, 3)
+    q = [q_exact(p, x) for x in (0.0, 0.25, 0.5)]
+    assert run_cli(capsys, "exact-cdf", "--beta", "2", "--N", "2", "--M", "3",
+                   "--grid", "0:0.5:3") == (0, (
+        '# config: {"M": 3, "N": 2, "beta": 2.0, "command": "exact-cdf", "jack_index": 1}\n'
+        "x,Q\n"
+        f"0,{g(q[0])}\n0.25,{g(q[1])}\n0.5,{g(q[2])}\n"), "")
+
+    p = params_new(4.0, 2, 3)
+    d = [p_exact(p, x) for x in (0.0, 0.5)]
+    assert run_cli(capsys, "exact-pdf", "--beta", "4", "--N", "2", "--M", "3",
+                   "--grid", "0:0.5:2", "--format", "json") == (0, (
+        '{\n  "config": {\n    "command": "exact-pdf",\n    "beta": 4.0,\n'
+        '    "N": 2,\n    "M": 3,\n    "jack_index": 3\n  },\n  "results": [\n'
+        f'    {{\n      "x": 0.0,\n      "P": {d[0]!r}\n    }},\n'
+        f'    {{\n      "x": 0.5,\n      "P": {d[1]!r}\n    }}\n'
+        '  ],\n  "warnings": []\n}\n'), "")
+
+    q = [q_exact_beta2(3, 5, x) for x in (0.0, 0.25)]
+    assert run_cli(capsys, "beta2-cdf", "--N", "3", "--M", "5", "--grid", "0:0.25:2") == (0, (
+        '# config: {"M": 5, "N": 3, "beta": 2.0, "command": "beta2-cdf"}\n'
+        f"x,Q\n0,{g(q[0])}\n0.25,{g(q[1])}\n"), "")
+
+    p = params_new(2.0, 3, 3)
+    mu = [moment(p, 1), moment(p, 2)]
+    assert run_cli(capsys, "moments", "--beta", "2", "--N", "3", "--M", "3",
+                   "--p", "1", "2", "--format", "json") == (0, (
+        '{\n  "config": {\n    "command": "moments",\n    "beta": 2.0,\n'
+        '    "N": 3,\n    "M": 3,\n    "jack_index": 0\n  },\n  "results": [\n'
+        f'    {{\n      "p": 1,\n      "value": {mu[0]!r}\n    }},\n'
+        f'    {{\n      "p": 2,\n      "value": {mu[1]!r}\n    }}\n'
+        '  ],\n  "warnings": []\n}\n'), "")
+
+    lp = LimitParams(1.0, 2)
+    q = [q_limit(lp, y) for y in (0.0, 2.5)]
+    assert run_cli(capsys, "limit-cdf", "--beta", "1", "--m", "2", "--grid", "0:2.5:2") == (0, (
+        '# config: {"beta": 1.0, "command": "limit-cdf", "m": 2}\n'
+        f"y,Q\n0,{g(q[0])}\n2.5,{g(q[1])}\n"), "")
+
+    d = p_limit(lp, 2.5)
+    assert run_cli(capsys, "limit-pdf", "--beta", "1", "--m", "2", "--grid", "2.5:5:2",
+                   "--format", "json") == (0, (
+        '{\n  "config": {\n    "command": "limit-pdf",\n    "beta": 1.0,\n'
+        '    "m": 2\n  },\n  "results": [\n'
+        f'    {{\n      "y": 2.5,\n      "P": {d!r}\n    }},\n'
+        f'    {{\n      "y": 5.0,\n      "P": {p_limit(lp, 5.0)!r}\n    }}\n'
+        '  ],\n  "warnings": []\n}\n'), "")
+
+    p = params_new(2.0, 3, 3)
+    rep = ks_validate(run_batch(p, 50, seed=7), lambda x: 1.0 - q_exact(p, x), level=0.01)
+    assert run_cli(capsys, "validate", "--beta", "2", "--N", "3", "--M", "3",
+                   "--samples", "50", "--seed", "7") == (0, (
+        '# config: {"M": 3, "N": 3, "beta": 2.0, "command": "validate", "jack_index": 0, '
+        '"samples": 50, "seed": 7, "stream": 2, "workers": 1}\n'
+        "d_stat,n,p_value,level,pass,route\n"
+        f"{g(rep.d_stat)},50,{g(rep.p_value)},0.01,{'true' if rep.passed else 'false'},series\n"
+    ), "")
+
+    code, out, err = run_cli(capsys, "sample", "--beta", "2", "--N", "3", "--M", "3",
+                             "--samples", "2", "--seed", "7")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (
+        '{"beta": 2.0, "n_dim": 3, "m_dim": 3, "seed": 7, "count": 2, "stream": 2}')
+
+
+def test_every_command_is_documented():
+    doc = cli.__doc__.split("Subcommands\n-----------\n")[1].split("\n\n")[0]
+    listed = {ln.split()[0] for ln in doc.splitlines() if not ln.startswith(" ")}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    shown = {ln.split()[1] for ln in block.splitlines() if ln.startswith("lagmin ")}
+    for name in cli.COMMANDS:
+        assert name in listed, f"{name} missing from the cli docstring"
+        assert name in shown, f"{name} missing from the README command block"

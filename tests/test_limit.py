@@ -266,8 +266,8 @@ def test_stopping_rule_reads_two_small_terms(monkeypatch):
 @pytest.mark.parametrize("chunk_rows", [1, 20, jack.CHUNK_ROWS])
 @pytest.mark.parametrize("m,lo,hi", [(0, 0, 6), (0, 3, 6), (1, 0, 9), (2, 5, 13), (3, 0, 13), (4, 9, 17), (5, 14, 22)])
 def test_band_stream_is_the_whole_band(m, lo, hi, chunk_rows, monkeypatch):
-    # a weight band of the 0F1 ladder: no cap on the first part
-    check_partition_stream(monkeypatch, m, lo, hi, None, chunk_rows)
+    # a weight band of the 0F1 ladder: a cap at the band's top bounds nothing
+    check_partition_stream(monkeypatch, m, lo, hi, hi, chunk_rows)
 
 
 def test_coeffs_do_not_depend_on_the_chunking(monkeypatch):

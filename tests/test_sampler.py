@@ -23,8 +23,8 @@ from lagmin.sampler import (
     ks_validate,
     load_batch,
     run_batch,
-    save_batch,
     tridiag_smallest,
+    write_batch,
 )
 
 
@@ -315,7 +315,8 @@ def test_batch_roundtrip_bit_exact(tmp_path):
     p = params_new(4.0, 2, 3)
     batch = run_batch(p, 257, seed=1234, workers=3)
     path = tmp_path / "batch.txt"
-    save_batch(batch, path)
+    with open(path, "w") as fh:
+        write_batch(batch, fh)
     back = load_batch(path)
     assert np.array_equal(back.values, batch.values)
     assert back.params == batch.params
@@ -334,7 +335,8 @@ def test_batch_old_header_is_stream_1(tmp_path):
     assert batch.stream == 1 and batch.seed == 5
     assert batch.values.tolist() == [0.125, 0.0625]
     again = tmp_path / "again.txt"
-    save_batch(batch, again)
+    with open(again, "w") as fh:
+        write_batch(batch, fh)
     assert json.loads(again.read_text().splitlines()[0])["stream"] == 1
     back = load_batch(again)
     assert back.stream == 1 and np.array_equal(back.values, batch.values)
