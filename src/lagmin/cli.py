@@ -38,6 +38,7 @@ variable, else a fixed default, so runs are reproducible by default.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -197,19 +198,30 @@ def _emit(config: dict, rows: list, warn_msgs: list, fmt: str, fh):
     fh.write(text)
 
 
-def _write(out, write) -> int:
-    """Call write(fh) on the --out file, or on stdout when there is none.
-    Returns 0, or 2 after one error line when the file cannot be written."""
-    if not out:
+def _check_out(out) -> None:
+    """DomainError, before any work, where open(out, "w") would fail: an
+    empty path, a directory, or a parent missing or not a directory."""
+    if out is None:
+        return
+    try:
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        os.stat(os.path.join(os.path.dirname(out) or ".", "") if out else "")
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror}") from None
+
+
+def _write(out, write) -> None:
+    """Call write(fh) on the --out file, or on stdout when there is none;
+    a file that cannot be written is a DomainError."""
+    if out is None:
         write(sys.stdout)
-        return 0
+        return
     try:
         with open(out, "w") as fh:
             write(fh)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc.strerror}", file=sys.stderr)
-        return 2
-    return 0
+        raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _run(args):
@@ -249,13 +261,16 @@ def _dispatch(args) -> int:
         if args.command == "selfcheck":
             from .selfcheck import run_all
             return 0 if run_all() == 0 else 1
+        _check_out(args.out)
         result, code = _run(args)
     warn_msgs = [str(w.message) for w in caught]
     for msg in warn_msgs:
         print(f"warning: {msg}", file=sys.stderr)
     if args.command == "sample":
-        return _write(args.out, lambda fh: write_batch(result, fh))
-    return _write(args.out, lambda fh: _emit(*result, warn_msgs, args.format, fh)) or code
+        _write(args.out, lambda fh: write_batch(result, fh))
+    else:
+        _write(args.out, lambda fh: _emit(*result, warn_msgs, args.format, fh))
+    return code
 
 
 def main(argv=None) -> int:

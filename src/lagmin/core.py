@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, NonIntegerJackIndex, PrecisionWarning
 
@@ -55,52 +55,41 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Validated parameter set (build with :func:`params_new`)."""
+    """The validated law of (beta, N, M), as :func:`params_new` builds it.
+
+    alpha and the Jack index m = (beta/2) alpha are derived, never passed
+    in; ``jack_index`` is m when it is a nonnegative integer within 1e-12,
+    else None, and the series routes refuse to run.  For beta=2, m = M-N
+    always; for beta=1, m exists iff M-N is odd; for beta=4, m = 2(M-N)+1.
+    """
 
     beta: float
     n_dim: int
     m_dim: int
-    alpha: float
-    jack_index: int | None
+    alpha: float = field(init=False, compare=False)
+    jack_index: int | None = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not (0 < self.beta < math.inf):
-            raise DomainError(f"beta must be positive and finite, got {self.beta}")
-        if self.n_dim < 1:
-            raise DomainError(f"n_dim must be >= 1, got {self.n_dim}")
-        if self.m_dim < self.n_dim:
-            raise DomainError(
-                f"m_dim must be >= n_dim, got M={self.m_dim} < N={self.n_dim}"
-            )
-        # recomputed by the same expression, so rounding cannot trip it
-        if self.alpha != self.m_dim - self.n_dim + 1 - 2.0 / self.beta:
-            raise DomainError(
-                f"alpha must equal M - N + 1 - 2/beta, got alpha={self.alpha}"
-            )
+        beta = _positive_beta(self.beta)
+        n_dim = _as_int(self.n_dim, "n_dim")
+        m_dim = _as_int(self.m_dim, "m_dim")
+        if n_dim < 1:
+            raise DomainError(f"n_dim must be >= 1, got {n_dim}")
+        if m_dim < n_dim:
+            raise DomainError(f"m_dim must be >= n_dim, got M={m_dim} < N={n_dim}")
+        alpha = m_dim - n_dim + 1 - 2.0 / beta
+        raw = 0.5 * beta * alpha
+        jack_index = None
+        if raw > -_INT_TOL and abs(raw - round(raw)) <= _INT_TOL:
+            jack_index = int(round(raw))
+        for name, value in (("beta", beta), ("n_dim", n_dim), ("m_dim", m_dim),
+                            ("alpha", alpha), ("jack_index", jack_index)):
+            object.__setattr__(self, name, value)
 
 
 def params_new(beta: float, n_dim: int, m_dim: int) -> EnsembleParams:
-    """Validate (beta, N, M) and derive alpha and the Jack index.
-
-    The Jack index m = (beta/2)(M - N + 1 - 2/beta) is stored only when it
-    is a nonnegative integer within 1e-12; otherwise ``jack_index`` is None
-    and the series routes refuse to run.  In particular: for beta=2,
-    m = M-N always; for beta=1, m exists iff M-N is odd; for beta=4,
-    m = 2(M-N)+1 always.
-    """
-    beta = float(beta)
-    if not (0 < beta < math.inf):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
-    n_dim = _as_int(n_dim, "n_dim")
-    m_dim = _as_int(m_dim, "m_dim")
-    alpha = m_dim - n_dim + 1 - 2.0 / beta
-    raw = 0.5 * beta * alpha
-    jack_index = None
-    if raw > -_INT_TOL and abs(raw - round(raw)) <= _INT_TOL:
-        jack_index = int(round(raw))
-    return EnsembleParams(
-        beta=beta, n_dim=n_dim, m_dim=m_dim, alpha=alpha, jack_index=jack_index
-    )
+    """Validate (beta, N, M) and derive alpha and the Jack index."""
+    return EnsembleParams(beta, n_dim, m_dim)
 
 
 def require_jack_index(params: EnsembleParams) -> int:
@@ -113,6 +102,14 @@ def require_jack_index(params: EnsembleParams) -> int:
             "formulas do not apply (use the Monte Carlo route)"
         )
     return params.jack_index
+
+
+def _positive_beta(beta) -> float:
+    """beta as a float; DomainError unless it is positive and finite."""
+    beta = float(beta)
+    if not (0 < beta < math.inf):
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+    return beta
 
 
 def _as_int(value, name: str) -> int:

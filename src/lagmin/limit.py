@@ -101,8 +101,7 @@ class LimitParams:
     jack_index: int
 
     def __post_init__(self):
-        if not (self.beta > 0.0) or not math.isfinite(self.beta):
-            raise DomainError(f"beta must be positive and finite, got {self.beta}")
+        object.__setattr__(self, "beta", core._positive_beta(self.beta))
         if not isinstance(self.jack_index, int) or isinstance(self.jack_index, bool):
             raise DomainError(f"jack_index must be an int, got {self.jack_index!r}")
         if self.jack_index < 0:

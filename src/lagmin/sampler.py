@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,14 +81,11 @@ class SampleBatch:
     params: EnsembleParams
     seed: int
     values: np.ndarray
-    count: int
-    stream: int = STREAM
+    stream: int = field(default=STREAM, kw_only=True)
 
-    def __post_init__(self):
-        if self.count != len(self.values):
-            raise DomainError(
-                f"count={self.count} does not match len(values)={len(self.values)}"
-            )
+    @property
+    def count(self) -> int:
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -99,16 +96,13 @@ class KSReport:
     n: int
     p_value: float
     level: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.p_value >= self.level
 
     def as_dict(self):
-        return {
-            "d_stat": self.d_stat,
-            "n": self.n,
-            "p_value": self.p_value,
-            "level": self.level,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 def kolmogorov_sf(t: float) -> float:
@@ -331,7 +325,7 @@ def run_batch(
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
     if params.n_dim == 1:
         # the only eigenvalue carries the whole trace
-        return SampleBatch(params, seed, np.ones(count), count)
+        return SampleBatch(params, seed, np.ones(count))
     blocks = -(-count // BLOCK)
     workers = max(1, min(workers, blocks // _MIN_SPAN_BLOCKS,
                          count * params.n_dim // _MIN_SPAN_WORK))
@@ -344,7 +338,7 @@ def run_batch(
                 lambda k: _span_values(params, seed, edges[k], edges[k + 1]),
                 range(workers)))
         values = np.concatenate(parts)
-    return SampleBatch(params, seed, values, count)
+    return SampleBatch(params, seed, values)
 
 
 def write_batch(batch: SampleBatch, fh):
@@ -386,7 +380,7 @@ def load_batch(path) -> SampleBatch:
         raise DomainError(f"batch file holds {len(values)} values, header says {count}")
     if stream not in (1, STREAM):
         raise DomainError(f"unknown batch stream version {stream!r}")
-    return SampleBatch(params, seed, values, int(count), stream)
+    return SampleBatch(params, seed, values, stream=stream)
 
 
 def ks_validate(batch: SampleBatch, cdf, level: float = 0.01) -> KSReport:
@@ -407,7 +401,7 @@ def ks_validate(batch: SampleBatch, cdf, level: float = 0.01) -> KSReport:
     d_minus = float(np.max(f - (grid - 1.0 / n)))
     d = max(d_plus, d_minus, 0.0)
     p = kolmogorov_sf(math.sqrt(n) * d)
-    return KSReport(d_stat=d, n=n, p_value=p, level=level, passed=p >= level)
+    return KSReport(d_stat=d, n=n, p_value=p, level=level)
 
 
 def ks_two_sample(values1, values2, level: float = 0.01) -> KSReport:
@@ -425,4 +419,4 @@ def ks_two_sample(values1, values2, level: float = 0.01) -> KSReport:
     d = float(np.max(np.abs(fa - fb)))
     n_eff = a.size * b.size / (a.size + b.size)
     p = kolmogorov_sf(math.sqrt(n_eff) * d)
-    return KSReport(d_stat=d, n=int(round(n_eff)), p_value=p, level=level, passed=p >= level)
+    return KSReport(d_stat=d, n=int(round(n_eff)), p_value=p, level=level)

@@ -143,12 +143,9 @@ CHECKS = [
 ]
 
 
-def run_all(stream=None) -> int:
+def run_all() -> int:
     """Run every check, print one PASS/FAIL line each with its elapsed
     time, return the number of failures."""
-    import sys
-
-    out = stream if stream is not None else sys.stdout
     failures = 0
     for name, fn in CHECKS:
         start = time.perf_counter()
@@ -159,9 +156,6 @@ def run_all(stream=None) -> int:
         elapsed = time.perf_counter() - start
         if not ok:
             failures += 1
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed * 1e3:.1f} ms)", file=out)
-    print(
-        f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed",
-        file=out,
-    )
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({elapsed * 1e3:.1f} ms)")
+    print(f"{len(CHECKS) - failures}/{len(CHECKS)} checks passed")
     return failures

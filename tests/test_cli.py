@@ -385,14 +385,33 @@ def test_exact_json_config_and_one_warning_per_call(capsys):
     ("sample", "--beta", "2", "--N", "2", "--M", "3", "--samples", "4"),
     ("validate", "--beta", "2", "--N", "2", "--M", "3", "--samples", "4"),
 ])
-@pytest.mark.parametrize("where", ["missing", "directory"])
-def test_unwritable_out_is_one_error_line(capsys, tmp_path, argv, where):
-    path = tmp_path / "no" / "such" / "x.txt" if where == "missing" else tmp_path
-    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+@pytest.mark.parametrize("where", ["missing", "directory", "empty", "file-parent"])
+def test_unwritable_out_is_one_error_line(capsys, monkeypatch, tmp_path, argv, where):
+    # the path is rejected before any work: neither the law nor the sampler runs
+    def never(*args):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr(cli, "q_exact", never)
+    monkeypatch.setattr(cli, "run_batch", never)
+    (tmp_path / "f").write_text("")
+    path = {"missing": str(tmp_path / "no" / "such" / "x.txt"), "directory": str(tmp_path),
+            "empty": "", "file-parent": str(tmp_path / "f" / "x.txt")}[where]
+    code, out, err = run_cli(capsys, *argv, "--out", path)
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+def test_open_failure_after_the_check_is_one_error_line(capsys, monkeypatch, tmp_path):
+    # a path that passes the early check can still fail to open (permissions,
+    # a full disk): the write itself reports the same one line
+    monkeypatch.setattr(cli, "_check_out", lambda out: None)
+    code, out, err = run_cli(capsys, "exact-cdf", "--beta", "2", "--N", "2", "--M", "3",
+                             "--grid", "0:0.5:3", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
 
 
 def test_output_bytes(capsys):

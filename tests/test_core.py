@@ -98,9 +98,31 @@ def test_alpha_lower_bound_holds_on_admissible_inputs():
 
 def test_direct_constructor_rejects_bad_fields():
     with pytest.raises(DomainError):
-        EnsembleParams(beta=2.0, n_dim=2, m_dim=1, alpha=0.0, jack_index=0)
-    with pytest.raises(DomainError):  # alpha not derived from (beta, N, M)
-        EnsembleParams(beta=2.0, n_dim=2, m_dim=3, alpha=-5.0, jack_index=None)
+        EnsembleParams(beta=2.0, n_dim=2, m_dim=1)
+    with pytest.raises(DomainError):
+        EnsembleParams(beta=2.0, n_dim=3.5, m_dim=5)
+
+
+def test_derived_fields_cannot_be_passed():
+    # alpha and m are functions of (beta, N, M): a caller cannot name another law
+    with pytest.raises(TypeError):
+        EnsembleParams(beta=2.0, n_dim=3, m_dim=5, alpha=2.0, jack_index=7)
+    with pytest.raises(TypeError):
+        EnsembleParams(beta=2.0, n_dim=3, m_dim=5, jack_index=2)
+
+
+@pytest.mark.parametrize("beta", [2.0, 1.0, 4.0, 2.0 / 3.0, 0.7, 3])
+def test_direct_constructor_is_params_new(beta):
+    xs = [0.0, 0.01, 0.05, 0.1, 0.2]
+    for n in (1, 2, 3, 5):
+        for m_dim in range(n, n + 3):
+            direct, built = EnsembleParams(beta, n, m_dim), params_new(beta, n, m_dim)
+            assert direct == built and hash(direct) == hash(built)
+            assert (direct.beta, direct.alpha, direct.jack_index) == (
+                built.beta, built.alpha, built.jack_index)
+            if built.jack_index is not None:
+                assert q_exact(direct, xs).tolist() == q_exact(built, xs).tolist()
+                assert moment(direct, 1) == moment(built, 1)
 
 
 def test_nonfinite_and_tiny_beta():
@@ -108,7 +130,7 @@ def test_nonfinite_and_tiny_beta():
         with pytest.raises(DomainError):
             params_new(beta, 3, 5)
         with pytest.raises(DomainError):
-            EnsembleParams(beta=beta, n_dim=3, m_dim=5, alpha=1.0, jack_index=None)
+            EnsembleParams(beta=beta, n_dim=3, m_dim=5)
     # 2/beta swamps M - N + 1 in alpha; the derived fields stay consistent
     p = params_new(1e-300, 3, 5)
     assert p.alpha == 5 - 3 + 1 - 2.0 / 1e-300 and p.jack_index is None

@@ -14,6 +14,7 @@ from lagmin.exact import q_exact
 from lagmin.sampler import (
     BLOCK,
     STREAM,
+    KSReport,
     SampleBatch,
     _block,
     _negcount,
@@ -385,12 +386,6 @@ def test_load_batch_value_a_few_ulps_past_1_over_n(tmp_path):
     assert load_batch(path).values.tolist() == [edge]
 
 
-def test_batch_count_mismatch():
-    p = params_new(2.0, 2, 3)
-    with pytest.raises(DomainError):
-        SampleBatch(p, 0, np.zeros(3), 5)
-
-
 # ---------- Kolmogorov machinery ----------
 
 def test_kolmogorov_sf_against_scipy():
@@ -443,9 +438,22 @@ def test_ks_validate_rejects_shifted_cdf():
     assert not rep.passed
 
 
+def test_counts_and_verdicts_are_derived():
+    p = params_new(2.0, 2, 3)
+    assert SampleBatch(p, 0, np.zeros(3)).count == 3
+    with pytest.raises(TypeError):
+        SampleBatch(p, 0, np.zeros(3), 5)
+    with pytest.raises(TypeError):
+        SampleBatch(p, 0, np.zeros(3), count=3)
+    rep = KSReport(d_stat=0.1, n=10, p_value=0.01, level=0.01)
+    assert rep.passed and not KSReport(d_stat=0.1, n=10, p_value=0.009, level=0.01).passed
+    with pytest.raises(TypeError):
+        KSReport(d_stat=0.1, n=10, p_value=0.5, level=0.01, passed=False)
+
+
 def test_ks_validate_errors():
     p = params_new(2.0, 2, 3)
-    empty = SampleBatch(p, 0, np.zeros(0), 0)
+    empty = SampleBatch(p, 0, np.zeros(0))
     with pytest.raises(EmptySample):
         ks_validate(empty, lambda x: x)
     batch = run_batch(p, 16, seed=0)
