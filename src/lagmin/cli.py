@@ -41,9 +41,11 @@ import argparse
 import errno
 import functools
 import json
+import math
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -182,11 +184,37 @@ def _format_cell(v):
     return str(v)
 
 
+def _json(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2) for the str-keyed dicts, lists and
+    scalars of an output, built by joins: indent= would select json's
+    pure-Python encoder."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else ("true" if value else "false")
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _json(v, inner)
+            for k, v in value.items()) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(config: dict, rows: list, warn_msgs: list, fmt: str, fh):
     if fmt == "json":
-        text = json.dumps(
-            {"config": config, "results": rows, "warnings": warn_msgs}, indent=2
-        ) + "\n"
+        text = _json({"config": config, "results": rows, "warnings": warn_msgs}) + "\n"
     else:
         lines = ["# config: " + json.dumps(config, sort_keys=True)]
         if rows:

@@ -21,10 +21,13 @@ call that leaves them (the call still returns its value).
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError, NonIntegerJackIndex, PrecisionWarning
 
@@ -105,18 +108,25 @@ def require_jack_index(params: EnsembleParams) -> int:
 
 
 def _positive_beta(beta) -> float:
-    """beta as a float; DomainError unless it is positive and finite."""
-    beta = float(beta)
+    """beta as a float; DomainError unless it is a positive, finite number."""
+    try:
+        beta = float(beta)
+    except OverflowError:  # an int past the float range
+        beta = math.inf if beta > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"beta must be a number, got {beta!r}") from None
     if not (0 < beta < math.inf):
         raise DomainError(f"beta must be positive and finite, got {beta}")
     return beta
 
 
 def _as_int(value, name: str) -> int:
-    if isinstance(value, bool):
+    """value as an int: any integer type (numpy's included) or an
+    integral float; DomainError for a bool or anything else."""
+    if isinstance(value, (bool, np.bool_)):
         raise DomainError(f"{name} must be an integer, got bool")
-    if isinstance(value, int):
-        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise DomainError(f"{name} must be an integer, got {value!r}")

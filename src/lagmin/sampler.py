@@ -31,13 +31,17 @@ batch files carried a "stream" field) is no longer generated; its batch
 files still load.
 
 The smallest eigenvalue comes straight from the chi-square draws a^2,
-b^2 (no square root, and the count never forms T's entries): the
-differential stationary qd transform of Fernando & Parlett counts the
-eigenvalues of B B^T below a shift with high relative accuracy, and a
-bracket [0, min diag T] is narrowed by Laguerre steps from its left end,
-all rows at once, until it is 2**-49 wide relative to its upper end.
-numpy.linalg.eigvalsh is used only as a cross-check oracle in the test
-suite.
+b^2 (no square root, and the count never forms T's entries).  The count
+of eigenvalues of B B^T below a shift is the twisted one of LAPACK
+dlaneg: the differential stationary qd transform runs down from row 0
+and the progressive one up from row N-1, both at once as the two rows of
+one (2, draws) state, and they meet at the twist r = N // 2, so a sweep
+takes N // 2 sequential steps instead of N - 1.  Each half keeps the
+high relative accuracy of the one-sided transform (Dhillon & Parlett).
+A bracket [0, min diag T] is narrowed by Laguerre steps from its left
+end, all rows at once, until it is 2**-49 wide relative to its upper
+end.  numpy.linalg.eigvalsh is used only as a cross-check oracle in the
+test suite.
 """
 
 from __future__ import annotations
@@ -168,66 +172,107 @@ def _span_values(params: EnsembleParams, seed: int, lo: int, hi: int) -> np.ndar
     return tridiag_smallest(sq[:, :n], sq[:, n:]) / trace
 
 
-def _negcount(a2, b2, sigma) -> np.ndarray:
-    """Eigenvalues of B B^T below sigma for every column of a2 (N, R),
-    b2 (N-1, R), by the differential stationary qd transform with the
-    zero-pivot guard of LAPACK dlaneg: a quotient s/D+ that comes out NaN
-    (after a pivot D+ = 0) is replaced by 1."""
-    s = -sigma
+def _twist(a2, b2):
+    """Operands of the twisted qd sweep of T = B B^T for draws a2 (R, N),
+    b2 (R, N-1), N >= 2, twisted at r = N // 2: x, y and xy = x * y of
+    shape (N // 2, 2, R), then start and slope of shape (2, R).
+
+    Half h begins in the state start[h] + slope[h] * sigma, and its step
+    k turns a state s into the pivot D = x[k, h] + s and the state
+    y[k, h] * s / D - sigma.  The top half (h = 0) is the stationary
+    transform: steps (a_k^2, b_k^2), k = 0..r-1, from s = -sigma, which
+    leave s_r.  The bottom half is the progressive transform: steps
+    (b_(k-1)^2, a_(k-1)^2), k = N-1 down to r+1, from p = a_(N-1)^2 -
+    sigma, which leave p_r.  At even N the bottom half has one step
+    fewer, so it starts instead from p = 1 with the step (0, a_(N-1)^2),
+    which gives the same p and the pivot 1.
+    """
+    rows, n = a2.shape
+    r, even = n // 2, 1 - n % 2
+    x, y = np.empty((2, r, 2, rows))
+    x[:, 0] = a2[:, :r].T
+    y[:, 0] = b2[:, :r].T
+    x[even:, 1] = b2[:, r:n - 1][:, ::-1].T
+    y[even:, 1] = a2[:, r:n - 1][:, ::-1].T
+    start = np.zeros((2, rows))
+    slope = np.full((2, rows), -1.0)
+    if even:
+        x[0, 1] = 0.0
+        y[0, 1] = a2[:, n - 1]
+        start[1] = 1.0
+        slope[1] = 0.0
+    else:
+        start[1] = a2[:, n - 1]
+    return x, y, x * y, start, slope
+
+
+def _negcount(ops, sigma) -> np.ndarray:
+    """Eigenvalues of B B^T below sigma for every column of the _twist
+    operands, with the zero-pivot guard of LAPACK dlaneg: a quotient s/D
+    that comes out NaN (after a pivot D = 0) is replaced by 1."""
+    x, y, _, start, slope = ops
+    s = slope * sigma + start
     count = np.zeros(sigma.shape, dtype=np.intp)
-    for i in range(a2.shape[0] - 1):
-        d = a2[i] + s
-        count += d < 0.0
+    for k in range(x.shape[0]):
+        d = x[k] + s
+        count += np.count_nonzero(d < 0.0, axis=0)
         t = s / d
         t[np.isnan(t)] = 1.0
-        s = t * b2[i] - sigma
-    return count + (a2[-1] + s < 0.0)
+        s = t * y[k] - sigma
+    return count + ((s[0] + sigma) + s[1] < 0.0)
 
 
-def _qd_pass(a2, b2, ab, sigma):
-    """One differential stationary qd sweep L+ D+ L+^T = B B^T - sigma I
-    for every column of a2 (N, R), b2 (N-1, R), with ab = a2[:-1] * b2.
+def _qd_pass(ops, sigma):
+    """One twisted qd sweep N_r Delta N_r^T = B B^T - sigma I for every
+    column of the _twist operands: both halves step at once, as the two
+    rows of one (2, R) state, and meet at the twist r = N // 2 in
+    gamma_r = (s_r + sigma) + p_r.
 
-    The pivots are D+_0 = a_0^2 - sigma, D+_(i+1) = a_(i+1)^2 + s_(i+1),
-    s_(i+1) = b_i^2 s_i / D+_i - sigma.  Returns the number of negative
-    pivots (the eigenvalues below sigma) and, from the first and second
+    Returns the number of negative pivots, gamma_r included (the
+    eigenvalues below sigma), and, from the first and second
     sigma-derivatives of the pivots, S1 = sum_j 1/(lambda_j - sigma) and
-    S2 = sum_j 1/(lambda_j - sigma)^2, since det(T - sigma) = prod D+_i.
-    As in LAPACK dlaneg, the sweep runs unguarded and only the columns
-    whose last pivot came out NaN are counted again by _negcount.
+    S2 = sum_j 1/(lambda_j - sigma)^2, since det(T - sigma) =
+    prod D+_i * gamma_r * prod D-_i.  As in LAPACK dlaneg, the sweep runs
+    unguarded and only the columns whose gamma_r came out NaN are
+    counted again by _negcount.
     """
-    n = a2.shape[0]
-    piv = np.empty_like(a2)
-    d = np.subtract(a2[0], sigma, out=piv[0])
-    s = -sigma
-    ds = np.full_like(sigma, -1.0)  # d s_i / d sigma
-    dds = np.zeros_like(sigma)  # d^2 s_i / d sigma^2
-    s1 = np.zeros_like(sigma)
-    s2 = np.zeros_like(sigma)
-    r, u, q, t, v = (np.empty_like(sigma) for _ in range(5))
-    for i in range(n):
+    x, y, xy, start, slope = ops
+    steps, _, rows = x.shape
+    piv = np.empty_like(x)
+    acc = np.zeros((2, 2, rows))
+    s1, s2 = acc  # S1 and S2 over each half's pivots
+    r, u, q, t, v, dsn, ddsn = np.empty((7, 2, rows))
+    s = slope * sigma
+    s += start
+    ds, dds = slope, 0.0  # d s / d sigma, d^2 s / d sigma^2
+    for xk, yk, xyk, d in zip(x, y, xy, piv):
+        np.add(xk, s, out=d)
         np.divide(ds, d, out=r)  # D'/D
         s1 -= r
         np.divide(dds, d, out=u)
         np.multiply(r, r, out=q)
         u -= q  # (D'/D)' = D''/D - (D'/D)^2
         s2 -= u
-        if i == n - 1:
-            break
         np.divide(s, d, out=t)
-        np.divide(ab[i], d, out=v)
-        # s_(i+1) = b^2 - a^2 b^2 / D - sigma, differentiated twice
+        np.divide(xyk, d, out=v)
+        # next s = y - x y / D - sigma, differentiated twice
         u -= q
-        np.multiply(v, u, out=dds)
-        np.multiply(v, r, out=ds)
+        dds = np.multiply(v, u, out=ddsn)
+        ds = np.multiply(v, r, out=dsn)
         ds -= 1.0
-        s = t * b2[i]
+        s = np.multiply(t, yk, out=s)
         s -= sigma
-        d = np.add(a2[i + 1], s, out=piv[i + 1])
-    count = np.count_nonzero(piv < 0.0, axis=0)
-    bad = np.isnan(d)  # a zero pivot turns every later pivot into NaN
+    gamma = s[0] + sigma
+    gamma += s[1]
+    rg = (ds[0] + ds[1] + 1.0) / gamma  # gamma'/gamma
+    s1[0] -= rg
+    s2[0] -= (dds[0] + dds[1]) / gamma - rg * rg
+    count = np.count_nonzero(piv < 0.0, axis=(0, 1))
+    count += gamma < 0.0
+    bad = np.isnan(gamma)  # a zero pivot turns the rest of its half into NaN
     if bad.any():
-        count[bad] = _negcount(a2[:, bad], b2[:, bad], sigma[bad])
+        count[bad] = _negcount([op[..., bad] for op in ops], sigma[bad])
+    s1, s2 = acc.sum(axis=1)
     return count, s1, s2
 
 
@@ -237,13 +282,14 @@ def tridiag_smallest(a2, b2):
     squared subdiagonal b2 (draws, N-1), all entries >= 0.
 
     Each row keeps a bracket [lo, hi] with no eigenvalue below lo and at
-    least one at or below hi, from the qd count; it starts at
-    [0, min diag T] (T is positive semidefinite).  From lo, Laguerre's
-    step for the smallest root of det(T - sigma) lands at or below
-    lambda_min in exact arithmetic; the next shift is that estimate plus
-    a margin, so a converged estimate closes the bracket from above, and
-    a margin doubling below hi closes it from below.  Where the step is
-    unusable (after a zero pivot, or where S2 overflows, lambda below
+    least one at or below hi, from the twisted qd count (_qd_pass), whose
+    operands are built once per call and shed columns as rows finish; it
+    starts at [0, min diag T] (T is positive semidefinite).  From lo,
+    Laguerre's step for the smallest root of det(T - sigma) lands at or
+    below lambda_min in exact arithmetic; the next shift is that estimate
+    plus a margin, so a converged estimate closes the bracket from above,
+    and a margin doubling below hi closes it from below.  Where the step
+    is unusable (after a zero pivot, or where S2 overflows, lambda below
     ~1e-154) the shift bisects.  A row leaves the active set once
     hi - lo <= 2**-49 hi, or lo and hi are adjacent doubles (a subnormal
     lambda); the midpoint is returned, within 2**-50 relative of the
@@ -265,16 +311,14 @@ def tridiag_smallest(a2, b2):
         return a2[:, 0].copy()
     out = np.zeros(rows)
     live = np.flatnonzero(a2.min(axis=1) > 0.0)
-    a2 = a2[live].T.copy()
-    b2 = b2[live].T.copy()
-    ab = a2[:-1] * b2
-    hi = np.minimum(a2[0], (a2[1:] + b2).min(axis=0))
+    hi = np.minimum(a2[:, 0], (a2[:, 1:] + b2).min(axis=1))[live]
+    ops = _twist(a2[live], b2[live])
     lo, sigma, est, gap = (np.zeros(live.size) for _ in range(4))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_PASSES):
             if not live.size:
                 return out
-            count, s1, s2 = _qd_pass(a2, b2, ab, sigma)
+            count, s1, s2 = _qd_pass(ops, sigma)
             above = count >= 1
             hi = np.where(above, sigma, hi)
             lo = np.where(above, lo, sigma)
@@ -294,10 +338,11 @@ def tridiag_smallest(a2, b2):
             done = (hi - lo <= _RTOL * hi) | (mid <= lo) | (mid >= hi)
             if done.any():
                 out[live[done]] = mid[done]
-                keep = ~done
+                keep = np.flatnonzero(~done)
                 live, lo, hi, sigma, est, gap = (
                     v[keep] for v in (live, lo, hi, sigma, est, gap))
-                a2, b2, ab = a2[:, keep], b2[:, keep], ab[:, keep]
+                # np.take, not op[..., keep]: the fast column subset
+                ops = [np.take(op, keep, axis=-1) for op in ops]
     raise EigensolverFailure(
         f"eigenvalue bracket still open after {_MAX_PASSES} passes")
 

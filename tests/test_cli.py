@@ -485,6 +485,23 @@ def test_output_bytes(capsys):
         '{"beta": 2.0, "n_dim": 3, "m_dim": 3, "seed": 7, "count": 2, "stream": 2}')
 
 
+@pytest.mark.parametrize("payload", [
+    {"config": {"command": "validate", "beta": 0.5, "N": 3, "M": 5, "jack_index": None},
+     "results": [{"d_stat": 0.125, "n": 50, "p_value": 1e-300, "pass": False, "route": "series"}],
+     "warnings": []},
+    {"results": [{"x": 0.0, "Q": float("nan")}, {"x": float("inf"), "Q": float("-inf")},
+                 {"x": -0.0, "Q": 5e-324}, {"x": 1.7976931348623157e308, "Q": True}],
+     "warnings": ["beta=2 \u2264 \"quoted\"\n\ttab \x00 \ud800", ""]},
+    {"empty": [], "none": {}, "nested": [[1, [2, {}]], {"k": [[]]}], "big": 2**70,
+     "numpy": [np.float64(0.1), np.float64("nan"), np.float64("inf")], "tuple": (1, -2)},
+    [], {}, 1.5, "text", None,
+], ids=["validate", "nonfinite", "nested", "empty-list", "empty-dict", "float", "str", "null"])
+def test_json_writer_is_json_dumps_indent_2(payload):
+    # _emit writes JSON without json.dumps(indent=2), which runs the
+    # pure-Python encoder; the bytes must be the same, NaN and inf included
+    assert cli._json(payload) == json.dumps(payload, indent=2)
+
+
 def test_every_command_is_documented():
     doc = cli.__doc__.split("Subcommands\n-----------\n")[1].split("\n\n")[0]
     listed = {ln.split()[0] for ln in doc.splitlines() if not ln.startswith(" ")}

@@ -6,6 +6,7 @@ import pkgutil
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lagmin
@@ -134,6 +135,39 @@ def test_nonfinite_and_tiny_beta():
     # 2/beta swamps M - N + 1 in alpha; the derived fields stay consistent
     p = params_new(1e-300, 3, 5)
     assert p.alpha == 5 - 3 + 1 - 2.0 / 1e-300 and p.jack_index is None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: params_new(None, 2, 3),
+    lambda: params_new("abc", 2, 3),
+    lambda: LimitParams(None, 1),
+], ids=["none", "text", "limit-none"])
+def test_non_numeric_beta_is_domain_error(make):
+    with pytest.raises(DomainError, match="beta must be a number"):
+        make()
+
+
+def test_beta_past_the_float_range():
+    for beta in (10**400, -(10**400)):
+        with pytest.raises(DomainError, match="positive and finite"):
+            params_new(beta, 2, 3)
+
+
+@pytest.mark.parametrize("int_type", [np.int64, np.int32])
+def test_numpy_integer_dimensions(int_type):
+    # N and M taken from a numpy array build the same law, equal and with
+    # the same hash, so a cache keyed by the params (_series_coeffs) hits
+    plain = params_new(2.0, 3, 5)
+    for p in (params_new(2.0, int_type(3), 5), params_new(2.0, int_type(3), int_type(5)),
+              EnsembleParams(2.0, int_type(3), int_type(5))):
+        assert p == plain and hash(p) == hash(plain)
+        assert type(p.n_dim) is int and type(p.m_dim) is int
+        assert (p.alpha, p.jack_index) == (plain.alpha, plain.jack_index)
+    for flag in (True, np.True_, np.False_):
+        with pytest.raises(DomainError, match="got bool"):
+            params_new(2.0, flag, 5)
+    with pytest.raises(DomainError):
+        params_new(2.0, 3, np.float64(5.5))
 
 
 def _modules():

@@ -19,6 +19,7 @@ from lagmin.sampler import (
     _block,
     _negcount,
     _qd_pass,
+    _twist,
     kolmogorov_sf,
     ks_two_sample,
     ks_validate,
@@ -80,8 +81,9 @@ class TestTridiagSmallest:
     def test_relative_accuracy_by_exact_count(self, beta, n, m_dim):
         # lambda_min of B B^T to 1e-14 relative, whatever its size
         # against ||T||: no eigenvalue below 0.99999999999999 lambda, one
-        # at or below 1.00000000000001 lambda, in exact arithmetic
-        a2, b2 = _ensemble_squares(params_new(beta, n, m_dim), 41, 12)
+        # at or below 1.00000000000001 lambda, in exact arithmetic; at
+        # N=200 over a batch of the benchmark's size, 160 draws
+        a2, b2 = _ensemble_squares(params_new(beta, n, m_dim), 41, 160 if n == 200 else 12)
         lam = tridiag_smallest(a2, b2)
         for i in range(a2.shape[0]):
             assert _exact_count(a2[i], b2[i], lam[i] * (1 - 1e-14)) == 0
@@ -133,20 +135,57 @@ class TestTridiagSmallest:
         assert lam[1] == pytest.approx(np.linalg.eigvalsh(_dense_t(a2[1], b2[1]))[0], rel=1e-14)
 
     def test_zero_pivot_guard(self):
-        # sigma = a_0^2 makes D+_0 = 0; without the guard every later
-        # pivot is NaN and the count comes out wrong
-        a2 = np.array([[1.0, 3.0, 0.5, 0.2], [1.0, 0.5, 0.25, 2.0]]).T
-        b2 = np.array([[0.5, 0.1, 4.0], [2.0, 1.0, 0.5]]).T
+        # a zero pivot makes every later pivot of its half NaN, and gamma_r
+        # with them; without the guard the count comes out wrong
+        cases = [
+            # sigma = a_0^2 makes the top pivot D+_0 = 0
+            ([[1.0, 3.0, 0.5, 0.2], [1.0, 0.5, 0.25, 2.0]],
+             [[0.5, 0.1, 4.0], [2.0, 1.0, 0.5]]),
+            # sigma = a_4^2 + b_3^2 makes the bottom pivot D-_4 = 0
+            ([[2.0, 3.0, 0.5, 1.5, 0.75], [0.5, 2.5, 4.0, 0.5, 0.5]],
+             [[0.5, 1.0, 2.0, 0.25], [1.0, 0.25, 1.0, 0.5]]),
+        ]
         sigma = np.array([1.0, 1.0])
-        want = []
-        for j in range(2):
-            eig = np.linalg.eigvalsh(_dense_t(a2[:, j], b2[:, j]))
-            assert np.abs(eig - 1.0).min() > 1e-3
-            want.append(int((eig < 1.0).sum()))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            count, _, _ = _qd_pass(a2, b2, a2[:-1] * b2, sigma)
-            assert _negcount(a2, b2, sigma).tolist() == want
-        assert count.tolist() == want
+        for a2, b2 in cases:
+            a2, b2 = np.array(a2), np.array(b2)
+            want = []
+            for j in range(2):
+                eig = np.linalg.eigvalsh(_dense_t(a2[j], b2[j]))
+                assert np.abs(eig - 1.0).min() > 1e-3
+                want.append(int((eig < 1.0).sum()))
+            ops = _twist(a2, b2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                count, _, _ = _qd_pass(ops, sigma)
+                assert _negcount(ops, sigma).tolist() == want
+            assert count.tolist() == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 40, 41, 200])
+    def test_twisted_count_is_exact(self, n):
+        # the count at shifts spread over the whole spectrum, odd and even
+        # N, against the exact integer Sturm count
+        a2, b2 = _ensemble_squares(params_new(2.0, n, n + 2), 17, 8)
+        rng = np.random.default_rng(n)
+        top = a2.max(axis=1) + 2.0 * b2.max(axis=1)
+        ops = _twist(a2, b2)
+        for sigma in (rng.uniform(0.0, 1.0, size=(6, 8)) ** 3 * top).tolist():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                count, _, _ = _qd_pass(ops, np.array(sigma))
+            want = [_exact_count(a2[i], b2[i], sigma[i]) for i in range(8)]
+            assert count.tolist() == want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_twisted_derivative_sums(self, n):
+        # S1 = sum 1/(lambda - sigma) and S2 = sum 1/(lambda - sigma)^2
+        # from the pivot derivatives, at shifts away from the eigenvalues
+        a2, b2 = _ensemble_squares(params_new(1.0, n, n + 1), 23, 20)
+        eig = np.array([np.linalg.eigvalsh(_dense_t(a2[i], b2[i])) for i in range(20)])
+        sigma = eig[:, 0] + 0.3 * (eig[:, 1] - eig[:, 0])
+        sigma[::2] = 0.5 * eig[::2, 0]
+        _, s1, s2 = _qd_pass(_twist(a2, b2), sigma)
+        inv = 1.0 / (eig - sigma[:, None])
+        # S1 mixes signs above lambda_min: its error scales with sum |1/(lambda - sigma)|
+        assert np.all(np.abs(s1 - inv.sum(axis=1)) <= 1e-10 * np.abs(inv).sum(axis=1))
+        np.testing.assert_allclose(s2, (inv * inv).sum(axis=1), rtol=1e-10)
 
     def test_rows_do_not_depend_on_the_batch(self):
         a2, b2 = _ensemble_squares(params_new(2.0, 40, 42), 8, 50)
