@@ -11,12 +11,17 @@ polynomials, and inverting the transform term by term gives
 where sum_j c_j s^j = det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}.  This
 shares no code with the partition series, which it cross-validates to
 roundoff.  det_laguerre finds the exact c_j in integers: scaled by
-F = (N+alpha-1)!, each entry F L_n^{(l)}(-s) = sum_j C(n+l, n-j) (F // j!) s^j
-has integer coefficients; the determinant is evaluated at s = 0..alpha*N by
-integer Bareiss elimination (Math. Comp. 22, 1968), every division exact;
-forward differences of the values give the Newton form, which Horner's rule
-over the falling factorials turns into monomial coefficients over the
-common denominator (alpha*N)! F^alpha.
+F = (N+alpha-1)!, each entry F L_n^{(l)}(-s) = (F // n!) P_n is an integer
+at integer s, with P_n = n! L_n^{(l)}(-s) from the three-term recurrence
+(DLMF 18.9.1)
+
+    P_0 = 1,  P_1 = 1 + l + s,  P_(n+1) = (2n+1+l+s) P_n - n(n+l) P_(n-1),
+
+one column l at a time, and 0 where n = N+k-l < 0.  The determinant is
+evaluated at s = 0..alpha*N by integer Bareiss elimination (Math. Comp.
+22, 1968), every division exact; forward differences of the values give
+the Newton form, which Horner's rule over the falling factorials turns
+into monomial coefficients over the common denominator (alpha*N)! F^alpha.
 
 No pivot search is needed: the r-th pivot is the leading (r+1) x (r+1)
 minor, F^(r+1) times this determinant at alpha = r+1.  Up to a positive
@@ -40,7 +45,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -75,18 +79,21 @@ def det_laguerre(n_dim: int, alpha: int) -> tuple:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     deg = alpha * n_dim
     scale = math.factorial(n_dim + alpha - 1)  # F
-    # F * L_n^(l)(-s) = sum_j C(n+l, n-j) (F // j!) s^j, n = N+k-l
-    entries = [
-        [
-            [math.comb(n_dim + k, n - j) * (scale // math.factorial(j)) for j in range(n + 1)]
-            for n in range(n_dim + k, n_dim + k - alpha, -1)
-        ]
-        for k in range(alpha)
-    ]
+    top = n_dim + alpha - 1  # the largest degree n = N+k-l
+    over = [scale // math.factorial(n) for n in range(top + 1)]  # F // n!
     values = []
     for s in range(deg + 1):
-        powers = [s**j for j in range(n_dim + alpha)]
-        values.append(_bareiss([[sum(map(mul, poly, powers)) for poly in row] for row in entries]))
+        cols = []  # cols[l][n] = P_n = n! L_n^(l)(-s), n = 0..top-l
+        for l in range(alpha):
+            p = [1, 1 + l + s]
+            for n in range(1, top - l):
+                p.append((2 * n + 1 + l + s) * p[n] - n * (n + l) * p[n - 1])
+            cols.append(p)
+        values.append(_bareiss([
+            [over[n] * cols[l][n] if n >= 0 else 0
+             for l, n in enumerate(range(n_dim + k, n_dim + k - alpha, -1))]
+            for k in range(alpha)
+        ]))
     # Newton form: F^alpha * det = sum_k (Delta^k values)(0) s(s-1)...(s-k+1) / k!,
     # times deg! and rebuilt in monomials by Horner over (s - k)
     for k in range(1, deg + 1):  # values[k] <- (Delta^k values)(0)

@@ -23,13 +23,21 @@ sum_kappa 1/prod(hooks): the inverse product of the lower and upper
 hook lengths nu*a + l + 1 and nu*(a+1) + l over the cells of kappa.
 
 The coefficients are built weight band by weight band on a fixed ladder
-of tops K_0 = 8, K_(i+1) = K_i + ceil(K_i/4): the partitions with at most
-m parts and weight in (K_(i-1), K_i] are streamed in bounded int32
-chunks and reduced by weight (jack._log_weight_sums, the builder the
-finite-N route shares).  The table of each rung is cached and extends
-the one below it, so c_k does not depend on how far a call needed to
-go, and a point's value does not depend on the other points of its
-call.
+of tops K_0 = 16, K_1 = 32, K_(i+1) = K_i + ceil(K_i/4) after that (40,
+50, 63, 79, ...): the partitions with at most m parts and weight in
+(K_(i-1), K_i] are streamed in bounded int32 chunks and reduced by
+weight (jack._log_weight_sums, the builder the finite-N route shares).
+Each rung costs a fixed set of prefix and pair tables besides its
+partitions, so the ladder opens wide: the series needs at most 14 terms
+at y <= 1, 28 at y <= 10, 44 at y <= 40 and 61 at y <= 100 (m <= 6,
+beta in [0.5, 6]), and a call climbs about two rungs.  The table of each
+rung is cached and extends the one below it.  A weight's sum depends
+only on which chunk holds its partitions, not on where the band edges
+fall: the partitions of one weight come out in the same order in any
+band that holds them, with the same table entries.  So wherever a band
+fits one chunk, c_k is bit-identical to one build over [0, K], and in
+any case c_k does not depend on how far a call needed to go; a point's
+value does not depend on the other points of its call.
 
 The density P = -dQ/dy is the same kind of sum.  With F(u) = sum_k c_k u^k,
 
@@ -78,6 +86,7 @@ for anything quantitative.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,8 +97,9 @@ from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
 from .numerics import EDGE_SUM_BLOCK, _bessel_i_scaled, _points
 
-#: Top weight of the first band of the coefficient table.
-LADDER_START = 8
+#: Top weight of the first band of the coefficient table; the second
+#: band ends at twice it.
+LADDER_START = 16
 
 
 @dataclass(frozen=True)
@@ -102,10 +112,12 @@ class LimitParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", core._positive_beta(self.beta))
-        if not isinstance(self.jack_index, int) or isinstance(self.jack_index, bool):
+        if not isinstance(self.jack_index, numbers.Integral):  # numpy's too, but not 1.0
             raise DomainError(f"jack_index must be an int, got {self.jack_index!r}")
-        if self.jack_index < 0:
-            raise DomainError(f"jack_index must be >= 0, got {self.jack_index}")
+        m = core._as_int(self.jack_index, "jack_index")  # a bool is refused here
+        if m < 0:
+            raise DomainError(f"jack_index must be >= 0, got {m}")
+        object.__setattr__(self, "jack_index", m)
 
 
 def _limit_points(lp: LimitParams, y) -> np.ndarray:
@@ -120,9 +132,17 @@ def _limit_points(lp: LimitParams, y) -> np.ndarray:
 
 
 def _ladder_top(rung: int) -> int:
-    """Top weight K_rung of the coefficient ladder."""
-    top = LADDER_START
-    for _ in range(rung):
+    """Top weight K_rung of the coefficient ladder: 16, 32, then
+    K + ceil(K/4) (40, 50, 63, 79, ...).
+
+    Moving the tops moves no coefficient that a band computes in one
+    chunk (module docstring): the tops set only how many rungs, each
+    with its own tables, a call builds on its way to the K it needs.
+    """
+    if rung == 0:
+        return LADDER_START
+    top = 2 * LADDER_START
+    for _ in range(rung - 1):
         top += -(-top // 4)
     return top
 

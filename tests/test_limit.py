@@ -35,6 +35,22 @@ def test_params_validation():
         LimitParams(2.0, 1.0)  # must be a true int
 
 
+@pytest.mark.parametrize("int_type", [np.int64, np.int32])
+def test_numpy_integer_jack_index(int_type):
+    # m taken from a numpy array is the same pair, equal and with the same
+    # hash, so the caches keyed by it hit
+    plain = LimitParams(2.0, 1)
+    lp = LimitParams(2.0, int_type(1))
+    assert lp == plain and hash(lp) == hash(plain)
+    assert type(lp.jack_index) is int
+    assert q_limit(lp, 3.0) == q_limit(plain, 3.0)
+    with pytest.raises(DomainError):
+        LimitParams(2.0, int_type(-1))
+    for flag in (True, False, np.True_):
+        with pytest.raises(DomainError):
+            LimitParams(2.0, flag)
+
+
 def test_nan_and_infinite_y():
     for m in (0, 1, 2):
         lp = LimitParams(2.0, m)
@@ -175,7 +191,7 @@ def test_density_is_minus_dq_dy(beta, m):
 def test_density_nonnegative_and_normalized():
     lp = LimitParams(2.0, 1)
     ys = [0.01 * i for i in range(1, 5000)]
-    vals = [p_limit(lp, y) for y in ys]
+    vals = p_limit(lp, np.array(ys)).tolist()
     assert all(v >= 0 for v in vals)
     # crude trapezoid over [0, 50] captures essentially all the mass
     mass = sum(
@@ -271,12 +287,38 @@ def test_band_stream_is_the_whole_band(m, lo, hi, chunk_rows, monkeypatch):
 
 
 def test_coeffs_do_not_depend_on_the_chunking(monkeypatch):
-    whole = limit._f01_coeffs(1.0, 4, 0, 4).copy()
+    whole = limit._f01_coeffs(1.0, 4, 0, 1).copy()  # k <= 32
     limit._f01_coeffs.cache_clear()
     monkeypatch.setattr(jack, "CHUNK_ROWS", 1)
-    split = limit._f01_coeffs(1.0, 4, 0, 4).copy()
+    split = limit._f01_coeffs(1.0, 4, 0, 1).copy()
     limit._f01_coeffs.cache_clear()
     assert split == pytest.approx(whole, rel=0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 5.9])
+@pytest.mark.parametrize("shift", [0, 2])
+def test_ladder_is_one_build_wherever_it_fits_one_chunk(beta, shift, monkeypatch):
+    # a weight's sum depends only on the chunk that holds its partitions,
+    # so the rung-by-rung table equals one build over [0, K] bit for bit
+    # wherever that build is a single chunk, and within the chunking
+    # tolerance elsewhere
+    laddered = {m: [limit._f01_coeffs(beta, m, shift, rung).copy() for rung in range(5)]
+                for m in range(7)}  # K = 16, 32, 40, 50, 63
+    bitwise = set()
+    for m in range(7):
+        for rung, table in enumerate(laddered[m]):
+            top = limit._ladder_top(rung)
+            limit._f01_coeffs.cache_clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(limit, "_ladder_top", lambda rung, top=top: top)
+                whole = limit._f01_coeffs(beta, m, shift, 0)
+            limit._f01_coeffs.cache_clear()
+            if sum(1 for _ in jack._partition_chunks(m, 0, top, top)) == 1:
+                assert whole.tobytes() == table.tobytes()
+                bitwise.add((m, top))
+            else:
+                assert whole == pytest.approx(table, rel=0.0, abs=1e-13)
+    assert (6, 50) in bitwise and (5, 63) in bitwise
 
 
 # ---------- exact rational reference ----------
