@@ -28,9 +28,7 @@ from .beta2 import (
 )
 from .limit import (
     LimitParams,
-    limit_prefactor,
     p_limit,
-    p_limit_printed,
     prefactor_diagnostics,
     q_limit,
     q_limit_closed,
@@ -66,12 +64,10 @@ __all__ = [
     "kolmogorov_sf",
     "ks_two_sample",
     "ks_validate",
-    "limit_prefactor",
     "load_batch",
     "moment",
     "p_exact",
     "p_limit",
-    "p_limit_printed",
     "params_new",
     "prefactor_diagnostics",
     "q_alpha2_sum",

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _as_int, warn_outside
+from .core import _as_int, params_new, warn_outside
 from .errors import DomainError
 from .numerics import _edge_sum, _points
 
@@ -71,12 +71,8 @@ def det_laguerre(n_dim: int, alpha: int) -> tuple:
     """Exact coefficients, ascending in s, of the polynomial
     det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}: alpha*N + 1 Fractions,
     (Fraction(1),) for the empty determinant alpha = 0."""
-    n_dim = _as_int(n_dim, "n_dim")
-    alpha = _as_int(alpha, "alpha")
-    if n_dim < 1:
-        raise DomainError(f"n_dim must be >= 1, got {n_dim}")
-    if alpha < 0:
-        raise DomainError(f"alpha must be >= 0, got {alpha}")
+    n_dim = _as_int(n_dim, "n_dim", 1)
+    alpha = _as_int(alpha, "alpha", 0)
     deg = alpha * n_dim
     scale = math.factorial(n_dim + alpha - 1)  # F
     top = n_dim + alpha - 1  # the largest degree n = N+k-l
@@ -127,11 +123,9 @@ def _beta2_coeffs(n_dim: int, alpha: int) -> np.ndarray:
 def q_exact_beta2(n_dim: int, m_dim: int, x):
     """Survival function at beta=2 via the Laguerre determinant route, at
     a float x (returns a float) or at every entry of an array."""
-    n_dim = _as_int(n_dim, "n_dim")
-    m_dim = _as_int(m_dim, "m_dim")
-    if n_dim < 1 or m_dim < n_dim:
-        raise DomainError(f"need M >= N >= 1, got N={n_dim}, M={m_dim}")
-    xs = _points(x)
+    params = params_new(2.0, n_dim, m_dim)  # the (N, M) rule of both finite-N routes
+    n_dim, m_dim = params.n_dim, params.m_dim
+    xs = _points(x, "x")
     alpha = m_dim - n_dim
     warn_outside("beta2", N=n_dim, alpha=alpha)
     log_a = _beta2_coeffs(n_dim, alpha)
@@ -149,10 +143,9 @@ def q_alpha2_sum(n_dim: int, x: float) -> float:
     the i = N+1 row (where that combination is singular) is added in its
     uncombined form.  Equals q_exact_beta2(N, N+2, x) identically.
     """
-    n_dim = _as_int(n_dim, "n_dim")
-    if n_dim < 1:
-        raise DomainError(f"n_dim must be >= 1, got {n_dim}")
-    if not (0.0 <= x <= 1.0 / n_dim):
+    n_dim = _as_int(n_dim, "n_dim", 1)
+    x = _points(x, "x", scalar=True)
+    if x > 1.0 / n_dim:
         raise DomainError(f"x must lie in [0, 1/N], got {x}")
     n = n_dim
     if x == 0.0:

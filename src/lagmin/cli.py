@@ -177,8 +177,6 @@ def _resolve_seed(args) -> int:
 def _format_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)

@@ -12,6 +12,11 @@ The partition-series formulas for the smallest-eigenvalue law apply only
 when m = (beta/2)*alpha is a nonnegative integer; `jack_index` carries
 that value when it exists.
 
+Argument rules: every integer argument of the public API (N, M, m,
+alpha, p, count, workers, seed) goes through `_as_int`, and every point
+x or y through `numerics._points` (entries >= 0, no NaN; an array only
+where the law takes one).  A bad argument raises DomainError.
+
 The accuracy policy lives here too: TAIL_TOL and K_MAX truncate the
 hard-edge and Bessel series, ENVELOPES holds each route's validated
 parameter bands, and warn_outside issues the one PrecisionWarning of a
@@ -74,12 +79,8 @@ class EnsembleParams:
 
     def __post_init__(self):
         beta = _positive_beta(self.beta)
-        n_dim = _as_int(self.n_dim, "n_dim")
-        m_dim = _as_int(self.m_dim, "m_dim")
-        if n_dim < 1:
-            raise DomainError(f"n_dim must be >= 1, got {n_dim}")
-        if m_dim < n_dim:
-            raise DomainError(f"m_dim must be >= n_dim, got M={m_dim} < N={n_dim}")
+        n_dim = _as_int(self.n_dim, "n_dim", 1)
+        m_dim = _as_int(self.m_dim, "m_dim", n_dim)
         alpha = m_dim - n_dim + 1 - 2.0 / beta
         raw = 0.5 * beta * alpha
         jack_index = None
@@ -120,16 +121,16 @@ def _positive_beta(beta) -> float:
     return beta
 
 
-def _as_int(value, name: str) -> int:
-    """value as an int: any integer type (numpy's included) or an
-    integral float; DomainError for a bool or anything else."""
+def _as_int(value, name: str, low: int) -> int:
+    """value as an int >= low, the one integer rule: any integer type
+    (numpy's included) or an integral float, never a bool."""
     if isinstance(value, (bool, np.bool_)):
         raise DomainError(f"{name} must be an integer, got bool")
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {int(value)}")
+    return int(value)
 
 
 def warn_outside(route: str, **values) -> None:

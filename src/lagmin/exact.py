@@ -85,7 +85,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EnsembleParams, require_jack_index, warn_outside
+from .core import EnsembleParams, _as_int, require_jack_index, warn_outside
 from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
 from .numerics import _edge_sum, _points, _shifted_sum
@@ -159,7 +159,7 @@ def q_exact(params: EnsembleParams, x):
     function 1_{x < 1}.
     """
     m = require_jack_index(params)
-    xs = _points(x)
+    xs = _points(x, "x")
     warn_outside("exact", N=params.n_dim, m=m)
     n = params.n_dim
     if n == 1:
@@ -179,7 +179,7 @@ def p_exact(params: EnsembleParams, x):
     the law is a point mass at x=1, so the density part is identically 0.
     """
     m = require_jack_index(params)
-    xs = _points(x)
+    xs = _points(x, "x")
     warn_outside("exact", N=params.n_dim, m=m)
     n = params.n_dim
     if n == 1:
@@ -203,8 +203,7 @@ def moment(params: EnsembleParams, p: int) -> float:
     case accurate to ~1e-15 relative.  Every term is positive.
     """
     m = require_jack_index(params)
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise DomainError(f"moment order p must be an integer >= 1, got {p!r}")
+    p = _as_int(p, "p", 1)
     warn_outside("exact", N=params.n_dim, m=m)
     n = params.n_dim
     if n == 1:
@@ -330,7 +329,7 @@ def q_oracle_n2(params: EnsembleParams, x):
     """
     if params.n_dim != 2:
         raise DomainError(f"q_oracle_n2 requires N=2, got N={params.n_dim}")
-    xs = _points(x)
+    xs = _points(x, "x")
     if np.any(xs > 0.5):
         raise DomainError(f"q_oracle_n2 requires 0 <= x <= 1/2, got {xs[xs > 0.5].flat[0]}")
     warn_outside("oracle_n2", beta=params.beta, M=params.m_dim)

@@ -74,7 +74,7 @@ series (and with the beta = 2 Bessel kernel) is 2/beta - 1.  Orders that
 look like beta/2 - 1 appear plausible but disagree with the series for
 beta != 2 and are rejected by prefactor_diagnostics.
 
-p_limit_printed implements a frequently quoted "explicit density":
+_p_limit_printed implements a frequently quoted "explicit density":
 the prefactor A(m, beta) times y^m e^(-beta*y/8) 0F1 at b = 2m/beta + 2.
 Its shape is that of P, but it does NOT integrate to one: A(m, beta)
 is 2^(4m+2) (beta/2)^(beta/2) times 4^m D_m (already at m = 0 it gives
@@ -86,7 +86,6 @@ for anything quantitative.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,19 +111,14 @@ class LimitParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", core._positive_beta(self.beta))
-        if not isinstance(self.jack_index, numbers.Integral):  # numpy's too, but not 1.0
-            raise DomainError(f"jack_index must be an int, got {self.jack_index!r}")
-        m = core._as_int(self.jack_index, "jack_index")  # a bool is refused here
-        if m < 0:
-            raise DomainError(f"jack_index must be >= 0, got {m}")
-        object.__setattr__(self, "jack_index", m)
+        object.__setattr__(self, "jack_index", core._as_int(self.jack_index, "jack_index", 0))
 
 
 def _limit_points(lp: LimitParams, y) -> np.ndarray:
     """y as an array (DomainError on NaN or negative entries), with the
     one PrecisionWarning of the call if its largest y in (0, inf) or m
     leaves the envelope."""
-    ys = _points(y)
+    ys = _points(y, "y")
     inner = ys[(ys > 0.0) & (ys < math.inf)]
     if inner.size:
         core.warn_outside("limit", y=inner.max(), m=lp.jack_index)
@@ -252,11 +246,10 @@ def q_limit_closed(lp: LimitParams, y: float):
                        * y^(1/2 - 1/beta) I_{2/beta - 1}(sqrt(y))
     (beta, m) = (2,2): e^(-y/4) [I_0(sqrt(y))^2 - I_1(sqrt(y))^2]
 
-    Q(0) = 1 and Q(+inf) = 0 at every m; a NaN or negative y raises
-    DomainError.
+    Q(0) = 1 and Q(+inf) = 0 at every m; a NaN or negative y, or an
+    array, raises DomainError.
     """
-    if not (y >= 0):
-        raise DomainError(f"y must be >= 0, got {y}")
+    y = _points(y, "y", scalar=True)
     beta, m = lp.beta, lp.jack_index
     if m == 0:
         return math.exp(-beta * y / 8.0)
@@ -287,7 +280,7 @@ def q_limit_closed(lp: LimitParams, y: float):
     return None
 
 
-def limit_prefactor(lp: LimitParams) -> float:
+def _limit_prefactor(lp: LimitParams) -> float:
     """The printed density prefactor
     A(m, beta) = 4^m (beta/2)^(beta/2 + 2m + 1) Gamma(1 + beta/2)
                  / (Gamma(1+m) Gamma(1 + m + beta/2)).
@@ -303,34 +296,32 @@ def limit_prefactor(lp: LimitParams) -> float:
     )
 
 
-def p_limit_printed(lp: LimitParams, y):
+def _p_limit_printed(lp: LimitParams, y):
     """The "explicit density" as printed:
     A(m, beta) y^m e^(-beta*y/8) 0F1^{(beta/2)}(2m/beta + 2; (y/4) 1^m),
     at a float y or at every entry of an array.
     Diagnostics only -- disagrees with p_limit by constant factors."""
     ys = _limit_points(lp, y)
-    out = _printed(lp, ys)
-    return out if ys.ndim else float(out)
-
-
-def _printed(lp: LimitParams, ys: np.ndarray) -> np.ndarray:
     out = _series(lp, ys, 2, 0, 1.0)
-    out *= limit_prefactor(lp) * np.where(ys < math.inf, ys, 0.0) ** lp.jack_index  # 0 at +inf
-    return out
+    out *= _limit_prefactor(lp) * np.where(ys < math.inf, ys, 0.0) ** lp.jack_index  # 0 at +inf
+    return out if ys.ndim else float(out)
 
 
 def prefactor_diagnostics(lp: LimitParams, ys):
     """Compare the printed density against the series density -dQ/dy on a
-    grid of y values.  Returns a report dict with per-point ratios and the
-    spread of the ratio; a constant ratio != 1 means the printed prefactor
-    is off by exactly that constant, a varying ratio means the functional
-    form itself differs."""
-    ys = [float(y) for y in ys]
-    truth = p_limit(lp, np.array(ys)).tolist()  # the call's one PrecisionWarning
-    printed = _printed(lp, np.array(ys)).tolist()
+    grid of y values (an array, never a single number).  Returns a report
+    dict with per-point ratios and the spread of the ratio; a constant
+    ratio != 1 means the printed prefactor is off by exactly that
+    constant, a varying ratio means the functional form itself differs."""
+    grid = _points(ys, "y")
+    if not grid.ndim:
+        raise DomainError(f"ys must be an array of y values, got the number {float(grid)}")
+    grid = grid.ravel()
+    printed = _p_limit_printed(lp, grid).tolist()  # the call's one PrecisionWarning
+    truth = _series(lp, grid, 2, lp.jack_index, _density_constant(lp)).tolist()  # p_limit, unwarned
     rows = []
     ratios = []
-    for y, t, pr in zip(ys, truth, printed):
+    for y, t, pr in zip(grid.tolist(), truth, printed):
         ratio = pr / t if t > 0.0 else math.inf
         rows.append({"y": y, "p_series": t, "p_printed": pr, "ratio": ratio})
         if math.isfinite(ratio):

@@ -29,12 +29,27 @@ from .errors import DivergenceError, DomainError
 EDGE_SUM_BLOCK = 1 << 16
 
 
-def _points(x) -> np.ndarray:
-    """x (a float or an array) as a float array, every entry >= 0."""
-    xs = np.asarray(x, dtype=float)
+def _floats(value, name: str, scalar: bool = False) -> np.ndarray:
+    """A number, or unless scalar an array of them, as a float array; a
+    bool or a string is not a number."""
+    try:
+        xs = np.asarray(value)
+        if xs.dtype.kind not in "iuf":
+            raise TypeError
+    except (TypeError, ValueError):  # ValueError: a ragged nest of lists
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    if scalar and xs.ndim:
+        raise DomainError(f"{name} must be a number, got an array of shape {xs.shape}")
+    return xs.astype(float, copy=False)
+
+
+def _points(value, name: str, scalar: bool = False):
+    """The one converter of a point x or y: a float array, or a float if
+    scalar, every entry >= 0 (so no NaN)."""
+    xs = _floats(value, name, scalar)
     if not np.all(xs >= 0):
-        raise DomainError(f"x must be >= 0, got {xs[~(xs >= 0)].flat[0]}")
-    return xs
+        raise DomainError(f"{name} must be >= 0, got {xs[~(xs >= 0)].flat[0]}")
+    return float(xs) if scalar else xs
 
 
 def _shifted_sum(logs: np.ndarray) -> np.ndarray:
@@ -87,14 +102,14 @@ def bessel_i(rho: float, x: float) -> float:
     expansion; otherwise the series is summed as before.  Larger x is
     flagged with a PrecisionWarning.
 
-    Requires rho > -1 and x >= 0.  Returns +inf once I_rho(x) overflows a
-    double (x >~ 713) and at x = +inf; at x = 0, 1 if rho = 0, 0 if
-    rho > 0 and +inf if -1 < rho < 0.
+    Requires numbers rho > -1 and x >= 0.  Returns +inf once I_rho(x)
+    overflows a double (x >~ 713) and at x = +inf; at x = 0, 1 if rho = 0,
+    0 if rho > 0 and +inf if -1 < rho < 0.
     """
+    rho = float(_floats(rho, "rho", scalar=True))
     if not (rho > -1):
         raise DomainError(f"bessel_i requires rho > -1, got {rho}")
-    if not (x >= 0):
-        raise DomainError(f"bessel_i requires x >= 0, got {x}")
+    x = _points(x, "x", scalar=True)
     core.warn_outside("bessel", x=x)
     value, scale = _bessel_i_scaled(rho, x)
     if scale == 0.0:

@@ -53,8 +53,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import EnsembleParams, params_new
+from .core import EnsembleParams, _as_int, params_new
 from .errors import DomainError, EigensolverFailure, EmptySample
+from .numerics import _floats
 
 #: Draws per Philox key: draw i of seed s comes from key [s, i // BLOCK].
 BLOCK = 256
@@ -115,8 +116,11 @@ def kolmogorov_sf(t: float) -> float:
 
     Uses the theta-function form for small t and the alternating series
     for large t; the two expansions overlap with plenty of accuracy at
-    the switch point t = 1.
+    the switch point t = 1.  1 for t <= 0; DomainError for a NaN.
     """
+    t = float(_floats(t, "t", scalar=True))
+    if t != t:
+        raise DomainError("t must be a number, got nan")
     if t <= 0.0:
         return 1.0
     if t < 1.0:
@@ -347,12 +351,12 @@ def tridiag_smallest(a2, b2):
         f"eigenvalue bracket still open after {_MAX_PASSES} passes")
 
 
-def _check_seed(seed) -> None:
-    """DomainError unless seed is an int in [0, 2^64)."""
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    if not (0 <= seed < _SEED_LIMIT):
+def _check_seed(seed) -> int:
+    """seed as an int in [0, 2^64); DomainError otherwise."""
+    seed = _as_int(seed, "seed", 0)
+    if seed >= _SEED_LIMIT:
         raise DomainError(f"seed must fit in 64 bits, got {seed}")
+    return seed
 
 
 def run_batch(
@@ -363,11 +367,9 @@ def run_batch(
     run is split into spans of whole blocks, one per thread, only as far
     as each span gets _MIN_SPAN_BLOCKS blocks and _MIN_SPAN_WORK draws x N;
     smaller runs stay on the calling thread."""
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    _check_seed(seed)
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise DomainError(f"workers must be a positive integer, got {workers!r}")
+    count = _as_int(count, "count", 1)
+    seed = _check_seed(seed)
+    workers = _as_int(workers, "workers", 1)
     if params.n_dim == 1:
         # the only eigenvalue carries the whole trace
         return SampleBatch(params, seed, np.ones(count))
@@ -413,12 +415,12 @@ def load_batch(path) -> SampleBatch:
     try:
         header = json.loads(first)
         params = params_new(header["beta"], header["n_dim"], header["m_dim"])
-        seed, count = header["seed"], header["count"]
-        stream = header.get("stream", 1)
+        seed, count = header["seed"], _as_int(header["count"], "count", 0)
+        stream = _as_int(header.get("stream", 1), "stream", 1)
         values = np.array([float(line) for line in lines])
     except (ValueError, KeyError, TypeError) as exc:  # DomainError is a ValueError
         raise DomainError(f"malformed batch file {path}: {exc!r}") from None
-    _check_seed(seed)
+    seed = _check_seed(seed)
     if not np.all((values >= 0.0) & (values <= (1.0 + _EDGE_SLACK) / params.n_dim)):
         raise DomainError(f"batch file {path} holds a value outside [0, 1/N]")
     if len(values) != count:
@@ -436,6 +438,7 @@ def ks_validate(batch: SampleBatch, cdf, level: float = 0.01) -> KSReport:
     once, on the sorted sample."""
     if batch.count == 0:
         raise EmptySample("cannot run a KS test on an empty batch")
+    level = float(_floats(level, "level", scalar=True))
     if not (0.0 < level < 1.0):
         raise DomainError(f"level must lie in (0, 1), got {level}")
     xs = np.sort(batch.values)
@@ -456,6 +459,7 @@ def ks_two_sample(values1, values2, level: float = 0.01) -> KSReport:
     b = np.sort(np.asarray(values2, dtype=float))
     if a.size == 0 or b.size == 0:
         raise EmptySample("two-sample KS test needs two non-empty samples")
+    level = float(_floats(level, "level", scalar=True))
     if not (0.0 < level < 1.0):
         raise DomainError(f"level must lie in (0, 1), got {level}")
     joint = np.concatenate([a, b])

@@ -14,16 +14,17 @@ from lagmin import core, errors
 from lagmin.core import EnsembleParams, params_new, require_jack_index
 from lagmin.errors import DomainError, NonIntegerJackIndex, PrecisionWarning
 from lagmin.exact import moment, p_exact, q_exact, q_oracle_n2
-from lagmin.beta2 import q_exact_beta2
+from lagmin.beta2 import det_laguerre, q_alpha2_sum, q_exact_beta2
 from lagmin.limit import (
     LimitParams,
+    _p_limit_printed,
     p_limit,
-    p_limit_printed,
     prefactor_diagnostics,
     q_limit,
     q_limit_closed,
 )
 from lagmin.numerics import bessel_i
+from lagmin.sampler import SampleBatch, run_batch
 
 
 def test_basic_derivation():
@@ -275,7 +276,7 @@ OUTSIDE_CALLS = {
     "q_oracle_n2": lambda: q_oracle_n2(params_new(8.5, 2, 4), [0.1, 0.2]),
     "q_limit": lambda: q_limit(LimitParams(2.0, 1), [1.0, 150.0, 200.0]),
     "p_limit": lambda: p_limit(LimitParams(2.0, 7), 1.0),
-    "p_limit_printed": lambda: p_limit_printed(LimitParams(2.0, 1), [150.0, 160.0]),
+    "p_limit_printed": lambda: _p_limit_printed(LimitParams(2.0, 1), [150.0, 160.0]),
     "prefactor_diagnostics": lambda: prefactor_diagnostics(LimitParams(2.0, 1), [150.0]),
     "q_limit_closed": lambda: q_limit_closed(LimitParams(2.0, 2), 5000.0),  # two Bessel factors
     "bessel_i": lambda: bessel_i(0.0, 70.0),
@@ -287,3 +288,77 @@ def test_one_warning_per_call_attributed_to_the_caller(name):
     caught = _recorded(OUTSIDE_CALLS[name])
     assert [w.category for w in caught] == [PrecisionWarning]
     assert caught[0].filename == __file__
+
+
+# ---------- the argument rules of the public surface ----------
+
+_P35 = params_new(2.0, 3, 5)
+
+# integer argument -> (call taking it, a valid value, a value below its bound)
+INTEGER_ARGS = {
+    "EnsembleParams.n_dim": (lambda v: params_new(2.0, v, 5), 3, 0),
+    "EnsembleParams.m_dim": (lambda v: EnsembleParams(2.0, 3, v), 5, 2),
+    "LimitParams.jack_index": (lambda v: LimitParams(2.0, v), 1, -1),
+    "det_laguerre.n_dim": (lambda v: det_laguerre(v, 2), 3, 0),
+    "det_laguerre.alpha": (lambda v: det_laguerre(3, v), 2, -1),
+    "q_exact_beta2.n_dim": (lambda v: q_exact_beta2(v, 5, 0.1), 3, 0),
+    "q_exact_beta2.m_dim": (lambda v: q_exact_beta2(3, v, 0.1), 5, 2),
+    "q_alpha2_sum.n_dim": (lambda v: q_alpha2_sum(v, 0.1), 3, 0),
+    "moment.p": (lambda v: moment(_P35, v), 2, 0),
+    "run_batch.count": (lambda v: run_batch(_P35, v, 7), 20, 0),
+    "run_batch.seed": (lambda v: run_batch(_P35, 20, v), 7, -1),
+    "run_batch.workers": (lambda v: run_batch(_P35, 20, 7, v), 2, 0),
+}
+
+
+def _same(a, b):
+    if isinstance(a, SampleBatch):
+        return type(b.seed) is int and (a.seed, a.values.tolist()) == (b.seed, b.values.tolist())
+    return a == b
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGS))
+def test_one_integer_rule(name):
+    call, good, below = INTEGER_ARGS[name]
+    plain = call(good)
+    for same in (np.int64(good), np.int32(good), float(good)):
+        assert _same(plain, call(same))
+    for bad in (True, 2.5, "3", below):
+        with pytest.raises(DomainError):
+            call(bad)
+
+
+# point argument -> (call taking it, whether an array is refused)
+POINT_ARGS = {
+    "q_exact.x": (lambda v: q_exact(_P35, v), False),
+    "p_exact.x": (lambda v: p_exact(_P35, v), False),
+    "q_oracle_n2.x": (lambda v: q_oracle_n2(params_new(1.3, 2, 4), v), False),
+    "q_exact_beta2.x": (lambda v: q_exact_beta2(3, 5, v), False),
+    "q_alpha2_sum.x": (lambda v: q_alpha2_sum(3, v), True),
+    "q_limit.y": (lambda v: q_limit(LimitParams(2.0, 1), v), False),
+    "p_limit.y": (lambda v: p_limit(LimitParams(2.0, 1), v), False),
+    "q_limit_closed.y": (lambda v: q_limit_closed(LimitParams(2.0, 1), v), True),
+    "bessel_i.x": (lambda v: bessel_i(0.5, v), True),
+    "bessel_i.rho": (lambda v: bessel_i(v, 1.0), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_ARGS))
+def test_one_point_rule(name):
+    call, scalar_only = POINT_ARGS[name]
+    value = call(0.1)
+    assert call(np.float64(0.1)) == value
+    bad = [math.nan, -1.0, "abc", "0.1", True] + ([np.array([0.1, 0.2])] if scalar_only else [])
+    for v in bad:
+        with pytest.raises(DomainError):
+            call(v)
+    if not scalar_only:
+        assert call(np.array([0.1, 0.2]))[0] == value
+
+
+def test_prefactor_diagnostics_takes_a_grid():
+    lp = LimitParams(2.0, 1)
+    assert prefactor_diagnostics(lp, np.array([0.5, 1.0])) == prefactor_diagnostics(lp, [0.5, 1.0])
+    for ys in (1.0, [0.5, math.nan], [-1.0], ["abc"], [[0.5], [1.0, 2.0]]):
+        with pytest.raises(DomainError):
+            prefactor_diagnostics(lp, ys)

@@ -14,9 +14,9 @@ from lagmin import core, jack, limit
 from lagmin.errors import DomainError, PrecisionWarning
 from lagmin.limit import (
     LimitParams,
-    limit_prefactor,
+    _limit_prefactor,
+    _p_limit_printed,
     p_limit,
-    p_limit_printed,
     prefactor_diagnostics,
     q_limit,
     q_limit_closed,
@@ -31,8 +31,8 @@ def test_params_validation():
         LimitParams(0.0, 1)
     with pytest.raises(DomainError):
         LimitParams(2.0, -1)
-    with pytest.raises(DomainError):
-        LimitParams(2.0, 1.0)  # must be a true int
+    # an integral float is an integer, as for EnsembleParams
+    assert LimitParams(2.0, 1.0) == LimitParams(2.0, 1)
 
 
 @pytest.mark.parametrize("int_type", [np.int64, np.int32])
@@ -219,7 +219,7 @@ def test_envelope_warnings():
 
 def test_prefactor_value():
     # A(1, 2) = 4 * 1 * Gamma(2)/(Gamma(2)Gamma(3)) = 2
-    assert limit_prefactor(LimitParams(2.0, 1)) == pytest.approx(2.0, rel=1e-13)
+    assert _limit_prefactor(LimitParams(2.0, 1)) == pytest.approx(2.0, rel=1e-13)
 
 
 def test_printed_density_mismatch_is_constant_ratio():
@@ -238,8 +238,8 @@ def test_printed_density_mismatch_is_constant_ratio():
 
 def test_printed_density_shape():
     lp = LimitParams(2.0, 1)
-    assert p_limit_printed(lp, 0.0) == 0.0
-    v = p_limit_printed(lp, 1.0)
+    assert _p_limit_printed(lp, 0.0) == 0.0
+    v = _p_limit_printed(lp, 1.0)
     assert v == pytest.approx(64.0 * p_limit(lp, 1.0), rel=1e-8)
 
 
@@ -420,7 +420,7 @@ ARRAY_YS = [0.0, 1e-8, 0.3, 2.0, 17.5, 40.0, 99.0, math.inf]
 @pytest.mark.parametrize("beta,m", [(0.5, 0), (2.0, 1), (2.0 / 3.0, 3), (5.9, 5)])
 def test_array_call_equals_scalar_calls(beta, m):
     lp = LimitParams(beta, m)
-    for fn in (q_limit, p_limit, p_limit_printed):
+    for fn in (q_limit, p_limit, _p_limit_printed):
         limit._f01_coeffs.cache_clear()
         arr = fn(lp, np.array(ARRAY_YS))
         assert isinstance(arr, np.ndarray) and arr.shape == (len(ARRAY_YS),)
@@ -441,7 +441,7 @@ def test_array_call_warns_once_and_rejects_bad_entries():
         warnings.simplefilter("always")
         q_limit(lp, np.array([1.0, 120.0, 150.0]))
     assert len(caught) == 1 and issubclass(caught[0].category, PrecisionWarning)
-    for fn in (q_limit, p_limit, p_limit_printed):
+    for fn in (q_limit, p_limit, _p_limit_printed):
         with pytest.raises(DomainError):
             fn(lp, np.array([1.0, math.nan]))
         with pytest.raises(DomainError):

@@ -407,6 +407,7 @@ _HEADER = '{"beta": 2.0, "n_dim": 2, "m_dim": 3, "seed": 5, "count": 1}\n'
     pytest.param(_HEADER.replace("5", "-5") + "0.125\n", id="negative-seed"),
     pytest.param(_HEADER.replace("5", str(1 << 64)) + "0.125\n", id="seed-past-64-bits"),
     pytest.param(_HEADER.replace("5", "5.5") + "0.125\n", id="float-seed"),
+    pytest.param(_HEADER.replace("}", ', "stream": true}') + "0.125\n", id="bool-stream"),
     pytest.param(_HEADER + "0.75\n", id="value-past-1-over-n"),
     pytest.param(_HEADER + "-0.5\n", id="value-negative"),
 ])
@@ -434,6 +435,20 @@ def test_kolmogorov_sf_against_scipy():
         )
     assert kolmogorov_sf(0.0) == 1.0
     assert kolmogorov_sf(-1.0) == 1.0
+
+
+def test_kolmogorov_sf_refuses_nan_and_arrays():
+    for t in (np.nan, np.array([0.5, 1.0]), "abc"):
+        with pytest.raises(DomainError):
+            kolmogorov_sf(t)
+    assert kolmogorov_sf(np.float64(0.5)) == kolmogorov_sf(0.5)
+
+
+def test_ks_validate_nan_cdf_is_domain_error():
+    # a CDF that returns NaN is an error, not a p-value of 0 (a silent reject)
+    batch = run_batch(params_new(2.0, 2, 3), 50, seed=1)
+    with pytest.raises(DomainError):
+        ks_validate(batch, lambda x: np.full(len(x), np.nan))
 
 
 def test_kolmogorov_sf_monotone():
@@ -496,8 +511,11 @@ def test_ks_validate_errors():
     with pytest.raises(EmptySample):
         ks_validate(empty, lambda x: x)
     batch = run_batch(p, 16, seed=0)
-    with pytest.raises(DomainError):
-        ks_validate(batch, lambda x: x, level=1.5)
+    for level in (1.5, "0.5", None, np.array([0.1, 0.2])):
+        with pytest.raises(DomainError):
+            ks_validate(batch, lambda x: x, level=level)
+        with pytest.raises(DomainError):
+            ks_two_sample([0.1, 0.2], [0.3, 0.1], level=level)
 
 
 def test_ks_two_sample():
