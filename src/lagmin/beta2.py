@@ -10,26 +10,46 @@ polynomials, and inverting the transform term by term gives
 
 where sum_j c_j s^j = det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}.  This
 shares no code with the partition series, which it cross-validates to
-roundoff.  det_laguerre finds the exact c_j in integers: scaled by
-F = (N+alpha-1)!, each entry F L_n^{(l)}(-s) = (F // n!) P_n is an integer
-at integer s, with P_n = n! L_n^{(l)}(-s) from the three-term recurrence
-(DLMF 18.9.1)
+roundoff.  det_laguerre finds the exact c_j in integers: row k scaled
+by (N+k)!, each entry (N+k)! L_n^{(l)}(-s) = ((N+k)!/n!) P_n^(l) is an
+integer at integer s (0 where n = N+k-l < 0), with P_n^(l) = n! L_n^{(l)}(-s).
+Column 0 comes from the three-term recurrence (DLMF 18.9.1)
 
-    P_0 = 1,  P_1 = 1 + l + s,  P_(n+1) = (2n+1+l+s) P_n - n(n+l) P_(n-1),
+    P_0 = 1,  P_1 = 1 + s,  P_(n+1) = (2n+1+s) P_n - n^2 P_(n-1),
 
-one column l at a time, and 0 where n = N+k-l < 0.  The determinant is
-evaluated at s = 0..alpha*N by integer Bareiss elimination (Math. Comp.
-22, 1968), every division exact; forward differences of the values give
-the Newton form, which Horner's rule over the falling factorials turns
-into monomial coefficients over the common denominator (alpha*N)! F^alpha.
+and each next column from L_n^(l) = L_n^(l-1) + L_(n-1)^(l) (DLMF 18.9),
 
-No pivot search is needed: the r-th pivot is the leading (r+1) x (r+1)
-minor, F^(r+1) times this determinant at alpha = r+1.  Up to a positive
-constant that is the average <prod_i (y_i + s)^(r+1)> over the eigenvalues
-y_i >= 0 of the index-0 LUE (shift x = y + s in the gap probability
-E(0; (0, s)); Forrester & Hughes, J. Math. Phys. 35, 1994), so all its
-coefficients in s are positive (the tests assert it for N <= 12,
-alpha <= 6) and so is the pivot at s >= 0.
+    P_0^(l) = 1,  P_n^(l) = P_n^(l-1) + n P_(n-1)^(l).
+
+The integer
+determinant is then a polynomial in s over prod_k (N+k)!, and one of two
+routes finds its coefficients, whichever the measured (N, alpha) map says
+is the faster (README, "beta2"):
+
+- packed (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009):
+  at the single point s = 2^K the entries are big integers (products by s
+  are shifts) and their determinant, expanded over column subsets with
+  no division, holds every coefficient as a signed base-2^K digit.  All
+  entry coefficients are >= 0, so no coefficient of the determinant
+  exceeds prod_k sum_l entry_kl(s = 1), and K, that bound's bit length
+  plus 2 rounded up to whole bytes, keeps the digits apart.
+- evaluate and interpolate: the determinant at s = 0..alpha*N by integer
+  Bareiss elimination (Math. Comp. 22, 1968), every division exact;
+  forward differences of the values give the Newton form, which Horner's
+  rule over the falling factorials turns into monomial coefficients over
+  (alpha*N)! prod_k (N+k)!.
+
+The packed route is taken at every N for alpha <= 3, and for alpha = 4..6
+up to the crossover N past which its alpha 2^(alpha-1) products of huge
+integers cost more than the alpha*N + 1 small eliminations.
+
+No pivot search is needed in the elimination: the r-th pivot is the
+leading (r+1) x (r+1) minor, prod_(k<=r) (N+k)! times this determinant at
+alpha = r+1.  Up to a positive constant that is the average
+<prod_i (y_i + s)^(r+1)> over the eigenvalues y_i >= 0 of the index-0 LUE
+(shift x = y + s in the gap probability E(0; (0, s)); Forrester & Hughes,
+J. Math. Phys. 35, 1994), so all its coefficients in s are positive (the
+tests assert it for N <= 12, alpha <= 6) and so is the pivot at s >= 0.
 
 q_alpha2_sum specializes alpha=2 to an explicit double sum over the
 Laguerre coefficient indices: the two products in the expanded 2x2
@@ -53,6 +73,35 @@ from .errors import DomainError
 from .numerics import _edge_sum, _points
 
 
+def _entries(n_dim: int, alpha: int, s: int, pow2: bool = False) -> list:
+    """Rows k of the integer matrix (N+k)! L_n^(l)(-s), n = N+k-l, at the
+    integer point s, or at 2^s if pow2 (the products by the point are
+    then shifts): the falling factorial (N+k)!/n! times P_n^(l), 0 where
+    n < 0."""
+    if alpha == 0:
+        return []
+    top = n_dim + alpha - 1  # the largest degree n = N+k-l
+    p = [1, ((1 << s) if pow2 else s) + 1]  # P_n^(0), n = 0..top
+    for n in range(1, top):
+        q, c = p[n], 2 * n + 1
+        p.append(((q << s) + c * q if pow2 else (c + s) * q) - n * n * p[n - 1])
+    cols = [p]  # cols[l][n] = P_n^(l), n = 0..top-l
+    for l in range(1, alpha):
+        p = [1]
+        for n in range(1, top - l + 1):
+            p.append(cols[l - 1][n] + n * p[n - 1])
+        cols.append(p)
+    rows = []
+    for k in range(alpha):
+        row, falling = [], 1  # falling = (N+k)!/n!
+        for l in range(alpha):
+            n = n_dim + k - l
+            row.append(falling * cols[l][n] if n >= 0 else 0)
+            falling *= n
+        rows.append(row)
+    return rows
+
+
 def _bareiss(mat) -> int:
     """Integer Bareiss determinant, every division exact; 1 for the empty
     matrix.  No pivot search: each pivot is a leading principal minor,
@@ -66,31 +115,57 @@ def _bareiss(mat) -> int:
     return prev
 
 
-@lru_cache(maxsize=32, typed=True)  # typed: a bool must miss the int entries, then be rejected
-def det_laguerre(n_dim: int, alpha: int) -> tuple:
-    """Exact coefficients, ascending in s, of the polynomial
-    det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}: alpha*N + 1 Fractions,
-    (Fraction(1),) for the empty determinant alpha = 0."""
-    n_dim = _as_int(n_dim, "n_dim", 1)
-    alpha = _as_int(alpha, "alpha", 0)
+def _expand(mat) -> int:
+    """Determinant by Laplace expansion over column subsets, no division:
+    minors[S] is the minor on the first |S| rows and the columns S, each
+    grown by one row below (alpha 2^(alpha-1) products); 1 when empty."""
+    minors = {0: 1}
+    for row in mat:
+        grown = {}
+        for cols, minor in minors.items():
+            sign = 1  # (-1)^(columns of S right of j)
+            for j in reversed(range(len(row))):
+                if cols >> j & 1:
+                    sign = -sign
+                elif row[j]:
+                    key = cols | 1 << j
+                    grown[key] = grown.get(key, 0) + sign * row[j] * minor
+        minors = grown
+    return minors.get((1 << len(mat)) - 1, 0)
+
+
+def _row_scale(n_dim: int, alpha: int) -> int:
+    """prod_k (N+k)!, the determinant of _entries over the Laguerre one."""
+    return math.prod(math.factorial(n_dim + k) for k in range(alpha))
+
+
+def _det_packed(n_dim: int, alpha: int) -> tuple:
+    """(integer coefficients ascending in s, denominator) of the Laguerre
+    determinant, from one integer determinant at s = 2^K (Kronecker
+    substitution)."""
+    bound = 1  # no coefficient exceeds prod_k sum_l entry_kl(s=1) in absolute value
+    for row in _entries(n_dim, alpha, 1):
+        bound *= sum(row)
+    width = (bound.bit_length() + 9) // 8  # bytes per digit: K >= bits + 2
+    shift = 8 * width
+    value = _expand(_entries(n_dim, alpha, shift, pow2=True))
+    slots = alpha * n_dim + 1
+    raw = (value & ((1 << shift * slots) - 1)).to_bytes(width * slots, "little")
+    half, full = 1 << (shift - 1), 1 << shift
+    coeffs, carry = [], 0  # signed base-2^K digits, read from the bottom
+    for i in range(0, width * slots, width):
+        digit = int.from_bytes(raw[i : i + width], "little") + carry
+        carry = digit >= half
+        coeffs.append(digit - full if carry else digit)
+    return coeffs, _row_scale(n_dim, alpha)
+
+
+def _det_interpolated(n_dim: int, alpha: int) -> tuple:
+    """The same (coefficients, denominator), from integer Bareiss
+    determinants at s = 0..alpha*N and Newton interpolation."""
     deg = alpha * n_dim
-    scale = math.factorial(n_dim + alpha - 1)  # F
-    top = n_dim + alpha - 1  # the largest degree n = N+k-l
-    over = [scale // math.factorial(n) for n in range(top + 1)]  # F // n!
-    values = []
-    for s in range(deg + 1):
-        cols = []  # cols[l][n] = P_n = n! L_n^(l)(-s), n = 0..top-l
-        for l in range(alpha):
-            p = [1, 1 + l + s]
-            for n in range(1, top - l):
-                p.append((2 * n + 1 + l + s) * p[n] - n * (n + l) * p[n - 1])
-            cols.append(p)
-        values.append(_bareiss([
-            [over[n] * cols[l][n] if n >= 0 else 0
-             for l, n in enumerate(range(n_dim + k, n_dim + k - alpha, -1))]
-            for k in range(alpha)
-        ]))
-    # Newton form: F^alpha * det = sum_k (Delta^k values)(0) s(s-1)...(s-k+1) / k!,
+    values = [_bareiss(_entries(n_dim, alpha, s)) for s in range(deg + 1)]
+    # Newton form: det = sum_k (Delta^k values)(0) s(s-1)...(s-k+1) / k!,
     # times deg! and rebuilt in monomials by Horner over (s - k)
     for k in range(1, deg + 1):  # values[k] <- (Delta^k values)(0)
         for i in range(deg, k - 1, -1):
@@ -100,7 +175,23 @@ def det_laguerre(n_dim: int, alpha: int) -> tuple:
         coeffs = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
         coeffs[0] += values[k] * weight
         weight *= k
-    denom = math.factorial(deg) * scale**alpha
+    return coeffs, math.factorial(deg) * _row_scale(n_dim, alpha)
+
+
+#: The largest N at which the packed route is the faster, by alpha: every
+#: N for alpha <= 3, none past alpha = 6 (measured; README, "beta2").
+_PACKED_MAX_N = {4: 28, 5: 15, 6: 9}
+
+
+@lru_cache(maxsize=32, typed=True)  # typed: a bool must miss the int entries, then be rejected
+def det_laguerre(n_dim: int, alpha: int) -> tuple:
+    """Exact coefficients, ascending in s, of the polynomial
+    det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}: alpha*N + 1 Fractions,
+    (Fraction(1),) for the empty determinant alpha = 0."""
+    n_dim = _as_int(n_dim, "n_dim", 1)
+    alpha = _as_int(alpha, "alpha", 0)
+    packed = alpha <= 3 or n_dim <= _PACKED_MAX_N.get(alpha, 0)
+    coeffs, denom = (_det_packed if packed else _det_interpolated)(n_dim, alpha)
     return tuple(Fraction(c, denom) for c in coeffs)
 
 

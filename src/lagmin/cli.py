@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand is declared once, in COMMANDS (name -> help text and
-arguments), from which build_parser builds the parser.  The five grid
+arguments), from which build_parser builds the parser, adding a
+subcommand's arguments only when a command line names it.  The five grid
 commands share one path through _GRIDS (law, variable, column).  Every
 output goes through one writer, _write, to the --out file or to stdout;
 a sample batch is streamed there, never built in memory.
@@ -119,18 +120,36 @@ COMMANDS = {
 }
 
 
+#: The subparsers that build_parser made and _parser_for has not yet given
+#: their arguments: name -> parser.
+_BARE = {}
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process from COMMANDS."""
+    """The command-line parser, built once per process from COMMANDS.  A
+    subcommand gets its arguments from _parser_for, when a command line
+    first names it: most of the cost of a parser is in the arguments."""
     parser = argparse.ArgumentParser(
         prog="lagmin",
         description="smallest-eigenvalue laws of the fixed-trace beta-Laguerre ensemble",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for flag, keywords in arguments:
-            sp.add_argument(flag, **keywords)
+    _BARE.clear()
+    for name, (help_text, _) in COMMANDS.items():
+        _BARE[name] = sub.add_parser(name, help=help_text)
+    return parser
+
+
+def _parser_for(argv) -> argparse.ArgumentParser:
+    """build_parser(), with the arguments of every subcommand that argv
+    names: any of its words, not only argv[0], so no rule of argparse for
+    finding the command can miss one."""
+    parser = build_parser()
+    for name in _BARE.keys() & set(argv):
+        for flag, keywords in COMMANDS[name][1]:
+            _BARE[name].add_argument(flag, **keywords)
+        del _BARE[name]
     return parser
 
 
@@ -300,7 +319,8 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser_for(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonIntegerJackIndex, PrecisionWarning
+from .numerics import _floats
 
 # Absolute tolerance for deciding that (beta/2)*alpha is an integer.
 # beta is a machine real and every downstream series needs an exact
@@ -109,13 +110,15 @@ def require_jack_index(params: EnsembleParams) -> int:
 
 
 def _positive_beta(beta) -> float:
-    """beta as a float; DomainError unless it is a positive, finite number."""
-    try:
-        beta = float(beta)
-    except OverflowError:  # an int past the float range
-        beta = math.inf if beta > 0 else -math.inf
-    except (TypeError, ValueError):
-        raise DomainError(f"beta must be a number, got {beta!r}") from None
+    """beta as a float; DomainError unless it is a positive, finite number
+    (by the rule of numerics._floats: a bool or a string is not one)."""
+    if type(beta) is int:
+        try:
+            beta = float(beta)
+        except OverflowError:  # an int past the float range
+            beta = math.inf if beta > 0 else -math.inf
+    elif type(beta) is not float:  # a float is one already
+        beta = float(_floats(beta, "beta", scalar=True))
     if not (0 < beta < math.inf):
         raise DomainError(f"beta must be positive and finite, got {beta}")
     return beta

@@ -62,9 +62,11 @@ BLOCK = 256
 #: Version of the (seed, index) -> draw map; batch files record it.
 STREAM = 2
 _SEED_LIMIT = 1 << 64
-# load_batch lets a value pass 1/N by this relative slack, for rounding;
+# A batch value may pass 1/N by this relative slack, for rounding;
 # a draw reaches 1/N only when all N eigenvalues coincide (always at N = 1).
 _EDGE_SLACK = 4.0 * np.finfo(float).eps
+# A CDF value may leave [0, 1] by this much: the roundoff of 1 - Q.
+_CDF_SLACK = 1e-12
 # The eigenvalue bracket is closed at this width relative to its upper end.
 _RTOL = 2.0 ** -49
 # A worker span takes at least this many blocks and this many draws x N:
@@ -388,10 +390,29 @@ def run_batch(
     return SampleBatch(params, seed, values)
 
 
+def _checked_batch(params, seed, values, stream: int, count: int, source: str) -> SampleBatch:
+    """The batch with its seed as an int, after the checks of the batch
+    text format: a seed that run_batch accepts, every value in [0, 1/N]
+    (up to a few ulps past 1/N), `count` values and a known stream
+    version; DomainError naming `source` otherwise."""
+    seed = _check_seed(seed)
+    values = np.asarray(values, dtype=float)
+    if not np.all((values >= 0.0) & (values <= (1.0 + _EDGE_SLACK) / params.n_dim)):
+        raise DomainError(f"{source} holds a value outside [0, 1/N]")
+    if len(values) != count:
+        raise DomainError(f"{source} holds {len(values)} values, header says {count}")
+    if stream not in (1, STREAM):
+        raise DomainError(f"unknown batch stream version {stream!r}")
+    return SampleBatch(params, seed, values, stream=stream)
+
+
 def write_batch(batch: SampleBatch, fh):
     """Write the batch text format to an open stream: one JSON header
     line, then one repr() float per line (repr round-trips doubles
-    exactly, so load_batch is bit-exact)."""
+    exactly, so load_batch is bit-exact).  A batch that load_batch would
+    refuse raises DomainError before anything is written."""
+    batch = _checked_batch(batch.params, batch.seed, batch.values, batch.stream,
+                           batch.count, "batch")
     header = {
         "beta": batch.params.beta,
         "n_dim": batch.params.n_dim,
@@ -407,9 +428,8 @@ def write_batch(batch: SampleBatch, fh):
 
 def load_batch(path) -> SampleBatch:
     """Read a batch file; a header without a "stream" field is stream 1.
-    A malformed header or value line, a seed that run_batch rejects, or
-    a value outside [0, 1/N] (up to a few ulps past 1/N) raises
-    DomainError."""
+    A malformed header or value line, or a file that fails the checks
+    of _checked_batch, raises DomainError."""
     with open(path) as fh:
         first, lines = fh.readline(), [line for line in fh if line.strip()]
     try:
@@ -420,14 +440,7 @@ def load_batch(path) -> SampleBatch:
         values = np.array([float(line) for line in lines])
     except (ValueError, KeyError, TypeError) as exc:  # DomainError is a ValueError
         raise DomainError(f"malformed batch file {path}: {exc!r}") from None
-    seed = _check_seed(seed)
-    if not np.all((values >= 0.0) & (values <= (1.0 + _EDGE_SLACK) / params.n_dim)):
-        raise DomainError(f"batch file {path} holds a value outside [0, 1/N]")
-    if len(values) != count:
-        raise DomainError(f"batch file holds {len(values)} values, header says {count}")
-    if stream not in (1, STREAM):
-        raise DomainError(f"unknown batch stream version {stream!r}")
-    return SampleBatch(params, seed, values, stream=stream)
+    return _checked_batch(params, seed, values, stream, count, f"batch file {path}")
 
 
 def ks_validate(batch: SampleBatch, cdf, level: float = 0.01) -> KSReport:
@@ -444,6 +457,10 @@ def ks_validate(batch: SampleBatch, cdf, level: float = 0.01) -> KSReport:
     xs = np.sort(batch.values)
     n = batch.count
     f = np.asarray(cdf(xs), dtype=float)
+    bad = ~((f >= -_CDF_SLACK) & (f <= 1.0 + _CDF_SLACK))  # NaN included
+    if np.any(bad):
+        x_bad, f_bad = xs[bad][0], f[bad][0]
+        raise DomainError(f"cdf must return values in [0, 1], got {f_bad} at x = {x_bad}")
     grid = np.arange(1, n + 1, dtype=float) / n
     d_plus = float(np.max(grid - f))
     d_minus = float(np.max(f - (grid - 1.0 / n)))

@@ -2,8 +2,13 @@
 
 Polynomials are lists of exact Fraction coefficients in ascending powers,
 with trailing zeros trimmed (the zero polynomial is []).  The determinant
-is a cofactor (Laplace) expansion along the first row: slow, but it
-shares no code and no method with `lagmin.beta2.det_laguerre`.
+is a cofactor (Laplace) expansion along the first row: slow, and it shares
+no code with `lagmin.beta2.det_laguerre`.  That function's packed route is
+a Laplace-type expansion too, over column subsets, but of one big integer
+at s = 2^K; this reference never packs or interpolates.  It expands
+Laguerre polynomials with Fraction coefficients from their closed form
+and recurses over first-row cofactors, with polynomial arithmetic
+throughout.
 """
 
 import math

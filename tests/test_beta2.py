@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from laguerre_reference import cofactor_det, derivative, evaluate, laguerre, laguerre_matrix
 
+from lagmin import beta2
 from lagmin.beta2 import det_laguerre, q_alpha2_sum, q_exact_beta2
 from lagmin.core import params_new
 from lagmin.errors import DomainError, PrecisionWarning
@@ -141,16 +142,57 @@ def test_det_constant_term_matches_direct_evaluation():
 
 
 def test_det_matches_cofactor_reference():
-    # the integer evaluate-eliminate-interpolate route against a Laplace
-    # expansion of the polynomial matrix, coefficient by coefficient
+    # det_laguerre (packed up to alpha = 4 here) against a first-row
+    # cofactor expansion of the polynomial matrix, coefficient by coefficient
     for n in range(1, 13):
         for alpha in range(0, 5):
             want = cofactor_det(laguerre_matrix(n, alpha))
             assert list(det_laguerre(n, alpha)) == want, (n, alpha)
 
 
+def _route(route, n, alpha):
+    coeffs, denom = route(n, alpha)
+    return tuple(Fraction(c, denom) for c in coeffs)
+
+
+# each side of the route rule: the last N of the packed route and the
+# first of the interpolated one for alpha = 4..6, the envelope's edge N = 30
+# for alpha <= 3 (packed at every N), and alpha = 7 past the rule's table
+_RULE_EDGES = [(30, 1), (30, 2), (30, 3), (28, 4), (29, 4), (15, 5), (16, 5),
+               (9, 6), (10, 6), (2, 7)]
+# the empty determinant, N = 1, and alpha > N (entries of negative degree)
+_SMALL_EDGES = [(1, 0), (7, 0), (1, 1), (1, 2), (1, 6), (2, 5), (3, 6), (4, 5)]
+
+
+@pytest.mark.parametrize("n,alpha", _RULE_EDGES + _SMALL_EDGES)
+def test_packed_and_interpolated_routes_agree(n, alpha):
+    # the two integer routes give the same Fractions, and det_laguerre
+    # returns them whichever route its rule picks
+    packed = _route(beta2._det_packed, n, alpha)
+    assert packed == _route(beta2._det_interpolated, n, alpha)
+    assert det_laguerre(n, alpha) == packed
+    assert len(packed) == alpha * n + 1
+
+
+@pytest.mark.parametrize("n,alpha,packed", [
+    (30, 3, True), (28, 4, True), (29, 4, False), (15, 5, True), (16, 5, False),
+    (9, 6, True), (10, 6, False), (1, 7, False),
+])
+def test_route_rule(monkeypatch, n, alpha, packed):
+    # det_laguerre takes the packed route up to the measured crossover N
+    # of each alpha, and evaluate-and-interpolate beyond it
+    def refuse(*args):
+        raise AssertionError("wrong route")
+
+    monkeypatch.setattr(beta2, "_det_interpolated" if packed else "_det_packed", refuse)
+    det_laguerre.cache_clear()  # a cached tuple would take no route at all
+    assert len(det_laguerre(n, alpha)) == alpha * n + 1
+
+
 # sha256 of the exact (numerator, denominator) pairs, captured from the
-# polynomial Bareiss elimination over Fractions that this route replaced
+# polynomial Bareiss elimination over Fractions that the integer routes
+# replaced; det_laguerre takes the packed route at (16,4) and (24,4) and
+# the interpolated one at (20,6) and (30,6)
 GOLDEN_DIGESTS = {
     (16, 4): "a2e878760ed5a189c30df6782ccb58bb21dfeaa4b8f45c827ca10ee4bc747d45",
     (24, 4): "6101abbebf8a6dc389159a1e25352895aaad8c36d4d1fe7c17f63146f9e85b3e",
@@ -169,15 +211,15 @@ def test_det_golden_digest(n, alpha):
 @pytest.mark.parametrize("n,alpha", [(12, 4), (8, 6)])
 @pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(5, 2)])
 def test_det_off_sample_points(n, alpha, s):
-    # the route interpolates through s = 0..alpha*N; at non-integer s the
-    # polynomial must still equal the determinant of the entries there
+    # both routes work at integer s (0..alpha*N, or 2^K); at non-integer s
+    # the polynomial must still equal the determinant of the entries there
     mat = [[evaluate(p, s) for p in row] for row in laguerre_matrix(n, alpha)]
     assert evaluate(list(det_laguerre(n, alpha)), s) == _cofactor_det(mat)
 
 
 def test_det_coefficients_positive():
-    # the integer elimination takes the diagonal as pivots without a
-    # search; they are leading minors, positive because these are
+    # the interpolated route's elimination takes the diagonal as pivots
+    # without a search; they are leading minors, positive because these are
     for n in range(1, 13):
         for alpha in range(0, 7):
             assert all(c > 0 for c in det_laguerre(n, alpha)), (n, alpha)

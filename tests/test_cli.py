@@ -327,6 +327,21 @@ def test_parser_is_built_once_and_reused(capsys):
     assert [r[0] for r in fresh] == [0, 2, 0, 0, 0, 2, 0]
 
 
+def test_subcommand_arguments_come_with_its_name(capsys):
+    # a fresh parser gives a subcommand its arguments when a command line
+    # first names it, in any order of use; top-level help, which lists the
+    # subcommands, reads the same before and after
+    build_parser.cache_clear()
+    top = run_cli(capsys, "-h")
+    assert "limit-pdf" in top[1] and "--grid" not in top[1]
+    first = run_cli(capsys, "limit-pdf", "-h")
+    assert first[0] == 0 and "--grid START:STOP:POINTS" in first[1]
+    assert run_cli(capsys, "limit-cdf", "--beta", "1", "--m", "1", "--grid", "0:5:3")[0] == 0
+    assert run_cli(capsys, "-h") == top
+    build_parser.cache_clear()
+    assert run_cli(capsys, "limit-pdf", "-h") == first
+
+
 @pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e-300", "0"])
 def test_bad_beta_is_one_error_line(capsys, beta):
     code, out, err = run_cli(

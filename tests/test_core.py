@@ -141,8 +141,15 @@ def test_nonfinite_and_tiny_beta():
 @pytest.mark.parametrize("make", [
     lambda: params_new(None, 2, 3),
     lambda: params_new("abc", 2, 3),
+    lambda: params_new("2", 2, 3),
+    lambda: params_new(True, 2, 3),
+    lambda: params_new(np.True_, 2, 3),
+    lambda: EnsembleParams("2", 2, 3),
     lambda: LimitParams(None, 1),
-], ids=["none", "text", "limit-none"])
+    lambda: LimitParams(True, 1),
+    lambda: LimitParams("2", 1),
+], ids=["none", "text", "numeric-text", "bool", "numpy-bool", "direct-numeric-text",
+        "limit-none", "limit-bool", "limit-numeric-text"])
 def test_non_numeric_beta_is_domain_error(make):
     with pytest.raises(DomainError, match="beta must be a number"):
         make()

@@ -365,6 +365,47 @@ def test_batch_roundtrip_bit_exact(tmp_path):
     assert json.loads(path.read_text().splitlines()[0])["stream"] == STREAM
 
 
+@pytest.mark.parametrize("beta,n,m_dim,count,seed", [
+    (2.0, 1, 3, 5, 0), (0.5, 2, 2, 300, 7), (1.0, 3, 7, 64, 2**63 - 1),
+    (4.0, 6, 6, 129, 123), (2.0 / 3.0, 12, 15, 40, 99), (2.0, 40, 42, 10, 5),
+])
+def test_run_batch_results_round_trip_bit_exact(tmp_path, beta, n, m_dim, count, seed):
+    # every run_batch result passes write_batch's checks and loads back as is
+    batch = run_batch(params_new(beta, n, m_dim), count, seed)
+    path = tmp_path / "batch.txt"
+    with open(path, "w") as fh:
+        write_batch(batch, fh)
+    back = load_batch(path)
+    assert back.values.tobytes() == batch.values.tobytes()
+    assert (back.params, back.seed, back.stream) == (batch.params, batch.seed, batch.stream)
+
+
+@pytest.mark.xfail(strict=True, reason="the Philox key [seed, block] goes through float64 "
+                   "for seeds >= 2^63, so neighbouring seeds there share their draws")
+def test_seeds_past_2_63_draw_distinct_values():
+    p = params_new(2.0, 3, 5)
+    assert not np.array_equal(run_batch(p, 3, 2**63).values, run_batch(p, 3, 2**63 + 1).values)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda p: SampleBatch(p, -1, np.array([0.125])), id="negative-seed"),
+    pytest.param(lambda p: SampleBatch(p, 1 << 64, np.array([0.125])), id="seed-past-64-bits"),
+    pytest.param(lambda p: SampleBatch(p, 5.5, np.array([0.125])), id="float-seed"),
+    pytest.param(lambda p: SampleBatch(p, 1, np.array([0.9])), id="value-past-1-over-n"),
+    pytest.param(lambda p: SampleBatch(p, 1, np.array([0.125, -0.5])), id="value-negative"),
+    pytest.param(lambda p: SampleBatch(p, 1, np.array([np.nan])), id="value-nan"),
+    pytest.param(lambda p: SampleBatch(p, 1, np.array([0.125]), stream=3), id="unknown-stream"),
+])
+def test_write_batch_refuses_what_load_batch_refuses(tmp_path, make):
+    # a batch that load_batch would refuse is refused before a byte is written
+    batch = make(params_new(2.0, 2, 3))
+    path = tmp_path / "bad.txt"
+    with open(path, "w") as fh:
+        with pytest.raises(DomainError):
+            write_batch(batch, fh)
+    assert path.read_text() == ""
+
+
 def test_batch_old_header_is_stream_1(tmp_path):
     # files written before the "stream" field hold stream-1 draws; they
     # load, and are written back as stream 1
@@ -445,10 +486,28 @@ def test_kolmogorov_sf_refuses_nan_and_arrays():
 
 
 def test_ks_validate_nan_cdf_is_domain_error():
-    # a CDF that returns NaN is an error, not a p-value of 0 (a silent reject)
+    # a CDF that returns NaN is an error, not a p-value of 0 (a silent
+    # reject), and the error names the CDF, not kolmogorov_sf's argument
     batch = run_batch(params_new(2.0, 2, 3), 50, seed=1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^cdf must return values in \[0, 1\], got nan at x = "):
         ks_validate(batch, lambda x: np.full(len(x), np.nan))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, np.inf])
+def test_ks_validate_cdf_outside_unit_interval(bad):
+    batch = run_batch(params_new(2.0, 2, 3), 50, seed=1)
+    with pytest.raises(DomainError, match=f"cdf must return values in \\[0, 1\\], got {bad}"):
+        ks_validate(batch, lambda x: np.where(x == x.max(), bad, 0.5))
+
+
+def test_ks_validate_accepts_cdf_roundoff():
+    # 1 - Q reads an ulp below 0 where Q rounds past 1, as q_exact may
+    batch = run_batch(params_new(2.0, 2, 3), 50, seed=1)
+    ramp = lambda x: np.linspace(0.0, 1.0, len(x))  # noqa: E731
+    ends = np.zeros(50)
+    ends[0], ends[-1] = -2.2e-16, 2.2e-16
+    report = ks_validate(batch, lambda x: ramp(x) + ends)
+    assert report.d_stat == pytest.approx(ks_validate(batch, ramp).d_stat, abs=1e-15)
 
 
 def test_kolmogorov_sf_monotone():
