@@ -183,15 +183,22 @@ def _det_interpolated(n_dim: int, alpha: int) -> tuple:
 _PACKED_MAX_N = {4: 28, 5: 15, 6: 9}
 
 
+@lru_cache(maxsize=32)
+def _det_integers(n_dim: int, alpha: int) -> tuple:
+    """(integer coefficients ascending in s, denominator) of the Laguerre
+    determinant, by the route the measured (N, alpha) map says is faster;
+    N and alpha are checked ints."""
+    packed = alpha <= 3 or n_dim <= _PACKED_MAX_N.get(alpha, 0)
+    coeffs, denom = (_det_packed if packed else _det_interpolated)(n_dim, alpha)
+    return tuple(coeffs), denom
+
+
 @lru_cache(maxsize=32, typed=True)  # typed: a bool must miss the int entries, then be rejected
 def det_laguerre(n_dim: int, alpha: int) -> tuple:
     """Exact coefficients, ascending in s, of the polynomial
     det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}: alpha*N + 1 Fractions,
     (Fraction(1),) for the empty determinant alpha = 0."""
-    n_dim = _as_int(n_dim, "n_dim", 1)
-    alpha = _as_int(alpha, "alpha", 0)
-    packed = alpha <= 3 or n_dim <= _PACKED_MAX_N.get(alpha, 0)
-    coeffs, denom = (_det_packed if packed else _det_interpolated)(n_dim, alpha)
+    coeffs, denom = _det_integers(_as_int(n_dim, "n_dim", 1), _as_int(alpha, "alpha", 0))
     return tuple(Fraction(c, denom) for c in coeffs)
 
 
@@ -199,13 +206,15 @@ def det_laguerre(n_dim: int, alpha: int) -> tuple:
 def _beta2_coeffs(n_dim: int, alpha: int) -> np.ndarray:
     """log a_j of a_j = c_j * Gamma(MN)/Gamma(MN-j) > 0, the coefficient of
     x^j (1-Nx)^(MN-1-j) in Q, each taken from its exact rational value
-    with one rounding."""
+    (reduced by one gcd, as Fraction would reduce it) with one rounding."""
     mn = (n_dim + alpha) * n_dim
+    coeffs, denom = _det_integers(n_dim, alpha)
     logs, falling = [], 1  # falling = Gamma(MN)/Gamma(MN-j) = (MN-1)(MN-2)...(MN-j)
-    for j, c in enumerate(det_laguerre(n_dim, alpha)):
-        a = c * falling
+    for j, c in enumerate(coeffs):
+        num = c * falling
         falling *= mn - 1 - j
-        logs.append(math.log(a.numerator) - math.log(a.denominator))
+        g = math.gcd(num, denom)
+        logs.append(math.log(num // g) - math.log(denom // g))
     out = np.array(logs)
     out.flags.writeable = False  # shared by every caller through the cache
     return out

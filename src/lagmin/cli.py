@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Every subcommand is declared once, in COMMANDS (name -> help text and
-arguments), from which build_parser builds the parser, adding a
-subcommand's arguments only when a command line names it.  The five grid
-commands share one path through _GRIDS (law, variable, column).  Every
-output goes through one writer, _write, to the --out file or to stdout;
-a sample batch is streamed there, never built in memory.
+arguments).  A command line that starts with a command name is parsed by
+that command's own parser, which _command_parser builds on first use; the
+top-level parser, build_parser, is built only for a line that does not
+(help, no command, an unknown one) and to report an argument the command
+parser leaves over, so every usage text is argparse's two-level one.  The
+five grid commands share one path through _GRIDS (law, variable, column),
+and their rows are written from one template per format.  Every output
+goes through one writer, _write, to the --out file or to stdout; a sample
+batch is streamed there, never built in memory.
 
 Subcommands
 -----------
@@ -120,37 +124,43 @@ COMMANDS = {
 }
 
 
-#: The subparsers that build_parser made and _parser_for has not yet given
-#: their arguments: name -> parser.
-_BARE = {}
+@functools.lru_cache(maxsize=len(COMMANDS))
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built from COMMANDS when a command
+    line first names it; it sets ``command`` to the name."""
+    parser = argparse.ArgumentParser(prog=f"lagmin {name}")
+    for flag, keywords in COMMANDS[name][1]:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(command=name)
+    return parser
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process from COMMANDS.  A
-    subcommand gets its arguments from _parser_for, when a command line
-    first names it: most of the cost of a parser is in the arguments."""
+    """The top-level parser, for a command line that does not start with a
+    command name (help, no command, an unknown one) and for the usage text
+    of an unrecognized argument.  Its subparsers take their arguments from
+    _command_parser, so both parse a command line the same way."""
     parser = argparse.ArgumentParser(
         prog="lagmin",
         description="smallest-eigenvalue laws of the fixed-trace beta-Laguerre ensemble",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _BARE.clear()
     for name, (help_text, _) in COMMANDS.items():
-        _BARE[name] = sub.add_parser(name, help=help_text)
+        sub.add_parser(name, help=help_text, parents=[_command_parser(name)], add_help=False)
     return parser
 
 
-def _parser_for(argv) -> argparse.ArgumentParser:
-    """build_parser(), with the arguments of every subcommand that argv
-    names: any of its words, not only argv[0], so no rule of argparse for
-    finding the command can miss one."""
-    parser = build_parser()
-    for name in _BARE.keys() & set(argv):
-        for flag, keywords in COMMANDS[name][1]:
-            _BARE[name].add_argument(flag, **keywords)
-        del _BARE[name]
-    return parser
+def _parse(argv: list) -> argparse.Namespace:
+    """The Namespace of a command line; a usage error raises SystemExit.
+    A line that starts with a command name is parsed by that command's
+    parser alone.  Anything it leaves over is an error that the top-level
+    parser reports, with its own usage text, as it would have parsed it."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _ensemble(args):
@@ -229,15 +239,46 @@ def _json(value, pad: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(config: dict, rows: list, warn_msgs: list, fmt: str, fh):
+#: float.__repr__ spells NaN and the infinities as "nan", "inf" and "-inf";
+#: a JSON grid row spells them as _json does.
+_JSON_NONFINITE = ((": nan", ": NaN"), (": inf", ": Infinity"), (": -inf", ": -Infinity"))
+
+
+def _grid_rows(var: str, col: str, points: list, values: list, fmt: str) -> str:
+    """The rows of a grid, each from one template: a JSON object in the
+    results list of the indent-2 document, or a %.17g CSV line."""
+    flat = [0.0] * (2 * len(points))
+    flat[0::2] = points
+    flat[1::2] = values
+    if fmt != "json":
+        return "\n".join(["%.17g,%.17g"] * len(points)) % tuple(flat)
+    row = "\n    {\n      %s: %%r,\n      %s: %%r\n    }" % (
+        encode_basestring_ascii(var), encode_basestring_ascii(col))
+    text = ",".join([row] * len(points)) % tuple(flat)
+    for spelled, json_spelled in _JSON_NONFINITE:
+        text = text.replace(spelled, json_spelled)
+    return text
+
+
+def _emit(config: dict, results, warn_msgs: list, fmt: str, fh):
+    """Write one output document.  results is a grid, (variable, column,
+    points, values), or the list of row dicts of moments and validate."""
+    grid = isinstance(results, tuple)
     if fmt == "json":
-        text = _json({"config": config, "results": rows, "warnings": warn_msgs}) + "\n"
+        if grid:
+            text = ('{\n  "config": ' + _json(config, "\n  ") + ',\n  "results": ['
+                    + _grid_rows(*results, fmt) + '\n  ],\n  "warnings": '
+                    + _json(warn_msgs, "\n  ") + "\n}\n")
+        else:
+            text = _json({"config": config, "results": results, "warnings": warn_msgs}) + "\n"
     else:
         lines = ["# config: " + json.dumps(config, sort_keys=True)]
-        if rows:
-            keys = list(rows[0].keys())
+        if grid:
+            lines += [results[0] + "," + results[1], _grid_rows(*results, fmt)]
+        elif results:
+            keys = list(results[0].keys())
             lines.append(",".join(keys))
-            for row in rows:
+            for row in results:
                 lines.append(",".join(_format_cell(row[k]) for k in keys))
         text = "\n".join(lines) + "\n"
     fh.write(text)
@@ -271,12 +312,11 @@ def _write(out, write) -> None:
 
 def _run(args):
     """(result, exit code) of one command: the SampleBatch of sample,
-    else the (config, rows) that _emit writes."""
+    else the (config, results) that _emit writes."""
     if args.command in _GRIDS:
         setup, law, var, col = _GRIDS[args.command]
         first, config = setup(args)
-        values = law(first, np.array(args.grid)).tolist()
-        return (config, [{var: x, col: v} for x, v in zip(args.grid, values)]), 0
+        return (config, (var, col, args.grid, law(first, np.array(args.grid)).tolist())), 0
     params, config = _ensemble(args)
     if args.command == "moments":
         return (config, [{"p": p, "value": moment(params, p)} for p in args.p]), 0
@@ -320,9 +360,8 @@ def _dispatch(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _parser_for(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -16,19 +16,22 @@ gives one draw of the fixed-trace statistic: the chi-square trace is
 independent of the normalized spectrum, so conditioning on trace = 1 is
 the same as dividing by the trace.
 
-Reproducibility contract (stream 2): draw i of a batch with seed s
+Reproducibility contract (stream 3): draw i of a batch with seed s
 belongs to block i // BLOCK, and block k is generated by one call
 
-    Generator(Philox(key=[s, k])).gamma(shape, 2.0, size=(rows, 2N-1)),
+    Generator(Philox(key=np.array([s, k], dtype=np.uint64)))
+        .gamma(shape, 2.0, size=(rows, 2N-1)),
 
 shape = (beta*(M-i)/2 for i < N, then beta*(N-1-i)/2 for i < N-1), which
 numpy fills row-major: row r holds a_0^2..a_{N-1}^2, b_0^2..b_{N-2}^2 of
 draw k*BLOCK + r.  A run draws only the rows it needs of its last block,
 so a longer run is a bit-exact extension of a shorter one, and workers
 take whole blocks, so run_batch(workers=1) and run_batch(workers=8)
-return bit-identical arrays.  Stream 1 (one Philox key per draw, before
-batch files carried a "stream" field) is no longer generated; its batch
-files still load.
+return bit-identical arrays.  Stream 2 passed the key as the list [s, k],
+which numpy takes through float64 for s >= 2**63, so neighbouring seeds
+there shared their draws; below 2**63 streams 2 and 3 are the same draws.
+Streams 1 (one Philox key per draw, before batch files carried a "stream"
+field) and 2 are no longer generated; their batch files still load.
 
 The smallest eigenvalue comes straight from the chi-square draws a^2,
 b^2 (no square root, and the count never forms T's entries).  The count
@@ -57,10 +60,10 @@ from .core import EnsembleParams, _as_int, params_new
 from .errors import DomainError, EigensolverFailure, EmptySample
 from .numerics import _floats
 
-#: Draws per Philox key: draw i of seed s comes from key [s, i // BLOCK].
+#: Draws per Philox key: draw i of seed s comes from key (s, i // BLOCK).
 BLOCK = 256
 #: Version of the (seed, index) -> draw map; batch files record it.
-STREAM = 2
+STREAM = 3
 _SEED_LIMIT = 1 << 64
 # A batch value may pass 1/N by this relative slack, for rounding;
 # a draw reaches 1/N only when all N eigenvalues coincide (always at N = 1).
@@ -158,7 +161,8 @@ def _block(params: EnsembleParams, seed: int, block: int, rows: int) -> np.ndarr
     diag = beta * (m - np.arange(n, dtype=float))
     sub = beta * (n - 1 - np.arange(n - 1, dtype=float))
     shape = 0.5 * np.concatenate([diag, sub])
-    rng = np.random.Generator(np.random.Philox(key=[seed, block]))
+    key = np.array([seed, block], dtype=np.uint64)  # a list would go through float64 past 2**63
+    rng = np.random.Generator(np.random.Philox(key=key))
     return rng.gamma(shape, 2.0, size=(rows, 2 * n - 1))
 
 
@@ -401,7 +405,7 @@ def _checked_batch(params, seed, values, stream: int, count: int, source: str) -
         raise DomainError(f"{source} holds a value outside [0, 1/N]")
     if len(values) != count:
         raise DomainError(f"{source} holds {len(values)} values, header says {count}")
-    if stream not in (1, STREAM):
+    if stream not in (1, 2, STREAM):
         raise DomainError(f"unknown batch stream version {stream!r}")
     return SampleBatch(params, seed, values, stream=stream)
 

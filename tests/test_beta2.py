@@ -186,6 +186,7 @@ def test_route_rule(monkeypatch, n, alpha, packed):
 
     monkeypatch.setattr(beta2, "_det_interpolated" if packed else "_det_packed", refuse)
     det_laguerre.cache_clear()  # a cached tuple would take no route at all
+    beta2._det_integers.cache_clear()
     assert len(det_laguerre(n, alpha)) == alpha * n + 1
 
 
@@ -223,6 +224,21 @@ def test_det_coefficients_positive():
     for n in range(1, 13):
         for alpha in range(0, 7):
             assert all(c > 0 for c in det_laguerre(n, alpha)), (n, alpha)
+
+
+@pytest.mark.parametrize("n,alpha", [(8, 0), (12, 1), (20, 2), (16, 3), (10, 4), (20, 4),
+                                     (24, 4), (10, 6)])
+def test_beta2_coeffs_are_logs_of_the_reduced_rationals(n, alpha):
+    # Q's coefficients come from the integer form of the determinant, each
+    # product reduced by one gcd: the bits of the logs of the Fraction
+    # products c_j * Gamma(MN)/Gamma(MN-j) in lowest terms
+    mn = (n + alpha) * n
+    logs, falling = [], 1
+    for j, c in enumerate(det_laguerre(n, alpha)):
+        a = c * falling
+        falling *= mn - 1 - j
+        logs.append(math.log(a.numerator) - math.log(a.denominator))
+    assert beta2._beta2_coeffs(n, alpha).tobytes() == np.array(logs).tobytes()
 
 
 def test_det_integer_arguments():

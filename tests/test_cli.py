@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, seeding."""
 
+import io
 import json
 import os
 import subprocess
@@ -253,7 +254,7 @@ def test_validate_split_half_route(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["route"] == "split-half"
-    assert doc["config"]["stream"] == 2
+    assert doc["config"]["stream"] == 3
 
 
 def test_usage_errors_exit_2(capsys):
@@ -307,6 +308,11 @@ def test_selfcheck_passes(capsys):
     assert "FAIL" not in out
 
 
+def _clear_parsers():
+    build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+
+
 def test_parser_is_built_once_and_reused(capsys):
     calls = [
         ("exact-cdf", "--beta", "2", "--N", "3", "--M", "5", "--grid", "0:0.3:4"),
@@ -315,31 +321,133 @@ def test_parser_is_built_once_and_reused(capsys):
         ("limit-pdf", "--beta", "1", "--m", "2", "--grid", "0:5:3"),
         ("beta2-cdf", "--N", "2", "--M", "4", "--grid", "0:0.5:3", "--format", "json"),
         ("no-such-command",),
+        ("exact-cdf", "--beta", "2", "--N", "3", "--M", "5", "--grid", "0:0.3:4", "--foo"),
         ("exact-pdf", "--beta", "1", "--N", "3", "--M", "6", "--grid", "0:0.2:3"),
     ]
     fresh = []
     for argv in calls:
-        build_parser.cache_clear()
+        _clear_parsers()
         fresh.append(run_cli(capsys, *argv))
     assert build_parser() is build_parser()
+    assert cli._command_parser("moments") is cli._command_parser("moments")
     reused = [run_cli(capsys, *argv) for argv in calls]
     assert reused == fresh
-    assert [r[0] for r in fresh] == [0, 2, 0, 0, 0, 2, 0]
+    assert [r[0] for r in fresh] == [0, 2, 0, 0, 0, 2, 2, 0]
 
 
 def test_subcommand_arguments_come_with_its_name(capsys):
-    # a fresh parser gives a subcommand its arguments when a command line
-    # first names it, in any order of use; top-level help, which lists the
-    # subcommands, reads the same before and after
-    build_parser.cache_clear()
-    top = run_cli(capsys, "-h")
-    assert "limit-pdf" in top[1] and "--grid" not in top[1]
+    # a command line that starts with a command name builds that command's
+    # parser alone; the top-level parser, built for help and errors, reuses
+    # the command parsers, and both read the same in any order of use
+    _clear_parsers()
+    assert run_cli(capsys, "limit-cdf", "--beta", "1", "--m", "1", "--grid", "0:5:3")[0] == 0
     first = run_cli(capsys, "limit-pdf", "-h")
     assert first[0] == 0 and "--grid START:STOP:POINTS" in first[1]
-    assert run_cli(capsys, "limit-cdf", "--beta", "1", "--m", "1", "--grid", "0:5:3")[0] == 0
-    assert run_cli(capsys, "-h") == top
-    build_parser.cache_clear()
+    assert build_parser.cache_info().currsize == 0
+    assert cli._command_parser.cache_info().currsize == 2
+    top = run_cli(capsys, "-h")
+    assert top[0] == 0 and "limit-pdf" in top[1] and "--grid" not in top[1]
+    assert cli._command_parser.cache_info().currsize == len(cli.COMMANDS)
     assert run_cli(capsys, "limit-pdf", "-h") == first
+    _clear_parsers()
+    assert run_cli(capsys, "-h") == top
+    assert run_cli(capsys, "limit-pdf", "-h") == first
+
+
+#: A valid command line for every command, without its name.
+_VALID = {
+    "exact-cdf": ("--beta", "2", "--N", "3", "--M", "5", "--grid", "0:0.3:4", "--format", "json"),
+    "exact-pdf": ("--grid", "0:0.3:4", "--N", "3", "--M", "5", "--beta=0.5", "--out", "p.csv"),
+    "beta2-cdf": ("--N", "3", "--M", "5", "--grid", "0:0.3:4"),
+    "moments": ("--beta", "2", "--N", "3", "--M", "5", "--p", "1", "2", "--format", "csv"),
+    "limit-cdf": ("--beta", "1", "--m", "2", "--grid", "0:5:3"),
+    "limit-pdf": ("--beta", "6", "--m", "0", "--gr", "0:5:3", "--fo=json"),
+    "sample": ("--beta", "2", "--N", "3", "--M", "5", "--samples", "4", "--seed", "9",
+               "--workers", "2", "--out", "s.txt"),
+    "validate": ("--beta", "0.7", "--N", "3", "--M", "5"),
+    "selfcheck": (),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALID))
+def test_command_parser_gives_the_top_level_namespace(name):
+    assert set(_VALID) == set(cli.COMMANDS)
+    argv = [name, *_VALID[name]]
+    via_top = build_parser().parse_args(argv)
+    assert cli._command_parser(name).parse_args(argv[1:]) == via_top
+    assert cli._parse(argv) == via_top
+    assert via_top.command == name
+
+
+_TOP_USAGE = (
+    "usage: lagmin [-h]\n"
+    "              {exact-cdf,exact-pdf,beta2-cdf,moments,limit-cdf,limit-pdf,sample,validate,"
+    "selfcheck}\n"
+    "              ...\n")
+_CHOICES = ("(choose from 'exact-cdf', 'exact-pdf', 'beta2-cdf', 'moments', 'limit-cdf', "
+            "'limit-pdf', 'sample', 'validate', 'selfcheck')")
+_E = ("exact-cdf", "--beta", "2", "--N", "3", "--M", "5", "--grid", "0:0.3:3")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("-h",), (0, _TOP_USAGE + (
+        "\nsmallest-eigenvalue laws of the fixed-trace beta-Laguerre ensemble\n"
+        "\npositional arguments:\n"
+        "  {exact-cdf,exact-pdf,beta2-cdf,moments,limit-cdf,limit-pdf,sample,validate,"
+        "selfcheck}\n"
+        "    exact-cdf           survival function Q(x) on a grid\n"
+        "    exact-pdf           density P(x) on a grid\n"
+        "    beta2-cdf           Q(x) at beta=2 via the determinant route\n"
+        "    moments             moments mu_p of the smallest eigenvalue\n"
+        "    limit-cdf           hard-edge limiting Q(y)\n"
+        "    limit-pdf           hard-edge limiting P(y)\n"
+        "    sample              Monte Carlo batch in the batch text format\n"
+        "    validate            KS-test Monte Carlo draws against theory\n"
+        "    selfcheck           run the fast internal invariant suite\n"
+        "\noptions:\n"
+        "  -h, --help            show this help message and exit\n"), "")),
+    (("exact-cdf", "-h"), (0, (
+        "usage: lagmin exact-cdf [-h] --beta BETA --N N_DIM --M M_DIM --grid START:STOP:POINTS\n"
+        "                        [--format {csv,json}] [--out OUT]\n"
+        "\noptions:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --beta BETA           Dyson index > 0\n"
+        "  --N N_DIM\n"
+        "  --M M_DIM\n"
+        "  --grid START:STOP:POINTS\n"
+        "  --format {csv,json}\n"
+        "  --out OUT             output file (default: stdout)\n"), "")),
+    (("no-such-command",), (2, "", _TOP_USAGE + (
+        "lagmin: error: argument command: invalid choice: 'no-such-command' " + _CHOICES + "\n"))),
+    (("exact",), (2, "", _TOP_USAGE + (
+        "lagmin: error: argument command: invalid choice: 'exact' " + _CHOICES + "\n"))),
+    ((*_E, "--foo"), (2, "", _TOP_USAGE + "lagmin: error: unrecognized arguments: --foo\n")),
+    ((*_E, "stray"), (2, "", _TOP_USAGE + "lagmin: error: unrecognized arguments: stray\n")),
+], ids=["help", "command-help", "unknown-command", "abbreviated-command",
+        "unrecognized-argument", "stray-positional"])
+def test_help_and_usage_error_bytes(capsys, monkeypatch, argv, expected):
+    # the text of argparse's two-level parser, kept by the one-parser path:
+    # written out literally, at a fixed terminal width, on a fresh process's
+    # parsers and on reused ones
+    monkeypatch.setenv("COLUMNS", "100")
+    _clear_parsers()
+    assert run_cli(capsys, *argv) == expected
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_import_builds_no_parser():
+    script = textwrap.dedent("""
+        import lagmin.cli as cli
+        print(cli.build_parser.cache_info().currsize, cli._command_parser.cache_info().currsize)
+    """)
+    src = str(Path(lagmin.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
 
 
 @pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e-300", "0"])
@@ -488,7 +596,7 @@ def test_output_bytes(capsys):
     assert run_cli(capsys, "validate", "--beta", "2", "--N", "3", "--M", "3",
                    "--samples", "50", "--seed", "7") == (0, (
         '# config: {"M": 3, "N": 3, "beta": 2.0, "command": "validate", "jack_index": 0, '
-        '"samples": 50, "seed": 7, "stream": 2, "workers": 1}\n'
+        '"samples": 50, "seed": 7, "stream": 3, "workers": 1}\n'
         "d_stat,n,p_value,level,pass,route\n"
         f"{g(rep.d_stat)},50,{g(rep.p_value)},0.01,{'true' if rep.passed else 'false'},series\n"
     ), "")
@@ -497,7 +605,7 @@ def test_output_bytes(capsys):
                              "--samples", "2", "--seed", "7")
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == (
-        '{"beta": 2.0, "n_dim": 3, "m_dim": 3, "seed": 7, "count": 2, "stream": 2}')
+        '{"beta": 2.0, "n_dim": 3, "m_dim": 3, "seed": 7, "count": 2, "stream": 3}')
 
 
 @pytest.mark.parametrize("payload", [
@@ -515,6 +623,27 @@ def test_json_writer_is_json_dumps_indent_2(payload):
     # _emit writes JSON without json.dumps(indent=2), which runs the
     # pure-Python encoder; the bytes must be the same, NaN and inf included
     assert cli._json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("var,col", [("x", "Q"), ("y", "P")])
+def test_grid_writer_is_the_row_dict_document(var, col):
+    # a grid is written from one row template per format, without row
+    # dicts; the bytes are those of the row-dict document: json.dumps
+    # (indent=2) for JSON, and the %.17g CSV of the dicts for CSV
+    nan, inf = float("nan"), float("inf")
+    points = [0.0, -0.0, 5e-324, 0.1, 1e-300, 1.7976931348623157e308, inf, -inf, nan, 2.5]
+    values = [nan, inf, -inf, -0.0, 5e-324, 0.30000000000000004, 1e22, 1.0, 0.0, 1 / 3]
+    config = {"command": "limit-cdf", "beta": 2.0, "m": 1}
+    warn = ["outside the envelope", "\u2264 \"q\""]
+    rows = [{var: x, col: v} for x, v in zip(points, values)]
+    for fmt, expected in (
+        ("json", json.dumps({"config": config, "results": rows, "warnings": warn}, indent=2) + "\n"),
+        ("csv", "\n".join(["# config: " + json.dumps(config, sort_keys=True), f"{var},{col}",
+                           *(f"{x:.17g},{v:.17g}" for x, v in zip(points, values))]) + "\n"),
+    ):
+        fh = io.StringIO()
+        cli._emit(config, (var, col, points, values), warn, fmt, fh)
+        assert fh.getvalue() == expected
 
 
 def test_every_command_is_documented():

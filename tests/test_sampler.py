@@ -290,16 +290,17 @@ class TestRunBatch:
             assert min(hi - lo for lo, hi in calls) * n >= sampler._MIN_SPAN_WORK
 
     def test_stream_contract(self):
-        # draw i is row i % BLOCK of one gamma call under Philox key
-        # [seed, i // BLOCK], a^2 first, then b^2
+        # draw i is row i % BLOCK of one gamma call under the Philox key
+        # (seed, i // BLOCK) in two unsigned 64-bit words, a^2 first, then b^2
         beta, n, m_dim, seed = 2.0, 4, 6, 21
         values = run_batch(params_new(beta, n, m_dim), BLOCK + 6, seed=seed).values
         shape = 0.5 * beta * np.array([6, 5, 4, 3, 3, 2, 1], dtype=float)
-        rng = np.random.Generator(np.random.Philox(key=[seed, 1]))
+        key = np.array([seed, 1], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         row = rng.gamma(shape, 2.0, size=(6, 2 * n - 1))[5]
         eig = np.linalg.eigvalsh(_dense_t(row[:n], row[n:]))
         assert values[BLOCK + 5] == pytest.approx(eig[0] / row.sum(), rel=1e-12)
-        assert STREAM == 2
+        assert STREAM == 3
 
     def test_underflowed_draws(self):
         # at beta = 0.01 some chi-square variates underflow to 0; the
@@ -380,11 +381,23 @@ def test_run_batch_results_round_trip_bit_exact(tmp_path, beta, n, m_dim, count,
     assert (back.params, back.seed, back.stream) == (batch.params, batch.seed, batch.stream)
 
 
-@pytest.mark.xfail(strict=True, reason="the Philox key [seed, block] goes through float64 "
-                   "for seeds >= 2^63, so neighbouring seeds there share their draws")
 def test_seeds_past_2_63_draw_distinct_values():
     p = params_new(2.0, 3, 5)
     assert not np.array_equal(run_batch(p, 3, 2**63).values, run_batch(p, 3, 2**63 + 1).values)
+    assert not np.array_equal(run_batch(p, 3, 2**64 - 2).values,
+                              run_batch(p, 3, 2**64 - 1).values)
+
+
+@pytest.mark.parametrize("seed", [0, 21, 2**32 + 7, 2**62 + 12345, 2**63 - 1])
+def test_stream_3_draws_are_stream_2_draws_below_2_63(seed):
+    # stream 2 passed the Philox key as the list [seed, block]; below
+    # 2^63 numpy keeps that list in int64, so the two streams agree there
+    p = params_new(0.7, 5, 8)
+    shape = 0.5 * 0.7 * np.array([8, 7, 6, 5, 4, 4, 3, 2, 1], dtype=float)
+    for block in (0, 3):
+        stream_2 = np.random.Generator(np.random.Philox(key=[seed, block]))
+        expected = stream_2.gamma(shape, 2.0, size=(BLOCK, 9))
+        assert sampler._block(p, seed, block, BLOCK).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("make", [
@@ -394,7 +407,7 @@ def test_seeds_past_2_63_draw_distinct_values():
     pytest.param(lambda p: SampleBatch(p, 1, np.array([0.9])), id="value-past-1-over-n"),
     pytest.param(lambda p: SampleBatch(p, 1, np.array([0.125, -0.5])), id="value-negative"),
     pytest.param(lambda p: SampleBatch(p, 1, np.array([np.nan])), id="value-nan"),
-    pytest.param(lambda p: SampleBatch(p, 1, np.array([0.125]), stream=3), id="unknown-stream"),
+    pytest.param(lambda p: SampleBatch(p, 1, np.array([0.125]), stream=4), id="unknown-stream"),
 ])
 def test_write_batch_refuses_what_load_batch_refuses(tmp_path, make):
     # a batch that load_batch would refuse is refused before a byte is written
@@ -426,9 +439,22 @@ def test_batch_old_header_is_stream_1(tmp_path):
 def test_batch_unknown_stream(tmp_path):
     path = tmp_path / "future.txt"
     path.write_text('{"beta": 2.0, "n_dim": 2, "m_dim": 3, "seed": 5, "count": 1, '
-                    '"stream": 3}\n0.125\n')
+                    '"stream": 4}\n0.125\n')
     with pytest.raises(DomainError):
         load_batch(path)
+
+
+def test_batch_stream_2_file_loads(tmp_path):
+    # stream 2 files load and are written back as stream 2
+    old = tmp_path / "old.txt"
+    old.write_text('{"beta": 2.0, "n_dim": 2, "m_dim": 3, "seed": 5, "count": 1, '
+                   '"stream": 2}\n0.125\n')
+    batch = load_batch(old)
+    assert batch.stream == 2 and batch.values.tolist() == [0.125]
+    again = tmp_path / "again.txt"
+    with open(again, "w") as fh:
+        write_batch(batch, fh)
+    assert again.read_text() == old.read_text()
 
 
 _HEADER = '{"beta": 2.0, "n_dim": 2, "m_dim": 3, "seed": 5, "count": 1}\n'
