@@ -57,7 +57,9 @@ determinant combine, for i <= N, into a single weight carrying the factor
 (N+1)(1+j-i)/(N+1-i).  That combination fails at i = N+1 (the extra
 degree of L_{N+1}^{(0)}), where the weight is 0/0; the i = N+1 row is
 therefore added back in its uncombined form, making the sum exactly equal
-to the determinant route at every finite N.
+to the determinant route at every finite N.  Its Gamma(MN)/Gamma(MN-q)
+come from the shared log table numerics._log_falling, and its Pochhammer
+products are tabulated once per call, so a point costs O(N^2).
 """
 
 from __future__ import annotations
@@ -65,12 +67,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from .core import _as_int, params_new, warn_outside
 from .errors import DomainError
-from .numerics import _edge_sum, _points
+from .numerics import _edge_sum, _log_falling, _points
 
 
 def _entries(n_dim: int, alpha: int, s: int, pow2: bool = False) -> list:
@@ -241,7 +245,9 @@ def q_alpha2_sum(n_dim: int, x: float) -> float:
         (-1)^(i+j) (-N)_i (-N)_j / ((1)_i (2)_j i! j!)
         * (N+1)(1+j-i)/(N+1-i);
     the i = N+1 row (where that combination is singular) is added in its
-    uncombined form.  Equals q_exact_beta2(N, N+2, x) identically.
+    uncombined form.  Equals q_exact_beta2(N, N+2, x) identically.  The
+    Pochhammer tables and the 2N+1 magnitudes Gamma(MN)/Gamma(MN-q)
+    x^q (1-Nx)^(MN-1-q) are built once per call, so a point costs O(N^2).
     """
     n_dim = _as_int(n_dim, "n_dim", 1)
     x = _points(x, "x", scalar=True)
@@ -253,47 +259,27 @@ def q_alpha2_sum(n_dim: int, x: float) -> float:
     if x >= 1.0 / n:
         return 0.0
     mn = n * (n + 2)
-    log_edge = math.log1p(-n * x)
+    log_x, log_edge = math.log(x), math.log1p(-n * x)
+    mag = [
+        math.exp(log_ratio + q * log_x + (mn - 1.0 - q) * log_edge)
+        for q, log_ratio in enumerate(_log_falling(mn, 2 * n).tolist())
+    ]
 
-    def assemble(q, w):
-        # w * Gamma(MN)/Gamma(MN-q) * x^q (1-Nx)^(MN-1-q)
-        if w == 0.0:
-            return 0.0
-        mag = math.exp(
-            math.fsum(math.log(mn - i) for i in range(1, q + 1))
-            + q * math.log(x)
-            + (mn - 1.0 - q) * log_edge
-        )
-        return w * mag
+    def poch(a):  # (a)_k for k = 0..N+1, as running products
+        return list(accumulate((a + t for t in range(n + 1)), mul, initial=1.0))
 
-    def poch(a, k):
-        out = 1.0
-        for t in range(k):
-            out *= a + t
-        return out
-
+    neg_n, one, two = poch(-n), poch(1.0), poch(2.0)
+    fact = [math.factorial(k) for k in range(n + 2)]
     terms = []
     for i in range(n + 1):
         for j in range(n + 1):
-            w = (
-                (-1.0) ** (i + j)
-                * poch(-n, i)
-                * poch(-n, j)
-                / (poch(1.0, i) * poch(2.0, j) * math.factorial(i) * math.factorial(j))
-                * (n + 1.0)
-                * (1.0 + j - i)
-                / (n + 1.0 - i)
-            )
-            terms.append(assemble(i + j, w))
+            w = ((-1.0) ** (i + j) * neg_n[i] * neg_n[j] / (one[i] * two[j] * fact[i] * fact[j])
+                 * (n + 1.0) * (1.0 + j - i) / (n + 1.0 - i))
+            terms.append(w * mag[i + j] if w else 0.0)
     # boundary row i = N+1 from the second product of the determinant
     i = n + 1
+    low, high = poch(-n - 1.0)[i], poch(-n + 1.0)
     for j in range(n):
-        w = (
-            -((-1.0) ** (i + j))
-            * n
-            * poch(-n - 1.0, i)
-            * poch(-n + 1.0, j)
-            / (poch(1.0, i) * poch(2.0, j) * math.factorial(i) * math.factorial(j))
-        )
-        terms.append(assemble(i + j, w))
+        w = -((-1.0) ** (i + j)) * n * low * high[j] / (one[i] * two[j] * fact[i] * fact[j])
+        terms.append(w * mag[i + j] if w else 0.0)
     return math.fsum(terms)

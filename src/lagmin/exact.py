@@ -47,7 +47,8 @@ weight with a per-k max shift and a positive sum, and merges it into
 running (peak, sum) pairs; memory stays at one chunk.  The
 coefficients are cached as their logs (every one is positive), and one
 table of log Gamma(G)/Gamma(G-k), k = 0..mN+1, per parameter set serves
-Q, P and the moments.
+Q, P and the moments: numerics._log_falling, the shared log table that
+beta2.q_alpha2_sum reads too.
 
 The density P = -dQ/dx (exact, never a finite difference) has the
 coefficients d_j = N(G-1-j) A_j - (j+1) A_(j+1) of x^j (1-Nx)^(G-2-j).
@@ -88,18 +89,7 @@ import numpy as np
 from .core import EnsembleParams, _as_int, require_jack_index, warn_outside
 from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
-from .numerics import _edge_sum, _points, _shifted_sum
-
-
-@lru_cache(maxsize=32)  # one entry per parameter set, as _series_coeffs
-def _log_falling(g: float, k_max: int) -> np.ndarray:
-    """log(Gamma(g)/Gamma(g-k)) for k = 0..k_max, each an exact fsum of
-    its k factor logs, as a read-only array.  A factor g - i <= 0 (only
-    the last one, at N = 1, which no law reads) contributes -inf."""
-    logs = [math.log(g - i) if g > i else -math.inf for i in range(1, k_max + 1)]
-    out = np.array([math.fsum(logs[:k]) for k in range(k_max + 1)])
-    out.flags.writeable = False
-    return out
+from .numerics import _edge_sum, _log_falling, _points, _shifted_sum
 
 
 @lru_cache(maxsize=32)

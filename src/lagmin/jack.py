@@ -43,7 +43,8 @@ log((nu*d + l + 1)(nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1)))
 over d < p, the hook-length ratio of a row pair.
 
 _log_weight_sums is the one builder: given a route's row terms it builds
-the prefix tables R_r and T_l, streams the partitions with
+the prefix tables R_r and T_l (numerics._prefix_sums, the one rule of
+every correctly rounded log table), streams the partitions with
 _partition_chunks (weight in a band [lo, hi], parts bounded by the width
 of the row terms: the m x N box of the finite-N law, or a weight band of
 the 0F1 ladder), and reduces them to sum_{|kappa|=k} W_kappa, k by k.
@@ -52,20 +53,12 @@ Memory stays at one chunk of at most CHUNK_ROWS partitions.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .numerics import _prefix_sums
 
 #: Row bound of the streamed partition chunks.
 CHUNK_ROWS = 1 << 17
-
-
-def _prefix_sums(terms: np.ndarray) -> np.ndarray:
-    """Correctly rounded prefix sums along each row, with a leading 0."""
-    out = np.zeros((terms.shape[0], terms.shape[1] + 1))
-    for row, t in zip(out, terms.tolist()):
-        row[1:] = [math.fsum(t[:p]) for p in range(1, len(t) + 1)]
-    return out
 
 
 def _pair_tables(nu: float, m: int, length: int) -> np.ndarray:
@@ -74,9 +67,8 @@ def _pair_tables(nu: float, m: int, length: int) -> np.ndarray:
     against row i + l when kappa_i - kappa_(i+l) = p."""
     t = nu * np.arange(length, dtype=float)
     l_ = np.arange(1, m, dtype=float)[:, None]
-    return _prefix_sums(
-        np.log(t + l_ + 1) + np.log(t + nu + l_) - np.log(t + l_) - np.log(t + nu + l_ - 1)
-    )
+    logs = np.log(t + l_ + 1) + np.log(t + nu + l_) - np.log(t + l_) - np.log(t + nu + l_ - 1)
+    return _prefix_sums(logs.tolist())
 
 
 def _partition_chunks(m: int, lo: int, hi: int, cap: int):
@@ -136,7 +128,7 @@ def _log_weight_sums(nu: float, row_terms: np.ndarray, lo: int, hi: int):
     total 0.
     """
     m, top = row_terms.shape
-    row_tab = _prefix_sums(row_terms)
+    row_tab = _prefix_sums(row_terms.tolist())
     pair_tab = _pair_tables(nu, m, top)
     peak = np.full(hi - lo + 1, -np.inf)
     total = np.zeros(hi - lo + 1)

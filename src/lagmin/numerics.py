@@ -1,10 +1,17 @@
 """Shared numerical kernels.
 
-The modified Bessel function of the first kind, and the one assembler of
-the finite-N laws.  Consumer modules represent series coefficients by
-their logs, because Gamma(beta*M*N/2) overflows double precision already
-near N ~ 60; every coefficient of the package is positive, so a log is
-all a coefficient needs.
+The modified Bessel function of the first kind, the one assembler of
+the finite-N laws, and the one builder of correctly rounded log tables.
+Consumer modules represent series coefficients by their logs, because
+Gamma(beta*M*N/2) overflows double precision already near N ~ 60; every
+coefficient of the package is positive, so a log is all a coefficient
+needs.
+
+A log table is a prefix sum of factor logs, each entry the correctly
+rounded sum of its prefix (``_prefix_sums``): the hook tables of
+jack.py, and ``_log_falling``, the table of log Gamma(g)/Gamma(g-k) that
+the partition series (exact.py) and the alpha=2 double sum (beta2.py)
+read.
 
 Every finite-N law of the package (the survival function of both exact
 routes and the density) is a sum of one shape,
@@ -19,6 +26,7 @@ x, in blocks, with each point's terms scaled by their largest magnitude
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,6 +58,23 @@ def _points(value, name: str, scalar: bool = False):
     if not np.all(xs >= 0):
         raise DomainError(f"{name} must be >= 0, got {xs[~(xs >= 0)].flat[0]}")
     return float(xs) if scalar else xs
+
+
+def _prefix_sums(rows) -> np.ndarray:
+    """Correctly rounded prefix sums of each row (a list of floats), with
+    a leading 0, as a 2-D array."""
+    return np.array([[math.fsum(t[:p]) for p in range(len(t) + 1)] for t in rows])
+
+
+@lru_cache(maxsize=32)  # one entry per parameter set of exact, or per N of q_alpha2_sum
+def _log_falling(g: float, k_max: int) -> np.ndarray:
+    """log(Gamma(g)/Gamma(g-k)) for k = 0..k_max, each an exact fsum of
+    its k factor logs, as a read-only array.  A factor g - i <= 0 (only
+    the last one, at N = 1, which no law reads) contributes -inf."""
+    logs = [math.log(g - i) if g > i else -math.inf for i in range(1, k_max + 1)]
+    out = _prefix_sums([logs])[0]
+    out.flags.writeable = False
+    return out
 
 
 def _shifted_sum(logs: np.ndarray) -> np.ndarray:
@@ -132,7 +157,7 @@ def _bessel_i_scaled(rho: float, x: float) -> tuple:
     if x > core.ENVELOPES["bessel"]["x"][1]:
         if x == math.inf:
             return math.inf, 0.0
-        scaled = _bessel_i_large(rho, x, tail_tol)
+        scaled = _bessel_i_large(rho, x)
         if scaled is not None:
             return scaled, x
     if x == 0.0:
@@ -162,14 +187,16 @@ def _bessel_i_scaled(rho: float, x: float) -> tuple:
     )
 
 
-def _bessel_i_large(rho: float, x: float, tol: float):
+def _bessel_i_large(rho: float, x: float):
     """e^(-x) I_rho(x) from the large-argument expansion (DLMF 10.40.1)
 
         (2 pi x)^(-1/2) sum_k (-1)^k a_k(rho) / x^k,
         a_k = prod_{j=1..k} (4 rho^2 - (2j-1)^2) / (k! 8^k),
 
-    or None when its terms stop shrinking before they fall below tol
-    times the sum, or cancel to more than tol of it in rounding."""
+    or None when its terms stop shrinking before they fall below
+    core.TAIL_TOL times the sum, or cancel to more than that of it in
+    rounding."""
+    tol = core.TAIL_TOL
     mu = 4.0 * rho * rho
     term = total = peak = 1.0
     for k in range(1, 1000):

@@ -21,7 +21,7 @@ from partition_reference import (
 from lagmin import exact, jack
 from lagmin.beta2 import det_laguerre
 from lagmin.core import params_new
-from lagmin.beta2 import q_exact_beta2
+from lagmin.beta2 import q_alpha2_sum, q_exact_beta2
 from lagmin.errors import DomainError, NonIntegerJackIndex, PrecisionWarning
 from lagmin.exact import moment, p_exact, q_exact, q_oracle_n2
 from test_demos import load_demo
@@ -270,15 +270,13 @@ def test_second_moment_smallest_case():
 
 
 def test_first_moment_equals_integral_of_q():
-    # mu_1 = int_0^(1/N) Q(x) dx
-    p = params_new(4.0, 2, 3)
-    val, err = scipy.integrate.quad(lambda x: q_exact(p, x), 0.0, 0.5, limit=200)
-    assert moment(p, 1) == pytest.approx(val, abs=max(1e-10, 10 * err))
-    p2 = params_new(2.0, 3, 5)
-    val2, err2 = scipy.integrate.quad(
-        lambda x: q_exact(p2, x), 0.0, 1.0 / 3.0, limit=200
-    )
-    assert moment(p2, 1) == pytest.approx(val2, abs=max(1e-10, 10 * err2))
+    # mu_1 = int_0^(1/N) Q(x) dx; Q is a polynomial of degree G - 1 (11
+    # and 14 here), which 8-point Gauss-Legendre integrates exactly
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    for p in (params_new(4.0, 2, 3), params_new(2.0, 3, 5)):
+        half = 0.5 / p.n_dim
+        integral = half * np.dot(weights, q_exact(p, half * (nodes + 1.0)))
+        assert moment(p, 1) == pytest.approx(integral, rel=1e-13)
 
 
 @pytest.mark.parametrize("n,alpha", [(6, 1), (12, 3), (40, 2)])
@@ -478,6 +476,8 @@ def test_q_matches_exact_beta2_rationals(n, alpha):
     want = np.array([_exact_beta2_law(n, alpha, x) for x in xs])
     assert np.max(np.abs(q_exact(p, xs) - want)) <= 1e-14
     assert np.max(np.abs(q_exact_beta2(n, n + alpha, xs) - want)) <= 1e-14
+    if alpha == 2:
+        assert max(abs(q_alpha2_sum(n, x) - w) for x, w in zip(xs.tolist(), want)) <= 1e-14
 
 
 @pytest.mark.parametrize("n,alpha", BETA2_CASES + [(25, 5), (40, 6)])

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 import scipy.special
 
 from lagmin import core
 from lagmin.errors import DivergenceError, DomainError, PrecisionWarning
-from lagmin.numerics import bessel_i
+from lagmin.numerics import _bessel_i_large, _log_falling, _prefix_sums, bessel_i
 
 # I_0(1), 17 significant digits (independent series evaluation)
 I0_AT_1 = 1.2660658777520084
@@ -82,3 +83,40 @@ class TestBesselI:
         monkeypatch.setattr(core, "K_MAX", 3)
         with pytest.raises(DivergenceError):
             bessel_i(0.0, 30.0)
+
+    def test_large_argument_reads_tail_tol_at_call_time(self, monkeypatch):
+        # the terms at x = 100 bottom out near e^-200: 1e-12 is reached,
+        # 1e-300 is not
+        assert _bessel_i_large(0.0, 100.0) is not None
+        monkeypatch.setattr(core, "TAIL_TOL", 1e-300)
+        assert _bessel_i_large(0.0, 100.0) is None
+
+
+def _fsum_prefixes(row):
+    return [math.fsum(row[:p]) for p in range(len(row) + 1)]
+
+
+class TestLogTables:
+    def test_prefix_sums_are_correctly_rounded(self):
+        # a running float sum of ten 0.1 ends at 0.9999999999999999
+        rows = [[0.1] * 10, [1.0, 1e-17, -1.0, 1e-17, -math.inf, 2.0, 3.0, 4.0, 5.0, 6.0]]
+        got = _prefix_sums(rows)
+        assert got.shape == (2, 11)
+        assert got[0, -1] == 1.0 and np.cumsum(rows[0])[-1] != 1.0
+        for row, want in zip(got, rows):
+            assert row.tolist() == _fsum_prefixes(want)
+
+    def test_prefix_sums_of_short_rows(self):
+        assert _prefix_sums([[2.5]]).tolist() == [[0.0, 2.5]]
+        assert _prefix_sums([[]]).tolist() == [[0.0]]
+        assert _prefix_sums([]).size == 0
+
+    @pytest.mark.parametrize("g,k_max", [(24, 48), (40.5, 20), (1e6 / 3, 40), (7.0, 0), (3.0, 5), (2.5, 4)])
+    def test_log_falling_is_the_fsum_of_its_factor_logs(self, g, k_max):
+        # g <= k_max: the factors g - i <= 0 contribute -inf
+        logs = [math.log(g - i) if g > i else -math.inf for i in range(1, k_max + 1)]
+        got = _log_falling(g, k_max)
+        assert got.tolist() == _fsum_prefixes(logs)
+        assert not got.flags.writeable
+        if g <= k_max:
+            assert got[-1] == -math.inf and math.isfinite(got[int(math.ceil(g)) - 1])
