@@ -57,9 +57,13 @@ determinant combine, for i <= N, into a single weight carrying the factor
 (N+1)(1+j-i)/(N+1-i).  That combination fails at i = N+1 (the extra
 degree of L_{N+1}^{(0)}), where the weight is 0/0; the i = N+1 row is
 therefore added back in its uncombined form, making the sum exactly equal
-to the determinant route at every finite N.  Its Gamma(MN)/Gamma(MN-q)
-come from the shared log table numerics._log_falling, and its Pochhammer
-products are tabulated once per call, so a point costs O(N^2).
+to the determinant route at every finite N.  The signs of the
+Pochhammer symbols cancel, so every weight is a product of
+C(N,i)/i! and C(N,j)/(j+1)!, built as running products of ratios that
+stay in float range at any N (the largest is below e^(2 sqrt(N))).  Its
+magnitudes Gamma(MN)/Gamma(MN-q) x^q (1-Nx)^(MN-1-q) are at most
+q!/N^q <= 1, from the shared log table numerics._log_falling; a point
+costs O(N^2).
 """
 
 from __future__ import annotations
@@ -67,8 +71,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul
 
 import numpy as np
 
@@ -242,44 +244,31 @@ def q_alpha2_sum(n_dim: int, x: float) -> float:
     double sum over Laguerre coefficient indices.
 
     Terms with i <= N use the combined weight
-        (-1)^(i+j) (-N)_i (-N)_j / ((1)_i (2)_j i! j!)
-        * (N+1)(1+j-i)/(N+1-i);
+        (-1)^(i+j) (-N)_i (-N)_j / ((1)_i (2)_j i! j!) * (N+1)(1+j-i)/(N+1-i)
+        = [C(N,i)/i!] [C(N,j)/(j+1)!] (N+1)(1+j-i)/(N+1-i);
     the i = N+1 row (where that combination is singular) is added in its
-    uncombined form.  Equals q_exact_beta2(N, N+2, x) identically.  The
-    Pochhammer tables and the 2N+1 magnitudes Gamma(MN)/Gamma(MN-q)
-    x^q (1-Nx)^(MN-1-q) are built once per call, so a point costs O(N^2).
+    uncombined form, -[1/N!] [C(N,j)/(j+1)!] (N-j)/(N+1).  Equals
+    q_exact_beta2(N, N+2, x) identically.  Past N = 30 (the "beta2" row
+    of core.ENVELOPES) a call issues a PrecisionWarning.
     """
     n_dim = _as_int(n_dim, "n_dim", 1)
     x = _points(x, "x", scalar=True)
     if x > 1.0 / n_dim:
         raise DomainError(f"x must lie in [0, 1/N], got {x}")
     n = n_dim
+    warn_outside("beta2", N=n, alpha=2)
     if x == 0.0:
         return 1.0
     if x >= 1.0 / n:
         return 0.0
     mn = n * (n + 2)
-    log_x, log_edge = math.log(x), math.log1p(-n * x)
-    mag = [
-        math.exp(log_ratio + q * log_x + (mn - 1.0 - q) * log_edge)
-        for q, log_ratio in enumerate(_log_falling(mn, 2 * n).tolist())
-    ]
-
-    def poch(a):  # (a)_k for k = 0..N+1, as running products
-        return list(accumulate((a + t for t in range(n + 1)), mul, initial=1.0))
-
-    neg_n, one, two = poch(-n), poch(1.0), poch(2.0)
-    fact = [math.factorial(k) for k in range(n + 2)]
-    terms = []
-    for i in range(n + 1):
-        for j in range(n + 1):
-            w = ((-1.0) ** (i + j) * neg_n[i] * neg_n[j] / (one[i] * two[j] * fact[i] * fact[j])
-                 * (n + 1.0) * (1.0 + j - i) / (n + 1.0 - i))
-            terms.append(w * mag[i + j] if w else 0.0)
+    q = np.arange(2 * n + 1)
+    mag = np.exp(_log_falling(mn, 2 * n) + q * math.log(x) + (mn - 1.0 - q) * math.log1p(-n * x))
+    i = np.arange(n + 1)
+    # C(N,i)/i! = prod_(t<=i) (N+1-t)/t^2
+    a = np.cumprod(np.concatenate([[1.0], (n + 1.0 - i[1:]) / (i[1:] * i[1:])]))
+    b = a / (i + 1.0)  # C(N,j)/(j+1)!
+    w = a[:, None] * b * ((n + 1.0) * (1.0 + i - i[:, None]) / (n + 1.0 - i[:, None]))
     # boundary row i = N+1 from the second product of the determinant
-    i = n + 1
-    low, high = poch(-n - 1.0)[i], poch(-n + 1.0)
-    for j in range(n):
-        w = -((-1.0) ** (i + j)) * n * low * high[j] / (one[i] * two[j] * fact[i] * fact[j])
-        terms.append(w * mag[i + j] if w else 0.0)
-    return math.fsum(terms)
+    boundary = -a[n] * b[:n] * (n - i[:n]) / (n + 1.0)
+    return math.fsum((w * mag[i[:, None] + i]).ravel().tolist() + (boundary * mag[n + 1:]).tolist())

@@ -67,10 +67,10 @@ with no subtraction, from a box of N/(N+m) the partitions: it is exactly
 0 at x = 0 and keeps full relative accuracy as x -> 0.
 
 Q and P are sums of one shape, c_j x^j (1-Nx)^(e-j), and the one
-assembler numerics._edge_sum evaluates both over an array of x: Q takes
-c_j = A_j with e = G-1, P takes c_j = d_j, j >= m, with e = G-2.  The
-moments are Beta integrals of the A_k, summed by the assembler's
-max-shifted reduction.
+assembler of the package, numerics._series_sum, evaluates both over an
+array of x (numerics._edge_sum): Q takes c_j = A_j with e = G-1, P takes
+c_j = d_j, j >= m, with e = G-2.  The moments are Beta integrals of the
+A_k, a series in 1/N that the same assembler sums.
 
 q_oracle_n2 is the independent cross-check for N=2: the delta constraint
 collapses the joint density to one dimension and Q becomes a ratio of two
@@ -89,7 +89,7 @@ import numpy as np
 from .core import EnsembleParams, _as_int, require_jack_index, warn_outside
 from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
-from .numerics import _edge_sum, _log_falling, _points, _shifted_sum
+from .numerics import _edge_sum, _log_falling, _points, _series_sum
 
 
 @lru_cache(maxsize=32)
@@ -130,9 +130,7 @@ def _series_coeffs(params: EnsembleParams, shift: int) -> np.ndarray:
     )
     # Gamma(G)/Gamma(G-k) for Q, Gamma(G)/Gamma(G-m-1-k) for P
     log_ratio = _log_falling(g, m * n + 1)[m + 1 if shift else 0:]
-    out = np.array([
-        log_ratio[k] + float(peak[k]) + math.log(total[k]) for k in range(len(total))
-    ])
+    out = log_ratio[:len(total)] + peak + np.log(total)
     if shift:
         out += math.log(_density_constant(params))
     out.flags.writeable = False  # shared by every caller through the cache
@@ -201,16 +199,15 @@ def moment(params: EnsembleParams, p: int) -> float:
         return 1.0
     g = 0.5 * params.beta * params.m_dim * n
     log_a = _series_coeffs(params, 0)
-    k = np.arange(len(log_a))
     log_ratio = _log_falling(g, m * n + 1)[:-1]  # the table P shares
     log_gamma_pk = _log_gammas(p, len(log_a))
     # log of Gamma(G+p)/Gamma(G) = (G)(G+1)...(G+p-1), exact factors
     log_poch_g = math.fsum(math.log(g + i) for i in range(p))
-    logs = (
-        math.log(p) + log_gamma_pk - (p + k) * math.log(n)
-        + (log_a - log_ratio) - log_poch_g
-    )
-    return float(_shifted_sum(logs))
+    # a series in u = 1/N: p / (N^p (G)_p) sum_k [A_k Gamma(p+k) Gamma(G-k)/Gamma(G)] u^k
+    log_n = math.log(n)
+    offset = math.log(p) - p * log_n - log_poch_g
+    return float(_series_sum(log_gamma_pk + (log_a - log_ratio), 0, np.array([-log_n]),
+                             offset=np.array([offset]))[0][0])
 
 
 #: Coefficients B_2k / (2k(2k-1)) of the Stirling series of

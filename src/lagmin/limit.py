@@ -56,13 +56,12 @@ keeps full relative accuracy as y -> 0, where the difference form loses
 up to all its digits (at beta = 1/2, m = 5 the difference d_5 is 5e-6 of
 its first term).
 
-Q and P are evaluated over an array of y.  Each term carries the factor
-exp(-beta*y/8) inside its exponent, so the partial sums stay on the
-scale of Q and P.  A point stops at its second consecutive term at or
-below core.TAIL_TOL times its partial sum; the table grows until every
-point has stopped, and a point that needs a power of u beyond core.K_MAX
-is a DivergenceError.  Past the "limit" row of core.ENVELOPES (y <= 100,
-m <= 6) a call issues one PrecisionWarning.
+Q and P are evaluated over an array of y by numerics._series_sum, with
+u = y/4 and exp(-beta*y/8) in each term's exponent.  Each point stops
+by core.TAIL_TOL, the table grows until every point has stopped, and a
+point that needs a power of u beyond core.K_MAX is a DivergenceError.
+Past the "limit" row of core.ENVELOPES (y <= 100, m <= 6) a call issues
+one PrecisionWarning.
 
 Closed forms (q_limit_closed) exist for m = 0 (pure exponential), m = 1
 (a single Bessel-I factor), and (beta, m) = (2, 2) (a Wronskian-like
@@ -94,7 +93,7 @@ import numpy as np
 from . import core
 from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
-from .numerics import EDGE_SUM_BLOCK, _bessel_i_scaled, _points
+from .numerics import _bessel_i_scaled, _points, _series_sum
 
 #: Top weight of the first band of the coefficient table; the second
 #: band ends at twice it.
@@ -168,45 +167,26 @@ def _density_constant(lp: LimitParams) -> float:
     return nu ** (2 * m + 1) / (4.0 * math.factorial(m) * math.prod(i + nu for i in range(1, m + 1)))
 
 
-def _series(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: float) -> np.ndarray:
+def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: float) -> np.ndarray:
     """factor * exp(-beta*y/8) * sum_k c_k (y/4)^(k + first) at every
     entry y >= 0 of the array ys, as an array of its shape, the c_k being
-    the 0F1 coefficients at b = 2m/beta + shift; 0 at y = +inf.
-
-    Each point stops at its second consecutive term at or below
-    core.TAIL_TOL times its partial sum; its value is that partial sum,
-    summed in index order, so it does not depend on the table size or
-    on the other points.  The table grows rung by rung until every point
-    has stopped.  The powers of y/4 stop at core.K_MAX; a point still
-    running once they are all in raises DivergenceError.
-    """
+    the 0F1 coefficients at b = 2m/beta + shift; 0 at y = +inf.  A point
+    is summed on the first rung on which it stops, so its value does not
+    depend on the other points of the call."""
     tail_tol, k_max = core.TAIL_TOL, core.K_MAX
     flat = ys.ravel()
     out = np.zeros(flat.shape)  # 0 at y = +inf
     todo = np.flatnonzero(flat < math.inf)
     with np.errstate(divide="ignore"):  # log 0 = -inf at y = 0
         log_u = np.log(flat / 4.0)
-    damp = lp.beta * flat / 8.0
+    damp = -lp.beta * flat / 8.0
     rung = 0
     while todo.size:
         log_c = _f01_coeffs(lp.beta, lp.jack_index, shift, rung)[:max(0, k_max + 1 - first)]
-        j = np.arange(first, first + len(log_c), dtype=float)
-        if len(j) >= 2:  # the stopping rule reads two terms
-            block = EDGE_SUM_BLOCK // len(j) + 1
-            running = []
-            for lo in range(0, todo.size, block):
-                pts = todo[lo:lo + block]
-                t = np.multiply(log_u[pts, None], j, out=np.zeros((len(pts), len(j))), where=j > 0)
-                t -= damp[pts, None]
-                t = np.exp(t + log_c)
-                partial = np.cumsum(t, axis=1)
-                small = t <= tail_tol * partial
-                stop = small[:, 1:] & small[:, :-1]
-                done = stop.any(axis=1)
-                at = stop.argmax(axis=1)[done] + 1
-                out[pts[done]] = factor * partial[done, at]
-                running.append(pts[~done])
-            todo = np.concatenate(running)
+        if len(log_c) >= 2:  # the stopping rule reads two terms
+            sums, left = _series_sum(log_c, first, log_u[todo], offset=damp[todo], tail_tol=tail_tol)
+            out[todo] = factor * sums
+            todo = todo[left]
         if todo.size and first + len(log_c) > k_max:
             raise DivergenceError(
                 f"0F1 series did not meet tail_tol={tail_tol:g} within "
@@ -223,7 +203,7 @@ def q_limit(lp: LimitParams, y):
     at a float y (returns a float) or at every entry of an array (returns
     an array of its shape); exactly 1 at y = 0 and 0 at y = +inf."""
     ys = _limit_points(lp, y)
-    out = _series(lp, ys, 0, 0, 1.0)
+    out = _f01_sum(lp, ys, 0, 0, 1.0)
     return out if ys.ndim else float(out)
 
 
@@ -234,7 +214,7 @@ def p_limit(lp: LimitParams, y):
     differencing).  beta/8 at y = 0 when m = 0, else 0 there, and 0 at
     y = +inf."""
     ys = _limit_points(lp, y)
-    out = _series(lp, ys, 2, lp.jack_index, _density_constant(lp))
+    out = _f01_sum(lp, ys, 2, lp.jack_index, _density_constant(lp))
     return out if ys.ndim else float(out)
 
 
@@ -302,7 +282,7 @@ def _p_limit_printed(lp: LimitParams, y):
     at a float y or at every entry of an array.
     Diagnostics only -- disagrees with p_limit by constant factors."""
     ys = _limit_points(lp, y)
-    out = _series(lp, ys, 2, 0, 1.0)
+    out = _f01_sum(lp, ys, 2, 0, 1.0)
     out *= _limit_prefactor(lp) * np.where(ys < math.inf, ys, 0.0) ** lp.jack_index  # 0 at +inf
     return out if ys.ndim else float(out)
 
@@ -318,7 +298,7 @@ def prefactor_diagnostics(lp: LimitParams, ys):
         raise DomainError(f"ys must be an array of y values, got the number {float(grid)}")
     grid = grid.ravel()
     printed = _p_limit_printed(lp, grid).tolist()  # the call's one PrecisionWarning
-    truth = _series(lp, grid, 2, lp.jack_index, _density_constant(lp)).tolist()  # p_limit, unwarned
+    truth = _f01_sum(lp, grid, 2, lp.jack_index, _density_constant(lp)).tolist()  # p_limit, unwarned
     rows = []
     ratios = []
     for y, t, pr in zip(grid.tolist(), truth, printed):

@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
 The modified Bessel function of the first kind, the one assembler of
-the finite-N laws, and the one builder of correctly rounded log tables.
+every series, and the one builder of correctly rounded log tables.
 Consumer modules represent series coefficients by their logs, because
 Gamma(beta*M*N/2) overflows double precision already near N ~ 60; every
 coefficient of the package is positive, so a log is all a coefficient
@@ -13,19 +13,17 @@ jack.py, and ``_log_falling``, the table of log Gamma(g)/Gamma(g-k) that
 the partition series (exact.py) and the alpha=2 double sum (beta2.py)
 read.
 
-Every finite-N law of the package (the survival function of both exact
-routes and the density) is a sum of one shape,
-
-    S(x) = sum_j c_j x^j (1-Nx)^(e-j),        0 <= x < 1/N,
-
-and ``_edge_sum`` is the only code that assembles it: over an array of
-x, in blocks, with each point's terms scaled by their largest magnitude
-(``_shifted_sum``, which the Beta-integral moments share).
+Every law of the package is a series S = e^offset sum_j c_j u^j v^(e-j),
+and ``_series_sum`` is the only code that sums one, over an array of
+points.  Q and P at finite N (both exact routes, ``_edge_sum``) take
+u = x, v = 1 - Nx; the moments take u = 1/N; the hard-edge limit takes
+u = y/4, v = 1, offset -beta*y/8 and a stopping rule.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -77,37 +75,57 @@ def _log_falling(g: float, k_max: int) -> np.ndarray:
     return out
 
 
-def _shifted_sum(logs: np.ndarray) -> np.ndarray:
-    """sum_j exp(logs[..., j]) along the last axis, each row scaled by its
-    largest log first; a row of -inf logs sums to 0."""
-    peak = logs.max(axis=-1, keepdims=True)
-    peak[peak == -np.inf] = 0.0
-    return np.exp(logs - peak).sum(axis=-1) * np.exp(peak[..., 0])
+def _series_sum(log_c, first, log_u, log_v=None, e=0.0, offset=None, tail_tol=None):
+    """sum_j c_j u^j v^(e-j) e^offset, j = first, first+1, ..., at each
+    point of the 1-D arrays log_u, log_v (None: v = 1) and offset (None:
+    0), as (sums, left), from log_c[i] = log c_(first+i); u^0 = 1 also
+    at u = 0, and a point whose terms are all 0 sums to 0.
+
+    Without tail_tol every term is summed and left is empty.  With it
+    (at least two terms) each point sums in index order up to its second
+    consecutive term at or below tail_tol times its partial sum; left
+    indexes the points that never stop, whose sums are not set.  The
+    points are taken in blocks of EDGE_SUM_BLOCK points x terms; a
+    point's sum does not depend on its block or on the other points.
+    """
+    j = np.arange(first, first + len(log_c), dtype=float)
+    out = np.zeros(len(log_u))
+    left = np.zeros(len(log_u), dtype=bool)
+    block = max(1, EDGE_SUM_BLOCK // len(j))
+    for lo in range(0, len(log_u), block):
+        pts = slice(lo, lo + block)
+        u = log_u[pts, None]
+        t = np.multiply(u, j, out=np.zeros((len(u), len(j))), where=j > 0)
+        t += log_c
+        if log_v is not None:
+            t += log_v[pts, None] * (e - j)
+        if offset is not None:
+            t += offset[pts, None]
+        peak = t.max(axis=1, initial=-sys.float_info.max, keepdims=True)  # no NaN if all -inf
+        t -= peak
+        np.exp(t, out=t)
+        if tail_tol is None:
+            out[pts] = t.sum(axis=1) * np.exp(peak[:, 0])
+            continue
+        sums = np.cumsum(t, axis=1)
+        small = t <= tail_tol * sums
+        stop = small[:, 1:] & small[:, :-1]
+        at = stop.argmax(axis=1)
+        rows = np.arange(len(u))
+        out[pts] = sums[rows, at + 1] * np.exp(peak[:, 0])
+        left[pts] = ~stop[rows, at]
+    return out, np.flatnonzero(left)
 
 
 def _edge_sum(log_c, n: int, e: float, x: np.ndarray, first: int = 0) -> np.ndarray:
-    """S(x) = sum_j c_j x^j (1-Nx)^(e-j), j = first, first+1, ..., at every
-    entry of the array x (entries >= 0; S = 0 for x >= 1/N).
-
-    The coefficients are positive and come as the array log_c[i] =
-    log c_(first+i).  x^0 = 1 also at x = 0.  The points x terms
-    temporary is bounded by processing x in blocks of EDGE_SUM_BLOCK
-    elements; a point's value does not depend on the block it falls in.
-    """
+    """S(x) = sum_j c_j x^j (1-Nx)^(e-j), j = first, first+1, ..., by _series_sum
+    at every entry of the array x (entries >= 0; S = 0 for x >= 1/N)."""
     flat = x.ravel()
     out = np.zeros(flat.shape)
     inside = np.flatnonzero(flat < 1.0 / n)
-    j = np.arange(first, first + len(log_c), dtype=float)
-    block = max(1, EDGE_SUM_BLOCK // len(j))
     with np.errstate(divide="ignore"):  # log 0 = -inf at x = 0 and where Nx rounds to 1
-        log_x = np.log(flat[inside])[:, None]
-        log_edge = np.log1p(-n * flat[inside])[:, None]
-    for lo in range(0, len(inside), block):
-        lx, le = log_x[lo:lo + block], log_edge[lo:lo + block]
-        t = np.multiply(lx, j, out=np.zeros((len(lx), len(j))), where=j > 0)
-        t += log_c
-        t += (e - j) * le
-        out[inside[lo:lo + block]] = _shifted_sum(t)
+        log_x, log_v = np.log(flat[inside]), np.log1p(-n * flat[inside])
+    out[inside] = _series_sum(log_c, first, log_x, log_v, e)[0]
     return out.reshape(x.shape)
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from laguerre_reference import cofactor_det, derivative, evaluate, laguerre, laguerre_matrix
 
 from lagmin import beta2
@@ -309,13 +311,14 @@ def test_route_agreement_spot():
 def test_route_agreement_at_hard_edge_n40():
     # the three beta=2 routes at the hard-edge point x = y/(4N^3), y=9,
     # N=40, M=42 (the slowest cell of acceptance criterion-5); N=40 is
-    # outside the determinant route's validated envelope, hence the warning
+    # outside the validated envelope of both beta=2 routes, hence the warnings
     n, m_dim = 40, 42
     x = 9.0 / (4.0 * n**3)
     series = q_exact(params_new(2.0, n, m_dim), x)
     with pytest.warns(PrecisionWarning):
         det = q_exact_beta2(n, m_dim, x)
-    double_sum = q_alpha2_sum(n, x)
+    with pytest.warns(PrecisionWarning):
+        double_sum = q_alpha2_sum(n, x)
     assert abs(det - series) <= 1e-13
     assert abs(double_sum - series) <= 1e-13
 
@@ -337,6 +340,20 @@ def test_alpha2_sum_example():
     assert q_alpha2_sum(2, 0.0) == 1.0
 
 
+@pytest.mark.filterwarnings("ignore::lagmin.errors.PrecisionWarning")  # q_exact_beta2 past N = 30
+@pytest.mark.parametrize("n", [98, 120, 170])
+def test_alpha2_sum_past_the_float_range_of_its_factorials(n):
+    # (N!)^2 leaves float range from N = 99 on and N! from N = 171; the
+    # weights are ratios of them that stay in range, and Q keeps its
+    # relative accuracy into the far tail (5e-103 at N = 170, Nx = 0.01)
+    for t in (1e-3, 1e-2, 0.5):
+        want = q_exact_beta2(n, n + 2, t / n)
+        with pytest.warns(PrecisionWarning):
+            got = q_alpha2_sum(n, t / n)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert (want > 0.0) == (t < 0.5)
+
+
 def test_alpha2_sum_domain():
     with pytest.raises(DomainError):
         q_alpha2_sum(2, -0.05)
@@ -348,3 +365,16 @@ def test_alpha2_sum_domain():
         with pytest.raises(DomainError):
             q_alpha2_sum(n_dim, 0.1)
     assert q_alpha2_sum(2.0, 0.1) == q_alpha2_sum(2, 0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 5), st.lists(st.floats(0.0, 1.5), min_size=1, max_size=40))
+def test_law_over_x(n, alpha, ts):
+    # over the envelope and x in [0, 1.5/N]: Q in [0, 1] and nonincreasing
+    # up to 1e-15 of rounding, 1 at x = 0; an array call equal to the
+    # scalar calls
+    xs = np.sort(np.array(ts + [0.0]) / n)
+    qs = q_exact_beta2(n, n + alpha, xs)
+    assert qs[0] == 1.0
+    assert np.all((qs >= 0.0) & (qs <= 1.0 + 1e-15)) and np.all(np.diff(qs) <= 1e-15)
+    assert qs.tolist() == [q_exact_beta2(n, n + alpha, float(x)) for x in xs]

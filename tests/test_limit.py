@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from partition_reference import check_partition_stream, enumerate_partitions, gen_factorial, jack_c_one
 
 from lagmin import core, jack, limit
@@ -446,3 +448,19 @@ def test_array_call_warns_once_and_rejects_bad_entries():
             fn(lp, np.array([1.0, math.nan]))
         with pytest.raises(DomainError):
             fn(lp, np.array([[1.0], [-2.0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 6.0), st.integers(0, 6), st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30))
+def test_laws_over_y(beta, m, ys):
+    # over the envelope: P finite and >= 0, 0 at y = 0 when m >= 1; Q in
+    # [0, 1] and nonincreasing up to 1e-15 of rounding, 1 at y = 0; an
+    # array call equal to the scalar calls
+    lp = LimitParams(beta, m)
+    ys = np.sort(np.array(ys + [0.0]))
+    qs, ps = q_limit(lp, ys), p_limit(lp, ys)
+    assert np.all(np.isfinite(ps)) and np.all(ps >= 0.0)
+    assert qs[0] == 1.0 and (ps[0] == 0.0) == (m >= 1)
+    assert np.all((qs >= 0.0) & (qs <= 1.0 + 1e-15)) and np.all(np.diff(qs) <= 1e-15)
+    assert qs.tolist() == [q_limit(lp, float(y)) for y in ys]
+    assert ps.tolist() == [p_limit(lp, float(y)) for y in ys]
