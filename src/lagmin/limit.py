@@ -162,9 +162,19 @@ def _f01_coeffs(beta: float, m: int, shift: int, rung: int) -> np.ndarray:
 
 def _density_constant(lp: LimitParams) -> float:
     """D_m = nu^(2m+1) / (4 m! (1+nu)_m), the factor that turns the 0F1
-    coefficients at b = 2m/beta + 2 into the density coefficients d_(m+k)."""
-    nu, m = 0.5 * lp.beta, lp.jack_index
-    return nu ** (2 * m + 1) / (4.0 * math.factorial(m) * math.prod(i + nu for i in range(1, m + 1)))
+    coefficients at b = 2m/beta + 2 into the density coefficients d_(m+k).
+
+    Built as (nu/4) prod_(i=1..m) (nu/(i+nu)) (nu/i), whose factors all
+    fit in a double, so D_m is finite wherever it fits in one (no power
+    nu^(2m+1) to overflow first); DivergenceError where it does not."""
+    nu = 0.5 * lp.beta
+    out = nu / 4.0
+    for i in range(1, lp.jack_index + 1):
+        out *= nu / (i + nu) * (nu / i)
+    if out == math.inf:
+        raise DivergenceError(
+            f"density constant D_m overflows a double (beta={lp.beta}, m={lp.jack_index})")
+    return out
 
 
 def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: float) -> np.ndarray:
@@ -264,16 +274,21 @@ def _limit_prefactor(lp: LimitParams) -> float:
     """The printed density prefactor
     A(m, beta) = 4^m (beta/2)^(beta/2 + 2m + 1) Gamma(1 + beta/2)
                  / (Gamma(1+m) Gamma(1 + m + beta/2)).
-    Known to be inconsistent with -dQ/dy; see module docstring."""
+    Known to be inconsistent with -dQ/dy; see module docstring.
+    DivergenceError where A leaves the float range (beta past ~300)."""
     beta, m = lp.beta, lp.jack_index
     h = 0.5 * beta
-    return math.exp(
-        m * math.log(4.0)
-        + (h + 2.0 * m + 1.0) * math.log(h)
-        + math.lgamma(1.0 + h)
-        - math.lgamma(1.0 + m)
-        - math.lgamma(1.0 + m + h)
-    )
+    try:
+        return math.exp(
+            m * math.log(4.0)
+            + (h + 2.0 * m + 1.0) * math.log(h)
+            + math.lgamma(1.0 + h)
+            - math.lgamma(1.0 + m)
+            - math.lgamma(1.0 + m + h)
+        )
+    except OverflowError:
+        raise DivergenceError(
+            f"printed prefactor A(m, beta) overflows a double (beta={beta}, m={m})") from None
 
 
 def _p_limit_printed(lp: LimitParams, y):

@@ -17,17 +17,19 @@ independent of the normalized spectrum, so conditioning on trace = 1 is
 the same as dividing by the trace.
 
 Reproducibility contract (stream 3): draw i of a batch with seed s
-belongs to block i // BLOCK, and block k is generated by one call
+belongs to block i // BLOCK, and block k holds the values of one call
 
     Generator(Philox(key=np.array([s, k], dtype=np.uint64)))
         .gamma(shape, 2.0, size=(rows, 2N-1)),
 
 shape = (beta*(M-i)/2 for i < N, then beta*(N-1-i)/2 for i < N-1), which
 numpy fills row-major: row r holds a_0^2..a_{N-1}^2, b_0^2..b_{N-2}^2 of
-draw k*BLOCK + r.  A run draws only the rows it needs of its last block,
-so a longer run is a bit-exact extension of a shorter one, and workers
-take whole blocks, so run_batch(workers=1) and run_batch(workers=8)
-return bit-identical arrays.  Stream 2 passed the key as the list [s, k],
+draw k*BLOCK + r.  (_block draws them as standard_gamma(shape) * 2: the
+same stream and, as x 2 is exact, the same values.)  A run draws only
+the rows it needs of its last block, so a longer run is a bit-exact
+extension of a shorter one, and workers take whole blocks, so
+run_batch(workers=1) and run_batch(workers=8) return bit-identical
+arrays.  Stream 2 passed the key as the list [s, k],
 which numpy takes through float64 for s >= 2**63, so neighbouring seeds
 there shared their draws; below 2**63 streams 2 and 3 are the same draws.
 Streams 1 (one Philox key per draw, before batch files carried a "stream"
@@ -42,9 +44,12 @@ one (2, draws) state, and they meet at the twist r = N // 2, so a sweep
 takes N // 2 sequential steps instead of N - 1.  Each half keeps the
 high relative accuracy of the one-sided transform (Dhillon & Parlett).
 A bracket [0, min diag T] is narrowed by Laguerre steps from its left
-end, all rows at once, until it is 2**-49 wide relative to its upper
-end.  numpy.linalg.eigvalsh is used only as a cross-check oracle in the
-test suite.
+end, all rows at once, until it is w wide relative to its upper end,
+w = min(2**-47, max(2**-49, N eps / 6)) (_closing_width): the count's
+backward error grows like N eps, so at large N a narrower bracket would
+only resolve the count's own rounding.  w is 2**-49 up to N = 48.
+numpy.linalg.eigvalsh is used only as a cross-check oracle in the test
+suite.
 """
 
 from __future__ import annotations
@@ -70,8 +75,6 @@ _SEED_LIMIT = 1 << 64
 _EDGE_SLACK = 4.0 * np.finfo(float).eps
 # A CDF value may leave [0, 1] by this much: the roundoff of 1 - Q.
 _CDF_SLACK = 1e-12
-# The eigenvalue bracket is closed at this width relative to its upper end.
-_RTOL = 2.0 ** -49
 # A worker span takes at least this many blocks and this many draws x N:
 # below either, a second thread costs more than it saves, since each span
 # pays per-call numpy overhead (a Generator per block, a sweep per column)
@@ -163,7 +166,9 @@ def _block(params: EnsembleParams, seed: int, block: int, rows: int) -> np.ndarr
     shape = 0.5 * np.concatenate([diag, sub])
     key = np.array([seed, block], dtype=np.uint64)  # a list would go through float64 past 2**63
     rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.gamma(shape, 2.0, size=(rows, 2 * n - 1))
+    sq = rng.standard_gamma(shape, size=(rows, 2 * n - 1))
+    sq *= 2.0  # the values of rng.gamma(shape, 2.0, ...): one stream, and x 2 is exact
+    return sq
 
 
 def _span_values(params: EnsembleParams, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -286,6 +291,20 @@ def _qd_pass(ops, sigma):
     return count, s1, s2
 
 
+def _closing_width(n: int) -> float:
+    """Width, relative to its upper end, at which tridiag_smallest closes
+    the bracket of an N x N draw: min(2**-47, max(2**-49, N eps / 6)).
+
+    The computed qd count is the exact count of a matrix within a
+    relative backward error that grows like N eps (Dhillon & Parlett), so
+    a narrower bracket only resolves the count's own rounding: at N = 200
+    a converged estimate sits up to 5e-15 relative off the lambda where
+    the computed count flips.  The width is 2**-49 up to N = 48, and the
+    cap keeps lambda within 1e-14 relative of the exact count.
+    """
+    return min(2.0 ** -47, max(2.0 ** -49, n * 2.0 ** -52 / 6.0))
+
+
 def tridiag_smallest(a2, b2):
     """Smallest eigenvalue of T = B B^T for each row of a batch, B the
     lower bidiagonal matrix with squared diagonal a2 (draws, N) and
@@ -301,9 +320,10 @@ def tridiag_smallest(a2, b2):
     and a margin doubling below hi closes it from below.  Where the step
     is unusable (after a zero pivot, or where S2 overflows, lambda below
     ~1e-154) the shift bisects.  A row leaves the active set once
-    hi - lo <= 2**-49 hi, or lo and hi are adjacent doubles (a subnormal
-    lambda); the midpoint is returned, within 2**-50 relative of the
-    count's lambda.  A zero a_i makes B singular and lambda exactly 0.
+    hi - lo <= w hi, w = _closing_width(N) (2**-49 up to N = 48, 2**-47
+    at N = 200), or lo and hi are adjacent doubles (a subnormal lambda);
+    the midpoint is returned, within w / 2 relative of the count's
+    lambda.  A zero a_i makes B singular and lambda exactly 0.
     Rows are independent, so a row's value does not depend on the rest
     of the batch.
     """
@@ -324,6 +344,7 @@ def tridiag_smallest(a2, b2):
     hi = np.minimum(a2[:, 0], (a2[:, 1:] + b2).min(axis=1))[live]
     ops = _twist(a2[live], b2[live])
     lo, sigma, est, gap = (np.zeros(live.size) for _ in range(4))
+    rtol = _closing_width(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_MAX_PASSES):
             if not live.size:
@@ -337,15 +358,15 @@ def tridiag_smallest(a2, b2):
             est = np.where(above, est, sigma + step)
             # the margin doubles while the shifts stay on one side of
             # lambda without the step beating it; it starts a little under
-            # _RTOL / 2 so that est - gap and est + gap, once rounded, still
+            # rtol / 2 so that est - gap and est + gap, once rounded, still
             # close the bracket
-            gap = np.where(above | (step <= gap), 2.0 * gap, 0.45 * _RTOL * est)
+            gap = np.where(above | (step <= gap), 2.0 * gap, 0.45 * rtol * est)
             mid = 0.5 * (lo + hi)
             x = np.where(above, np.maximum(hi - gap, mid), est + gap)
             x = np.where(~above & (x >= hi), hi - gap, x)
             sigma = np.where((x > lo) & (x < hi), x, mid)
             # subnormal brackets end with lo and hi adjacent doubles
-            done = (hi - lo <= _RTOL * hi) | (mid <= lo) | (mid >= hi)
+            done = (hi - lo <= rtol * hi) | (mid <= lo) | (mid >= hi)
             if done.any():
                 out[live[done]] = mid[done]
                 keep = np.flatnonzero(~done)

@@ -461,6 +461,16 @@ def test_bad_beta_is_one_error_line(capsys, beta):
     assert "Traceback" not in err
 
 
+
+@pytest.mark.parametrize("beta,m", [("1e150", "1"), ("1e150", "2"), ("1e103", "2")])
+def test_limit_pdf_at_huge_beta_is_one_error_line(capsys, beta, m):
+    # the density constant used to raise a bare OverflowError here
+    code, out, err = run_cli(capsys, "limit-pdf", "--beta", beta, "--m", m, "--grid", "0:1:2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
 def test_accuracy_flags_only_on_the_limit_commands(capsys):
     # the limit commands lost --tol/--kmax too: on every command they are
     # one usage error, and the limit config carries no accuracy keys

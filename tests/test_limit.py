@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from partition_reference import check_partition_stream, enumerate_partitions, gen_factorial, jack_c_one
 
 from lagmin import core, jack, limit
-from lagmin.errors import DomainError, PrecisionWarning
+from lagmin.errors import DivergenceError, DomainError, PrecisionWarning
 from lagmin.limit import (
     LimitParams,
     _limit_prefactor,
@@ -412,6 +412,32 @@ def test_density_coefficients_identity_exact(beta):
         for j in range(9):
             d = beta / 8 * c[j] - Fraction(j + 1, 4) * c[j + 1]
             assert d == (d_m * c2[j - m] if j >= m else 0)
+
+
+
+@pytest.mark.parametrize("beta,m", [(1e103, 2), (2e103, 1), (1e150, 1)])
+def test_density_constant_where_the_power_overflows(beta, m):
+    # nu^(2m+1) leaves the float range here, D_m does not: D_m is finite,
+    # correct against Fractions, and P is finite where the series stops
+    lp = LimitParams(beta, m)
+    nu = Fraction(beta) / 2
+    d_m = nu ** (2 * m + 1) / (4 * math.factorial(m) * math.prod(i + nu for i in range(1, m + 1)))
+    assert limit._density_constant(lp) == pytest.approx(float(d_m), rel=1e-15)
+    assert p_limit(lp, 0.0) == 0.0
+    assert np.isfinite(p_limit(lp, np.array([0.0, 1e-300]))).all()
+
+
+@pytest.mark.parametrize("beta,m", [(1e150, 2), (1e200, 1), (1e308, 3)])
+def test_density_constant_past_the_float_range(beta, m):
+    with pytest.raises(DivergenceError, match="D_m overflows"):
+        p_limit(LimitParams(beta, m), 0.0)
+
+
+@pytest.mark.parametrize("beta,m", [(300.0, 0), (1e4, 1), (1e103, 2), (1e200, 0)])
+def test_prefactor_diagnostics_past_the_float_range(beta, m):
+    # the printed prefactor (beta/2)^(beta/2) ... overflows from beta ~ 300
+    with pytest.raises(DivergenceError, match="prefactor"):
+        prefactor_diagnostics(LimitParams(beta, m), [0.0, 1e-300])
 
 
 # ---------- array calls ----------

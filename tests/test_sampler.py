@@ -77,17 +77,44 @@ class TestTridiagSmallest:
                 ref = np.linalg.eigvalsh(_dense_t(a2[i], b2[i]))[0]
                 assert lam[i] == pytest.approx(ref, rel=1e-10)
 
-    @pytest.mark.parametrize("beta,n,m_dim", [(2.0, 3, 5), (1.0, 40, 42), (2.0, 200, 203), (0.5, 200, 200)])
+    @pytest.mark.parametrize("beta,n,m_dim", [
+        (2.0, 3, 5), (1.0, 40, 42), (1.0, 120, 121), (2.0, 200, 203), (0.5, 200, 200),
+    ])
     def test_relative_accuracy_by_exact_count(self, beta, n, m_dim):
         # lambda_min of B B^T to 1e-14 relative, whatever its size
         # against ||T||: no eigenvalue below 0.99999999999999 lambda, one
-        # at or below 1.00000000000001 lambda, in exact arithmetic; at
-        # N=200 over a batch of the benchmark's size, 160 draws
-        a2, b2 = _ensemble_squares(params_new(beta, n, m_dim), 41, 160 if n == 200 else 12)
+        # at or below 1.00000000000001 lambda, in exact arithmetic; from
+        # N=120, where the closing width exceeds 2**-49, over a batch of
+        # the benchmark's N=200 size, 160 draws
+        a2, b2 = _ensemble_squares(params_new(beta, n, m_dim), 41, 160 if n >= 120 else 12)
         lam = tridiag_smallest(a2, b2)
         for i in range(a2.shape[0]):
             assert _exact_count(a2[i], b2[i], lam[i] * (1 - 1e-14)) == 0
             assert _exact_count(a2[i], b2[i], lam[i] * (1 + 1e-14)) >= 1
+
+    def test_closing_width(self):
+        # 2**-49 up to N = 48, then N eps / 6, capped at 2**-47
+        width = sampler._closing_width
+        assert [width(n) for n in (2, 3, 40, 48)] == [2.0**-49] * 4
+        assert 2.0**-49 < width(49) < width(120) < 2.0**-47
+        assert width(120) == 120 * 2.0**-52 / 6
+        assert width(192) == width(200) == width(10**6) == 2.0**-47
+
+    @pytest.mark.parametrize("beta,m_dim", [(2.0, 203), (0.5, 200)])
+    def test_passes_at_n200(self, monkeypatch, beta, m_dim):
+        # the batch of the accuracy test above closes in at most 8 qd
+        # passes; at the fixed width 2**-49 it took 9
+        calls = []
+        qd_pass = sampler._qd_pass
+
+        def counted(ops, sigma):
+            calls.append(sigma.size)
+            return qd_pass(ops, sigma)
+
+        monkeypatch.setattr(sampler, "_qd_pass", counted)
+        a2, b2 = _ensemble_squares(params_new(beta, 200, m_dim), 41, 160)
+        tridiag_smallest(a2, b2)
+        assert calls[0] == 160 and len(calls) <= 8
 
     def test_generic_random_tridiagonals(self):
         # T = B B^T for random bidiagonal B, entries spread over twelve
@@ -386,6 +413,21 @@ def test_seeds_past_2_63_draw_distinct_values():
     assert not np.array_equal(run_batch(p, 3, 2**63).values, run_batch(p, 3, 2**63 + 1).values)
     assert not np.array_equal(run_batch(p, 3, 2**64 - 2).values,
                               run_batch(p, 3, 2**64 - 1).values)
+
+
+@pytest.mark.parametrize("seed", [1, 2**63 + 5])
+@pytest.mark.parametrize("beta", [0.01, 0.5, 2.0])
+@pytest.mark.parametrize("n", [3, 200])
+def test_block_is_the_documented_gamma_call(n, beta, seed):
+    # stream 3 block k is the values of one two-parameter gamma call under
+    # the key (seed, k), shapes below 1 included (beta (N-1-i)/2 at beta <= 0.5)
+    p = params_new(beta, n, n + 1)
+    shape = 0.5 * beta * np.concatenate([np.arange(n + 1, 1, -1), np.arange(n - 1, 0, -1)])
+    for block, rows in ((0, BLOCK), (2, 37)):
+        key = np.array([seed, block], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        expected = rng.gamma(shape, 2.0, size=(rows, 2 * n - 1))
+        assert _block(p, seed, block, rows).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 21, 2**32 + 7, 2**62 + 12345, 2**63 - 1])
