@@ -74,9 +74,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _as_int, params_new, warn_outside
+from .core import _as_int, _points, params_new, warn_outside
 from .errors import DomainError
-from .numerics import _edge_sum, _log_falling, _points
+from .numerics import _edge_sum, _log_falling
 
 
 def _entries(n_dim: int, alpha: int, s: int, pow2: bool = False) -> list:

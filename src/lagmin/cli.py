@@ -333,8 +333,6 @@ def _run(args):
     else:
         route = "split-half"
         half = batch.count // 2
-        if half == 0:
-            raise EmptySample("need at least 2 samples for split-half")
         report = ks_two_sample(batch.values[:half], batch.values[half:], level=0.01)
     config.update(samples=args.samples, seed=seed, stream=STREAM, workers=args.workers)
     return (config, [{**report.as_dict(), "route": route}]), 0 if report.passed else 1

@@ -13,9 +13,10 @@ when m = (beta/2)*alpha is a nonnegative integer; `jack_index` carries
 that value when it exists.
 
 Argument rules: every integer argument of the public API (N, M, m,
-alpha, p, count, workers, seed) goes through `_as_int`, and every point
-x or y through `numerics._points` (entries >= 0, no NaN; an array only
-where the law takes one).  A bad argument raises DomainError.
+alpha, p, count, workers, seed) goes through `_as_int`, every other
+number through `_floats`, and every point x or y through `_points`
+(entries >= 0, no NaN; an array only where the law takes one).  A bad
+argument raises DomainError.
 
 The accuracy policy lives here too: TAIL_TOL and K_MAX truncate the
 hard-edge and Bessel series, ENVELOPES holds each route's validated
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonIntegerJackIndex, PrecisionWarning
-from .numerics import _floats
 
 # Absolute tolerance for deciding that (beta/2)*alpha is an integer.
 # beta is a machine real and every downstream series needs an exact
@@ -111,7 +111,7 @@ def require_jack_index(params: EnsembleParams) -> int:
 
 def _positive_beta(beta) -> float:
     """beta as a float; DomainError unless it is a positive, finite number
-    (by the rule of numerics._floats: a bool or a string is not one)."""
+    (by the rule of _floats: a bool or a string is not one)."""
     if type(beta) is int:
         try:
             beta = float(beta)
@@ -134,6 +134,29 @@ def _as_int(value, name: str, low: int) -> int:
     if value < low:
         raise DomainError(f"{name} must be >= {low}, got {int(value)}")
     return int(value)
+
+
+def _floats(value, name: str, scalar: bool = False) -> np.ndarray:
+    """A number, or unless scalar an array of them, as a float array; a
+    bool or a string is not a number."""
+    try:
+        xs = np.asarray(value)
+        if xs.dtype.kind not in "iuf":
+            raise TypeError
+    except (TypeError, ValueError):  # ValueError: a ragged nest of lists
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    if scalar and xs.ndim:
+        raise DomainError(f"{name} must be a number, got an array of shape {xs.shape}")
+    return xs.astype(float, copy=False)
+
+
+def _points(value, name: str, scalar: bool = False):
+    """The one converter of a point x or y: a float array, or a float if
+    scalar, every entry >= 0 (so no NaN)."""
+    xs = _floats(value, name, scalar)
+    if not np.all(xs >= 0):
+        raise DomainError(f"{name} must be >= 0, got {xs[~(xs >= 0)].flat[0]}")
+    return float(xs) if scalar else xs
 
 
 def warn_outside(route: str, **values) -> None:

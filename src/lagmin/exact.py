@@ -86,10 +86,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import EnsembleParams, _as_int, require_jack_index, warn_outside
+from .core import EnsembleParams, _as_int, _points, require_jack_index, warn_outside
 from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
-from .numerics import _edge_sum, _log_falling, _points, _series_sum
+from .numerics import _edge_sum, _log_falling, _series_sum
 
 
 @lru_cache(maxsize=32)

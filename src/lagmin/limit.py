@@ -60,6 +60,9 @@ Q and P are evaluated over an array of y by numerics._series_sum, with
 u = y/4 and exp(-beta*y/8) in each term's exponent.  Each point stops
 by core.TAIL_TOL, the table grows until every point has stopped, and a
 point that needs a power of u beyond core.K_MAX is a DivergenceError.
+Q(0) = 1 and P(0) need no table, and a point whose value is certainly
+below the smallest subnormal double is 0 with no sum (_f01_sum), so a
+huge beta gives 1, 0 and the exact P(0) rather than an error.
 Past the "limit" row of core.ENVELOPES (y <= 100, m <= 6) a call issues
 one PrecisionWarning.
 
@@ -93,11 +96,15 @@ import numpy as np
 from . import core
 from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
-from .numerics import _bessel_i_scaled, _points, _series_sum
+from .numerics import _bessel_i_scaled, _series_sum
 
 #: Top weight of the first band of the coefficient table; the second
 #: band ends at twice it.
 LADDER_START = 16
+
+#: log of the smallest subnormal double: a value whose bound is below it
+#: rounds to 0.
+_LOG_TINY = math.log(5e-324)
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ def _limit_points(lp: LimitParams, y) -> np.ndarray:
     """y as an array (DomainError on NaN or negative entries), with the
     one PrecisionWarning of the call if its largest y in (0, inf) or m
     leaves the envelope."""
-    ys = _points(y, "y")
+    ys = core._points(y, "y")
     inner = ys[(ys > 0.0) & (ys < math.inf)]
     if inner.size:
         core.warn_outside("limit", y=inner.max(), m=lp.jack_index)
@@ -148,6 +155,8 @@ def _f01_coeffs(beta: float, m: int, shift: int, rung: int) -> np.ndarray:
     lo = 0 if rung == 0 else _ladder_top(rung - 1) + 1
     hi = _ladder_top(rung)
     nu = 0.5 * beta
+    if nu * (hi + shift) == math.inf:  # the largest hook, nu*(K + shift) + m, and its logs
+        raise DivergenceError(f"0F1 coefficients overflow a double (beta={beta}, m={m})")
     t = nu * np.arange(hi, dtype=float)
     r = np.arange(m, dtype=float)[:, None]
     peak, total = _log_weight_sums(
@@ -182,14 +191,41 @@ def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: fl
     entry y >= 0 of the array ys, as an array of its shape, the c_k being
     the 0F1 coefficients at b = 2m/beta + shift; 0 at y = +inf.  A point
     is summed on the first rung on which it stops, so its value does not
-    depend on the other points of the call."""
+    depend on the other points of the call.
+
+    At y = 0 the one term is u^0 = 1 (k + first = 0), whatever beta.  A
+    point whose exp(-beta*y/8) underflows is 0 with no sum where a bound
+    puts its value below the smallest subnormal too.  With nu = beta/2,
+    u = y/4 and r = m sqrt(u): row i of [b]_kappa has factors
+    (m - i)/nu + shift + j >= min(1, 1/nu) at j = 0 and >= j after, so
+    [b]_kappa >= min(1, 1/nu)^m prod_i Gamma(kappa_i); with the
+    C_kappa(1^m) of weight k summing to m^k, Stirling's lower bounds on
+    Gamma and k! and Jensen over the parts,
+    log(c_k u^k) <= m log+ nu + (m/2) log k + 2k (1 + log(r/k)), at most
+    2r at k = r and below -2k past k = e^2 r.  Summed over k,
+    log sum_k c_k u^k <= log 3 + m log+ nu + (m/2) log+(m/(2e))
+    + (m/2 + 1) log(e^2 r + 1) + 2r, against -nu*u of the offset.  (Past
+    |beta*y/8| ~ 1e20 every term's log rounds to the offset's, and the
+    stopping rule could never fire.)"""
     tail_tol, k_max = core.TAIL_TOL, core.K_MAX
+    nu, m = 0.5 * lp.beta, lp.jack_index
     flat = ys.ravel()
     out = np.zeros(flat.shape)  # 0 at y = +inf
-    todo = np.flatnonzero(flat < math.inf)
-    with np.errstate(divide="ignore"):  # log 0 = -inf at y = 0
+    if first == 0:
+        out[flat == 0.0] = factor
+    todo = np.flatnonzero((flat > 0.0) & (flat < math.inf))
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 at y = 0; beta*y past the float range
         log_u = np.log(flat / 4.0)
-    damp = -lp.beta * flat / 8.0
+        damp = -lp.beta * flat / 8.0
+        if damp[todo].min(initial=0.0) < _LOG_TINY:  # else exp(-beta*y/8) alone is no subnormal
+            u = flat[todo] / 4.0
+            r = m * np.sqrt(u)
+            log_bound = (math.log(3.0 * max(1.0, factor)) + m * math.log(max(1.0, nu))
+                         + 0.5 * m * math.log(max(1.0, m / (2.0 * math.e)))
+                         + (0.5 * m + 1.0) * np.log(math.e**2 * r + 1.0) + 2.0 * r - nu * u)
+            if first:
+                log_bound += first * log_u[todo]
+            todo = todo[log_bound >= _LOG_TINY]
     rung = 0
     while todo.size:
         log_c = _f01_coeffs(lp.beta, lp.jack_index, shift, rung)[:max(0, k_max + 1 - first)]
@@ -211,7 +247,8 @@ def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: fl
 def q_limit(lp: LimitParams, y):
     """Limiting survival function Q(y) = Prob(scaled smallest eigenvalue > y)
     at a float y (returns a float) or at every entry of an array (returns
-    an array of its shape); exactly 1 at y = 0 and 0 at y = +inf."""
+    an array of its shape); exactly 1 at y = 0 at every beta and 0 at
+    y = +inf."""
     ys = _limit_points(lp, y)
     out = _f01_sum(lp, ys, 0, 0, 1.0)
     return out if ys.ndim else float(out)
@@ -239,7 +276,7 @@ def q_limit_closed(lp: LimitParams, y: float):
     Q(0) = 1 and Q(+inf) = 0 at every m; a NaN or negative y, or an
     array, raises DomainError.
     """
-    y = _points(y, "y", scalar=True)
+    y = core._points(y, "y", scalar=True)
     beta, m = lp.beta, lp.jack_index
     if m == 0:
         return math.exp(-beta * y / 8.0)
@@ -308,7 +345,7 @@ def prefactor_diagnostics(lp: LimitParams, ys):
     dict with per-point ratios and the spread of the ratio; a constant
     ratio != 1 means the printed prefactor is off by exactly that
     constant, a varying ratio means the functional form itself differs."""
-    grid = _points(ys, "y")
+    grid = core._points(ys, "y")
     if not grid.ndim:
         raise DomainError(f"ys must be an array of y values, got the number {float(grid)}")
     grid = grid.ravel()

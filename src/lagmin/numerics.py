@@ -29,33 +29,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import core
+from .core import _floats, _points
 from .errors import DivergenceError, DomainError
 
 #: Points x terms per block of the assembler's temporaries.
 EDGE_SUM_BLOCK = 1 << 16
-
-
-def _floats(value, name: str, scalar: bool = False) -> np.ndarray:
-    """A number, or unless scalar an array of them, as a float array; a
-    bool or a string is not a number."""
-    try:
-        xs = np.asarray(value)
-        if xs.dtype.kind not in "iuf":
-            raise TypeError
-    except (TypeError, ValueError):  # ValueError: a ragged nest of lists
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
-    if scalar and xs.ndim:
-        raise DomainError(f"{name} must be a number, got an array of shape {xs.shape}")
-    return xs.astype(float, copy=False)
-
-
-def _points(value, name: str, scalar: bool = False):
-    """The one converter of a point x or y: a float array, or a float if
-    scalar, every entry >= 0 (so no NaN)."""
-    xs = _floats(value, name, scalar)
-    if not np.all(xs >= 0):
-        raise DomainError(f"{name} must be >= 0, got {xs[~(xs >= 0)].flat[0]}")
-    return float(xs) if scalar else xs
 
 
 def _prefix_sums(rows) -> np.ndarray:
@@ -83,7 +61,8 @@ def _series_sum(log_c, first, log_u, log_v=None, e=0.0, offset=None, tail_tol=No
 
     Without tail_tol every term is summed and left is empty.  With it
     (at least two terms) each point sums in index order up to its second
-    consecutive term at or below tail_tol times its partial sum; left
+    consecutive term at or below tail_tol times its partial sum, once that
+    is positive (a point whose terms are all 0 stops at once); left
     indexes the points that never stop, whose sums are not set.  The
     points are taken in blocks of EDGE_SUM_BLOCK points x terms; a
     point's sum does not depend on its block or on the other points.
@@ -109,6 +88,8 @@ def _series_sum(log_c, first, log_u, log_v=None, e=0.0, offset=None, tail_tol=No
             continue
         sums = np.cumsum(t, axis=1)
         small = t <= tail_tol * sums
+        if not sums[:, 0].all():  # leading terms that underflow after the shift are not yet the tail
+            small &= (sums > 0.0) | (sums[:, -1:] == 0.0)
         stop = small[:, 1:] & small[:, :-1]
         at = stop.argmax(axis=1)
         rows = np.arange(len(u))

@@ -61,9 +61,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import EnsembleParams, _as_int, params_new
+from .core import EnsembleParams, _as_int, _floats, params_new
 from .errors import DomainError, EigensolverFailure, EmptySample
-from .numerics import _floats
 
 #: Draws per Philox key: draw i of seed s comes from key (s, i // BLOCK).
 BLOCK = 256

@@ -5,13 +5,11 @@ PASSED/FAILED row per criterion either way); tolerances are the shipping
 thresholds, not the tighter ones used in the per-module tests.
 """
 
-import math
 import warnings
 
 import numpy as np
 import pytest
-from laguerre_reference import derivative, laguerre
-from partition_reference import enumerate_partitions, jack_c_one
+from oracle import derivative, jack_c_one, laguerre, partitions, pochhammer
 
 from lagmin.beta2 import q_alpha2_sum, q_exact_beta2
 from lagmin.core import params_new
@@ -148,17 +146,14 @@ def test_criterion_5_finite_n_converges_to_limit():
 
 
 def test_criterion_6_jack_normalization():
-    """sum over |kappa|=k of C_kappa(1^m) = m^k."""
-    worst = 0.0
-    for nu in (0.5, 1.0, 2.0):
+    """sum over |kappa|=k of C_kappa(1^m) = m^k, in exact rationals."""
+    checked = 0
+    for nu in (Fraction(1, 2), Fraction(1), Fraction(2)):
         for m in range(1, 5):
             for k in range(0, 9):
-                total = math.fsum(
-                    jack_c_one(kap, nu, m) for kap in enumerate_partitions(k, m)
-                )
-                worst = max(worst, abs(total - float(m) ** k) / float(m) ** k)
-    assert worst <= 1e-10
-    _report("criterion-6", f"nu in {{1/2,1,2}}, m<=4, k<=8, worst rel {worst:.2e}")
+                assert sum(jack_c_one(kap, nu, m) for kap in partitions(k, m)) == m**k
+                checked += 1
+    _report("criterion-6", f"nu in {{1/2,1,2}}, m<=4, k<=8: {checked} sums exact")
 
 
 def test_criterion_7_monte_carlo_ks():
@@ -184,13 +179,6 @@ def test_criterion_7_monte_carlo_ks():
 def test_criterion_8_exact_rational_identities():
     """Differential-difference relation and the pochhammer combination
     identity hold exactly in rational arithmetic."""
-
-    def poch(a, k):
-        out = Fraction(1)
-        for t in range(k):
-            out *= a + t
-        return out
-
     for n in range(0, 13):
         for rho in range(0, 5):
             assert derivative(laguerre(n, rho)) == [-c for c in laguerre(n - 1, rho + 1)]
@@ -200,15 +188,9 @@ def test_criterion_8_exact_rational_identities():
             if i == n + 1:  # singular row, handled by the boundary term
                 continue
             for j in range(0, 11):
-                lhs = (n + 1) * poch(Fraction(-n), i) * poch(Fraction(-n), j) - n * poch(
-                    Fraction(-n - 1), i
-                ) * poch(Fraction(-n + 1), j)
-                rhs = (
-                    Fraction(n + 1)
-                    * Fraction(1 + j - i, n + 1 - i)
-                    * poch(Fraction(-n), i)
-                    * poch(Fraction(-n), j)
-                )
+                lhs = ((n + 1) * pochhammer(-n, i) * pochhammer(-n, j)
+                       - n * pochhammer(-n - 1, i) * pochhammer(-n + 1, j))
+                rhs = Fraction((n + 1) * (1 + j - i), n + 1 - i) * pochhammer(-n, i) * pochhammer(-n, j)
                 assert lhs == rhs
                 checked += 1
     _report("criterion-8", f"diff-diff n<=12 rho<=4 exact; combination identity {checked} cells exact")

@@ -8,20 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from laguerre_reference import cofactor_det, derivative, evaluate, laguerre, laguerre_matrix
+from oracle import cofactor_det, derivative, evaluate, laguerre, laguerre_matrix, pochhammer
 
 from lagmin import beta2
 from lagmin.beta2 import det_laguerre, q_alpha2_sum, q_exact_beta2
 from lagmin.core import params_new
 from lagmin.errors import DomainError, PrecisionWarning
 from lagmin.exact import q_exact
-
-
-def frac_poch(a: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(k):
-        out *= a + t
-    return out
 
 
 # ---------- Laguerre polynomials (test-side reference) ----------
@@ -61,17 +54,9 @@ def test_pochhammer_combination_identity_exact():
             if i == n + 1:
                 continue
             for j in range(0, 11):
-                lhs = (n + 1) * frac_poch(Fraction(-n), i) * frac_poch(
-                    Fraction(-n), j
-                ) - n * frac_poch(Fraction(-n - 1), i) * frac_poch(
-                    Fraction(-n + 1), j
-                )
-                rhs = (
-                    Fraction(n + 1, 1)
-                    * Fraction(1 + j - i, n + 1 - i)
-                    * frac_poch(Fraction(-n), i)
-                    * frac_poch(Fraction(-n), j)
-                )
+                lhs = ((n + 1) * pochhammer(-n, i) * pochhammer(-n, j)
+                       - n * pochhammer(-n - 1, i) * pochhammer(-n + 1, j))
+                rhs = Fraction((n + 1) * (1 + j - i), n + 1 - i) * pochhammer(-n, i) * pochhammer(-n, j)
                 assert lhs == rhs, (n, i, j)
 
 
@@ -82,12 +67,12 @@ def test_identity_boundary_row_does_not_vanish():
     n = 3
     i = n + 1
     for j in range(n):
-        lhs = (n + 1) * frac_poch(Fraction(-n), i) * frac_poch(
+        lhs = (n + 1) * pochhammer(Fraction(-n), i) * pochhammer(
             Fraction(-n), j
-        ) - n * frac_poch(Fraction(-n - 1), i) * frac_poch(Fraction(-n + 1), j)
+        ) - n * pochhammer(Fraction(-n - 1), i) * pochhammer(Fraction(-n + 1), j)
         assert lhs != 0
     # ... and dies once (-N+1)_j hits zero
-    lhs = -n * frac_poch(Fraction(-n - 1), i) * frac_poch(Fraction(-n + 1), n)
+    lhs = -n * pochhammer(Fraction(-n - 1), i) * pochhammer(Fraction(-n + 1), n)
     assert lhs == 0
 
 
@@ -113,15 +98,10 @@ def test_det_degree_is_alpha_times_n():
             assert coeffs[-1] != 0
 
 
-def _cofactor_det(mat):
-    if len(mat) == 1:
-        return mat[0][0]
-    total = Fraction(0)
-    for col in range(len(mat)):
-        minor = [row[:col] + row[col + 1 :] for row in mat[1:]]
-        term = mat[0][col] * _cofactor_det(minor)
-        total += term if col % 2 == 0 else -term
-    return total
+def _det(mat):
+    """The determinant of a matrix of numbers, by the oracle's cofactor
+    expansion over constant polynomials."""
+    return evaluate(cofactor_det([[[v] for v in row] for row in mat]), 0)
 
 
 def test_det_constant_term_matches_direct_evaluation():
@@ -139,7 +119,7 @@ def test_det_constant_term_matches_direct_evaluation():
                 ]
                 for k in range(alpha)
             ]
-            direct = _cofactor_det(mat)
+            direct = _det(mat)
             assert det_laguerre(n, alpha)[0] == direct
 
 
@@ -217,7 +197,7 @@ def test_det_off_sample_points(n, alpha, s):
     # both routes work at integer s (0..alpha*N, or 2^K); at non-integer s
     # the polynomial must still equal the determinant of the entries there
     mat = [[evaluate(p, s) for p in row] for row in laguerre_matrix(n, alpha)]
-    assert evaluate(list(det_laguerre(n, alpha)), s) == _cofactor_det(mat)
+    assert evaluate(list(det_laguerre(n, alpha)), s) == _det(mat)
 
 
 def test_det_coefficients_positive():

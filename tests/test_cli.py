@@ -462,13 +462,41 @@ def test_bad_beta_is_one_error_line(capsys, beta):
 
 
 
-@pytest.mark.parametrize("beta,m", [("1e150", "1"), ("1e150", "2"), ("1e103", "2")])
+@pytest.mark.parametrize("beta,m", [("1e200", "1"), ("1e150", "2"), ("1e308", "3")])
 def test_limit_pdf_at_huge_beta_is_one_error_line(capsys, beta, m):
-    # the density constant used to raise a bare OverflowError here
+    # the density constant D_m overflows a double here (it used to raise
+    # a bare OverflowError)
     code, out, err = run_cli(capsys, "limit-pdf", "--beta", beta, "--m", m, "--grid", "0:1:2")
     assert code == 1
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "D_m overflows" in err
+    assert "Traceback" not in err
+
+
+def test_limit_cdf_at_huge_beta_underflows(capsys):
+    # the series used to miss its stopping rule here and print an error
+    code, out, err = run_cli(capsys, "limit-cdf", "--beta", "1e21", "--m", "1", "--grid", "0:1:2")
+    assert code == 0 and err == ""
+    assert [row["Q"] for row in parse_csv(out)[1]] == ["1", "0"]
+
+
+def test_split_half_of_one_sample_is_one_error_line(capsys):
+    # beta=1, N=M=3 has no Jack index and N != 2, so validate splits the
+    # sample in halves; one draw leaves an empty half
+    code, out, err = run_cli(capsys, "validate", "--beta", "1", "--N", "3", "--M", "3", "--samples", "1")
+    assert code == 1
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag,value", [("--grid", "0:1:1"), ("--grid", "0:1:x"), ("--N", "2.5")])
+def test_grid_and_integer_parse_errors_are_usage_errors(capsys, flag, value):
+    args = {"--beta": "2", "--N": "2", "--M": "3", "--grid": "0:0.5:3", flag: value}
+    code, out, err = run_cli(capsys, "exact-cdf", *(t for kv in args.items() for t in kv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: ") and f"error: argument {flag}: " in err
     assert "Traceback" not in err
 
 def test_accuracy_flags_only_on_the_limit_commands(capsys):

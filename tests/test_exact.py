@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +10,8 @@ import scipy.integrate
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from partition_reference import (
-    check_partition_stream,
-    enumerate_partitions,
-    gen_factorial,
-    jack_c_one_log,
-)
+from oracle import law, ln, weight_sum
+from test_jack import check_partition_stream
 
 from lagmin import exact, jack
 from lagmin.beta2 import det_laguerre
@@ -111,12 +106,6 @@ def test_envelope_warning():
 
 # ---------- series coefficients A_k ----------
 
-def _exact_log(q: Fraction) -> float:
-    with localcontext() as ctx:
-        ctx.prec = 40
-        return float(Decimal(q.numerator).ln() - Decimal(q.denominator).ln())
-
-
 @pytest.mark.parametrize("n,alpha", [(10, 2), (20, 2), (40, 2), (12, 3), (16, 4)])
 def test_coeffs_match_exact_beta2_rationals(n, alpha):
     # at beta=2, A_k = c_k * Gamma(MN)/Gamma(MN-k) with c_k the exact
@@ -129,23 +118,12 @@ def test_coeffs_match_exact_beta2_rationals(n, alpha):
     for k, c in enumerate(rational):
         if k:
             falling *= mn - k
-        assert abs(log_a[k] - _exact_log(c * falling)) <= 2e-13
+        assert abs(log_a[k] - float(ln(c * falling))) <= 2e-13
 
 
-def _per_partition_coeffs(beta, n, m_dim, m):
-    """A_k partition by partition, straight from the series definition."""
-    nu = 0.5 * beta
-    g = 0.5 * beta * m_dim * n
-    out = []
-    for k in range(m * n + 1):
-        ratio = math.prod(g - i for i in range(1, k + 1))
-        terms = [
-            gen_factorial(-float(n), kappa, nu) / gen_factorial(2.0 * m / beta, kappa, nu)
-            * math.exp(jack_c_one_log(kappa, nu, m))
-            for kappa in enumerate_partitions(k, m, n)
-        ]
-        out.append((-2.0 / beta) ** k * ratio * math.fsum(terms) / math.factorial(k))
-    return out
+def _falling(g: Fraction, k: int) -> Fraction:
+    """Gamma(G)/Gamma(G-k) = (G-1)(G-2)...(G-k)."""
+    return math.prod((g - i for i in range(1, k + 1)), start=Fraction(1))
 
 
 @st.composite
@@ -164,11 +142,13 @@ def test_coeffs_match_per_partition_reference(case):
     beta, n, m_dim, m = case
     p = params_new(beta, n, m_dim)
     assert p.jack_index == m
+    # A_k in exact rationals at the float beta's exact value
     log_a = exact._series_coeffs(p, 0)
-    want = _per_partition_coeffs(beta, n, m_dim, m)
+    nu = Fraction(beta) / 2
+    want = [_falling(nu * m_dim * n, k) * weight_sum(nu, m, k, m / nu, cols=n) for k in range(m * n + 1)]
     assert len(log_a) == len(want)
     for lg, w in zip(log_a, want):
-        assert math.exp(lg) == pytest.approx(w, rel=1e-12)
+        assert math.exp(lg) == pytest.approx(float(w), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 20, jack.CHUNK_ROWS])
@@ -440,9 +420,9 @@ def test_oracle_rejects_points_off_its_support():
 BETA2_CASES = [(3, 2), (10, 2), (25, 2), (40, 2), (12, 3), (16, 4), (24, 4)]
 
 
-def _exact_beta2_law(n, alpha, x, density=False):
-    """Q (or P = -dQ/dx) at the float x, 0 < x < 1/N, from the exact
-    rational coefficients of the Laguerre determinant, to 60 digits."""
+def _exact_beta2_law(n, alpha, xs, density=False):
+    """Q (or P = -dQ/dx) at the floats xs, 0 < x < 1/N, from the exact
+    rational coefficients of the Laguerre determinant, by the oracle."""
     mn = (n + alpha) * n
     a, falling = [], 1
     for j, c in enumerate(det_laguerre(n, alpha)):
@@ -452,14 +432,7 @@ def _exact_beta2_law(n, alpha, x, density=False):
     if density:
         a = [n * (mn - 1 - j) * aj - (j + 1) * sum(a[j + 1:j + 2]) for j, aj in enumerate(a)]
         e = mn - 2
-    with localcontext() as ctx:
-        ctx.prec = 60
-        dx = Decimal(x)
-        w = 1 - n * dx
-        return float(sum(
-            Decimal(c.numerator) / Decimal(c.denominator) * dx**j * w ** (e - j)
-            for j, c in enumerate(a) if c
-        ))
+    return np.array([float(law(a, Fraction(x), 1 - n * Fraction(x), e)) for x in xs])
 
 
 def _support_grid(n):
@@ -473,7 +446,7 @@ def _support_grid(n):
 def test_q_matches_exact_beta2_rationals(n, alpha):
     p = params_new(2.0, n, n + alpha)
     xs = np.array(_support_grid(n))
-    want = np.array([_exact_beta2_law(n, alpha, x) for x in xs])
+    want = _exact_beta2_law(n, alpha, xs)
     assert np.max(np.abs(q_exact(p, xs) - want)) <= 1e-14
     assert np.max(np.abs(q_exact_beta2(n, n + alpha, xs) - want)) <= 1e-14
     if alpha == 2:
@@ -485,30 +458,11 @@ def test_p_matches_exact_beta2_rationals(n, alpha):
     # down to N x = 1e-9, where P ~ x^m is far below its maximum
     p = params_new(2.0, n, n + alpha)
     xs = np.array(_support_grid(n))
-    want = np.array([_exact_beta2_law(n, alpha, x, density=True) for x in xs])
+    want = _exact_beta2_law(n, alpha, xs, density=True)
     normal = want > 1e-290  # towards 1/N, P underflows at large N
     assert normal[:12].all()
     assert np.max(np.abs(p_exact(p, xs[normal]) / want[normal] - 1.0)) <= 1e-12
     assert p_exact(p, 0.0) == 0.0
-
-
-def _box_sum(nu: Fraction, m: int, cols: int, nub: Fraction, k: int) -> Fraction:
-    """sum of W_kappa over the partitions of weight k in the m x cols box,
-    W_kappa the product over the cells (i, j) of kappa of
-    (nu*cols + i - nu*j)(m + nu*j - i) / ((nub - i + nu*j)(nu*a + l + 1)(nu*(a+1) + l)),
-    nub = nu*b; at b = m/nu this is A_k / (Gamma(G)/Gamma(G-k))."""
-    total = Fraction(0)
-    for kappa in enumerate_partitions(k, m, cols):
-        parts = kappa.parts
-        conj = [sum(1 for x in parts if x > j) for j in range(parts[0])] if parts else []
-        w = Fraction(1)
-        for i, row in enumerate(parts):
-            for j in range(row):
-                a, l = row - 1 - j, conj[j] - 1 - i
-                w *= (nu * cols + i - nu * j) * (m + nu * j - i) / (
-                    (nub - i + nu * j) * (nu * a + l + 1) * (nu * (a + 1) + l))
-        total += w
-    return total
 
 
 @pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(2), Fraction(4)])
@@ -523,19 +477,15 @@ def test_density_coefficients_identity_exact(beta):
             if m_dim.denominator != 1:
                 continue
             g = nu * m_dim * n
-
-            def falling(k):
-                return math.prod((g - i for i in range(1, k + 1)), start=Fraction(1))
-
-            a = [falling(k) * _box_sum(nu, m, n, Fraction(m), k) for k in range(m * n + 1)] + [0]
+            a = [_falling(g, k) * weight_sum(nu, m, k, m / nu, cols=n) for k in range(m * n + 1)] + [0]
             d_m = Fraction(n, math.factorial(m)) * math.prod(
                 ((n * nu + i) / (nu + i) for i in range(1, m + 1)), start=Fraction(1))
             p = params_new(float(beta), n, int(m_dim))
             assert p.jack_index == m
-            assert float(d_m) == pytest.approx(exact._density_constant(p), rel=1e-15)
+            assert float(d_m) == pytest.approx(exact._density_constant(p), rel=1e-15, abs=0.0)
             for j in range(m * n + 1):
                 d = n * (g - 1 - j) * a[j] - (j + 1) * a[j + 1]
-                want = d_m * falling(j + 1) * _box_sum(nu, m, n - 1, m + beta, j - m) if j >= m else 0
+                want = d_m * _falling(g, j + 1) * weight_sum(nu, m, j - m, m / nu + 2, cols=n - 1) if j >= m else 0
                 assert d == want
 
 

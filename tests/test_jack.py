@@ -1,41 +1,65 @@
 """Partition combinatorics and Jack values at the all-ones point (the
-per-partition references in partition_reference.py that the series
-builders are checked against), and the equal-argument 0F1 series built
-by the shared partition-weight builder."""
+exact references in oracle.py that the series builders are checked
+against), the oracle's independence from the program, lagmin's
+partition streamer, and the equal-argument 0F1 series built by the
+shared partition-weight builder."""
 
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special
-from partition_reference import (
-    Partition,
-    enumerate_partitions,
-    gen_factorial,
-    jack_c_one,
-    pochhammer,
-)
+from oracle import conjugate, gen_factorial, jack_c_one, partitions, pochhammer
 
-from lagmin import core, limit
-from lagmin.errors import DivergenceError, DomainError
+from lagmin import core, jack, limit
+from lagmin.errors import DivergenceError
+
+
+def check_partition_stream(monkeypatch, m: int, lo: int, hi: int, cap, chunk_rows: int):
+    """Assert that lagmin's streamer, at chunk_rows rows per chunk, yields
+    exactly the partitions with at most m parts, weight in [lo, hi] and
+    first part at most cap, each once and padded with
+    zero parts to m columns, in chunks of at most max(chunk_rows, top + 1)
+    rows, top = min(cap, hi); returns the number of partitions."""
+    monkeypatch.setattr(jack, "CHUNK_ROWS", chunk_rows)
+    chunks = list(jack._partition_chunks(m, lo, hi, cap))
+    rows = np.concatenate(chunks) if chunks else np.zeros((0, m), dtype=np.int32)
+    want = {kappa + (0,) * (m - len(kappa)) for k in range(lo, hi + 1) for kappa in partitions(k, m, cap)}
+    assert rows.shape == (len(want), m)
+    assert {tuple(r) for r in rows.tolist()} == want
+    top = min(cap, hi)
+    assert all(len(c) <= max(chunk_rows, top + 1) for c in chunks)
+    return len(want)
+
+
+def test_oracle_imports_only_the_standard_library():
+    # the exact reference must not share code with what it checks
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module or "." for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert names and not {n.split(".")[0] for n in names} & {"", "lagmin", "numpy", "scipy"}
 
 
 def test_partition_basics():
-    p = Partition((3, 1))
-    assert p.weight == 4
-    assert p.length == 2
-    assert p.conjugate().parts == (2, 1, 1)
-    assert Partition((4,)).conjugate().parts == (1, 1, 1, 1)
-    assert tuple(Partition((2, 2))) == (2, 2)
+    assert conjugate((3, 1)) == (2, 1, 1)
+    assert conjugate((4,)) == (1, 1, 1, 1)
+    assert conjugate(()) == ()
+    for kappa in partitions(8, 8):
+        assert conjugate(conjugate(kappa)) == kappa
+        assert sum(conjugate(kappa)) == sum(kappa) == 8
 
 
 def test_partition_validation():
-    with pytest.raises(DomainError):
-        Partition((1, 2))  # increasing
-    with pytest.raises(DomainError):
-        Partition((2, 0))  # zero part
-    with pytest.raises(DomainError):
-        Partition((2, -1))
+    # every enumerated partition is weakly decreasing with positive parts;
+    # arguments that admit no partitions are refused
+    for kappa in partitions(9, 4):
+        assert all(p >= 1 for p in kappa) and list(kappa) == sorted(kappa, reverse=True)
+    for args in [(-1, 2), (3, -1), (3, 2, 0)]:
+        with pytest.raises(ValueError):
+            partitions(*args)
 
 
 def _count_partitions(k, max_len, max_part):
@@ -56,79 +80,75 @@ def _count_partitions(k, max_len, max_part):
 def test_enumeration_counts_match_brute_force():
     for k in range(11):
         for max_len in range(1, 6):
-            got = len(enumerate_partitions(k, max_len))
+            got = len(partitions(k, max_len))
             assert got == _count_partitions(k, max_len, k if k else 1)
 
 
 def test_enumeration_with_max_part():
-    parts = enumerate_partitions(6, max_len=3, max_part=3)
+    parts = partitions(6, max_len=3, max_part=3)
     for kappa in parts:
-        assert all(x <= 3 for x in kappa.parts)
+        assert all(x <= 3 for x in kappa)
     assert len(parts) == _count_partitions(6, 3, 3)
 
 
 def test_enumeration_is_deduplicated_and_sorted():
-    seen = enumerate_partitions(5, 5)
-    assert len({p.parts for p in seen}) == len(seen)
-    weights = [p.weight for p in seen]
+    seen = partitions(5, 5)
+    assert len(set(seen)) == len(seen) and seen == sorted(seen, reverse=True)
+    weights = [sum(p) for p in seen]
     assert all(w == 5 for w in weights)
 
 
 def test_pochhammer():
-    assert pochhammer(3.0, 4) == 3 * 4 * 5 * 6
-    assert pochhammer(-2.0, 3) == 0.0
-    assert pochhammer(0.5, 2) == 0.75
-    assert pochhammer(7.7, 0) == 1.0
+    assert pochhammer(3, 4) == 3 * 4 * 5 * 6
+    assert pochhammer(-2, 3) == 0
+    assert pochhammer(Fraction(1, 2), 2) == Fraction(3, 4)
+    assert pochhammer(Fraction(77, 10), 0) == 1
 
 
 def test_gen_factorial_single_row_is_pochhammer():
-    for a in (2.5, -3.0, 6.0):
+    for a in (Fraction(5, 2), -3, 6):
         for k in range(5):
-            assert gen_factorial(a, (k,) if k else (), 1.7) == pytest.approx(
-                pochhammer(a, k), rel=1e-14
-            )
+            assert gen_factorial(a, (k,) if k else (), Fraction(17, 10)) == pochhammer(a, k)
 
 
 def test_gen_factorial_two_rows():
     # [a]_(2,1) at step 1/nu: (a)_2 * (a - 1/nu)_1
-    a, nu = 5.0, 2.0
-    want = (a * (a + 1)) * (a - 0.5)
-    assert gen_factorial(a, (2, 1), nu) == pytest.approx(want, rel=1e-14)
+    a, nu = 5, 2
+    want = (a * (a + 1)) * (a - Fraction(1, 2))
+    assert gen_factorial(a, (2, 1), nu) == want
 
 
 # Frozen Jack values at the all-ones point, worked out by hand from the
 # arm/leg cell product: at nu=1 (the Schur case) with m=2 variables,
 # C_(2) = 3 and C_(1,1) = 1 (they sum to m^k = 4).
 def test_jack_values_schur_case():
-    assert jack_c_one((2,), 1.0, 2) == pytest.approx(3.0, rel=1e-13)
-    assert jack_c_one((1, 1), 1.0, 2) == pytest.approx(1.0, rel=1e-13)
-    assert jack_c_one((1,), 1.0, 5) == pytest.approx(5.0, rel=1e-13)
+    assert jack_c_one((2,), 1, 2) == 3
+    assert jack_c_one((1, 1), 1, 2) == 1
+    assert jack_c_one((1,), 1, 5) == 5
 
 
 def test_jack_value_quaternion_case():
     # nu=2, one variable: C_(2)(1^1) = 1 (the only length-1 partition of 2)
-    assert jack_c_one((2,), 2.0, 1) == pytest.approx(1.0, rel=1e-13)
+    assert jack_c_one((2,), 2, 1) == 1
 
 
 def test_jack_too_long_vanishes():
-    assert jack_c_one((1, 1, 1), 1.0, 2) == 0.0
-    assert jack_c_one(Partition((2, 1, 1)), 0.5, 2) == 0.0
+    assert jack_c_one((1, 1, 1), 1, 2) == 0
+    assert jack_c_one((2, 1, 1), Fraction(1, 2), 2) == 0
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_normalization_sum(nu, m):
-    # sum over |kappa|=k of C_kappa(1^m) telescopes to m^k
+    # sum over |kappa|=k of C_kappa(1^m) telescopes to m^k, exactly
+    nu = Fraction(nu)
     for k in range(9):
-        total = math.fsum(
-            jack_c_one(kappa, nu, m) for kappa in enumerate_partitions(k, m)
-        )
-        assert total == pytest.approx(float(m) ** k, rel=1e-10)
+        assert sum(jack_c_one(kappa, nu, m) for kappa in partitions(k, m)) == m**k
 
 
 def test_jack_positive():
-    for kappa in enumerate_partitions(6, 3):
-        assert jack_c_one(kappa, 0.5, 3) >= 0.0
+    for kappa in partitions(6, 3):
+        assert jack_c_one(kappa, Fraction(1, 2), 3) > 0
 
 
 def test_hyper_0f1_is_bessel():

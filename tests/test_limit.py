@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +10,8 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from partition_reference import check_partition_stream, enumerate_partitions, gen_factorial, jack_c_one
+from oracle import law, weight_sum
+from test_jack import check_partition_stream
 
 from lagmin import core, jack, limit
 from lagmin.errors import DivergenceError, DomainError, PrecisionWarning
@@ -257,17 +258,14 @@ def _table(beta, m, shift, k_max):
 @pytest.mark.parametrize("beta", [0.5, 2.0 / 3.0, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("shift", [0, 2])
 def test_coeffs_match_per_partition_reference(beta, shift):
-    # c_k = sum_{|kappa|=k, len<=m} C_kappa(1^m) / ([b]_kappa k!), b = 2m/beta + shift
-    nu = 0.5 * beta
+    # c_k = sum_{|kappa|=k, len<=m} C_kappa(1^m) / ([b]_kappa k!), b = 2m/beta + shift,
+    # in exact rationals at the float beta's exact value
+    nu = Fraction(beta) / 2
     for m in range(5):
-        b = 2.0 * m / beta + shift
         got = _table(beta, m, shift, 12)
         for k in range(13):
-            want = math.fsum(
-                jack_c_one(kappa, nu, m) / gen_factorial(b, kappa, nu)
-                for kappa in enumerate_partitions(k, m)
-            ) / math.factorial(k)
-            assert got[k] == pytest.approx(want, rel=1e-13, abs=0.0)
+            want = weight_sum(nu, m, k, m / nu + shift)
+            assert got[k] == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 def test_stopping_rule_reads_two_small_terms(monkeypatch):
@@ -325,48 +323,24 @@ def test_ladder_is_one_build_wherever_it_fits_one_chunk(beta, shift, monkeypatch
 
 # ---------- exact rational reference ----------
 
-def _hook_sum(nu: Fraction, m: int, k: int) -> Fraction:
-    """c_k at b = 2m/beta: nu^(2k) sum_{|kappa|=k, len<=m} 1/prod(hooks), exactly."""
-    p, q = nu.numerator, nu.denominator
-    total = Fraction(0)
-    for kappa in enumerate_partitions(k, m):
-        parts = kappa.parts
-        conj = [sum(1 for x in parts if x > j) for j in range(parts[0])] if parts else []
-        h = 1
-        for i, row in enumerate(parts):
-            for j in range(row):
-                a, l = row - 1 - j, conj[j] - 1 - i
-                h *= (p * a + q * (l + 1)) * (p * (a + 1) + q * l)
-        total += Fraction(p ** (2 * k), h)
-    return total
-
-
 def _exact_q_p(beta: Fraction, m: int, ys):
     """Q(y) and P(y) = exp(-beta*y/8) sum_j d_j u^j, d_j = (beta/8) c_j - ((j+1)/4) c_(j+1),
-    to 40 digits; the series runs until its terms at the largest y fall
+    by the oracle; the series runs until its terms at the largest y fall
     below 1e-25 of the partial sum."""
+    nu = beta / 2
     u_max = Fraction(max(ys)) / 4
     c, s, k = [], Fraction(0), 0
     while True:
-        c.append(_hook_sum(beta / 2, m, k))
+        c.append(weight_sum(nu, m, k, m / nu))
         term = c[-1] * u_max**k
         s += term
         if k > m + 2 and term < s / 10**25 and term < c[-2] * u_max ** (k - 1):
             break
         k += 1
-    c.append(_hook_sum(beta / 2, m, len(c)))
-    out = []
-    for y in ys:
-        u = Fraction(y) / 4
-        f = sum(ck * u**k for k, ck in enumerate(c[:-1]))
-        g = sum((beta / 8 * c[j] - Fraction(j + 1, 4) * c[j + 1]) * u**j for j in range(len(c) - 1))
-        with localcontext() as ctx:
-            ctx.prec = 40
-            damp = (-Decimal(beta.numerator) * Decimal(Fraction(y).numerator)
-                    / (8 * Decimal(beta.denominator) * Decimal(Fraction(y).denominator))).exp()
-            out.append((damp * Decimal(f.numerator) / Decimal(f.denominator),
-                        damp * Decimal(g.numerator) / Decimal(g.denominator)))
-    return out
+    c.append(weight_sum(nu, m, len(c), m / nu))
+    d = [beta / 8 * c[j] - Fraction(j + 1, 4) * c[j + 1] for j in range(len(c) - 1)]
+    return [(law(c[:-1], Fraction(y) / 4, offset=-beta * Fraction(y) / 8),
+             law(d, Fraction(y) / 4, offset=-beta * Fraction(y) / 8)) for y in ys]
 
 
 EDGE_YS = (1e-8, 1e-4, 1e-2, 0.5, 2.0, 10.0, 30.0)
@@ -384,31 +358,16 @@ def test_q_and_p_match_exact_rationals(beta, m):
         assert abs(Decimal(p_limit(lp, y)) - p) <= Decimal("1e-12") * p
 
 
-def _general_c(nu: Fraction, m: int, nub: Fraction, k: int) -> Fraction:
-    """c_k at any b (nub = nu*b), straight from C_kappa(1^m) / ([b]_kappa k!)."""
-    total = Fraction(0)
-    for kappa in enumerate_partitions(k, m):
-        parts = kappa.parts
-        conj = [sum(1 for x in parts if x > j) for j in range(parts[0])] if parts else []
-        w = Fraction(1)
-        for i, row in enumerate(parts):
-            for j in range(row):
-                a, l = row - 1 - j, conj[j] - 1 - i
-                w *= nu * nu * (m + nu * j - i) / ((nu * j + nub - i) * (nu * a + l + 1) * (nu * (a + 1) + l))
-        total += w
-    return total
-
-
 @pytest.mark.parametrize("beta", [Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(2), Fraction(4), Fraction(7, 3)])
 def test_density_coefficients_identity_exact(beta):
     # d_j = (beta/8) c_j - ((j+1)/4) c_(j+1) is 0 for j < m and
     # D_m c'_(j-m) for j >= m, c' the coefficients at b = 2m/beta + 2
     nu = beta / 2
     for m in range(5):
-        c = [_general_c(nu, m, Fraction(m), k) for k in range(10)]
-        c2 = [_general_c(nu, m, m + beta, k) for k in range(9)]
+        c = [weight_sum(nu, m, k, m / nu) for k in range(10)]
+        c2 = [weight_sum(nu, m, k, m / nu + 2) for k in range(9)]
         d_m = nu ** (2 * m + 1) / (4 * math.factorial(m) * math.prod(i + nu for i in range(1, m + 1)))
-        assert float(d_m) == pytest.approx(limit._density_constant(LimitParams(float(beta), m)), rel=1e-15)
+        assert float(d_m) == pytest.approx(limit._density_constant(LimitParams(float(beta), m)), rel=1e-15, abs=0.0)
         for j in range(9):
             d = beta / 8 * c[j] - Fraction(j + 1, 4) * c[j + 1]
             assert d == (d_m * c2[j - m] if j >= m else 0)
@@ -431,6 +390,48 @@ def test_density_constant_where_the_power_overflows(beta, m):
 def test_density_constant_past_the_float_range(beta, m):
     with pytest.raises(DivergenceError, match="D_m overflows"):
         p_limit(LimitParams(beta, m), 0.0)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_laws_underflow_at_huge_beta(m):
+    # past |beta*y/8| ~ 1e20 every term's log rounds to the offset's; the
+    # values are 1 and the density's exact value at y = 0, and the
+    # underflowed 0 elsewhere
+    lp = LimitParams(1e21, m)
+    assert q_limit(lp, np.array([0.0, 1.0, 40.0])).tolist() == [1.0, 0.0, 0.0]
+    assert p_limit(lp, np.array([0.0, 1.0, 40.0])).tolist() == [1e21 / 8 if m == 0 else 0.0, 0.0, 0.0]
+    assert q_limit(LimitParams(1e20, 2), 40.0) == 0.0
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_laws_past_the_coefficients_float_range(m):
+    # nu*k overflows the coefficient table from beta ~ 2.4e307 on: the
+    # values that need no table are exact, the others a typed error
+    lp = LimitParams(1.7e308, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert q_limit(lp, 0.0) == 1.0
+        assert q_limit(lp, np.array([1e-300, 1.0, 2.0])).tolist() == [0.0, 0.0, 0.0]
+        if m == 0:
+            assert p_limit(lp, 0.0) == 1.7e308 / 8
+        with pytest.raises(DivergenceError, match="coefficients overflow"):
+            q_limit(lp, 1e-310)
+
+
+def test_underflow_rule_keeps_subnormal_and_small_values():
+    # 0 only where the value is below the smallest subnormal: at beta = 1,
+    # m = 1, y = 6500 every partial sum of the first rung underflows but
+    # the law is 1.5e-321
+    assert q_limit(LimitParams(1e3, 1), 1.0) == pytest.approx(
+        q_limit_closed(LimitParams(1e3, 1), 1.0), rel=1e-12)
+    assert q_limit(LimitParams(1e3, 1), 1.0) == pytest.approx(7.3496e-53, rel=1e-4)
+    with pytest.warns(PrecisionWarning):
+        assert 0.0 < q_limit(LimitParams(1.0, 1), 6500.0) < 1e-320
+    # at beta = 0.01, m = 3, y = 796214 the term u^500 c_500 alone is
+    # e^-171, and the first terms lie e^-824 below the largest: the series
+    # needs more than K_MAX powers, not 0
+    with pytest.warns(PrecisionWarning), pytest.raises(DivergenceError, match="did not meet"):
+        q_limit(LimitParams(0.01, 3), 796214.0)
 
 
 @pytest.mark.parametrize("beta,m", [(300.0, 0), (1e4, 1), (1e103, 2), (1e200, 0)])

@@ -197,6 +197,16 @@ class TestSeriesSum:
                 sums, running = numerics._series_sum(log_c, first, zero, tail_tol=tail_tol)
                 assert sums.tolist() == [0.0] and running.size == 0
 
+    def test_leading_terms_that_underflow_are_not_the_tail(self):
+        # after the shift by the largest term the first two terms are 0 and
+        # so at or below tail_tol times a partial sum of 0; the sum goes on
+        log_c = np.array([-800.0, -800.0, 0.0, -50.0, -100.0, -150.0])
+        sums, running = numerics._series_sum(log_c, 0, np.array([0.0]), tail_tol=1e-12)
+        assert running.size == 0
+        assert sums[0] == pytest.approx(1.0 + math.exp(-50.0), rel=1e-15)
+        # with its tail cut off the point has not stopped
+        assert numerics._series_sum(log_c[:4], 0, np.array([0.0]), tail_tol=1e-12)[1].tolist() == [0]
+
     def test_edge_sum_at_the_ends_of_the_support(self):
         # S(0) = c_0 (x^0 = 1 at x = 0), S = 0 from x = 1/N on; just below
         # 1/N the edge factor (1 - Nx)^(e-j) is all that is left
