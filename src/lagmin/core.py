@@ -42,6 +42,11 @@ from .errors import DomainError, NonIntegerJackIndex, PrecisionWarning
 # integer index, so detect-within-tolerance then round.
 _INT_TOL = 1e-12
 
+#: Bound on a Jack index: from 2^52 on every double is an integer, so the
+#: test above proves nothing (at beta = 1e20, N = M = 2 it rounds
+#: 5e19 - 1 to 5e19), and no series of that index could be built.
+JACK_MAX = 2**52
+
 #: The hard-edge series stops at its second consecutive term at or below
 #: TAIL_TOL times its partial sum, the Bessel series at its first; either
 #: needing a power past K_MAX is a DivergenceError.  Read at call time.
@@ -54,7 +59,7 @@ K_MAX = 500
 ENVELOPES = {
     "exact": {"N": (1, 50), "m": (0, 6)},  # q_exact, p_exact, moment
     "beta2": {"N": (1, 30), "alpha": (0, 6)},  # q_exact_beta2, alpha = M - N
-    "limit": {"y": (0.0, 100.0), "m": (0, 6)},  # q_limit, p_limit, the printed density
+    "limit": {"y": (0.0, 100.0), "m": (0, 6)},  # q_limit, p_limit, prefactor_diagnostics
     "bessel": {"x": (0.0, 60.0)},  # bessel_i, q_limit_closed; past it the large-x expansion
     "oracle_n2": {"beta": (0.1, 8.0), "M": (2, 200)},  # q_oracle_n2
 }
@@ -67,9 +72,10 @@ class EnsembleParams:
     """The validated law of (beta, N, M), as :func:`params_new` builds it.
 
     alpha and the Jack index m = (beta/2) alpha are derived, never passed
-    in; ``jack_index`` is m when it is a nonnegative integer within 1e-12,
-    else None, and the series routes refuse to run.  For beta=2, m = M-N
-    always; for beta=1, m exists iff M-N is odd; for beta=4, m = 2(M-N)+1.
+    in; ``jack_index`` is m when it is a nonnegative integer within 1e-12
+    and below JACK_MAX, else None, and the series routes refuse to run.
+    For beta=2, m = M-N always; for beta=1, m exists iff M-N is odd; for
+    beta=4, m = 2(M-N)+1.
     """
 
     beta: float
@@ -85,7 +91,7 @@ class EnsembleParams:
         alpha = m_dim - n_dim + 1 - 2.0 / beta
         raw = 0.5 * beta * alpha
         jack_index = None
-        if raw > -_INT_TOL and abs(raw - round(raw)) <= _INT_TOL:
+        if -_INT_TOL < raw < JACK_MAX and abs(raw - round(raw)) <= _INT_TOL:
             jack_index = int(round(raw))
         for name, value in (("beta", beta), ("n_dim", n_dim), ("m_dim", m_dim),
                             ("alpha", alpha), ("jack_index", jack_index)):
@@ -102,7 +108,7 @@ def require_jack_index(params: EnsembleParams) -> int:
     if params.jack_index is None:
         raise NonIntegerJackIndex(
             f"(beta/2)(M-N+1-2/beta) = {0.5 * params.beta * params.alpha:.6g} "
-            f"is not a nonnegative integer for beta={params.beta}, "
+            f"is not a nonnegative integer below 2^52 for beta={params.beta}, "
             f"N={params.n_dim}, M={params.m_dim}; the partition-series "
             "formulas do not apply (use the Monte Carlo route)"
         )

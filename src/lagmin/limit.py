@@ -74,20 +74,20 @@ is unavailable and None is returned.
 A note on the m = 1 closed form: the Bessel order consistent with the
 series (and with the beta = 2 Bessel kernel) is 2/beta - 1.  Orders that
 look like beta/2 - 1 appear plausible but disagree with the series for
-beta != 2 and are rejected by prefactor_diagnostics.
+beta != 2.
 
-_p_limit_printed implements a frequently quoted "explicit density":
-the prefactor A(m, beta) times y^m e^(-beta*y/8) 0F1 at b = 2m/beta + 2.
-Its shape is that of P, but it does NOT integrate to one: A(m, beta)
-is 2^(4m+2) (beta/2)^(beta/2) times 4^m D_m (already at m = 0 it gives
-(beta/2)^(beta/2+1) instead of beta/8 at y -> 0).  It is retained
-solely so prefactor_diagnostics can quantify the mismatch; use p_limit
-for anything quantitative.
+The density printed in the literature, A(m, beta) y^m e^(-beta*y/8)
+0F1 at b = 2m/beta + 2 (_limit_prefactor gives A), has the shape of P
+but does NOT integrate to one: it is P times A 4^m / D_m =
+2^(4m+2) (beta/2)^(beta/2), 4 at (beta, m) = (2, 0) and 64 at (2, 1).
+prefactor_diagnostics reports that ratio; use p_limit for anything
+quantitative.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,7 +110,8 @@ _LOG_TINY = math.log(5e-324)
 @dataclass(frozen=True)
 class LimitParams:
     """Scaling-limit parameter pair: Dyson index beta > 0 and Jack index
-    m = (beta/2)(M - N + 1 - 2/beta), a nonnegative integer."""
+    m = (beta/2)(M - N + 1 - 2/beta), a nonnegative integer below
+    core.JACK_MAX."""
 
     beta: float
     jack_index: int
@@ -118,6 +119,8 @@ class LimitParams:
     def __post_init__(self):
         object.__setattr__(self, "beta", core._positive_beta(self.beta))
         object.__setattr__(self, "jack_index", core._as_int(self.jack_index, "jack_index", 0))
+        if self.jack_index >= core.JACK_MAX:
+            raise DomainError(f"jack_index must be < 2^52, got {self.jack_index}")
 
 
 def _limit_points(lp: LimitParams, y) -> np.ndarray:
@@ -211,8 +214,7 @@ def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: fl
     nu, m = 0.5 * lp.beta, lp.jack_index
     flat = ys.ravel()
     out = np.zeros(flat.shape)  # 0 at y = +inf
-    if first == 0:
-        out[flat == 0.0] = factor
+    out[flat == 0.0] = factor if first == 0 else 0.0
     todo = np.flatnonzero((flat > 0.0) & (flat < math.inf))
     with np.errstate(divide="ignore", over="ignore"):  # log 0 at y = 0; beta*y past the float range
         log_u = np.log(flat / 4.0)
@@ -222,9 +224,8 @@ def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: fl
             r = m * np.sqrt(u)
             log_bound = (math.log(3.0 * max(1.0, factor)) + m * math.log(max(1.0, nu))
                          + 0.5 * m * math.log(max(1.0, m / (2.0 * math.e)))
-                         + (0.5 * m + 1.0) * np.log(math.e**2 * r + 1.0) + 2.0 * r - nu * u)
-            if first:
-                log_bound += first * log_u[todo]
+                         + (0.5 * m + 1.0) * np.log(math.e**2 * r + 1.0) + 2.0 * r - nu * u
+                         + first * log_u[todo])
             todo = todo[log_bound >= _LOG_TINY]
     rung = 0
     while todo.size:
@@ -232,6 +233,10 @@ def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: fl
         if len(log_c) >= 2:  # the stopping rule reads two terms
             sums, left = _series_sum(log_c, first, log_u[todo], offset=damp[todo], tail_tol=tail_tol)
             out[todo] = factor * sums
+            low = todo[(sums < sys.float_info.min) & (factor > 1.0)]
+            if low.size:  # subnormal sums lost digits that the factor would keep
+                out[low] = _series_sum(log_c, first, log_u[low], offset=damp[low] + math.log(factor),
+                                       tail_tol=tail_tol)[0]
             todo = todo[left]
         if todo.size and first + len(log_c) > k_max:
             raise DivergenceError(
@@ -313,62 +318,34 @@ def _limit_prefactor(lp: LimitParams) -> float:
                  / (Gamma(1+m) Gamma(1 + m + beta/2)).
     Known to be inconsistent with -dQ/dy; see module docstring.
     DivergenceError where A leaves the float range (beta past ~300)."""
-    beta, m = lp.beta, lp.jack_index
-    h = 0.5 * beta
+    h, m = 0.5 * lp.beta, lp.jack_index
     try:
-        return math.exp(
-            m * math.log(4.0)
-            + (h + 2.0 * m + 1.0) * math.log(h)
-            + math.lgamma(1.0 + h)
-            - math.lgamma(1.0 + m)
-            - math.lgamma(1.0 + m + h)
-        )
+        return math.exp(m * math.log(4.0) + (h + 2.0 * m + 1.0) * math.log(h) + math.lgamma(1.0 + h)
+                        - math.lgamma(1.0 + m) - math.lgamma(1.0 + m + h))
     except OverflowError:
         raise DivergenceError(
-            f"printed prefactor A(m, beta) overflows a double (beta={beta}, m={m})") from None
-
-
-def _p_limit_printed(lp: LimitParams, y):
-    """The "explicit density" as printed:
-    A(m, beta) y^m e^(-beta*y/8) 0F1^{(beta/2)}(2m/beta + 2; (y/4) 1^m),
-    at a float y or at every entry of an array.
-    Diagnostics only -- disagrees with p_limit by constant factors."""
-    ys = _limit_points(lp, y)
-    out = _f01_sum(lp, ys, 2, 0, 1.0)
-    out *= _limit_prefactor(lp) * np.where(ys < math.inf, ys, 0.0) ** lp.jack_index  # 0 at +inf
-    return out if ys.ndim else float(out)
+            f"printed prefactor A(m, beta) overflows a double (beta={lp.beta}, m={m})") from None
 
 
 def prefactor_diagnostics(lp: LimitParams, ys):
     """Compare the printed density against the series density -dQ/dy on a
-    grid of y values (an array, never a single number).  Returns a report
-    dict with per-point ratios and the spread of the ratio; a constant
-    ratio != 1 means the printed prefactor is off by exactly that
-    constant, a varying ratio means the functional form itself differs."""
+    grid of y values (an array, never a single number): it is p_limit
+    times A 4^m / D_m (module docstring), one sum for both.  Returns a
+    report dict with per-point ratios and their range; a ratio != 1 means
+    the printed prefactor is off by exactly that constant."""
     grid = core._points(ys, "y")
     if not grid.ndim:
         raise DomainError(f"ys must be an array of y values, got the number {float(grid)}")
-    grid = grid.ravel()
-    printed = _p_limit_printed(lp, grid).tolist()  # the call's one PrecisionWarning
-    truth = _f01_sum(lp, grid, 2, lp.jack_index, _density_constant(lp)).tolist()  # p_limit, unwarned
-    rows = []
-    ratios = []
-    for y, t, pr in zip(grid.tolist(), truth, printed):
-        ratio = pr / t if t > 0.0 else math.inf
-        rows.append({"y": y, "p_series": t, "p_printed": pr, "ratio": ratio})
-        if math.isfinite(ratio):
-            ratios.append(ratio)
-    finite = [r for r in ratios if r > 0.0]
-    report = {
-        "beta": lp.beta,
-        "m": lp.jack_index,
-        "points": rows,
-        "ratio_min": min(finite) if finite else math.nan,
-        "ratio_max": max(finite) if finite else math.nan,
-        "consistent": bool(
-            finite
-            and max(finite) - min(finite) <= 1e-8 * max(finite)
-            and abs(max(finite) - 1.0) <= 1e-8
-        ),
-    }
-    return report
+    prefactor = _limit_prefactor(lp)
+    series = p_limit(lp, grid.ravel())  # the call's one PrecisionWarning
+    with np.errstate(all="ignore"):  # D_m = 0 (no density is positive then); 4^m past the float range
+        scale = float(np.float64(prefactor) / _density_constant(lp))
+        power = float(np.float64(4.0) ** lp.jack_index)
+    ratio = scale * power  # may overflow where a p_printed does not
+    rows = [{"y": y, "p_series": t, "p_printed": t * scale * power if t > 0.0 else 0.0,
+             "ratio": ratio if t > 0.0 else math.inf}
+            for y, t in zip(grid.ravel().tolist(), series.tolist())]
+    fits = 0.0 < ratio < math.inf and bool(np.any(series > 0.0))
+    bound = ratio if fits else math.nan
+    return {"beta": lp.beta, "m": lp.jack_index, "points": rows, "ratio_min": bound, "ratio_max": bound,
+            "consistent": fits and abs(ratio - 1.0) <= 1e-8}

@@ -75,7 +75,7 @@ def test_moments_json(capsys):
     assert code == 0
     doc = json.loads(out)
     res = {r["p"]: r["value"] for r in doc["results"]}
-    assert res[1] == pytest.approx(4.0**-3, rel=1e-12)
+    assert res[1] == pytest.approx(4.0**-3, rel=1e-12, abs=0.0)
     assert res[2] == moment(params_new(2.0, 4, 4), 2)
 
 
@@ -450,8 +450,10 @@ def test_import_builds_no_parser():
     assert proc.stdout.split() == ["0", "0"]
 
 
-@pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e-300", "0"])
+@pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e-300", "0", "1e20"])
 def test_bad_beta_is_one_error_line(capsys, beta):
+    # at 1e20 the Jack index 1.5e20 is past 2^52, where a double cannot
+    # tell an integer
     code, out, err = run_cli(
         capsys, "exact-cdf", f"--beta={beta}", "--N", "3", "--M", "5", "--grid", "0:0.3:3",
     )
@@ -460,6 +462,14 @@ def test_bad_beta_is_one_error_line(capsys, beta):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
+
+
+def test_limit_at_a_huge_jack_index_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "limit-cdf", "--beta", "2", "--m", str(10**20), "--grid", "0:1:2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^52" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("beta,m", [("1e200", "1"), ("1e150", "2"), ("1e308", "3")])

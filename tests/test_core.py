@@ -17,7 +17,6 @@ from lagmin.exact import moment, p_exact, q_exact, q_oracle_n2
 from lagmin.beta2 import det_laguerre, q_alpha2_sum, q_exact_beta2
 from lagmin.limit import (
     LimitParams,
-    _p_limit_printed,
     p_limit,
     prefactor_diagnostics,
     q_limit,
@@ -61,6 +60,15 @@ def test_rational_beta():
     assert params_new(2.0 / 3.0, 2, 5).jack_index is None
     # generic irrational-ish beta never has an integer index
     assert params_new(0.7, 3, 5).jack_index is None
+
+
+def test_jack_index_past_2_to_the_52_is_none():
+    # from 2^52 on every double is an integer: at beta = 1e20, N = M = 2
+    # the index 5e19 - 1 rounds to 5e19
+    assert params_new(1e20, 2, 2).jack_index is None
+    assert params_new(2.0**51, 2, 3).jack_index == 2**51 - 1
+    with pytest.raises(NonIntegerJackIndex, match="2\\^52"):
+        require_jack_index(params_new(1e20, 2, 2))
 
 
 def test_require_jack_index():
@@ -283,7 +291,6 @@ OUTSIDE_CALLS = {
     "q_oracle_n2": lambda: q_oracle_n2(params_new(8.5, 2, 4), [0.1, 0.2]),
     "q_limit": lambda: q_limit(LimitParams(2.0, 1), [1.0, 150.0, 200.0]),
     "p_limit": lambda: p_limit(LimitParams(2.0, 7), 1.0),
-    "p_limit_printed": lambda: _p_limit_printed(LimitParams(2.0, 1), [150.0, 160.0]),
     "prefactor_diagnostics": lambda: prefactor_diagnostics(LimitParams(2.0, 1), [150.0]),
     "q_limit_closed": lambda: q_limit_closed(LimitParams(2.0, 2), 5000.0),  # two Bessel factors
     "bessel_i": lambda: bessel_i(0.0, 70.0),

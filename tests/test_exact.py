@@ -57,7 +57,7 @@ def test_q_m_zero_is_single_power():
     # m=0 collapses the series to (1-Nx)^(G-1), G = beta*M*N/2
     p = params_new(2.0, 3, 3)
     for x in (0.0, 0.1, 0.2, 0.3):
-        assert q_exact(p, x) == pytest.approx((1 - 3 * x) ** 8, rel=1e-13)
+        assert q_exact(p, x) == pytest.approx((1 - 3 * x) ** 8, rel=1e-13, abs=0.0)
 
 
 def test_boundary_values_are_exact():
@@ -214,7 +214,7 @@ def test_p_integrates_to_one():
 
 def test_p_at_zero():
     # m=0: P(0) = N(G-1); e.g. beta=2, N=M=2 gives 6 (from Q=(1-2x)^3)
-    assert p_exact(params_new(2.0, 2, 2), 0.0) == pytest.approx(6.0, rel=1e-13)
+    assert p_exact(params_new(2.0, 2, 2), 0.0) == pytest.approx(6.0, rel=1e-13, abs=0.0)
     # m>=1: the density has an m-fold zero at the hard edge
     assert p_exact(params_new(2.0, 2, 3), 0.0) == 0.0
     assert p_exact(params_new(4.0, 2, 3), 0.0) == 0.0
@@ -241,12 +241,12 @@ def test_first_moment_complex_square_case():
     # mu_1 = 1/N^3 whenever beta=2 and M=N
     for n in range(2, 7):
         p = params_new(2.0, n, n)
-        assert moment(p, 1) == pytest.approx(n**-3.0, rel=1e-13)
+        assert moment(p, 1) == pytest.approx(n**-3.0, rel=1e-13, abs=0.0)
 
 
 def test_second_moment_smallest_case():
     # beta=2, N=M=2: mu_2 = 2*Gamma(4)Gamma(2)/Gamma(6)/4 = 1/40
-    assert moment(params_new(2.0, 2, 2), 2) == pytest.approx(1.0 / 40.0, rel=1e-13)
+    assert moment(params_new(2.0, 2, 2), 2) == pytest.approx(1.0 / 40.0, rel=1e-13, abs=0.0)
 
 
 def test_first_moment_equals_integral_of_q():
@@ -256,7 +256,7 @@ def test_first_moment_equals_integral_of_q():
     for p in (params_new(4.0, 2, 3), params_new(2.0, 3, 5)):
         half = 0.5 / p.n_dim
         integral = half * np.dot(weights, q_exact(p, half * (nodes + 1.0)))
-        assert moment(p, 1) == pytest.approx(integral, rel=1e-13)
+        assert moment(p, 1) == pytest.approx(integral, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n,alpha", [(6, 1), (12, 3), (40, 2)])
@@ -271,7 +271,7 @@ def test_moments_match_exact_beta2_rationals(n, alpha):
             for k, ck in enumerate(c)
         )
         got = moment(params_new(2.0, n, n + alpha), order)
-        assert got == pytest.approx(float(want), rel=1e-13)
+        assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 def test_moment_errors():
@@ -287,8 +287,8 @@ def test_moment_errors():
 # ---------- normalization constant (demos/exact_distribution.py) ----------
 
 def test_norm_const_frozen_values():
-    assert norm_const(params_new(2.0, 2, 2)) == pytest.approx(3.0, rel=1e-12)
-    assert norm_const(params_new(2.0, 2, 3)) == pytest.approx(30.0, rel=1e-12)
+    assert norm_const(params_new(2.0, 2, 2)) == pytest.approx(3.0, rel=1e-12, abs=0.0)
+    assert norm_const(params_new(2.0, 2, 3)) == pytest.approx(30.0, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("beta,m_dim", [(2.0, 3), (4.0, 3), (1.0, 5)])
@@ -331,7 +331,7 @@ def test_oracle_small_beta_near_the_hard_edge():
     # 1 - Q = I_(4x(1-x))(b, a) ~ (4x)^b / (b B(a, b)) with b = 0.05 is
     # far from 0 at x = 1e-9; the value is 50-digit mpmath
     p = params_new(0.1, 2, 2)
-    assert q_oracle_n2(p, 1e-9) == pytest.approx(0.64005084704357226, rel=1e-13)
+    assert q_oracle_n2(p, 1e-9) == pytest.approx(0.64005084704357226, rel=1e-13, abs=0.0)
 
 
 def test_oracle_at_large_beta_times_m():

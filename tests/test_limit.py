@@ -10,7 +10,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import law, weight_sum
+from oracle import law, ln, weight_sum
 from test_jack import check_partition_stream
 
 from lagmin import core, jack, limit
@@ -18,7 +18,6 @@ from lagmin.errors import DivergenceError, DomainError, PrecisionWarning
 from lagmin.limit import (
     LimitParams,
     _limit_prefactor,
-    _p_limit_printed,
     p_limit,
     prefactor_diagnostics,
     q_limit,
@@ -36,6 +35,10 @@ def test_params_validation():
         LimitParams(2.0, -1)
     # an integral float is an integer, as for EnsembleParams
     assert LimitParams(2.0, 1.0) == LimitParams(2.0, 1)
+    # no series of an index past 2^52 could be built
+    assert LimitParams(2.0, 2**52 - 1).jack_index == 2**52 - 1
+    with pytest.raises(DomainError, match="2\\^52"):
+        LimitParams(2.0, 2**52)
 
 
 @pytest.mark.parametrize("int_type", [np.int64, np.int32])
@@ -102,7 +105,7 @@ def test_closed_form_beta2_m2():
         want = math.exp(-y / 4.0) * (
             scipy.special.iv(0, r) ** 2 - scipy.special.iv(1, r) ** 2
         )
-        assert closed == pytest.approx(want, rel=1e-12)
+        assert closed == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_closed_form_fractional_beta():
@@ -172,7 +175,7 @@ def test_closed_form_far_tail():
                 + (0.5 - 1.0 / beta) * math.log(y)
                 + math.log(scipy.special.ive(rho, r)) + r
             )
-            assert q_limit_closed(LimitParams(beta, 1), y) == pytest.approx(want, rel=1e-12)
+            assert q_limit_closed(LimitParams(beta, 1), y) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_density_at_zero():
@@ -222,7 +225,7 @@ def test_envelope_warnings():
 
 def test_prefactor_value():
     # A(1, 2) = 4 * 1 * Gamma(2)/(Gamma(2)Gamma(3)) = 2
-    assert _limit_prefactor(LimitParams(2.0, 1)) == pytest.approx(2.0, rel=1e-13)
+    assert _limit_prefactor(LimitParams(2.0, 1)) == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
 
 def test_printed_density_mismatch_is_constant_ratio():
@@ -239,11 +242,31 @@ def test_printed_density_mismatch_is_constant_ratio():
     assert rep0["ratio_min"] == pytest.approx(4.0, rel=1e-10)
 
 
-def test_printed_density_shape():
-    lp = LimitParams(2.0, 1)
-    assert _p_limit_printed(lp, 0.0) == 0.0
-    v = _p_limit_printed(lp, 1.0)
-    assert v == pytest.approx(64.0 * p_limit(lp, 1.0), rel=1e-8)
+@pytest.mark.parametrize("beta", [0.5, 2.0 / 3.0, 1.0, 2.0, 7.0 / 3.0, 4.0, 6.0])
+def test_printed_ratio_is_its_closed_form(beta):
+    # A 4^m / D_m = 2^(4m+2) (beta/2)^(beta/2), at every point alike
+    nu = Fraction(beta) / 2
+    for m in range(7):
+        rep = prefactor_diagnostics(LimitParams(beta, m), [0.5, 2.0, 10.0])
+        want = law([2 ** (4 * m + 2)], 1, offset=nu * Fraction(ln(nu)))
+        assert rep["ratio_min"] == rep["ratio_max"]
+        assert abs(Decimal(rep["ratio_min"]) - want) <= Decimal("1e-13") * want
+
+
+def test_prefactor_diagnostics_sums_the_series_once(monkeypatch):
+    lp, ys = LimitParams(2.0 / 3.0, 3), [0.0, 1e-8, 0.3, 17.5, math.inf]
+    calls = []
+    f01_sum = limit._f01_sum
+    monkeypatch.setattr(limit, "_f01_sum", lambda *args: calls.append(args) or f01_sum(*args))
+    rep = prefactor_diagnostics(lp, ys)
+    assert len(calls) == 1
+    assert [pt["p_series"] for pt in rep["points"]] == p_limit(lp, np.array(ys)).tolist()
+    assert [sorted(pt) for pt in rep["points"]] == [["p_printed", "p_series", "ratio", "y"]] * len(ys)
+    assert [pt["ratio"] for pt in rep["points"]] == [math.inf] + [rep["ratio_min"]] * 3 + [math.inf]
+    assert rep["points"][0]["p_printed"] == rep["points"][-1]["p_printed"] == 0.0
+    # no positive density: no ratio
+    empty = prefactor_diagnostics(lp, [0.0, math.inf])
+    assert math.isnan(empty["ratio_min"]) and math.isnan(empty["ratio_max"]) and not empty["consistent"]
 
 
 # ---------- the 0F1 coefficient table ----------
@@ -273,10 +296,10 @@ def test_stopping_rule_reads_two_small_terms(monkeypatch):
     # k=4 (1/576) and k=5 (1/14400) are the first two in a row at or below
     # 1e-3 of the partial sum, so the sum stops after k=5
     lp = LimitParams(2.0, 1)
-    assert q_limit(lp, 4.0) == pytest.approx(math.exp(-1.0) * scipy.special.iv(0, 2.0), rel=1e-15)
+    assert q_limit(lp, 4.0) == pytest.approx(math.exp(-1.0) * scipy.special.iv(0, 2.0), rel=1e-15, abs=0.0)
     want = math.exp(-1.0) * math.fsum(1.0 / math.factorial(k) ** 2 for k in range(6))
     monkeypatch.setattr(core, "TAIL_TOL", 1e-3)
-    assert q_limit(lp, 4.0) == pytest.approx(want, rel=1e-15)
+    assert q_limit(lp, 4.0) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 20, jack.CHUNK_ROWS])
@@ -381,9 +404,18 @@ def test_density_constant_where_the_power_overflows(beta, m):
     lp = LimitParams(beta, m)
     nu = Fraction(beta) / 2
     d_m = nu ** (2 * m + 1) / (4 * math.factorial(m) * math.prod(i + nu for i in range(1, m + 1)))
-    assert limit._density_constant(lp) == pytest.approx(float(d_m), rel=1e-15)
+    assert limit._density_constant(lp) == pytest.approx(float(d_m), rel=1e-15, abs=0.0)
     assert p_limit(lp, 0.0) == 0.0
     assert np.isfinite(p_limit(lp, np.array([0.0, 1e-300]))).all()
+
+
+def test_density_keeps_its_digits_where_the_sum_is_subnormal():
+    # u^2 e^(-beta*y/8) is subnormal (or 0) here and D_2 ~ 1.6e307: the
+    # sum is taken with log D_2 in its offset (P was 9.804e-15 at 1e-160
+    # and 0 at 1e-300 when D_2 multiplied the sum)
+    beta, ys = Fraction(1e103), [1e-160, 1e-300]
+    for y, (_, p) in zip(ys, _exact_q_p(beta, 2, ys)):
+        assert abs(Decimal(p_limit(LimitParams(float(beta), 2), y)) - p) <= Decimal("1e-12") * p
 
 
 @pytest.mark.parametrize("beta,m", [(1e150, 2), (1e200, 1), (1e308, 3)])
@@ -449,7 +481,7 @@ ARRAY_YS = [0.0, 1e-8, 0.3, 2.0, 17.5, 40.0, 99.0, math.inf]
 @pytest.mark.parametrize("beta,m", [(0.5, 0), (2.0, 1), (2.0 / 3.0, 3), (5.9, 5)])
 def test_array_call_equals_scalar_calls(beta, m):
     lp = LimitParams(beta, m)
-    for fn in (q_limit, p_limit, _p_limit_printed):
+    for fn in (q_limit, p_limit):
         limit._f01_coeffs.cache_clear()
         arr = fn(lp, np.array(ARRAY_YS))
         assert isinstance(arr, np.ndarray) and arr.shape == (len(ARRAY_YS),)
@@ -470,7 +502,7 @@ def test_array_call_warns_once_and_rejects_bad_entries():
         warnings.simplefilter("always")
         q_limit(lp, np.array([1.0, 120.0, 150.0]))
     assert len(caught) == 1 and issubclass(caught[0].category, PrecisionWarning)
-    for fn in (q_limit, p_limit, _p_limit_printed):
+    for fn in (q_limit, p_limit):
         with pytest.raises(DomainError):
             fn(lp, np.array([1.0, math.nan]))
         with pytest.raises(DomainError):

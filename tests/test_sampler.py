@@ -159,7 +159,7 @@ class TestTridiagSmallest:
         b2 = np.array([[1.0, 1.0], [1.0, 1.0]])
         lam = tridiag_smallest(a2, b2)
         assert lam[0] == 0.0
-        assert lam[1] == pytest.approx(np.linalg.eigvalsh(_dense_t(a2[1], b2[1]))[0], rel=1e-14)
+        assert lam[1] == pytest.approx(np.linalg.eigvalsh(_dense_t(a2[1], b2[1]))[0], rel=1e-14, abs=0.0)
 
     def test_zero_pivot_guard(self):
         # a zero pivot makes every later pivot of its half NaN, and gamma_r
@@ -326,7 +326,7 @@ class TestRunBatch:
         rng = np.random.Generator(np.random.Philox(key=key))
         row = rng.gamma(shape, 2.0, size=(6, 2 * n - 1))[5]
         eig = np.linalg.eigvalsh(_dense_t(row[:n], row[n:]))
-        assert values[BLOCK + 5] == pytest.approx(eig[0] / row.sum(), rel=1e-12)
+        assert values[BLOCK + 5] == pytest.approx(eig[0] / row.sum(), rel=1e-12, abs=0.0)
         assert STREAM == 3
 
     def test_underflowed_draws(self):
@@ -353,8 +353,8 @@ class TestRunBatch:
         for i in range(32):
             eig = np.linalg.eigvalsh(_dense_t(a2[i], b2[i]))
             # the eigenvalues sum to the chi-square total, the divisor
-            assert eig.sum() == pytest.approx(a2[i].sum() + b2[i].sum(), rel=1e-12)
-            assert values[i] == pytest.approx(eig[0] / eig.sum(), rel=1e-12)
+            assert eig.sum() == pytest.approx(a2[i].sum() + b2[i].sum(), rel=1e-12, abs=0.0)
+            assert values[i] == pytest.approx(eig[0] / eig.sum(), rel=1e-12, abs=0.0)
 
     def test_input_validation(self):
         p = params_new(2.0, 2, 3)
@@ -544,6 +544,9 @@ def test_kolmogorov_sf_against_scipy():
         )
     assert kolmogorov_sf(0.0) == 1.0
     assert kolmogorov_sf(-1.0) == 1.0
+    # 8 t^2 underflows below ~1.5e-162; the law is 1 to the last bit there
+    for t in (5e-324, 1e-200, 1e-163, 1e-160, 1e-10, 0.1, 0.17):
+        assert kolmogorov_sf(t) == 1.0 == float(scipy.special.kolmogorov(t))
 
 
 def test_kolmogorov_sf_refuses_nan_and_arrays():
