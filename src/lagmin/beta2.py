@@ -199,7 +199,6 @@ def _det_integers(n_dim: int, alpha: int) -> tuple:
     return tuple(coeffs), denom
 
 
-@lru_cache(maxsize=32, typed=True)  # typed: a bool must miss the int entries, then be rejected
 def det_laguerre(n_dim: int, alpha: int) -> tuple:
     """Exact coefficients, ascending in s, of the polynomial
     det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}: alpha*N + 1 Fractions,
@@ -228,14 +227,15 @@ def _beta2_coeffs(n_dim: int, alpha: int) -> np.ndarray:
 
 def q_exact_beta2(n_dim: int, m_dim: int, x):
     """Survival function at beta=2 via the Laguerre determinant route, at
-    a float x (returns a float) or at every entry of an array."""
+    a float x (returns a float) or at every entry of an array; never
+    above 1."""
     params = params_new(2.0, n_dim, m_dim)  # the (N, M) rule of both finite-N routes
     n_dim, m_dim = params.n_dim, params.m_dim
     xs = _points(x, "x")
     alpha = m_dim - n_dim
     warn_outside("beta2", N=n_dim, alpha=alpha)
     log_a = _beta2_coeffs(n_dim, alpha)
-    out = _edge_sum(log_a, n_dim, m_dim * n_dim - 1.0, xs)
+    out = np.minimum(_edge_sum(log_a, n_dim, m_dim * n_dim - 1.0, xs), 1.0)  # as in q_exact
     return out if xs.ndim else float(out)
 
 

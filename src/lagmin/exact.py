@@ -23,32 +23,14 @@ A_k = [Gamma(G)/Gamma(G-k)] * sum_{|kappa|=k} W_kappa with W_kappa > 0,
 and the inner sums have no cancellation.
 
 W_kappa factorises by rows (Koev & Edelman, Math. Comp. 75 (2006)
-833-846).  Group the cells of row i by the row j whose end bounds their
-leg: the cells with leg j-1-i are those in columns kappa_j..kappa_{j-1}-1,
-and their arms run over an interval fixed by kappa_i - kappa_j and
-kappa_i - kappa_{j-1}.  With 0-based rows and kappa_m = 0 this gives
-
-    log W_kappa = sum_{r<m} R_r[kappa_r]
-                + sum_{0<=i<j<m} T_{j-i}[kappa_i - kappa_j],
-
-where R_r[p] sums log((nu*N + r - nu*t) / ((nu*t + m - r)
-(nu*t + nu + m - 1 - r))) over t < p (the cells of row r, their
-generalized-factorial and C_kappa numerator factors, and the hooks
-against the empty row m), and T_l[p] sums log((nu*d + l + 1)
-(nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1))) over d < p (the
-hook-length ratio of the row pair, shared with the limit route).  The
-tables are m x (N+1) prefix sums built once per parameter set, so a
-partition costs m(m+1)/2 table lookups and no Python work.
-
-The sums over the box come from the one partition-weight builder,
-jack._log_weight_sums, given these row terms: it streams the box in
-chunks of at most jack.CHUNK_ROWS partitions, reduces each chunk by
-weight with a per-k max shift and a positive sum, and merges it into
-running (peak, sum) pairs; memory stays at one chunk.  The
-coefficients are cached as their logs (every one is positive), and one
-table of log Gamma(G)/Gamma(G-k), k = 0..mN+1, per parameter set serves
-Q, P and the moments: numerics._log_falling, the shared log table that
-beta2.q_alpha2_sum reads too.
+833-846); jack.py derives its row term, and the one partition-weight
+builder, jack._log_weight_sums, sums W_kappa over the box weight by
+weight from the series parameters (nu, m, the b-shift and the box
+width), streaming it in bounded chunks, so memory stays at one chunk.
+The coefficients are cached as their logs (every one is positive), and
+one table of log Gamma(G)/Gamma(G-k), k = 0..mN+1, per parameter set
+serves Q, P and the moments: numerics._log_falling, the shared log
+table that beta2.q_alpha2_sum reads too.
 
 The density P = -dQ/dx (exact, never a finite difference) has the
 coefficients d_j = N(G-1-j) A_j - (j+1) A_(j+1) of x^j (1-Nx)^(G-2-j).
@@ -60,8 +42,7 @@ Forrester, J. Math. Phys. 35 (1994) 2539, has the same shift):
     d_(m+k) = D_(N,m) * [Gamma(G)/Gamma(G-m-1-k)] * S'_k,
     D_(N,m) = (N/m!) prod_(i=1..m) (N nu + i)/(nu + i),
 
-S'_k the sum of W_kappa over the m x (N-1) box with row terms
-log(nu(N-1) + r - nu*t) - log(nu*t + m + 2 nu - r) - log(nu*t + nu + m - 1 - r);
+S'_k the sum of W_kappa over the m x (N-1) box at b-shift 2 (jack.py);
 the tests prove the identity in exact rationals.  So P is built like Q,
 with no subtraction, from a box of N/(N+m) the partitions: it is exactly
 0 at x = 0 and keeps full relative accuracy as x -> 0.
@@ -120,14 +101,7 @@ def _series_coeffs(params: EnsembleParams, shift: int) -> np.ndarray:
     nu = 0.5 * params.beta
     g = nu * params.m_dim * n
     cols = n - shift // 2
-    # row terms: cells of row r, with the hooks against the empty row m;
-    # the width bounds the parts, so the partitions fill the m x cols box
-    t = nu * np.arange(cols, dtype=float)
-    r = np.arange(m, dtype=float)[:, None]
-    peak, total = _log_weight_sums(
-        nu, np.log(nu * cols + r - t) - np.log(t + m + nu * shift - r) - np.log(t + nu + m - 1 - r),
-        0, m * cols,
-    )
+    peak, total = _log_weight_sums(nu, m, shift, 0, m * cols, cols)
     # Gamma(G)/Gamma(G-k) for Q, Gamma(G)/Gamma(G-m-1-k) for P
     log_ratio = _log_falling(g, m * n + 1)[m + 1 if shift else 0:]
     out = log_ratio[:len(total)] + peak + np.log(total)
@@ -141,7 +115,7 @@ def q_exact(params: EnsembleParams, x):
     """Survival function Q_{N,M}(x) of the smallest eigenvalue, at a float
     x (returns a float) or at every entry of an array (returns an array).
 
-    Exactly 1 at x=0 and exactly 0 for x >= 1/N.  Requires an integer
+    Exactly 1 at x=0, never above 1, and exactly 0 for x >= 1/N.  Requires an integer
     Jack index (NonIntegerJackIndex otherwise).  For N=1 the trace
     constraint pins the eigenvalue at 1, so Q is exactly the step
     function 1_{x < 1}.
@@ -154,7 +128,8 @@ def q_exact(params: EnsembleParams, x):
         out = np.where(xs < 1.0, 1.0, 0.0)
     else:
         g = 0.5 * params.beta * params.m_dim * n
-        out = _edge_sum(_series_coeffs(params, 0), n, g - 1.0, xs)
+        # the leading terms can round to 1 + ulp next to x = 0; Q is a probability
+        out = np.minimum(_edge_sum(_series_coeffs(params, 0), n, g - 1.0, xs), 1.0)
     return out if xs.ndim else float(out)
 
 

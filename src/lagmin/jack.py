@@ -31,34 +31,53 @@ oracle cross-checks at nu != 1, and the Bessel-function reduction at
 nu = 1 all hold for this mapping and all fail for the reciprocal one.
 
 The hook product factorises by rows (Koev & Edelman, Math. Comp. 75
-(2006) 833-846): with 0-based rows, kappa_m = 0 and the cells of each
-row grouped by the row whose end bounds their leg,
+(2006) 833-846): with 0-based rows, L rows with kappa_L = 0 and the
+cells of each row grouped by the row whose end bounds their leg,
 
-    log W_kappa = sum_{r<m} R_r[kappa_r]
-                + sum_{0<=i<j<m} T_{j-i}[kappa_i - kappa_j],
+    log W_kappa = sum_{r<L} R_r[kappa_r]
+                + sum_{0<=i<j<L} T_{j-i}[kappa_i - kappa_j],
 
-where R_r[p] sums a per-route row term over the cells t < p of row r
-(with their hooks against the empty row m) and T_l[p] sums
+where R_r[p] sums the row term of cell t over t < p (with its hooks
+against the empty row L) and T_l[p] sums
 log((nu*d + l + 1)(nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1)))
-over d < p, the hook-length ratio of a row pair.
+over d < p, the hook-length ratio of a row pair; any L >= len(kappa) will do.
 
-_log_weight_sums is the one builder: given a route's row terms it builds
-the prefix tables R_r and T_l (numerics._prefix_sums, the one rule of
-every correctly rounded log table), streams the partitions with
-_partition_chunks (weight in a band [lo, hi], parts bounded by the width
-of the row terms: the m x N box of the finite-N law, or a weight band of
-the 0F1 ladder), and reduces them to sum_{|kappa|=k} W_kappa, k by k.
-Memory stays at one chunk of at most CHUNK_ROWS partitions.
+Both series sum C_kappa(1^m)/[b]_kappa at b = m/nu + shift (shift 0 for
+Q, 2 for P); the finite-N law has the extra (-1/nu)^k [-N]_kappa, N the
+box width.  Per cell, C_kappa(1^m)/k! gives nu*(m + nu*t - r) over its
+hooks, 1/[b]_kappa gives nu/(nu*t + m + nu*shift - r), the extra factor
+(nu*N + r - nu*t)/nu^2, and m + nu*t - r over the lower hook
+nu*t + L - r against the empty row is 1 + (m - L)/(nu*t + L - r), so
+the row term is
+
+    log(nu*N + r - nu*t) [finite N]  or  2 log nu [0F1]
+      - log(nu*t + m + nu*shift - r) - log(nu*t + nu + L - 1 - r)
+      + log1p((m - L)/(nu*t + L - r)),
+
+whose last term is exactly 0 at L = m.  (t is the cell's arm in the
+hooks and its column elsewhere; both run over t < p.)
+
+_log_weight_sums is the one builder: from the series parameters it
+writes that row term, builds the prefix tables R_r and T_l
+(numerics._prefix_sums, the one rule of every correctly rounded log
+table), streams the partitions with _partition_chunks (weight in a band
+[lo, hi], L = min(m, hi) rows, as no partition of weight <= hi has more
+parts, and parts at most N, or hi for the 0F1), and reduces them to
+sum_{|kappa|=k} W_kappa, k by k.  Memory stays at one bounded chunk.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .numerics import _prefix_sums
 
-#: Row bound of the streamed partition chunks.
+#: Row bound of the streamed partition chunks; a chunk of more than
+#: CHUNK_WIDTH columns is bounded by CHUNK_ROWS * CHUNK_WIDTH parts instead.
 CHUNK_ROWS = 1 << 17
+CHUNK_WIDTH = 8
 
 
 def _pair_tables(nu: float, m: int, length: int) -> np.ndarray:
@@ -81,9 +100,11 @@ def _partition_chunks(m: int, lo: int, hi: int, cap: int):
     f, with r columns still to fill, gains every next part u in
     [ceil((lo - w)/r), min(f, hi - w)], so every prefix completes to at
     least one partition in the band.  A prefix array whose next column
-    would exceed CHUNK_ROWS rows is split in halves first, so a chunk
-    has at most max(CHUNK_ROWS, top + 1) rows, top = min(cap, hi); the
-    chunks come out in a fixed order.
+    would exceed CHUNK_ROWS rows, or CHUNK_ROWS * CHUNK_WIDTH parts once
+    it is wider than CHUNK_WIDTH columns, is split in halves first, so a
+    chunk has at most max(CHUNK_ROWS, top + 1) rows and
+    max(CHUNK_ROWS * CHUNK_WIDTH, (top + 1) * m) parts, top = min(cap, hi);
+    the chunks come out in a fixed order.
     """
     if m == 0:
         if lo == 0:
@@ -101,7 +122,7 @@ def _partition_chunks(m: int, lo: int, hi: int, cap: int):
         low = np.maximum(-((w - lo) // (m - j)), 0)
         counts = np.minimum(box[:, j - 1], hi - w) - low + 1
         rows = int(counts.sum())
-        if rows > CHUNK_ROWS and len(box) > 1:
+        if rows * max(j + 1, CHUNK_WIDTH) > CHUNK_ROWS * CHUNK_WIDTH and len(box) > 1:
             half = len(box) // 2
             stack += [box[half:], box[:half]]
             continue
@@ -114,30 +135,36 @@ def _partition_chunks(m: int, lo: int, hi: int, cap: int):
         stack.append(grown)
 
 
-def _log_weight_sums(nu: float, row_terms: np.ndarray, lo: int, hi: int):
+def _log_weight_sums(nu: float, m: int, shift: int, lo: int, hi: int, n: int | None = None):
     """sum_{|kappa|=k} W_kappa for k = lo..hi, as a pair of arrays
     (peak, total) with the sum equal to total * exp(peak).
 
-    kappa runs over the partitions with at most m parts, m the number of
-    rows of ``row_terms``, and parts at most its width; row_terms[r, t]
-    is the log term of cell t of row r, whose prefix sums are the row
-    table R_r.  log W_kappa is gathered from R_r and the pair tables T_l
-    for each streamed chunk; the chunk is reduced by weight with a per-k
-    max shift and merged into running (peak, sum) pairs, so memory stays
-    at one chunk.  A weight that no partition has keeps peak -inf and
-    total 0.
+    W_kappa is the term of the finite-N law with box width n, or of the
+    0F1 where n is None, at Jack index m and b = m/nu + shift (module
+    docstring); kappa runs over the partitions with at most m parts and
+    parts at most n (at most hi for the 0F1).  log W_kappa is gathered
+    from the row tables R_r and the pair tables T_l for each streamed
+    chunk; the chunk is reduced by weight with a per-k max shift and
+    merged into running (peak, sum) pairs, so memory stays at one chunk.
+    A weight that no partition has keeps peak -inf and total 0.
     """
-    m, top = row_terms.shape
+    rows = min(m, hi)  # no partition of weight <= hi has more parts
+    top = hi if n is None else n
+    t = nu * np.arange(top, dtype=float)
+    r = np.arange(rows, dtype=float)[:, None]
+    num = 2.0 * math.log(nu) if n is None else np.log(nu * n + r - t)
+    row_terms = (num - np.log(t + m + nu * shift - r) - np.log(t + nu + rows - 1 - r)
+                 + np.log1p((m - rows) / (t + rows - r)))
     row_tab = _prefix_sums(row_terms.tolist())
-    pair_tab = _pair_tables(nu, m, top)
+    pair_tab = _pair_tables(nu, rows, top)
     peak = np.full(hi - lo + 1, -np.inf)
     total = np.zeros(hi - lo + 1)
-    for box in _partition_chunks(m, lo, hi, top):
+    for box in _partition_chunks(rows, lo, hi, top):
         lw = np.zeros(len(box))
-        for i in range(m):
+        for i in range(rows):
             col = box[:, i]
             lw += row_tab[i][col]
-            for j in range(i + 1, m):
+            for j in range(i + 1, rows):
                 lw += pair_tab[j - i - 1][col - box[:, j]]
         k = box.sum(axis=1, dtype=np.intp)
         k0, k1 = int(k.min()), int(k.max()) + 1

@@ -10,23 +10,19 @@ u = y/4, 0F1 = sum_k c_k u^k with
 
     c_k = sum_{|kappa|=k, len<=m} C_kappa(1^m) / ([b]_kappa k!),
 
-b = 2m/beta.  Every term is positive, and with the row/pair
-factorisation of jack.py
-
-    log W_kappa = sum_{r<m} R_r[kappa_r] + sum_{i<j} T_{j-i}[kappa_i - kappa_j],
-    R_r[p] = sum_{t<p} [2 log nu - log(nu*t + nu*b - r)
-                                 - log(nu*t + nu + m - 1 - r)]
-
-(the C_kappa numerator m + nu*t - r cancels the hook against the empty
-row m).  For b = 2m/beta, nu*b = m and this is c_k = nu^(2k) *
-sum_kappa 1/prod(hooks): the inverse product of the lower and upper
-hook lengths nu*a + l + 1 and nu*(a+1) + l over the cells of kappa.
+b = 2m/beta.  Every term is positive: per cell of kappa the Jack value's
+numerator m + nu*t - r cancels the factor of [b]_kappa (jack.py derives
+the row term), so c_k = nu^(2k) * sum_kappa 1/prod(hooks), the inverse
+product of the lower and upper hook lengths nu*a + l + 1 and
+nu*(a+1) + l over the cells of kappa.
 
 The coefficients are built weight band by weight band on a fixed ladder
 of tops K_0 = 16, K_1 = 32, K_(i+1) = K_i + ceil(K_i/4) after that (40,
 50, 63, 79, ...): the partitions with at most m parts and weight in
-(K_(i-1), K_i] are streamed in bounded int32 chunks and reduced by
-weight (jack._log_weight_sums, the builder the finite-N route shares).
+(K_(i-1), K_i] are streamed in bounded int32 chunks of min(m, K_i)
+columns (no partition of weight <= K_i has more parts, so memory does
+not grow with m) and reduced by weight (jack._log_weight_sums, the
+builder the finite-N route shares).
 Each rung costs a fixed set of prefix and pair tables besides its
 partitions, so the ladder opens wide: the series needs at most 14 terms
 at y <= 1, 28 at y <= 10, 44 at y <= 40 and 61 at y <= 100 (m <= 6,
@@ -34,8 +30,9 @@ beta in [0.5, 6]), and a call climbs about two rungs.  The table of each
 rung is cached and extends the one below it.  A weight's sum depends
 only on which chunk holds its partitions, not on where the band edges
 fall: the partitions of one weight come out in the same order in any
-band that holds them, with the same table entries.  So wherever a band
-fits one chunk, c_k is bit-identical to one build over [0, K], and in
+band that holds them, with the same table entries where m <= K_0 (every
+rung then streams m rows).  So there, wherever a band fits one chunk,
+c_k is bit-identical to one build over [0, K], and in
 any case c_k does not depend on how far a call needed to go; a point's
 value does not depend on the other points of its call.
 
@@ -160,11 +157,7 @@ def _f01_coeffs(beta: float, m: int, shift: int, rung: int) -> np.ndarray:
     nu = 0.5 * beta
     if nu * (hi + shift) == math.inf:  # the largest hook, nu*(K + shift) + m, and its logs
         raise DivergenceError(f"0F1 coefficients overflow a double (beta={beta}, m={m})")
-    t = nu * np.arange(hi, dtype=float)
-    r = np.arange(m, dtype=float)[:, None]
-    peak, total = _log_weight_sums(
-        nu, 2.0 * math.log(nu) - np.log(t + m + nu * shift - r) - np.log(t + nu + m - 1 - r), lo, hi
-    )
+    peak, total = _log_weight_sums(nu, m, shift, lo, hi)
     with np.errstate(divide="ignore"):  # weights no partition has (m = 0)
         band = peak + np.log(total)
     out = band if rung == 0 else np.concatenate([_f01_coeffs(beta, m, shift, rung - 1), band])
@@ -178,11 +171,15 @@ def _density_constant(lp: LimitParams) -> float:
 
     Built as (nu/4) prod_(i=1..m) (nu/(i+nu)) (nu/i), whose factors all
     fit in a double, so D_m is finite wherever it fits in one (no power
-    nu^(2m+1) to overflow first); DivergenceError where it does not."""
+    nu^(2m+1) to overflow first); DivergenceError where it does not.  The
+    product stops once it is 0 or inf, which no later factor can change,
+    so a huge m costs no more than the underflow."""
     nu = 0.5 * lp.beta
     out = nu / 4.0
     for i in range(1, lp.jack_index + 1):
         out *= nu / (i + nu) * (nu / i)
+        if out == 0.0 or out == math.inf:
+            break
     if out == math.inf:
         raise DivergenceError(
             f"density constant D_m overflows a double (beta={lp.beta}, m={lp.jack_index})")

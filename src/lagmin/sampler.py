@@ -25,9 +25,21 @@ belongs to block i // BLOCK, and block k holds the values of one call
 shape = (beta*(M-i)/2 for i < N, then beta*(N-1-i)/2 for i < N-1), which
 numpy fills row-major: row r holds a_0^2..a_{N-1}^2, b_0^2..b_{N-2}^2 of
 draw k*BLOCK + r.  (_block draws them as standard_gamma(shape) * 2: the
-same stream and, as x 2 is exact, the same values.)  A run draws only
-the rows it needs of its last block, so a longer run is a bit-exact
-extension of a shorter one, and workers take whole blocks, so
+same stream and, as x 2 is exact, the same values.)  At tiny beta every
+variate of a row can underflow to 0 (3.5% of the rows at beta = 1e-3,
+N = M = 3).  Such a row, and only such a row, is taken instead from the
+same row of the redraw key (s, k + 2**63),
+
+    log X_i = log(V_i)/a_i,  V = 1 - Generator(Philox(key))
+        .random(size=(BLOCK, 2N-1)),  a_i = shape_i,
+
+minus the row's largest entry, exponentiated.  That is the law given
+the underflow: given X_i < eps, the Gamma(a_i) variate X_i is
+eps V_i^(1/a_i) (its density is x^(a_i - 1) there), and the common eps,
+like the x 2 of a chi-square, only scales the row, which leaves
+lambda/trace unchanged.  A run draws only the rows it needs of its last
+block (the redraw key always draws a whole block), so a longer run is a
+bit-exact extension of a shorter one, and workers take whole blocks, so
 run_batch(workers=1) and run_batch(workers=8) return bit-identical
 arrays.  Stream 2 passed the key as the list [s, k],
 which numpy takes through float64 for s >= 2**63, so neighbouring seeds
@@ -149,7 +161,9 @@ def kolmogorov_sf(t: float) -> float:
 
 def _block(params: EnsembleParams, seed: int, block: int, rows: int) -> np.ndarray:
     """The first `rows` draws of one block: a (rows, 2N-1) array of
-    chi-square variates, a_0^2..a_{N-1}^2 then b_0^2..b_{N-2}^2 per row."""
+    chi-square variates, a_0^2..a_{N-1}^2 then b_0^2..b_{N-2}^2 per row;
+    a row whose every variate underflowed is redrawn in log space and
+    scaled to a largest entry of 1 (module docstring)."""
     beta, n, m = params.beta, params.n_dim, params.m_dim
     diag = beta * (m - np.arange(n, dtype=float))
     sub = beta * (n - 1 - np.arange(n - 1, dtype=float))
@@ -158,6 +172,14 @@ def _block(params: EnsembleParams, seed: int, block: int, rows: int) -> np.ndarr
     rng = np.random.Generator(np.random.Philox(key=key))
     sq = rng.standard_gamma(shape, size=(rows, 2 * n - 1))
     sq *= 2.0  # the values of rng.gamma(shape, 2.0, ...): one stream, and x 2 is exact
+    lost = np.flatnonzero(~sq.any(axis=1))
+    if lost.size:
+        key[1] += 1 << 63
+        rng = np.random.Generator(np.random.Philox(key=key))
+        with np.errstate(over="ignore", invalid="ignore"):  # beta ~ 1e-307: NaN, refused by _span_values
+            log_x = np.log(1.0 - rng.random((BLOCK, 2 * n - 1))[lost]) / shape  # 1 - U is exact
+            log_x -= log_x.max(axis=1, keepdims=True)
+        sq[lost] = np.exp(log_x)
     return sq
 
 
@@ -170,10 +192,10 @@ def _span_values(params: EnsembleParams, seed: int, lo: int, hi: int) -> np.ndar
     ])
     n = params.n_dim
     trace = sq.sum(axis=1)
-    if not trace.all():
+    if not np.all(trace > 0.0):
         raise DomainError(
-            f"beta={params.beta:g} is too small: every chi-square variate of "
-            "a draw underflowed to 0, so its trace is 0")
+            f"beta={params.beta:g} is too small: the chi-square variates of a "
+            "draw leave the float range even in log space")
     return tridiag_smallest(sq[:, :n], sq[:, n:]) / trace
 
 

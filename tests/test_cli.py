@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -470,6 +471,20 @@ def test_limit_at_a_huge_jack_index_is_one_error_line(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "2^52" in err
     assert "Traceback" not in err
+
+
+def test_limit_at_the_largest_jack_index(capsys):
+    # Q streams 16 rows, not m; D_m stops at its underflow, and P(1) then
+    # needs the power u^m, past K_MAX: one error line, within a second
+    m = str(2**51 - 1)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "limit-pdf", "--beta", "2", "--m", m, "--grid", "0:1:2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "k_max" in err
+    code, out, err = run_cli(capsys, "limit-cdf", "--beta", "2", "--m", m, "--grid", "0:1:2")
+    assert code == 0
+    assert [float(row["Q"]) for row in parse_csv(out)[1]] == pytest.approx([1.0, 1.0], rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("beta,m", [("1e200", "1"), ("1e150", "2"), ("1e308", "3")])

@@ -509,14 +509,24 @@ def test_array_call_equals_scalar_calls(beta, n, m_dim):
         assert np.array_equal(got, [q_exact_beta2(n, m_dim, float(x)) for x in xs])
 
 
+@pytest.mark.parametrize("beta,n,m_dim", [(2.0 / 3.0, 2, 10), (1.0, 2, 7), (2.0, 3, 7), (4.0, 3, 5)])
+def test_q_never_passes_one_next_to_the_hard_edge(beta, n, m_dim):
+    # the leading terms of the sum round to 1 + 2.2e-16 somewhere on this
+    # grid of N x in [1e-12, 1e-3]; Q is capped there, on both beta=2 routes
+    xs = np.logspace(-12, -3, 200) / n
+    assert q_exact(params_new(beta, n, m_dim), xs).max() == 1.0
+    if beta == 2.0:
+        assert q_exact_beta2(n, m_dim, xs).max() == 1.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(_series_params(), st.lists(st.floats(0.0, 1.5), min_size=1, max_size=40))
 def test_laws_over_x(case, ts):
     # over parameters and x in [0, 1.5/N]: P finite and >= 0 with no clamp,
-    # 0 at the hard edge when m >= 1; Q in [0, 1] and nonincreasing up to
-    # the 1e-15 of rounding allowed on one grid call below (near N x = 1e-9
-    # Q reaches 1 + 2.2e-16 and rises by up to 6.7e-16); an array call
-    # equal to the scalar calls
+    # 0 at the hard edge when m >= 1; Q in [0, 1] (near N x = 1e-9 its sum
+    # rounds to 1 + 2.2e-16, which q_exact caps) and nonincreasing up to
+    # the 1e-15 of rounding allowed on one grid call below (it rises by up
+    # to 6.7e-16 there); an array call equal to the scalar calls
     beta, n, m_dim, m = case
     p = params_new(beta, n, m_dim)
     xs = np.sort(np.array(ts + [0.0]) / n)
@@ -524,7 +534,7 @@ def test_laws_over_x(case, ts):
     assert np.all(np.isfinite(ps)) and np.all(ps >= 0.0)
     if m >= 1:
         assert ps[0] == 0.0
-    assert np.all((qs >= 0.0) & (qs <= 1.0 + 1e-15)) and np.all(np.diff(qs) <= 1e-15)
+    assert np.all((qs >= 0.0) & (qs <= 1.0)) and np.all(np.diff(qs) <= 1e-15)
     assert ps.tolist() == [p_exact(p, float(x)) for x in xs]
     assert qs.tolist() == [q_exact(p, float(x)) for x in xs]
 

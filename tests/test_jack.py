@@ -35,6 +35,17 @@ def check_partition_stream(monkeypatch, m: int, lo: int, hi: int, cap, chunk_row
     return len(want)
 
 
+@pytest.mark.parametrize("m", [10, 20, 40, 80])
+def test_chunk_parts_are_bounded_at_any_m(m, monkeypatch):
+    # past CHUNK_WIDTH columns a chunk is held to CHUNK_ROWS * CHUNK_WIDTH
+    # int32 parts, not CHUNK_ROWS rows of m parts: the m x 2 box of the
+    # finite-N law, (m + 1)(m + 2)/2 partitions, in chunks of at most 2 KB
+    monkeypatch.setattr(jack, "CHUNK_ROWS", 64)
+    chunks = list(jack._partition_chunks(m, 0, 2 * m, 2))
+    assert sum(len(c) for c in chunks) == (m + 1) * (m + 2) // 2
+    assert max(c.nbytes for c in chunks) <= 64 * jack.CHUNK_WIDTH * 4
+
+
 def test_oracle_imports_only_the_standard_library():
     # the exact reference must not share code with what it checks
     tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())

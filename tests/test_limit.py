@@ -1,6 +1,7 @@
 """Hard-edge scaling limit: series, closed forms, density, diagnostics."""
 
 import math
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -291,6 +292,22 @@ def test_coeffs_match_per_partition_reference(beta, shift):
             assert got[k] == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("m", [17, 20, 25])
+@pytest.mark.parametrize("shift", [0, 2])
+def test_coeffs_where_the_band_has_fewer_rows_than_m(m, shift):
+    # rung 0 streams min(m, 16) = 16 rows, the true m entering through the
+    # Jack numerator and [b]_kappa alone; against the exact sum, and at
+    # shift 0 the Jack Plancherel identity c_k = nu^k/k! for every k <= 16 < m
+    beta = 2.0 / 3.0
+    nu = Fraction(beta) / 2
+    got = np.exp(limit._f01_coeffs(beta, m, shift, 0))
+    for k in range(len(got)):
+        want = weight_sum(nu, m, k, m / nu + shift)
+        if shift == 0:
+            assert want == nu**k / math.factorial(k)
+        assert got[k] == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
 def test_stopping_rule_reads_two_small_terms(monkeypatch):
     # beta=2, m=1, y=4: Q = e^-1 sum_k 1/(k!)^2; at tail_tol=1e-3 the terms
     # k=4 (1/576) and k=5 (1/14400) are the first two in a row at or below
@@ -422,6 +439,21 @@ def test_density_keeps_its_digits_where_the_sum_is_subnormal():
 def test_density_constant_past_the_float_range(beta, m):
     with pytest.raises(DivergenceError, match="D_m overflows"):
         p_limit(LimitParams(beta, m), 0.0)
+
+
+def test_laws_at_the_largest_jack_index():
+    # rung 0 streams 16 rows, not m, and D_m stops at its underflow: Q in
+    # well under a second, P(0) = 0, and P(1) needs the power u^m, past K_MAX
+    lp = LimitParams(2.0, 2**51 - 1)
+    start = time.perf_counter()
+    with pytest.warns(PrecisionWarning):
+        qs = q_limit(lp, np.array([0.0, 1.0]))
+    p0 = p_limit(lp, 0.0)  # no y in (0, inf): no warning
+    with pytest.warns(PrecisionWarning), pytest.raises(DivergenceError, match="k_max"):
+        p_limit(lp, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert qs[0] == 1.0 and qs[1] == pytest.approx(1.0, rel=1e-15, abs=0.0)
+    assert p0 == 0.0
 
 
 @pytest.mark.parametrize("m", [0, 1, 3])

@@ -335,12 +335,36 @@ class TestRunBatch:
         values = run_batch(params_new(0.01, 40, 40), 300, seed=1).values
         assert np.isfinite(values).all() and (values >= 0).all()
 
-    @pytest.mark.xfail(raises=DomainError, reason=(
-        "at beta = 1e-3 every chi-square variate of some draws underflows "
-        "to 0, so their trace is 0 (a FOUND line in CHANGES.md)"))
     def test_draws_at_tiny_beta(self):
         values = run_batch(params_new(0.001, 3, 3), 300, seed=1).values
         assert np.isfinite(values).all() and (values >= 0).all()
+
+    def test_underflowed_rows_are_redrawn_per_block(self, monkeypatch):
+        # at beta = 1e-3 some rows underflow in every variate; each is
+        # taken from the same row of the block's redraw key, so a run is
+        # a prefix of a longer one and does not depend on the workers
+        p = params_new(0.001, 3, 3)
+        raw = np.random.Generator(np.random.Philox(key=np.array([1, 0], dtype=np.uint64)))
+        shape = 0.5 * (0.001 * np.array([3.0, 2.0, 1.0, 2.0, 1.0]))
+        kept = raw.standard_gamma(shape, size=(BLOCK, 5)) * 2.0
+        lost = ~kept.any(axis=1)
+        assert lost.any()
+        redraw = np.random.Generator(np.random.Philox(key=np.array([1, 2**63], dtype=np.uint64)))
+        log_x = np.log(1.0 - redraw.random((BLOCK, 5))[lost]) / shape
+        sq = _block(p, 1, 0, BLOCK)
+        assert sq[~lost].tobytes() == kept[~lost].tobytes()
+        assert sq[lost].tobytes() == np.exp(log_x - log_x.max(axis=1, keepdims=True)).tobytes()
+        assert _block(p, 1, 0, 100).tobytes() == sq[:100].tobytes()
+        monkeypatch.setattr(sampler, "_MIN_SPAN_BLOCKS", 1)
+        monkeypatch.setattr(sampler, "_MIN_SPAN_WORK", 1)
+        values = run_batch(p, 4 * BLOCK, seed=1, workers=2).values
+        assert values.tobytes() == run_batch(p, 4 * BLOCK, seed=1).values.tobytes()
+        assert values[:300].tobytes() == run_batch(p, 300, seed=1).values.tobytes()
+
+    def test_draws_past_the_log_space_range(self):
+        # beta = 1e-310: log(V)/a overflows, and the draw is refused
+        with pytest.raises(DomainError, match="too small"):
+            run_batch(params_new(1e-310, 3, 3), 10, seed=1)
 
     def test_degenerate_n1(self):
         b = run_batch(params_new(2.0, 1, 4), 10, seed=3)
