@@ -33,7 +33,6 @@ from .limit import (
     q_limit,
     q_limit_closed,
 )
-from .numerics import bessel_i
 from .sampler import (
     KSReport,
     SampleBatch,
@@ -59,7 +58,6 @@ __all__ = [
     "NonIntegerJackIndex",
     "PrecisionWarning",
     "SampleBatch",
-    "bessel_i",
     "det_laguerre",
     "kolmogorov_sf",
     "ks_two_sample",

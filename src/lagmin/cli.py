@@ -74,11 +74,15 @@ def _grid(text: str):
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError(f"grid start and stop must be finite, got {text!r}")
     if points < 2:
         raise argparse.ArgumentTypeError("grid needs at least 2 points")
     if not (start < stop):
         raise argparse.ArgumentTypeError("grid start must be < stop")
     step = (stop - start) / (points - 1)
+    if step == math.inf:
+        raise argparse.ArgumentTypeError(f"grid span stop - start overflows a double, got {text!r}")
     xs = [start + i * step for i in range(points)]
     xs[-1] = stop  # endpoint exactly, so x = 1/N hits the support edge
     return xs

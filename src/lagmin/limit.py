@@ -250,9 +250,9 @@ def q_limit(lp: LimitParams, y):
     """Limiting survival function Q(y) = Prob(scaled smallest eigenvalue > y)
     at a float y (returns a float) or at every entry of an array (returns
     an array of its shape); exactly 1 at y = 0 at every beta and 0 at
-    y = +inf."""
+    y = +inf.  Capped at 1, which a sum near y = 0 can pass in rounding."""
     ys = _limit_points(lp, y)
-    out = _f01_sum(lp, ys, 0, 0, 1.0)
+    out = np.minimum(_f01_sum(lp, ys, 0, 0, 1.0), 1.0)  # as in q_exact
     return out if ys.ndim else float(out)
 
 

@@ -1,7 +1,8 @@
 """Shared numerical kernels.
 
-The modified Bessel function of the first kind, the one assembler of
-every series, and the one builder of correctly rounded log tables.
+The one assembler of every series, the one source of correctly rounded
+log tables, and the modified Bessel function of the first kind behind
+the hard-edge closed forms (limit.q_limit_closed).
 Consumer modules represent series coefficients by their logs, because
 Gamma(beta*M*N/2) overflows double precision already near N ~ 60; every
 coefficient of the package is positive, so a log is all a coefficient
@@ -29,8 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import core
-from .core import _floats, _points
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError
 
 #: Points x terms per block of the assembler's temporaries.
 EDGE_SUM_BLOCK = 1 << 16
@@ -110,60 +110,26 @@ def _edge_sum(log_c, n: int, e: float, x: np.ndarray, first: int = 0) -> np.ndar
     return out.reshape(x.shape)
 
 
-def bessel_i(rho: float, x: float) -> float:
-    """Modified Bessel function of the first kind, I_rho(x).
+def _bessel_i_scaled(rho: float, x: float) -> tuple:
+    """Modified Bessel function of the first kind, I_rho(x) = value * e^scale,
+    for rho > -1 and 0 < x < inf, the factors of q_limit_closed.
 
-    Inside the envelope x <= 60 (the "bessel" row of core.ENVELOPES),
-    evaluates the ascending series
+    Past the "bessel" row of core.ENVELOPES (x > 60), where the
+    large-argument expansion reaches core.TAIL_TOL, it is
+    (e^(-x) I_rho(x) by DLMF 10.40.1, x).  Otherwise it is (series
+    value, 0.0): the ascending series
 
         I_rho(x) = (x/2)^rho * sum_{k>=0} (x/2)^(2k) / (k! Gamma(rho+k+1))
 
-    truncated once the next term falls below core.TAIL_TOL times the
-    partial sum (DivergenceError past core.K_MAX terms).  All terms are
-    positive, so there is no cancellation and the relative error is
-    <= 1e-12 there.  Beyond it, where the large-argument expansion
-    (DLMF 10.40.1) reaches core.TAIL_TOL, e^(-x) I_rho(x) comes from that
-    expansion; otherwise the series is summed as before.  Larger x is
-    flagged with a PrecisionWarning.
-
-    Requires numbers rho > -1 and x >= 0.  Returns +inf once I_rho(x)
-    overflows a double (x >~ 713) and at x = +inf; at x = 0, 1 if rho = 0,
-    0 if rho > 0 and +inf if -1 < rho < 0.
-    """
-    rho = float(_floats(rho, "rho", scalar=True))
-    if not (rho > -1):
-        raise DomainError(f"bessel_i requires rho > -1, got {rho}")
-    x = _points(x, "x", scalar=True)
-    core.warn_outside("bessel", x=x)
-    value, scale = _bessel_i_scaled(rho, x)
-    if scale == 0.0:
-        return value
-    try:
-        return value * math.exp(scale)
-    except OverflowError:  # e^x alone overflows past x ~ 709.8, I_rho(x) near 713
-        pass
-    try:
-        return math.exp(math.log(value) + scale)
-    except OverflowError:
-        return math.inf
-
-
-def _bessel_i_scaled(rho: float, x: float) -> tuple:
-    """I_rho(x) = value * e^scale for rho > -1, x >= 0: (series value, 0.0),
-    or past the envelope's x (e^(-x) I_rho(x) by DLMF 10.40.1, x) where
-    that expansion reaches core.TAIL_TOL.  Neither validates nor warns."""
+    truncated once a term falls below core.TAIL_TOL times the partial sum
+    (DivergenceError past core.K_MAX terms).  All terms are positive, so
+    there is no cancellation and the relative error is <= 1e-12 up to
+    x = 60.  Neither validates nor warns."""
     tail_tol, k_max = core.TAIL_TOL, core.K_MAX
     if x > core.ENVELOPES["bessel"]["x"][1]:
-        if x == math.inf:
-            return math.inf, 0.0
         scaled = _bessel_i_large(rho, x)
         if scaled is not None:
             return scaled, x
-    if x == 0.0:
-        if rho == 0.0:
-            return 1.0, 0.0
-        return (0.0 if rho > 0 else math.inf), 0.0
-
     half = 0.5 * x
     # prefactor (x/2)^rho / Gamma(rho+1), folded into the k=0 term
     term = math.exp(rho * math.log(half) - math.lgamma(rho + 1.0))
@@ -181,7 +147,7 @@ def _bessel_i_scaled(rho: float, x: float) -> tuple:
         if term < tail_tol * total:
             return total + comp, 0.0
     raise DivergenceError(
-        f"bessel_i series did not meet tail_tol={tail_tol:g} within "
+        f"Bessel series did not meet tail_tol={tail_tol:g} within "
         f"k_max={k_max} terms (rho={rho}, x={x})"
     )
 

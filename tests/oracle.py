@@ -1,10 +1,11 @@
 """The tests' one exact reference: partitions, Jack values, the series
 coefficients of both laws, the beta=2 Laguerre determinant and the law
 as a sum, in Fractions from their definitions, with one Decimal step
-for the transcendental functions.  It uses the standard library only,
-so it shares no code with lagmin, and it never uses the row/pair
-factorisation of lagmin.jack: the tests check that factorisation
-against these definitions.
+for the transcendental functions; and the beta=2 hard-edge limit as a
+Bessel determinant, which touches no partition.  It uses the standard
+library only, so it shares no code with lagmin, and it never uses the
+row/pair factorisation of lagmin.jack: the tests check that
+factorisation against these definitions.
 
 Partitions kappa are weakly decreasing tuples of positive parts, with
 0-based cells (i, j) (row i, column j), arm a = kappa_i - 1 - j and leg
@@ -218,3 +219,43 @@ def law(coeffs, u, v=1, e=0, offset=0):
         du, dv = _decimal(u), _decimal(v)
         total = sum(_decimal(c) * du**j * dv ** (e - j) for j, c in enumerate(coeffs) if c)
         return total * _decimal(offset).exp()
+
+
+# ---------- the beta=2 hard-edge limit without partitions ----------
+
+def _bessel_i(n, x):
+    """I_n(x) for an integer n >= 0 and a Decimal x > 0 by its positive
+    series sum_k (x/2)^(2k+n) / (k! (k+n)!), in the current context."""
+    half = x / 2
+    term = half**n / math.factorial(n)
+    total, k = term, 0
+    while True:
+        k += 1
+        term *= half * half / (k * (k + n))
+        if k > half and total + term == total:  # past k = x/2 the terms only shrink
+            return total
+        total += term
+
+
+def q_limit_beta2(m, y):
+    """Q(y) = e^(-y/4) det[I_(j-k)(sqrt y)]_(j,k<m) (Forrester & Hughes,
+    J. Math. Phys. 35 (1994) 6736) at beta = 2, Jack index m and a float
+    y > 0, as a Decimal.
+
+    The entries I_n(sqrt y), I_-n = I_n, round once to Decimals, and the
+    determinant eliminates them exactly in Fractions.  The entries reach
+    about e^(m sqrt y) in a product of m, while the determinant is at
+    least 1 (Heine's integral over U(m) and Jensen), so DIGITS + m sqrt(y)
+    / ln 10 digits leave DIGITS of the determinant, up to log10 m!."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + math.ceil(m * math.sqrt(y) / math.log(10))
+        x = Decimal(y).sqrt()
+        row = [Fraction(_bessel_i(n, x)) for n in range(m)]
+        mat = [[row[abs(j - k)] for k in range(m)] for j in range(m)]
+        det = Fraction(1)
+        for i in range(m):  # the matrix is positive definite: every pivot is > 0
+            det *= mat[i][i]
+            for j in range(i + 1, m):
+                ratio = mat[j][i] / mat[i][i]
+                mat[j] = [a - ratio * b for a, b in zip(mat[j], mat[i])]
+        return _decimal(det) * (-Decimal(y) / 4).exp()

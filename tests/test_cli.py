@@ -267,6 +267,11 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "moments", "--beta", "2", "--N", "2", "--M", "3",
                    "--p", "0")[0] == 2
     assert run_cli(capsys, "no-such-command")[0] == 2
+    # a grid bound or span past the float range is refused by name, not as
+    # the NaN that 0 * inf would put in the grid
+    for grid in ("0:inf:3", "0:1e309:3", "-1e308:1e308:3"):
+        code, out, err = run_cli(capsys, "limit-cdf", "--beta", "2", "--m", "1", f"--grid={grid}")
+        assert (code, out) == (2, "") and "argument --grid" in err and "nan" not in err
     # domain failure from inside the library also maps to 2
     assert run_cli(capsys, "exact-cdf", "--beta", "1", "--N", "2", "--M", "4",
                    "--grid", "0:0.5:3")[0] == 2

@@ -22,7 +22,6 @@ from lagmin.limit import (
     q_limit,
     q_limit_closed,
 )
-from lagmin.numerics import bessel_i
 from lagmin.sampler import SampleBatch, run_batch
 
 
@@ -249,12 +248,18 @@ def _recorded(call, **kw):
     return caught
 
 
+def _square(x):
+    """y = x^2, so that the closed form's Bessel argument sqrt(y) is x; a
+    negative x is passed on as it is, since its square would lose the sign."""
+    return x * x if x >= 0 else x
+
+
 # one call per route of the table, taking that row's parameters by name
 ROUTE_CALLS = {
     "exact": lambda N=2, m=0: q_exact(params_new(2.0, N, N + m), 0.0),
     "beta2": lambda N=2, alpha=0: q_exact_beta2(N, N + alpha, 0.0),
     "limit": lambda y=1.0, m=0: q_limit(LimitParams(2.0, m), y),
-    "bessel": lambda x=1.0: bessel_i(0.0, x),
+    "bessel": lambda x=1.0: q_limit_closed(LimitParams(2.0, 1), _square(x)),
     "oracle_n2": lambda beta=2.0, M=4: q_oracle_n2(params_new(beta, 2, M), 0.1),
 }
 # lower bounds that are domain edges: just past them the call is rejected
@@ -264,6 +269,14 @@ DOMAIN_EDGES = {("exact", "N"), ("exact", "m"), ("beta2", "N"), ("beta2", "alpha
 
 def test_every_route_has_a_call():
     assert set(ROUTE_CALLS) == set(core.ENVELOPES)
+
+
+def test_bessel_bounds_survive_the_square():
+    # the "bessel" row is reached through y = x^2: its bound squares and
+    # roots back to 60, the next double above it to a root above 60
+    high = core.ENVELOPES["bessel"]["x"][1]
+    assert math.sqrt(_square(high)) == high
+    assert math.sqrt(_square(math.nextafter(high, math.inf))) > high
 
 
 @pytest.mark.parametrize("route,name,side", [
@@ -293,7 +306,7 @@ OUTSIDE_CALLS = {
     "p_limit": lambda: p_limit(LimitParams(2.0, 7), 1.0),
     "prefactor_diagnostics": lambda: prefactor_diagnostics(LimitParams(2.0, 1), [150.0]),
     "q_limit_closed": lambda: q_limit_closed(LimitParams(2.0, 2), 5000.0),  # two Bessel factors
-    "bessel_i": lambda: bessel_i(0.0, 70.0),
+    "q_limit_closed.m1": lambda: q_limit_closed(LimitParams(2.0, 1), 4900.0),  # one Bessel factor
 }
 
 
@@ -352,8 +365,6 @@ POINT_ARGS = {
     "q_limit.y": (lambda v: q_limit(LimitParams(2.0, 1), v), False),
     "p_limit.y": (lambda v: p_limit(LimitParams(2.0, 1), v), False),
     "q_limit_closed.y": (lambda v: q_limit_closed(LimitParams(2.0, 1), v), True),
-    "bessel_i.x": (lambda v: bessel_i(0.5, v), True),
-    "bessel_i.rho": (lambda v: bessel_i(v, 1.0), True),
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import law, ln, weight_sum
+from oracle import law, ln, q_limit_beta2, weight_sum
 from test_jack import check_partition_stream
 
 from lagmin import core, jack, limit
@@ -151,8 +151,8 @@ def test_closed_form_unavailable():
 
 def test_closed_form_nan_and_infinity():
     # NaN y is a DomainError at every m (it used to come back as NaN at
-    # m = 0 and as DivergenceError from bessel_i at m >= 1); y = +inf is
-    # Q = 0, as in q_limit
+    # m = 0 and as DivergenceError from the Bessel series at m >= 1);
+    # y = +inf is Q = 0, as in q_limit
     for lp in (LimitParams(2.0, 0), LimitParams(1.0, 1), LimitParams(2.0, 2), LimitParams(1.0, 3)):
         with pytest.raises(DomainError):
             q_limit_closed(lp, math.nan)
@@ -541,6 +541,22 @@ def test_array_call_warns_once_and_rejects_bad_entries():
             fn(lp, np.array([[1.0], [-2.0]]))
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_beta2_series_meets_the_bessel_determinant(m):
+    # the partition series against e^(-y/4) det[I_(j-k)(sqrt y)], which
+    # shares neither partitions nor Jack values with it
+    lp = LimitParams(2.0, m)
+    for y in (0.5, 4.0, 40.0, 100.0):
+        assert q_limit(lp, y) == pytest.approx(float(q_limit_beta2(m, y)), rel=1e-13, abs=0.0)
+
+
+def test_q_never_passes_one_next_to_the_hard_edge():
+    # the sum of c_k u^k e^(-beta y/8) rounded to 1 + 4e-16 here
+    lp, y = LimitParams(0.5, 4), 0.10884019160690077
+    assert q_limit(lp, y) == 1.0
+    assert q_limit(lp, np.array([y])).tolist() == [1.0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.5, 6.0), st.integers(0, 6), st.lists(st.floats(0.0, 100.0), min_size=1, max_size=30))
 def test_laws_over_y(beta, m, ys):
@@ -552,6 +568,6 @@ def test_laws_over_y(beta, m, ys):
     qs, ps = q_limit(lp, ys), p_limit(lp, ys)
     assert np.all(np.isfinite(ps)) and np.all(ps >= 0.0)
     assert qs[0] == 1.0 and (ps[0] == 0.0) == (m >= 1)
-    assert np.all((qs >= 0.0) & (qs <= 1.0 + 1e-15)) and np.all(np.diff(qs) <= 1e-15)
+    assert np.all((qs >= 0.0) & (qs <= 1.0)) and np.all(np.diff(qs) <= 1e-15)
     assert qs.tolist() == [q_limit(lp, float(y)) for y in ys]
     assert ps.tolist() == [p_limit(lp, float(y)) for y in ys]
