@@ -275,8 +275,9 @@ def q_limit_closed(lp: LimitParams, y: float):
                        * y^(1/2 - 1/beta) I_{2/beta - 1}(sqrt(y))
     (beta, m) = (2,2): e^(-y/4) [I_0(sqrt(y))^2 - I_1(sqrt(y))^2]
 
-    Q(0) = 1 and Q(+inf) = 0 at every m; a NaN or negative y, or an
-    array, raises DomainError.
+    Q(0) = 1 and Q(+inf) = 0 at every m, and the m = 1 form is capped
+    at 1, as q_limit is; a NaN or negative y, or an array, raises
+    DomainError.
     """
     y = core._points(y, "y", scalar=True)
     beta, m = lp.beta, lp.jack_index
@@ -294,10 +295,10 @@ def q_limit_closed(lp: LimitParams, y: float):
         rho = 2.0 / beta - 1.0
         log_pref = (2.0 / beta - 1.0) * math.log(2.0) + math.lgamma(2.0 / beta)
         i, scale = _bessel_i_scaled(rho, r)
-        return math.exp(
+        return min(1.0, math.exp(  # capped as q_limit is
             log_pref - beta * y / 8.0 + (0.5 - 1.0 / beta) * math.log(y)
             + math.log(i) + scale
-        )
+        ))
     if m == 2 and abs(beta - 2.0) < 1e-12:
         core.warn_outside("bessel", x=r)
         i0, scale0 = _bessel_i_scaled(0.0, r)

@@ -124,15 +124,27 @@ def _bessel_i_scaled(rho: float, x: float) -> tuple:
     truncated once a term falls below core.TAIL_TOL times the partial sum
     (DivergenceError past core.K_MAX terms).  All terms are positive, so
     there is no cancellation and the relative error is <= 1e-12 up to
-    x = 60.  Neither validates nor warns."""
+    x = 60.  Where the prefactor (x/2)^rho / Gamma(rho+1) is not a normal
+    double (large rho at small x, as at beta = 0.01 in q_limit_closed) it
+    is (series divided by the prefactor, log of the prefactor).  Neither
+    validates nor warns."""
     tail_tol, k_max = core.TAIL_TOL, core.K_MAX
     if x > core.ENVELOPES["bessel"]["x"][1]:
         scaled = _bessel_i_large(rho, x)
         if scaled is not None:
             return scaled, x
     half = 0.5 * x
-    # prefactor (x/2)^rho / Gamma(rho+1), folded into the k=0 term
-    term = math.exp(rho * math.log(half) - math.lgamma(rho + 1.0))
+    # prefactor (x/2)^rho / Gamma(rho+1), folded into the k=0 term while
+    # it is a normal double; past that (large rho at small x) the series
+    # starts at 1 and the prefactor's log is the scale
+    log_pref = rho * math.log(half) - math.lgamma(rho + 1.0)
+    try:
+        term = math.exp(log_pref)
+    except OverflowError:
+        term = math.inf
+    scale = 0.0
+    if not sys.float_info.min <= term < math.inf:
+        term, scale = 1.0, log_pref
     total = term
     comp = 0.0
     hh = half * half
@@ -145,7 +157,7 @@ def _bessel_i_scaled(rho: float, x: float) -> tuple:
             comp += (term - t) + total
         total = t
         if term < tail_tol * total:
-            return total + comp, 0.0
+            return total + comp, scale
     raise DivergenceError(
         f"Bessel series did not meet tail_tol={tail_tol:g} within "
         f"k_max={k_max} terms (rho={rho}, x={x})"

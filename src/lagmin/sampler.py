@@ -56,7 +56,15 @@ one (2, draws) state, and they meet at the twist r = N // 2, so a sweep
 takes N // 2 sequential steps instead of N - 1.  Each half keeps the
 high relative accuracy of the one-sided transform (Dhillon & Parlett).
 A bracket [0, min diag T] is narrowed by Laguerre steps from its left
-end, all rows at once, until it is w wide relative to its upper end,
+end, all rows at once.  Each pass is two sweeps: the count sweep
+(_qd_pass, 4 numpy calls a step) at every shift, then, only when some
+row that is still open counted 0 and so takes a step, the pole-sum
+sweep (_pole_sums, 9 calls a step) for S1 = sum 1/(lambda_j - sigma)
+and S2 = sum 1/(lambda_j - sigma)^2 from the pivots the count left.
+Together they do the IEEE operations of one sweep of 15 calls a step,
+in its order, so sampled values are bit-identical to it; per-call numpy
+overhead, not arithmetic, sets the cost.  The bracket narrows until
+it is w wide relative to its upper end,
 w = min(2**-47, max(2**-49, N eps / 6)) (_closing_width): the count's
 backward error grows like N eps, so at large N a narrower bracket would
 only resolve the count's own rounding.  w is 2**-49 up to N = 48.
@@ -201,8 +209,8 @@ def _span_values(params: EnsembleParams, seed: int, lo: int, hi: int) -> np.ndar
 
 def _twist(a2, b2):
     """Operands of the twisted qd sweep of T = B B^T for draws a2 (R, N),
-    b2 (R, N-1), N >= 2, twisted at r = N // 2: x, y and xy = x * y of
-    shape (N // 2, 2, R), then start and slope of shape (2, R).
+    b2 (R, N-1), N >= 2, twisted at r = N // 2: x and y of shape
+    (N // 2, 2, R), then start and slope of shape (2, R).
 
     Half h begins in the state start[h] + slope[h] * sigma, and its step
     k turns a state s into the pivot D = x[k, h] + s and the state
@@ -230,14 +238,14 @@ def _twist(a2, b2):
         slope[1] = 0.0
     else:
         start[1] = a2[:, n - 1]
-    return x, y, x * y, start, slope
+    return x, y, start, slope
 
 
 def _negcount(ops, sigma) -> np.ndarray:
     """Eigenvalues of B B^T below sigma for every column of the _twist
     operands, with the zero-pivot guard of LAPACK dlaneg: a quotient s/D
     that comes out NaN (after a pivot D = 0) is replaced by 1."""
-    x, y, _, start, slope = ops
+    x, y, start, slope = ops
     s = slope * sigma + start
     count = np.zeros(sigma.shape, dtype=np.intp)
     for k in range(x.shape[0]):
@@ -250,57 +258,80 @@ def _negcount(ops, sigma) -> np.ndarray:
 
 
 def _qd_pass(ops, sigma):
-    """One twisted qd sweep N_r Delta N_r^T = B B^T - sigma I for every
-    column of the _twist operands: both halves step at once, as the two
-    rows of one (2, R) state, and meet at the twist r = N // 2 in
-    gamma_r = (s_r + sigma) + p_r.
+    """The count sweep: one twisted qd sweep N_r Delta N_r^T = B B^T -
+    sigma I for every column of the _twist operands.  Both halves step at
+    once, as the two rows of one (2, R) state, 4 numpy calls a step
+    (D = x + s; s = s / D; s *= y; s -= sigma), and meet at the twist
+    r = N // 2 in gamma_r = (s_r + sigma) + p_r.
 
     Returns the number of negative pivots, gamma_r included (the
-    eigenvalues below sigma), and, from the first and second
-    sigma-derivatives of the pivots, S1 = sum_j 1/(lambda_j - sigma) and
-    S2 = sum_j 1/(lambda_j - sigma)^2, since det(T - sigma) =
-    prod D+_i * gamma_r * prod D-_i.  As in LAPACK dlaneg, the sweep runs
-    unguarded and only the columns whose gamma_r came out NaN are
+    eigenvalues below sigma), the pivots, shape (N // 2, 2, R), and
+    gamma_r, the operands of _pole_sums.  As in LAPACK dlaneg, the sweep
+    runs unguarded and only the columns whose gamma_r came out NaN are
     counted again by _negcount.
     """
-    x, y, xy, start, slope = ops
-    steps, _, rows = x.shape
+    x, y, start, slope = ops
     piv = np.empty_like(x)
-    acc = np.zeros((2, 2, rows))
-    s1, s2 = acc  # S1 and S2 over each half's pivots
-    r, u, q, t, v, dsn, ddsn = np.empty((7, 2, rows))
     s = slope * sigma
     s += start
-    ds, dds = slope, 0.0  # d s / d sigma, d^2 s / d sigma^2
-    for xk, yk, xyk, d in zip(x, y, xy, piv):
-        np.add(xk, s, out=d)
-        np.divide(ds, d, out=r)  # D'/D
-        s1 -= r
-        np.divide(dds, d, out=u)
-        np.multiply(r, r, out=q)
-        u -= q  # (D'/D)' = D''/D - (D'/D)^2
-        s2 -= u
-        np.divide(s, d, out=t)
-        np.divide(xyk, d, out=v)
-        # next s = y - x y / D - sigma, differentiated twice
-        u -= q
-        dds = np.multiply(v, u, out=ddsn)
-        ds = np.multiply(v, r, out=dsn)
-        ds -= 1.0
-        s = np.multiply(t, yk, out=s)
-        s -= sigma
+    shift = np.empty_like(s)  # sigma in the state's shape: no broadcast per step
+    shift[:] = sigma
+    # ufuncs bound once and out passed by position: per-call overhead,
+    # not arithmetic, sets the cost of a step on a few hundred columns
+    add, divide, multiply, subtract = np.add, np.divide, np.multiply, np.subtract
+    for xk, yk, d in zip(x, y, piv):
+        add(xk, s, d)
+        divide(s, d, s)
+        multiply(s, yk, s)
+        subtract(s, shift, s)
     gamma = s[0] + sigma
     gamma += s[1]
-    rg = (ds[0] + ds[1] + 1.0) / gamma  # gamma'/gamma
-    s1[0] -= rg
-    s2[0] -= (dds[0] + dds[1]) / gamma - rg * rg
     count = np.count_nonzero(piv < 0.0, axis=(0, 1))
     count += gamma < 0.0
     bad = np.isnan(gamma)  # a zero pivot turns the rest of its half into NaN
     if bad.any():
         count[bad] = _negcount([op[..., bad] for op in ops], sigma[bad])
-    s1, s2 = acc.sum(axis=1)
-    return count, s1, s2
+    return count, piv, gamma
+
+
+def _pole_sums(ops, piv, gamma):
+    """The pole-sum sweep: S1 = sum_j 1/(lambda_j - sigma) and S2 =
+    sum_j 1/(lambda_j - sigma)^2 for every column, from the first and
+    second sigma-derivatives of the pivots and gamma_r that _qd_pass
+    returned, since det(T - sigma) = prod D+_i * gamma_r * prod D-_i.
+
+    The next state s = y - x y / D - sigma has the derivatives
+    s' = v D'/D - 1 and s'' = v ((D'/D)' - (D'/D)^2), v = x y / D, so
+    with v formed for every step at once the recurrence takes 9 numpy
+    calls a step.  D'/D is written over the spent pivot (piv is
+    overwritten), so S1 is one sum over the steps.  Every value goes
+    through the IEEE operations of the one-sweep recurrence, in its
+    order: S1 and S2 are bit-identical to it.
+    """
+    x, y, _, slope = ops
+    v = x * y
+    v /= piv
+    s2 = np.zeros(slope.shape)
+    u, q, dsn, ddsn = np.empty((4,) + slope.shape)
+    ds, dds = slope, 0.0  # d s / d sigma, d^2 s / d sigma^2
+    divide, multiply, subtract = np.divide, np.multiply, np.subtract  # as in _qd_pass
+    for d, vk in zip(piv, v):
+        divide(dds, d, u)
+        divide(ds, d, d)  # D'/D
+        multiply(d, d, q)
+        subtract(u, q, u)  # (D'/D)' = D''/D - (D'/D)^2
+        subtract(s2, u, s2)
+        subtract(u, q, u)
+        dds = multiply(vk, u, ddsn)
+        ds = multiply(vk, d, dsn)
+        subtract(ds, 1.0, ds)
+    rg = (ds[0] + ds[1] + 1.0) / gamma  # gamma'/gamma
+    # summed in step order; 0 - sum, not -sum, keeps the bits of
+    # subtracting each D'/D from 0 in turn, signs of 0 and NaN included
+    s1 = 0.0 - piv.sum(axis=0)
+    s1[0] -= rg
+    s2[0] -= (dds[0] + dds[1]) / gamma - rg * rg
+    return s1[0] + s1[1], s2[0] + s2[1]
 
 
 def _closing_width(n: int) -> float:
@@ -327,7 +358,9 @@ def tridiag_smallest(a2, b2):
     operands are built once per call and shed columns as rows finish; it
     starts at [0, min diag T] (T is positive semidefinite).  From lo,
     Laguerre's step for the smallest root of det(T - sigma) lands at or
-    below lambda_min in exact arithmetic; the next shift is that estimate
+    below lambda_min in exact arithmetic (its S1 and S2 come from
+    _pole_sums, run only on a pass where a row that is still open counted
+    0: no other row reads them); the next shift is that estimate
     plus a margin, so a converged estimate closes the bracket from above,
     and a margin doubling below hi closes it from below.  Where the step
     is unusable (after a zero pivot, or where S2 overflows, lambda below
@@ -361,24 +394,27 @@ def tridiag_smallest(a2, b2):
         for _ in range(_MAX_PASSES):
             if not live.size:
                 return out
-            count, s1, s2 = _qd_pass(ops, sigma)
+            count, piv, gamma = _qd_pass(ops, sigma)
             above = count >= 1
             hi = np.where(above, sigma, hi)
             lo = np.where(above, lo, sigma)
-            step = n / (s1 + np.sqrt((n - 1) * np.maximum(n * s2 - s1 * s1, 0.0)))
-            step = np.where(np.isfinite(step) & (step > 0.0), step, 0.0)
-            est = np.where(above, est, sigma + step)
+            mid = 0.5 * (lo + hi)
+            # subnormal brackets end with lo and hi adjacent doubles
+            done = (hi - lo <= rtol * hi) | (mid <= lo) | (mid >= hi)
+            step = 0.0  # only an open row that counted 0 takes a step
+            if not (above | done).all():
+                s1, s2 = _pole_sums(ops, piv, gamma)
+                step = n / (s1 + np.sqrt((n - 1) * np.maximum(n * s2 - s1 * s1, 0.0)))
+                step = np.where(np.isfinite(step) & (step > 0.0), step, 0.0)
+                est = np.where(above, est, sigma + step)
             # the margin doubles while the shifts stay on one side of
             # lambda without the step beating it; it starts a little under
             # rtol / 2 so that est - gap and est + gap, once rounded, still
             # close the bracket
             gap = np.where(above | (step <= gap), 2.0 * gap, 0.45 * rtol * est)
-            mid = 0.5 * (lo + hi)
             x = np.where(above, np.maximum(hi - gap, mid), est + gap)
             x = np.where(~above & (x >= hi), hi - gap, x)
             sigma = np.where((x > lo) & (x < hi), x, mid)
-            # subnormal brackets end with lo and hi adjacent doubles
-            done = (hi - lo <= rtol * hi) | (mid <= lo) | (mid >= hi)
             if done.any():
                 out[live[done]] = mid[done]
                 keep = np.flatnonzero(~done)

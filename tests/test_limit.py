@@ -179,6 +179,19 @@ def test_closed_form_far_tail():
             assert q_limit_closed(LimitParams(beta, 1), y) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("beta,y", [
+    (0.01, 1e-300), (0.01, 1e-10), (0.01, 1e-3), (0.01, 1.0), (0.1, 1e-100),
+    (0.3, 1e-300), (0.5, 1e-300),
+])
+def test_closed_form_m1_at_small_beta(beta, y):
+    # the Bessel order 2/beta - 1 is large, so the series' prefactor
+    # underflows (this raised DivergenceError); Q is near 1 and capped there
+    lp = LimitParams(beta, 1)
+    closed = q_limit_closed(lp, y)
+    assert math.isfinite(closed) and closed <= 1.0
+    assert closed == pytest.approx(q_limit(lp, y), rel=1e-10, abs=0.0)
+
+
 def test_density_at_zero():
     assert p_limit(LimitParams(2.0, 0), 0.0) == 0.25
     assert p_limit(LimitParams(1.0, 0), 0.0) == 0.125

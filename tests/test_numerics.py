@@ -72,6 +72,19 @@ class TestBesselI:
         assert scale == 0.0
         assert value == pytest.approx(scipy.special.iv(rho, x), rel=1e-12)
 
+    def test_prefactor_outside_the_normal_range(self):
+        # at rho = 199 (beta = 0.01 in q_limit_closed) (x/2)^rho /
+        # Gamma(rho+1) underflows: the series starts at 1 and the
+        # prefactor's log is the scale
+        rho = 199.0
+        for x, terms in ((1e-150, 1), (2.0, 8)):
+            value, scale = _bessel_i_scaled(rho, x)
+            assert scale == rho * math.log(0.5 * x) - math.lgamma(rho + 1.0)
+            want = [1.0]
+            for k in range(1, terms):
+                want.append(want[-1] * (0.5 * x) ** 2 / (k * (rho + k)))
+            assert value == pytest.approx(math.fsum(want), rel=1e-15, abs=0.0)
+
     def test_divergence_guard(self, monkeypatch):
         monkeypatch.setattr(core, "K_MAX", 3)
         with pytest.raises(DivergenceError):

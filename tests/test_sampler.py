@@ -18,6 +18,7 @@ from lagmin.sampler import (
     SampleBatch,
     _block,
     _negcount,
+    _pole_sums,
     _qd_pass,
     _twist,
     kolmogorov_sf,
@@ -68,6 +69,59 @@ def _exact_count(a2, b2, sigma) -> int:
     return changes
 
 
+def _one_sweep(ops, sigma):
+    """The count, S1 and S2 of one twisted qd sweep that carries the
+    pivot derivatives along with the count, 15 numpy calls a step: the
+    reference for the split into _qd_pass and _pole_sums."""
+    x, y, start, slope = ops
+    xy = x * y
+    steps, _, rows = x.shape
+    piv = np.empty_like(x)
+    acc = np.zeros((2, 2, rows))
+    s1, s2 = acc
+    r, u, q, t, v, dsn, ddsn = np.empty((7, 2, rows))
+    s = slope * sigma
+    s += start
+    ds, dds = slope, 0.0
+    for xk, yk, xyk, d in zip(x, y, xy, piv):
+        np.add(xk, s, out=d)
+        np.divide(ds, d, out=r)
+        s1 -= r
+        np.divide(dds, d, out=u)
+        np.multiply(r, r, out=q)
+        u -= q
+        s2 -= u
+        np.divide(s, d, out=t)
+        np.divide(xyk, d, out=v)
+        u -= q
+        dds = np.multiply(v, u, out=ddsn)
+        ds = np.multiply(v, r, out=dsn)
+        ds -= 1.0
+        s = np.multiply(t, yk, out=s)
+        s -= sigma
+    gamma = s[0] + sigma
+    gamma += s[1]
+    rg = (ds[0] + ds[1] + 1.0) / gamma
+    s1[0] -= rg
+    s2[0] -= (dds[0] + dds[1]) / gamma - rg * rg
+    count = np.count_nonzero(piv < 0.0, axis=(0, 1))
+    count += gamma < 0.0
+    bad = np.isnan(gamma)
+    if bad.any():
+        count[bad] = _negcount([op[..., bad] for op in ops], sigma[bad])
+    s1, s2 = acc.sum(axis=1)
+    return count, s1, s2
+
+
+def _assert_split_matches(ops, sigma):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        want = _one_sweep(ops, sigma)
+        count, piv, gamma = _qd_pass(ops, sigma)
+        got = (count, *_pole_sums(ops, piv, gamma))
+    for w, g in zip(want, got):
+        assert w.dtype == g.dtype and w.tobytes() == g.tobytes()
+
+
 class TestTridiagSmallest:
     def test_against_dense_solver_on_ensemble_draws(self):
         for beta, n, m_dim in [(2.0, 4, 6), (1.0, 5, 7), (4.0, 3, 4), (2.0, 10, 12)]:
@@ -103,18 +157,25 @@ class TestTridiagSmallest:
     @pytest.mark.parametrize("beta,m_dim", [(2.0, 203), (0.5, 200)])
     def test_passes_at_n200(self, monkeypatch, beta, m_dim):
         # the batch of the accuracy test above closes in at most 8 qd
-        # passes; at the fixed width 2**-49 it took 9
-        calls = []
-        qd_pass = sampler._qd_pass
+        # passes (at the fixed width 2**-49 it took 9), and a pass whose
+        # open rows all counted >= 1 skips the pole-sum sweep
+        calls, sums = [], []
+        qd_pass, pole_sums = sampler._qd_pass, sampler._pole_sums
 
         def counted(ops, sigma):
             calls.append(sigma.size)
             return qd_pass(ops, sigma)
 
+        def summed(ops, piv, gamma):
+            sums.append(gamma.size)
+            return pole_sums(ops, piv, gamma)
+
         monkeypatch.setattr(sampler, "_qd_pass", counted)
+        monkeypatch.setattr(sampler, "_pole_sums", summed)
         a2, b2 = _ensemble_squares(params_new(beta, 200, m_dim), 41, 160)
         tridiag_smallest(a2, b2)
         assert calls[0] == 160 and len(calls) <= 8
+        assert sums[0] == 160 and len(sums) < len(calls)
 
     def test_generic_random_tridiagonals(self):
         # T = B B^T for random bidiagonal B, entries spread over twelve
@@ -208,11 +269,32 @@ class TestTridiagSmallest:
         eig = np.array([np.linalg.eigvalsh(_dense_t(a2[i], b2[i])) for i in range(20)])
         sigma = eig[:, 0] + 0.3 * (eig[:, 1] - eig[:, 0])
         sigma[::2] = 0.5 * eig[::2, 0]
-        _, s1, s2 = _qd_pass(_twist(a2, b2), sigma)
+        x, y, start, slope = ops = _twist(a2, b2)
+        assert x.shape == y.shape == (n // 2, 2, 20) and start.shape == slope.shape == (2, 20)
+        _, piv, gamma = _qd_pass(ops, sigma)
+        s1, s2 = _pole_sums(ops, piv, gamma)
         inv = 1.0 / (eig - sigma[:, None])
         # S1 mixes signs above lambda_min: its error scales with sum |1/(lambda - sigma)|
         assert np.all(np.abs(s1 - inv.sum(axis=1)) <= 1e-10 * np.abs(inv).sum(axis=1))
         np.testing.assert_allclose(s2, (inv * inv).sum(axis=1), rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 40, 41, 200])
+    def test_split_sweeps_match_one_sweep(self, n):
+        # the count sweep and the pole-sum sweep give the bytes of the
+        # one-sweep recurrence, S1's order of summation included, on 1 to
+        # 160 columns, at shifts below, at and above lambda_min
+        a2, b2 = _ensemble_squares(params_new(1.0, n, n + 1), 29, 160)
+        lam = tridiag_smallest(a2, b2)
+        for rows in (1, 2, 7, 160):
+            ops = _twist(a2[:rows], b2[:rows])
+            for sigma in (0.0 * lam, 0.5 * lam, lam * (1 - 1e-15), lam * (1 + 1e-15), 3.0 * lam):
+                _assert_split_matches(ops, sigma[:rows])
+
+    def test_split_sweeps_match_one_sweep_at_zero_pivot(self):
+        # the guard's matrix: sigma = a_0^2 makes the top pivot D+_0 = 0
+        a2 = np.array([[1.0, 3.0, 0.5, 0.2], [1.0, 0.5, 0.25, 2.0]])
+        b2 = np.array([[0.5, 0.1, 4.0], [2.0, 1.0, 0.5]])
+        _assert_split_matches(_twist(a2, b2), np.array([1.0, 1.0]))
 
     def test_rows_do_not_depend_on_the_batch(self):
         a2, b2 = _ensemble_squares(params_new(2.0, 40, 42), 8, 50)
