@@ -69,7 +69,6 @@ costs O(N^2).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -202,7 +201,10 @@ def _det_integers(n_dim: int, alpha: int) -> tuple:
 def det_laguerre(n_dim: int, alpha: int) -> tuple:
     """Exact coefficients, ascending in s, of the polynomial
     det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}: alpha*N + 1 Fractions,
-    (Fraction(1),) for the empty determinant alpha = 0."""
+    (Fraction(1),) for the empty determinant alpha = 0.  fractions is
+    imported on the first call: no other route of the package uses it."""
+    from fractions import Fraction
+
     coeffs, denom = _det_integers(_as_int(n_dim, "n_dim", 1), _as_int(alpha, "alpha", 0))
     return tuple(Fraction(c, denom) for c in coeffs)
 

@@ -63,6 +63,7 @@ machinery at all.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -81,13 +82,24 @@ def _log_gammas(p: int, count: int) -> np.ndarray:
     return out
 
 
-def _density_constant(params: EnsembleParams) -> float:
-    """D_(N,m) = (N/m!) prod_(i=1..m) (N nu + i)/(nu + i), the factor that
-    turns the m x (N-1) sums at b = 2m/beta + 2 into the density
-    coefficients d_(m+k)."""
+def _log_density_constant(params: EnsembleParams) -> float:
+    """log D_(N,m), D_(N,m) = (N/m!) prod_(i=1..m) (N nu + i)/(nu + i), the
+    factor that turns the m x (N-1) sums at b = 2m/beta + 2 into the
+    density coefficients d_(m+k).
+
+    D is built as N prod_(i=1..m) (N nu + i)/((nu + i) i), with its binary
+    exponent kept apart by math.frexp, so neither m! nor D itself can leave
+    the double range (D = (m+2)/m! at N = 2, beta = 2 is subnormal from
+    m = 172 and 0 from m = 179).
+    Where D is a normal double this is the log of the product's value."""
     nu, n, m = 0.5 * params.beta, params.n_dim, params.jack_index
-    return n * math.prod(n * nu + i for i in range(1, m + 1)) / (
-        math.factorial(m) * math.prod(nu + i for i in range(1, m + 1)))
+    mant, exp = math.frexp(float(n))
+    for i in range(1, m + 1):
+        mant, step = math.frexp(mant * ((n * nu + i) / ((nu + i) * i)))
+        exp += step
+    if sys.float_info.min_exp <= exp <= sys.float_info.max_exp:
+        return math.log(math.ldexp(mant, exp))
+    return math.log(mant) + exp * math.log(2.0)
 
 
 @lru_cache(maxsize=32)  # each entry holds at most m*N + 1 floats
@@ -106,7 +118,7 @@ def _series_coeffs(params: EnsembleParams, shift: int) -> np.ndarray:
     log_ratio = _log_falling(g, m * n + 1)[m + 1 if shift else 0:]
     out = log_ratio[:len(total)] + peak + np.log(total)
     if shift:
-        out += math.log(_density_constant(params))
+        out += _log_density_constant(params)
     out.flags.writeable = False  # shared by every caller through the cache
     return out
 

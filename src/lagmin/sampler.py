@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -454,6 +453,9 @@ def run_batch(
     if workers == 1:
         values = _span_values(params, seed, 0, count)
     else:
+        # loaded only here: no run that stays on one thread pays for it
+        from concurrent.futures import ThreadPoolExecutor
+
         edges = [min(count, BLOCK * (blocks * k // workers)) for k in range(workers + 1)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(

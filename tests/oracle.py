@@ -1,8 +1,9 @@
 """The tests' one exact reference: partitions, Jack values, the series
 coefficients of both laws, the beta=2 Laguerre determinant and the law
 as a sum, in Fractions from their definitions, with one Decimal step
-for the transcendental functions; and the beta=2 hard-edge limit as a
-Bessel determinant, which touches no partition.  It uses the standard
+for the transcendental functions; and the beta=2 hard-edge limit and
+its density as a Bessel determinant and its y-derivative, which touch
+no partition.  It uses the standard
 library only, so it shares no code with lagmin, and it never uses the
 row/pair factorisation of lagmin.jack: the tests check that
 factorisation against these definitions.
@@ -237,25 +238,67 @@ def _bessel_i(n, x):
         total += term
 
 
-def q_limit_beta2(m, y):
-    """Q(y) = e^(-y/4) det[I_(j-k)(sqrt y)]_(j,k<m) (Forrester & Hughes,
-    J. Math. Phys. 35 (1994) 6736) at beta = 2, Jack index m and a float
-    y > 0, as a Decimal.
+def _det(mat):
+    """Determinant of a square matrix of Fractions by elimination, swapping
+    in a row with a nonzero pivot where one is needed (1 when empty, 0
+    when no pivot is left: p_limit_beta2's interior rows make such exactly
+    singular matrices)."""
+    mat = [list(row) for row in mat]
+    det = Fraction(1)
+    for i in range(len(mat)):
+        pivot = next((j for j in range(i, len(mat)) if mat[j][i]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            mat[i], mat[pivot] = mat[pivot], mat[i]
+            det = -det
+        det *= mat[i][i]
+        for j in range(i + 1, len(mat)):
+            ratio = mat[j][i] / mat[i][i]
+            mat[j] = [a - ratio * b for a, b in zip(mat[j], mat[i])]
+    return det
 
-    The entries I_n(sqrt y), I_-n = I_n, round once to Decimals, and the
-    determinant eliminates them exactly in Fractions.  The entries reach
-    about e^(m sqrt y) in a product of m, while the determinant is at
-    least 1 (Heine's integral over U(m) and Jensen), so DIGITS + m sqrt(y)
-    / ln 10 digits leave DIGITS of the determinant, up to log10 m!."""
+
+def _bessel_row(m, y):
+    """I_n(sqrt y) for n = 0..m as Fractions, each rounded once to a
+    Decimal of DIGITS + m sqrt(y) / ln 10 digits, and sqrt y likewise.
+
+    The entries of the determinant reach about e^(m sqrt y) in a product
+    of m, while the determinant is at least 1 (Heine's integral over U(m)
+    and Jensen), so those digits leave DIGITS of it, up to log10 m!."""
     with localcontext() as ctx:
         ctx.prec = DIGITS + math.ceil(m * math.sqrt(y) / math.log(10))
         x = Decimal(y).sqrt()
-        row = [Fraction(_bessel_i(n, x)) for n in range(m)]
-        mat = [[row[abs(j - k)] for k in range(m)] for j in range(m)]
-        det = Fraction(1)
-        for i in range(m):  # the matrix is positive definite: every pivot is > 0
-            det *= mat[i][i]
-            for j in range(i + 1, m):
-                ratio = mat[j][i] / mat[i][i]
-                mat[j] = [a - ratio * b for a, b in zip(mat[j], mat[i])]
+        return [Fraction(_bessel_i(n, x)) for n in range(m + 1)], Fraction(x)
+
+
+def q_limit_beta2(m, y):
+    """Q(y) = e^(-y/4) det[I_(j-k)(sqrt y)]_(j,k<m) (Forrester & Hughes,
+    J. Math. Phys. 35 (1994) 6736) at beta = 2, Jack index m and a float
+    y > 0, as a Decimal: the entries I_-n = I_n come from _bessel_row and
+    the determinant eliminates them exactly in Fractions."""
+    row, _ = _bessel_row(m, y)
+    det = _det([[row[abs(j - k)] for k in range(m)] for j in range(m)])
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
         return _decimal(det) * (-Decimal(y) / 4).exp()
+
+
+def p_limit_beta2(m, y):
+    """P(y) = -dQ/dy of q_limit_beta2's law, as a Decimal.
+
+    With T = [I_(j-k)(sqrt y)], Jacobi's formula d det T = tr(adj T dT)
+    is the sum over rows j of det T with row j taken by its y-derivative,
+    whose entries are I_n'(sqrt y) / (2 sqrt y), I_n' = (I_(n-1) + I_(n+1))/2
+    and I_-1 = I_1; then P = e^(-y/4) (det T / 4 - d det T / dy), exact in
+    Fractions from _bessel_row's entries.  An interior row's derivative is
+    (row j-1 + row j+1) / (4 sqrt y), so only rows 0 and m-1 add to the
+    sum; it is summed over every row as the formula reads."""
+    row, x = _bessel_row(m, y)
+    slope = [(row[abs(n - 1)] + row[n + 1]) / (4 * x) for n in range(m)]
+    mat = [[row[abs(j - k)] for k in range(m)] for j in range(m)]
+    d_det = sum(_det(mat[:j] + [[slope[abs(j - k)] for k in range(m)]] + mat[j + 1:])
+                for j in range(m))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return _decimal(_det(mat) / 4 - d_det) * (-Decimal(y) / 4).exp()

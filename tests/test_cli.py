@@ -68,6 +68,17 @@ def test_exact_pdf_json(capsys):
     assert doc["warnings"] == []
 
 
+def test_exact_pdf_at_a_large_jack_index(capsys):
+    # m = 100: the density constant's m! overflowed here and the command
+    # printed a traceback
+    code, out, err = run_cli(capsys, "exact-pdf", "--beta", "2", "--N", "2", "--M", "102",
+                             "--grid", "0:0.5:3")
+    assert code == 0 and "error:" not in err
+    _, rows = parse_csv(out)
+    ps = [float(row["P"]) for row in rows]
+    assert ps[0] == 0.0 and 0.0 < ps[1] < np.inf and ps[2] == 0.0
+
+
 def test_moments_json(capsys):
     code, out, _ = run_cli(
         capsys, "moments", "--beta", "2", "--N", "4", "--M", "4",
@@ -222,18 +233,36 @@ def test_validate_has_no_quadrature_tolerance(capsys):
     assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1
 
 
-def test_commands_import_no_scipy():
-    # this test process imports scipy itself, so the commands run in a
-    # fresh interpreter
+@pytest.fixture(scope="module")
+def fresh_interpreter():
+    """What one fresh interpreter saw (this test process imports scipy,
+    concurrent.futures and fractions itself): exact-cdf, limit-cdf,
+    beta2-cdf and validate at their defaults, then a short validate and
+    selfcheck, then one run_batch that splits across two threads."""
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         import lagmin.cli
-        argv = ["validate", "--beta", "1", "--N", "2", "--M", "4",
-                "--samples", "200", "--seed", "3"]
+        from lagmin.core import params_new
+        from lagmin.sampler import run_batch
+        main = lagmin.cli.main
+        deferred = ("concurrent.futures", "fractions")
         with contextlib.redirect_stdout(io.StringIO()):
-            codes = [lagmin.cli.main(argv), lagmin.cli.main(["selfcheck"])]
-        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-        print(json.dumps({"codes": codes, "scipy": loaded}))
+            defaults = [
+                main(["exact-cdf", "--beta", "2", "--N", "3", "--M", "4", "--grid", "0:0.3:5"]),
+                main(["limit-cdf", "--beta", "2", "--m", "1", "--grid", "0:4:5"]),
+                main(["beta2-cdf", "--N", "3", "--M", "4", "--grid", "0:0.3:5"]),
+                main(["validate", "--beta", "1", "--N", "2", "--M", "4"]),
+            ]
+            loaded = [m for m in deferred if m in sys.modules]
+            codes = [main(["validate", "--beta", "1", "--N", "2", "--M", "4",
+                           "--samples", "200", "--seed", "3"]), main(["selfcheck"])]
+        scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        # 32 blocks of N = 50 draws: two spans of the least size
+        p = params_new(1.0, 50, 52)
+        one, two = (run_batch(p, 8192, 5, workers=w).values for w in (1, 2))
+        print(json.dumps({"defaults": defaults, "deferred": loaded, "codes": codes,
+                          "scipy": scipy, "split": "concurrent.futures" in sys.modules,
+                          "same": one.tobytes() == two.tobytes()}))
     """)
     src = str(Path(lagmin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -242,9 +271,21 @@ def test_commands_import_no_scipy():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_import_no_scipy(fresh_interpreter):
+    doc = fresh_interpreter
     assert doc["codes"][0] in (0, 1) and doc["codes"][1] == 0
     assert doc["scipy"] == []
+
+
+def test_thread_pool_and_fractions_load_only_when_used(fresh_interpreter):
+    doc = fresh_interpreter
+    assert doc["defaults"][:3] == [0, 0, 0] and doc["defaults"][3] in (0, 1)
+    assert doc["deferred"] == []
+    # the split run loaded the pool, and it returns the one-thread values
+    assert doc["split"] and doc["same"]
 
 
 def test_validate_split_half_route(capsys):

@@ -482,11 +482,29 @@ def test_density_coefficients_identity_exact(beta):
                 ((n * nu + i) / (nu + i) for i in range(1, m + 1)), start=Fraction(1))
             p = params_new(float(beta), n, int(m_dim))
             assert p.jack_index == m
-            assert float(d_m) == pytest.approx(exact._density_constant(p), rel=1e-15, abs=0.0)
+            assert math.log(d_m) == pytest.approx(exact._log_density_constant(p), rel=0.0, abs=1e-15)
             for j in range(m * n + 1):
                 d = n * (g - 1 - j) * a[j] - (j + 1) * a[j + 1]
                 want = d_m * _falling(g, j + 1) * weight_sum(nu, m, j - m, m / nu + 2, cols=n - 1) if j >= m else 0
                 assert d == want
+
+
+@pytest.mark.filterwarnings("ignore::lagmin.errors.PrecisionWarning")  # m past the envelope
+@pytest.mark.parametrize("m", [100, 250])
+def test_density_constant_at_a_large_jack_index(m):
+    # D = (m+2)/m! at N = 2, beta = 2: a product with m! in it overflowed
+    # from m = 98, and D itself is 0 in doubles from m = 179
+    p = params_new(2.0, 2, m + 2)
+    want = float(ln(Fraction(m + 2, math.factorial(m))))
+    assert exact._log_density_constant(p) == pytest.approx(want, rel=1e-15, abs=0.0)
+    # P against its N = 2 closed form 4 z (1-z)^(M-2) / B(3/2, M-1),
+    # z = (1-2x)^2, in logs
+    xs = np.array([0.05, 0.1, 0.25, 0.4])
+    got = p_exact(p, xs)
+    assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+    want = (math.log(4.0) + 2.0 * np.log1p(-2.0 * xs) + m * np.log(4.0 * xs * (1.0 - xs))
+            - scipy.special.betaln(1.5, m + 1.0))
+    assert np.max(np.abs(np.log(got) - want)) <= 1e-10
 
 
 @pytest.mark.filterwarnings("ignore::lagmin.errors.PrecisionWarning")  # beta2 route, N=40
