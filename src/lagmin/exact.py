@@ -74,14 +74,6 @@ from .jack import _log_weight_sums
 from .numerics import _edge_sum, _log_falling, _series_sum
 
 
-@lru_cache(maxsize=32)
-def _log_gammas(p: int, count: int) -> np.ndarray:
-    """log Gamma(p + k) for k = 0..count-1, as a read-only array."""
-    out = np.array([math.lgamma(p + k) for k in range(count)])
-    out.flags.writeable = False
-    return out
-
-
 def _log_density_constant(params: EnsembleParams) -> float:
     """log D_(N,m), D_(N,m) = (N/m!) prod_(i=1..m) (N nu + i)/(nu + i), the
     factor that turns the m x (N-1) sums at b = 2m/beta + 2 into the
@@ -187,7 +179,7 @@ def moment(params: EnsembleParams, p: int) -> float:
     g = 0.5 * params.beta * params.m_dim * n
     log_a = _series_coeffs(params, 0)
     log_ratio = _log_falling(g, m * n + 1)[:-1]  # the table P shares
-    log_gamma_pk = _log_gammas(p, len(log_a))
+    log_gamma_pk = np.array([math.lgamma(p + k) for k in range(len(log_a))])
     # log of Gamma(G+p)/Gamma(G) = (G)(G+1)...(G+p-1), exact factors
     log_poch_g = math.fsum(math.log(g + i) for i in range(p))
     # a series in u = 1/N: p / (N^p (G)_p) sum_k [A_k Gamma(p+k) Gamma(G-k)/Gamma(G)] u^k

@@ -57,9 +57,10 @@ Q and P are evaluated over an array of y by numerics._series_sum, with
 u = y/4 and exp(-beta*y/8) in each term's exponent.  Each point stops
 by core.TAIL_TOL, the table grows until every point has stopped, and a
 point that needs a power of u beyond core.K_MAX is a DivergenceError.
-Q(0) = 1 and P(0) need no table, and a point whose value is certainly
-below the smallest subnormal double is 0 with no sum (_f01_sum), so a
-huge beta gives 1, 0 and the exact P(0) rather than an error.
+Q(0) = 1 and P(0) need no table nor D_m, and a point whose value is
+certainly below the smallest subnormal double is 0 with no sum
+(_f01_sum), so a huge beta gives 1, 0 and the exact P(0) rather than an
+error.
 Past the "limit" row of core.ENVELOPES (y <= 100, m <= 6) a call issues
 one PrecisionWarning.
 
@@ -171,7 +172,7 @@ def _density_constant(lp: LimitParams) -> float:
 
     Built as (nu/4) prod_(i=1..m) (nu/(i+nu)) (nu/i), whose factors all
     fit in a double, so D_m is finite wherever it fits in one (no power
-    nu^(2m+1) to overflow first); DivergenceError where it does not.  The
+    nu^(2m+1) to overflow first), and inf or 0 where it does not.  The
     product stops once it is 0 or inf, which no later factor can change,
     so a huge m costs no more than the underflow."""
     nu = 0.5 * lp.beta
@@ -180,16 +181,14 @@ def _density_constant(lp: LimitParams) -> float:
         out *= nu / (i + nu) * (nu / i)
         if out == 0.0 or out == math.inf:
             break
-    if out == math.inf:
-        raise DivergenceError(
-            f"density constant D_m overflows a double (beta={lp.beta}, m={lp.jack_index})")
     return out
 
 
 def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: float) -> np.ndarray:
     """factor * exp(-beta*y/8) * sum_k c_k (y/4)^(k + first) at every
     entry y >= 0 of the array ys, as an array of its shape, the c_k being
-    the 0F1 coefficients at b = 2m/beta + shift; 0 at y = +inf.  A point
+    the 0F1 coefficients at b = 2m/beta + shift; 0 at y = +inf, and
+    DivergenceError if factor is inf and a y lies in (0, inf).  A point
     is summed on the first rung on which it stops, so its value does not
     depend on the other points of the call.
 
@@ -213,6 +212,9 @@ def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: fl
     out = np.zeros(flat.shape)  # 0 at y = +inf
     out[flat == 0.0] = factor if first == 0 else 0.0
     todo = np.flatnonzero((flat > 0.0) & (flat < math.inf))
+    if todo.size and factor == math.inf:
+        raise DivergenceError(
+            f"density constant D_m overflows a double (beta={lp.beta}, m={lp.jack_index})")
     with np.errstate(divide="ignore", over="ignore"):  # log 0 at y = 0; beta*y past the float range
         log_u = np.log(flat / 4.0)
         damp = -lp.beta * flat / 8.0
@@ -261,7 +263,7 @@ def p_limit(lp: LimitParams, y):
     array: D_m exp(-beta*y/8) sum_k c'_k (y/4)^(m+k), the exact termwise
     derivative summed from j = m (see the module docstring; no finite
     differencing).  beta/8 at y = 0 when m = 0, else 0 there, and 0 at
-    y = +inf."""
+    y = +inf, at every beta (D_m past the float range included)."""
     ys = _limit_points(lp, y)
     out = _f01_sum(lp, ys, 2, lp.jack_index, _density_constant(lp))
     return out if ys.ndim else float(out)

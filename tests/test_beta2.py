@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -242,6 +243,18 @@ def test_q_beta2_alpha0_closed_form():
             assert q_exact_beta2(n, n, x) == pytest.approx(
                 (1 - n * x) ** (n * n - 1), rel=1e-13
             )
+
+
+def test_q_beta2_alpha0_at_a_huge_n():
+    # only the alpha = 0 return of _entries answers this fast: without it the
+    # Laguerre recurrence runs to degree N - 1 on growing integers
+    n, xs = 10**5, [1e-16, 1e-15, 1e-14]
+    start = time.perf_counter()
+    with pytest.warns(PrecisionWarning):
+        qs = q_exact_beta2(n, n, np.array(xs))
+    assert time.perf_counter() - start < 1.0
+    # (1 - Nx)^(N^2 - 1), with 1 - Nx never rounded
+    assert qs.tolist() == [math.exp((n * n - 1) * math.log1p(-n * x)) for x in xs]
 
 
 def test_q_beta2_handworked_case():

@@ -1,6 +1,7 @@
 """Finite-size survival function, density, moments, normalization."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -233,6 +234,16 @@ def test_degenerate_single_eigenvalue():
     assert q_exact(p, 1.0) == 0.0
     assert p_exact(p, 0.7) == 0.0
     assert moment(p, 3) == 1.0
+
+
+def test_single_eigenvalue_density_at_a_huge_jack_index():
+    # only the N = 1 branch answers this fast: the general path would build
+    # log Gamma(G)/Gamma(G-k) over 100 002 factors
+    p = params_new(2.0, 1, 100001)
+    start = time.perf_counter()
+    with pytest.warns(PrecisionWarning):
+        assert p_exact(p, 0.5) == 0.0
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------- moments ----------

@@ -450,8 +450,12 @@ def test_density_keeps_its_digits_where_the_sum_is_subnormal():
 
 @pytest.mark.parametrize("beta,m", [(1e150, 2), (1e200, 1), (1e308, 3)])
 def test_density_constant_past_the_float_range(beta, m):
+    # D_m is inf here: P needs it only where a y in (0, inf) is summed
+    lp = LimitParams(beta, m)
+    assert limit._density_constant(lp) == math.inf
+    assert p_limit(lp, np.array([0.0, math.inf])).tolist() == [0.0, 0.0]
     with pytest.raises(DivergenceError, match="D_m overflows"):
-        p_limit(LimitParams(beta, m), 0.0)
+        p_limit(lp, 1.0)
 
 
 def test_laws_at_the_largest_jack_index():
@@ -563,6 +567,18 @@ def test_beta2_series_meets_the_bessel_determinant(m):
     for y in (0.5, 4.0, 40.0, 100.0):
         assert q_limit(lp, y) == pytest.approx(float(q_limit_beta2(m, y)), rel=1e-13, abs=0.0)
         assert p_limit(lp, y) == pytest.approx(float(p_limit_beta2(m, y)), rel=1e-13, abs=0.0)
+
+
+def test_beta2_series_meets_the_bessel_determinant_at_m10():
+    # past the envelope in m (worst seen 3.0e-14 for Q, 1.3e-14 for P)
+    lp, ys = LimitParams(2.0, 10), np.array([1.0, 10.0, 40.0])
+    with pytest.warns(PrecisionWarning):
+        qs = q_limit(lp, ys)
+    with pytest.warns(PrecisionWarning):
+        ps = p_limit(lp, ys)
+    for y, q, p in zip(ys.tolist(), qs.tolist(), ps.tolist()):
+        assert q == pytest.approx(float(q_limit_beta2(10, y)), rel=1e-13, abs=0.0)
+        assert p == pytest.approx(float(p_limit_beta2(10, y)), rel=1e-13, abs=0.0)
 
 
 def test_q_never_passes_one_next_to_the_hard_edge():

@@ -452,6 +452,11 @@ class TestRunBatch:
         b = run_batch(params_new(2.0, 1, 4), 10, seed=3)
         assert (b.values == 1.0).all()
 
+    def test_degenerate_n1_at_a_beta_no_draw_takes(self):
+        # the general path refuses this beta as too small (see above)
+        b = run_batch(params_new(1e-310, 1, 2), 3, seed=1)
+        assert b.values.tolist() == [1.0, 1.0, 1.0]
+
     def test_trace_normalization(self):
         p = params_new(2.0, 4, 5)
         a2, b2 = _ensemble_squares(p, 11, 32)
