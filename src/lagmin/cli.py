@@ -1,15 +1,21 @@
 """Command-line front end.
 
 Every subcommand is declared once, in COMMANDS (name -> help text and
-arguments).  A command line that starts with a command name is parsed by
-that command's own parser, which _command_parser builds on first use; the
-top-level parser, build_parser, is built only for a line that does not
-(help, no command, an unknown one) and to report an argument the command
-parser leaves over, so every usage text is argparse's two-level one.  The
-five grid commands share one path through _GRIDS (law, variable, column),
-and their rows are written from one template per format.  Every output
-goes through one writer, _write, to the --out file or to stdout; a sample
-batch is streamed there, never built in memory.
+arguments).  A well-formed command line is read straight from that table
+by _read: a command name, then declared flags spelled in full, each at
+most once and followed by its value (values up to the next token that
+starts with "-" for nargs="+"), no value starting with "-", every
+required flag present, every value taken by its type and choices.  Any
+other line (-h, --flag=value, an abbreviated, repeated, unknown or
+missing flag, a value that starts with "-" or that its type or choices
+refuse, no command or an unknown one) goes to the one argparse parser,
+build_parser, built on first use, so its Namespace, usage text and help
+are argparse's two-level ones, byte for byte.
+
+The five grid commands share one path through _GRIDS (law, variable,
+column), and their rows are written from one template per format.  Every
+output goes through one writer, _write, to the --out file or to stdout; a
+sample batch is streamed there, never built in memory.
 
 Subcommands
 -----------
@@ -128,43 +134,70 @@ COMMANDS = {
 }
 
 
-@functools.lru_cache(maxsize=len(COMMANDS))
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand, built from COMMANDS when a command
-    line first names it; it sets ``command`` to the name."""
-    parser = argparse.ArgumentParser(prog=f"lagmin {name}")
-    for flag, keywords in COMMANDS[name][1]:
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(command=name)
-    return parser
-
-
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The top-level parser, for a command line that does not start with a
-    command name (help, no command, an unknown one) and for the usage text
-    of an unrecognized argument.  Its subparsers take their arguments from
-    _command_parser, so both parse a command line the same way."""
+    """The argparse parser of every command line that _read does not take:
+    help, usage errors and the spellings that only argparse reads."""
     parser = argparse.ArgumentParser(
         prog="lagmin",
         description="smallest-eigenvalue laws of the fixed-trace beta-Laguerre ensemble",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        sub.add_parser(name, help=help_text, parents=[_command_parser(name)], add_help=False)
+    for name, (help_text, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
     return parser
+
+
+def _read(argv: list):
+    """The Namespace that argparse gives a well-formed command line (see
+    the module docstring), read from COMMANDS; None for any other line.
+    Values are converted in the order of the line, as argparse does."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    arguments = dict(COMMANDS[argv[0]][1])
+    given = {}
+    for token in argv[1:]:
+        if token.startswith("-"):
+            if token not in arguments or token in given:
+                return None
+            given[token] = values = []
+        elif not given:
+            return None
+        else:
+            values.append(token)
+    converted = {}
+    for flag, values in given.items():
+        keywords = arguments[flag]
+        many = keywords.get("nargs") == "+"
+        if len(values) != 1 and not (many and values):
+            return None
+        convert, choices = keywords.get("type", str), keywords.get("choices")
+        try:
+            values = [convert(v) for v in values]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and any(v not in choices for v in values):
+            return None
+        converted[flag] = values if many else values[0]
+    args = argparse.Namespace(command=argv[0])
+    for flag, keywords in arguments.items():
+        if flag in converted:
+            value = converted[flag]
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+        setattr(args, keywords.get("dest", flag[2:]), value)
+    return args
 
 
 def _parse(argv: list) -> argparse.Namespace:
     """The Namespace of a command line; a usage error raises SystemExit.
-    A line that starts with a command name is parsed by that command's
-    parser alone.  Anything it leaves over is an error that the top-level
-    parser reports, with its own usage text, as it would have parsed it."""
-    if argv and argv[0] in COMMANDS:
-        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    _read takes a well-formed line, build_parser's parser every other."""
+    args = _read(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def _ensemble(args):

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, seeding."""
 
+import argparse
+import contextlib
 import io
 import json
 import os
@@ -8,9 +10,12 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lagmin
 from lagmin import cli, core
@@ -355,11 +360,6 @@ def test_selfcheck_passes(capsys):
     assert "FAIL" not in out
 
 
-def _clear_parsers():
-    build_parser.cache_clear()
-    cli._command_parser.cache_clear()
-
-
 def test_parser_is_built_once_and_reused(capsys):
     calls = [
         ("exact-cdf", "--beta", "2", "--N", "3", "--M", "5", "--grid", "0:0.3:4"),
@@ -373,30 +373,28 @@ def test_parser_is_built_once_and_reused(capsys):
     ]
     fresh = []
     for argv in calls:
-        _clear_parsers()
+        build_parser.cache_clear()
         fresh.append(run_cli(capsys, *argv))
     assert build_parser() is build_parser()
-    assert cli._command_parser("moments") is cli._command_parser("moments")
     reused = [run_cli(capsys, *argv) for argv in calls]
     assert reused == fresh
     assert [r[0] for r in fresh] == [0, 2, 0, 0, 0, 2, 2, 0]
 
 
 def test_subcommand_arguments_come_with_its_name(capsys):
-    # a command line that starts with a command name builds that command's
-    # parser alone; the top-level parser, built for help and errors, reuses
-    # the command parsers, and both read the same in any order of use
-    _clear_parsers()
+    # a well-formed command line is read from COMMANDS and builds no
+    # parser; help builds the one argparse parser, and both read the same
+    # in any order of use
+    build_parser.cache_clear()
     assert run_cli(capsys, "limit-cdf", "--beta", "1", "--m", "1", "--grid", "0:5:3")[0] == 0
+    assert build_parser.cache_info().currsize == 0
     first = run_cli(capsys, "limit-pdf", "-h")
     assert first[0] == 0 and "--grid START:STOP:POINTS" in first[1]
-    assert build_parser.cache_info().currsize == 0
-    assert cli._command_parser.cache_info().currsize == 2
+    assert build_parser.cache_info().currsize == 1
     top = run_cli(capsys, "-h")
     assert top[0] == 0 and "limit-pdf" in top[1] and "--grid" not in top[1]
-    assert cli._command_parser.cache_info().currsize == len(cli.COMMANDS)
     assert run_cli(capsys, "limit-pdf", "-h") == first
-    _clear_parsers()
+    build_parser.cache_clear()
     assert run_cli(capsys, "-h") == top
     assert run_cli(capsys, "limit-pdf", "-h") == first
 
@@ -417,11 +415,14 @@ _VALID = {
 
 
 @pytest.mark.parametrize("name", list(_VALID))
-def test_command_parser_gives_the_top_level_namespace(name):
+def test_reader_gives_the_top_level_namespace(name):
+    # the lines of exact-pdf and limit-pdf spell a flag as only argparse
+    # reads it (--beta=0.5, --gr, --fo=json), so the reader leaves them
     assert set(_VALID) == set(cli.COMMANDS)
     argv = [name, *_VALID[name]]
     via_top = build_parser().parse_args(argv)
-    assert cli._command_parser(name).parse_args(argv[1:]) == via_top
+    read = cli._read(argv)
+    assert read == (None if name in ("exact-pdf", "limit-pdf") else via_top)
     assert cli._parse(argv) == via_top
     assert via_top.command == name
 
@@ -477,15 +478,24 @@ def test_help_and_usage_error_bytes(capsys, monkeypatch, argv, expected):
     # written out literally, at a fixed terminal width, on a fresh process's
     # parsers and on reused ones
     monkeypatch.setenv("COLUMNS", "100")
-    _clear_parsers()
+    build_parser.cache_clear()
     assert run_cli(capsys, *argv) == expected
     assert run_cli(capsys, *argv) == expected
 
 
 def test_import_builds_no_parser():
+    # nor does a well-formed command line: the reader takes it from COMMANDS
     script = textwrap.dedent("""
         import lagmin.cli as cli
-        print(cli.build_parser.cache_info().currsize, cli._command_parser.cache_info().currsize)
+        sizes = [cli.build_parser.cache_info().currsize]
+        for argv in (
+            ["exact-cdf", "--beta", "2", "--N", "3", "--M", "5", "--grid", "0:0.3:4"],
+            ["moments", "--beta", "2", "--N", "3", "--M", "5", "--p", "1", "2", "--format", "json"],
+            ["validate", "--beta", "2", "--N", "3", "--M", "5", "--samples", "50", "--seed", "1"],
+        ):
+            assert cli.main(argv) == 0, argv
+        sizes.append(cli.build_parser.cache_info().currsize)
+        print(*sizes)
     """)
     src = str(Path(lagmin.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -494,7 +504,88 @@ def test_import_builds_no_parser():
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.splitlines()[-1].split() == ["0", "0"]
+
+
+#: Values each flag takes in a drawn command line: ones its type and
+#: choices accept, and ones they refuse.
+_ACCEPTED = {"--beta": ("2", "0.5", "1e3"), "--N": ("3", "12"), "--M": ("5", "40"),
+             "--grid": ("0:0.3:4", "0.1:1:2"), "--m": ("0", "3"), "--p": ("1", "2", "7"),
+             "--samples": ("4", "10000"), "--seed": ("9", "0"), "--workers": ("1", "2"),
+             "--format": ("csv", "json"), "--out": ("o.csv", "x=1")}
+_REFUSED = {"--beta": ("abc", ""), "--N": ("0", "1.5"), "--M": ("x",), "--grid": ("0:1", "1:0:3"),
+            "--m": ("m",), "--p": ("0",), "--samples": ("0",), "--seed": ("1.5",),
+            "--workers": ("w",), "--format": ("xml", "CSV")}
+_FOREIGN = ("--foo", "--Beta", "--n", "--grids", "-N", "--m", "--p", "--samples", "--grid")
+
+
+@st.composite
+def _command_lines(draw):
+    """(perturbation, argv): a well-formed line drawn from COMMANDS with,
+    unless the perturbation is "none", one token added, dropped or changed."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    pairs = []
+    for flag, keywords in cli.COMMANDS[name][1]:
+        if keywords.get("required") or draw(st.booleans()):
+            count = draw(st.integers(1, 3)) if keywords.get("nargs") == "+" else 1
+            pairs.append([flag, *(draw(st.sampled_from(_ACCEPTED[flag])) for _ in range(count))])
+    pairs = draw(st.permutations(pairs))
+    kinds = ["none", "help", "foreign", "empty-out", "stray"]
+    if pairs:
+        kinds[1:1] = ["refused", "dash", "repeat", "drop", "equals", "prefix"]
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.integers(0, len(pairs)))
+    i = draw(st.integers(0, len(pairs) - 1)) if pairs else 0
+    if kind == "help":
+        pairs.insert(at, [draw(st.sampled_from(("-h", "--help", "--he")))])
+    elif kind == "foreign":
+        pairs.insert(at, [draw(st.sampled_from(_FOREIGN)), "1"])
+    elif kind == "empty-out":
+        pairs.insert(at, ["--out", ""])
+    elif kind == "stray":
+        pairs.insert(at, [draw(st.sampled_from(("stray", "3", "")))])
+    elif kind == "equals":
+        pairs[i][:2] = [pairs[i][0] + "=" + pairs[i][1]]
+    elif kind == "prefix":
+        pairs[i][0] = pairs[i][0][:draw(st.integers(2, len(pairs[i][0]) - 1))]
+    elif kind == "repeat":
+        pairs.insert(at, list(pairs[i]))
+    elif kind == "dash":
+        pairs[i][-1] = draw(st.sampled_from(("-1", "-0.5", "-", "--", "-x", "--beta")))
+    elif kind == "drop":
+        del pairs[i]
+    elif kind == "refused":
+        pair = draw(st.sampled_from([pair for pair in pairs if pair[0] in _REFUSED]))
+        pair[1] = draw(st.sampled_from(_REFUSED[pair[0]]))
+    return kind, [name, *(token for pair in pairs for token in pair)]
+
+
+def _outcome(call):
+    """(result or exit code, stdout, stderr) of call()."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+def test_reader_agrees_with_argparse(line):
+    # every line argparse accepts gives its Namespace, every other line
+    # main's exit code and bytes are argparse's, at a fixed terminal width
+    kind, argv = line
+    with mock.patch.dict(os.environ, {"COLUMNS": "100"}):
+        expected = _outcome(lambda: build_parser().parse_args(argv))
+        if isinstance(expected[0], argparse.Namespace):
+            assert expected[1:] == ("", "")
+            assert cli._parse(argv) == expected[0]
+        else:
+            assert _outcome(lambda: main(argv)) == expected
+    if kind == "none":
+        assert cli._read(argv) == expected[0]
 
 
 @pytest.mark.parametrize("beta", ["inf", "-inf", "nan", "1e-300", "0", "1e20"])
