@@ -74,7 +74,6 @@ from functools import lru_cache
 import numpy as np
 
 from .core import _as_int, _points, params_new, warn_outside
-from .errors import DomainError
 from .numerics import _edge_sum, _log_falling
 
 
@@ -250,13 +249,12 @@ def q_alpha2_sum(n_dim: int, x: float) -> float:
         = [C(N,i)/i!] [C(N,j)/(j+1)!] (N+1)(1+j-i)/(N+1-i);
     the i = N+1 row (where that combination is singular) is added in its
     uncombined form, -[1/N!] [C(N,j)/(j+1)!] (N-j)/(N+1).  Equals
-    q_exact_beta2(N, N+2, x) identically.  Past N = 30 (the "beta2" row
-    of core.ENVELOPES) a call issues a PrecisionWarning.
+    q_exact_beta2(N, N+2, x) identically: 1 at x = 0, 0 from x = 1/N on.
+    Past N = 30 (the "beta2" row of core.ENVELOPES) a call issues a
+    PrecisionWarning.
     """
     n_dim = _as_int(n_dim, "n_dim", 1)
     x = _points(x, "x", scalar=True)
-    if x > 1.0 / n_dim:
-        raise DomainError(f"x must lie in [0, 1/N], got {x}")
     n = n_dim
     warn_outside("beta2", N=n, alpha=2)
     if x == 0.0:

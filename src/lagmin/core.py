@@ -16,7 +16,9 @@ Argument rules: every integer argument of the public API (N, M, m,
 alpha, p, count, workers, seed) goes through `_as_int`, every other
 number through `_floats`, and every point x or y through `_points`
 (entries >= 0, no NaN; an array only where the law takes one).  A bad
-argument raises DomainError.
+argument raises DomainError.  Every finite-N law, the N=2 oracle and the
+alpha=2 sum included, is 0 past x = 1/N, and every survival function,
+the hard-edge closed forms included, is at most 1.
 
 The accuracy policy lives here too: TAIL_TOL and K_MAX truncate the
 hard-edge and Bessel series, ENVELOPES holds each route's validated

@@ -285,10 +285,10 @@ def q_oracle_n2(params: EnsembleParams, x):
     taken from its continued fraction where z <= (a+1)/(a+b+2) and from
     1 - I_(1-z)(b, a) above, with 1-z = 4x(1-x) formed directly and the
     prefactor z^a (1-z)^b / B(a, b) in logs: log z = 2 log1p(-2x), and
-    log(1-z) = log1p(-z) below z = 1/2, log(4x(1-x)) above.  Exactly 1 at x=0 and 0 at
-    x=1/2.  Works for ANY beta > 0 (no integer Jack index needed) and
-    shares no code with the series or determinant routes, which is the
-    whole point.  Outside beta in [0.1, 8], M <= 200 (the "oracle_n2" row
+    log(1-z) = log1p(-z) below z = 1/2, log(4x(1-x)) above.  Exactly 1
+    at x=0 and 0 from x = 1/2 on, as q_exact is.  Works for ANY beta > 0
+    (no integer Jack index needed) and shares no code with the series or
+    determinant routes, which is the whole point.  Outside beta in [0.1, 8], M <= 200 (the "oracle_n2" row
     of core.ENVELOPES) the reflected branch loses digits (near the switch
     point it is conditioned like b, and 1 - I_w(b, a) cancels when
     b << 1), so such a call issues one PrecisionWarning.
@@ -296,8 +296,6 @@ def q_oracle_n2(params: EnsembleParams, x):
     if params.n_dim != 2:
         raise DomainError(f"q_oracle_n2 requires N=2, got N={params.n_dim}")
     xs = _points(x, "x")
-    if np.any(xs > 0.5):
-        raise DomainError(f"q_oracle_n2 requires 0 <= x <= 1/2, got {xs[xs > 0.5].flat[0]}")
     warn_outside("oracle_n2", beta=params.beta, M=params.m_dim)
     a = 0.5 * (params.beta + 1.0)
     b = 0.5 * params.beta * (params.m_dim - 1)

@@ -277,39 +277,39 @@ def q_limit_closed(lp: LimitParams, y: float):
                        * y^(1/2 - 1/beta) I_{2/beta - 1}(sqrt(y))
     (beta, m) = (2,2): e^(-y/4) [I_0(sqrt(y))^2 - I_1(sqrt(y))^2]
 
-    Q(0) = 1 and Q(+inf) = 0 at every m, and the m = 1 form is capped
-    at 1, as q_limit is; a NaN or negative y, or an array, raises
+    Q(0) = 1 and Q(+inf) = 0 at every m, and every form is capped at 1,
+    as q_limit is; the (2, 2) form is 0 where I_0 and I_1 round to one
+    value (y from about 1e32).  A NaN or negative y, or an array, raises
     DomainError.
     """
     y = core._points(y, "y", scalar=True)
-    beta, m = lp.beta, lp.jack_index
-    if m == 0:
-        return math.exp(-beta * y / 8.0)
     if y == 0.0:
         return 1.0
     if y == math.inf:
         return 0.0
+    beta, m = lp.beta, lp.jack_index
     r = math.sqrt(y)
     # factors combined in logs: e^(-beta y/8) underflows and I(r)
     # overflows long before their product leaves double range
-    if m == 1:
+    if m == 0:
+        log_q = -beta * y / 8.0
+    elif m == 1:
         core.warn_outside("bessel", x=r)
         rho = 2.0 / beta - 1.0
         log_pref = (2.0 / beta - 1.0) * math.log(2.0) + math.lgamma(2.0 / beta)
         i, scale = _bessel_i_scaled(rho, r)
-        return min(1.0, math.exp(  # capped as q_limit is
-            log_pref - beta * y / 8.0 + (0.5 - 1.0 / beta) * math.log(y)
-            + math.log(i) + scale
-        ))
-    if m == 2 and abs(beta - 2.0) < 1e-12:
+        log_q = log_pref - beta * y / 8.0 + (0.5 - 1.0 / beta) * math.log(y) + math.log(i) + scale
+    elif m == 2 and abs(beta - 2.0) < 1e-12:
         core.warn_outside("bessel", x=r)
-        i0, scale0 = _bessel_i_scaled(0.0, r)
-        i1, scale1 = _bessel_i_scaled(1.0, r)
-        diff = i0 * i0 - i1 * i1 * math.exp(2.0 * (scale1 - scale0))
+        i0, scale = _bessel_i_scaled(0.0, r)  # orders 0 and 1 share their scale at every r
+        i1 = _bessel_i_scaled(1.0, r)[0]
+        diff = i0 * i0 - i1 * i1
         if not diff > 0.0:
             return 0.0
-        return math.exp(-y / 4.0 + 2.0 * scale0 + math.log(diff))
-    return None
+        log_q = -y / 4.0 + 2.0 * scale + math.log(diff)
+    else:
+        return None
+    return min(1.0, math.exp(log_q))  # capped as q_limit is
 
 
 def _limit_prefactor(lp: LimitParams) -> float:

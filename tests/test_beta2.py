@@ -349,8 +349,8 @@ def test_alpha2_sum_past_the_float_range_of_its_factorials(n):
 def test_alpha2_sum_domain():
     with pytest.raises(DomainError):
         q_alpha2_sum(2, -0.05)
-    with pytest.raises(DomainError):
-        q_alpha2_sum(2, 0.51)
+    assert q_alpha2_sum(2, 0.51) == 0.0  # past 1/N the law is 0, as q_exact_beta2 is
+    assert q_alpha2_sum(3, 0.34) == 0.0 == q_exact_beta2(3, 5, 0.34)
     with pytest.raises(DomainError):
         q_alpha2_sum(0, 0.1)
     for n_dim in (2.5, True, "2"):

@@ -384,6 +384,19 @@ def test_one_point_rule(name):
         assert call(np.array([0.1, 0.2]))[0] == value
 
 
+@pytest.mark.parametrize("name", sorted(n for n in POINT_ARGS if n.endswith(".x")))
+def test_every_finite_n_law_is_0_past_its_support(name):
+    # each finite-N law lives on [0, 1/N] and is 0 past it, not a refusal:
+    # a batch value may pass 1/N by a few ulps of rounding
+    call, scalar_only = POINT_ARGS[name]
+    n = 2 if name == "q_oracle_n2.x" else 3
+    past = [math.nextafter(1.0 / n, 1.0), 2.0 / n]
+    for x in past:
+        assert call(x) == 0.0
+    if not scalar_only:
+        assert call(np.array(past)).tolist() == [0.0, 0.0]
+
+
 def test_prefactor_diagnostics_takes_a_grid():
     lp = LimitParams(2.0, 1)
     assert prefactor_diagnostics(lp, np.array([0.5, 1.0])) == prefactor_diagnostics(lp, [0.5, 1.0])

@@ -418,12 +418,17 @@ def test_oracle_warns_outside_its_measured_band():
 
 
 def test_oracle_rejects_points_off_its_support():
+    # NaN and x < 0 are refused; past x = 1/2 the law is 0, as q_exact is
     p = params_new(1.0, 2, 4)
-    for bad in (math.nan, -1e-300, 0.5 + 1e-12, 1.0):
+    for bad in (math.nan, -1e-300):
         with pytest.raises(DomainError):
             q_oracle_n2(p, bad)
         with pytest.raises(DomainError):
             q_oracle_n2(p, np.array([0.1, bad, 0.2]))
+    inside = q_oracle_n2(p, np.array([0.1, 0.2])).tolist()
+    for past in (0.5 + 1e-12, 1.0):
+        assert q_oracle_n2(p, past) == 0.0
+        assert q_oracle_n2(p, np.array([0.1, past, 0.2])).tolist() == [inside[0], 0.0, inside[1]]
 
 
 # ---------- the one assembler, against the exact beta=2 rationals ----------

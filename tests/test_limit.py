@@ -179,6 +179,17 @@ def test_closed_form_far_tail():
             assert q_limit_closed(LimitParams(beta, 1), y) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_closed_form_beta2_m2_is_capped_and_0_where_its_factors_meet():
+    # e^(-y/4) (I_0^2 - I_1^2) rounds to 1 + 4.4e-16 near y = 0; from
+    # y ~ 1e32 I_0 and I_1 round to one value and the difference is 0
+    lp = LimitParams(2.0, 2)
+    y = 2.651457663012063e-07
+    assert q_limit_closed(lp, y) <= 1.0
+    assert q_limit_closed(lp, y) == pytest.approx(q_limit(lp, y), rel=1e-15, abs=0.0)
+    with pytest.warns(PrecisionWarning):
+        assert q_limit_closed(lp, 1e32) == 0.0
+
+
 @pytest.mark.parametrize("beta,y", [
     (0.01, 1e-300), (0.01, 1e-10), (0.01, 1e-3), (0.01, 1.0), (0.1, 1e-100),
     (0.3, 1e-300), (0.5, 1e-300),

@@ -10,7 +10,7 @@ import scipy.special
 from lagmin import sampler
 from lagmin.core import params_new
 from lagmin.errors import DomainError, EmptySample
-from lagmin.exact import q_exact
+from lagmin.exact import q_exact, q_oracle_n2
 from lagmin.sampler import (
     BLOCK,
     STREAM,
@@ -644,6 +644,15 @@ def test_load_batch_value_a_few_ulps_past_1_over_n(tmp_path):
     path = tmp_path / "edge.txt"
     path.write_text(_HEADER + repr(float(edge)) + "\n")
     assert load_batch(path).values.tolist() == [edge]
+
+
+def test_ks_validate_against_the_oracle_takes_a_value_past_1_over_n():
+    # the N = 2 oracle is 0 past 1/2, as q_exact is, so a batch that
+    # load_batch accepts is one that ks_validate takes
+    p = params_new(1.3, 2, 4)
+    batch = SampleBatch(p, 1, [0.1, 0.2, 0.3, float(np.nextafter(0.5, 1.0))])
+    report = ks_validate(batch, lambda x: 1.0 - q_oracle_n2(p, x))
+    assert isinstance(report, KSReport) and report.n == 4
 
 
 # ---------- Kolmogorov machinery ----------
