@@ -21,9 +21,10 @@ alpha=2 sum included, is 0 past x = 1/N, and every survival function,
 the hard-edge closed forms included, is at most 1.
 
 The accuracy policy lives here too: TAIL_TOL and K_MAX truncate the
-hard-edge and Bessel series, ENVELOPES holds each route's validated
-parameter bands, and warn_outside issues the one PrecisionWarning of a
-call that leaves them (the call still returns its value).
+hard-edge series and its closed forms, ENVELOPES holds each route's
+validated parameter bands, and warn_outside issues the one
+PrecisionWarning of a call that leaves them (the call still returns its
+value).
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ _INT_TOL = 1e-12
 #: 5e19 - 1 to 5e19), and no series of that index could be built.
 JACK_MAX = 2**52
 
-#: The hard-edge series stops at its second consecutive term at or below
-#: TAIL_TOL times its partial sum, the Bessel series at its first; either
-#: needing a power past K_MAX is a DivergenceError.  Read at call time.
+#: The hard-edge series, its closed forms included, stops at its second
+#: consecutive term at or below TAIL_TOL times its partial sum; needing a
+#: power past K_MAX is a DivergenceError.  Read at call time.
 TAIL_TOL = 1e-12
 K_MAX = 500
 
@@ -62,7 +63,7 @@ ENVELOPES = {
     "exact": {"N": (1, 50), "m": (0, 6)},  # q_exact, p_exact, moment
     "beta2": {"N": (1, 30), "alpha": (0, 6)},  # q_exact_beta2, alpha = M - N
     "limit": {"y": (0.0, 100.0), "m": (0, 6)},  # q_limit, p_limit, prefactor_diagnostics
-    "bessel": {"x": (0.0, 60.0)},  # q_limit_closed at x = sqrt(y); past it the large-x expansion
+    "bessel": {"x": (0.0, 60.0)},  # q_limit_closed at x = sqrt(y), a positive series (README table)
     "oracle_n2": {"beta": (0.1, 8.0), "M": (2, 200)},  # q_oracle_n2
 }
 

@@ -67,7 +67,10 @@ one PrecisionWarning.
 Closed forms (q_limit_closed) exist for m = 0 (pure exponential), m = 1
 (a single Bessel-I factor), and (beta, m) = (2, 2) (a Wronskian-like
 I0^2 - I1^2 combination); for all other parameter pairs the closed form
-is unavailable and None is returned.
+is unavailable and None is returned.  The two Bessel forms are the same
+positive series e^(-beta*y/8) sum_k c_k u^k, with c_k from their closed
+term ratios in place of the partition builder, and go through the same
+_f01_sum: one stopping rule, one K_MAX and one underflow bound for all.
 
 A note on the m = 1 closed form: the Bessel order consistent with the
 series (and with the beta = 2 Bessel kernel) is 2/beta - 1.  Orders that
@@ -87,14 +90,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import core
 from .errors import DivergenceError, DomainError
 from .jack import _log_weight_sums
-from .numerics import _bessel_i_scaled, _series_sum
+from .numerics import _prefix_sums, _series_sum
 
 #: Top weight of the first band of the coefficient table; the second
 #: band ends at twice it.
@@ -184,13 +187,16 @@ def _density_constant(lp: LimitParams) -> float:
     return out
 
 
-def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: float) -> np.ndarray:
+def _f01_sum(lp: LimitParams, ys: np.ndarray, coeffs, first: int, factor: float) -> np.ndarray:
     """factor * exp(-beta*y/8) * sum_k c_k (y/4)^(k + first) at every
-    entry y >= 0 of the array ys, as an array of its shape, the c_k being
-    the 0F1 coefficients at b = 2m/beta + shift; 0 at y = +inf, and
-    DivergenceError if factor is inf and a y lies in (0, inf).  A point
-    is summed on the first rung on which it stops, so its value does not
-    depend on the other points of the call.
+    entry y >= 0 of the array ys, as an array of its shape, where
+    coeffs(rung) is the table log c_k, k = 0..K_rung: the 0F1
+    coefficients at b = 2m/beta + shift (_f01_coeffs bound to beta, m
+    and shift), or the same numbers at shift 0 from a closed form's term
+    ratios (q_limit_closed).  0 at y = +inf, and DivergenceError if
+    factor is inf and a y lies in (0, inf).  A point is summed on the
+    first rung on which it stops, so its value does not depend on the
+    other points of the call.
 
     At y = 0 the one term is u^0 = 1 (k + first = 0), whatever beta.  A
     point whose exp(-beta*y/8) underflows is 0 with no sum where a bound
@@ -228,7 +234,7 @@ def _f01_sum(lp: LimitParams, ys: np.ndarray, shift: int, first: int, factor: fl
             todo = todo[log_bound >= _LOG_TINY]
     rung = 0
     while todo.size:
-        log_c = _f01_coeffs(lp.beta, lp.jack_index, shift, rung)[:max(0, k_max + 1 - first)]
+        log_c = coeffs(rung)[:max(0, k_max + 1 - first)]
         if len(log_c) >= 2:  # the stopping rule reads two terms
             sums, left = _series_sum(log_c, first, log_u[todo], offset=damp[todo], tail_tol=tail_tol)
             out[todo] = factor * sums
@@ -254,7 +260,8 @@ def q_limit(lp: LimitParams, y):
     an array of its shape); exactly 1 at y = 0 at every beta and 0 at
     y = +inf.  Capped at 1, which a sum near y = 0 can pass in rounding."""
     ys = _limit_points(lp, y)
-    out = np.minimum(_f01_sum(lp, ys, 0, 0, 1.0), 1.0)  # as in q_exact
+    out = _f01_sum(lp, ys, partial(_f01_coeffs, lp.beta, lp.jack_index, 0), 0, 1.0)
+    out = np.minimum(out, 1.0)  # as in q_exact
     return out if ys.ndim else float(out)
 
 
@@ -265,7 +272,8 @@ def p_limit(lp: LimitParams, y):
     differencing).  beta/8 at y = 0 when m = 0, else 0 there, and 0 at
     y = +inf, at every beta (D_m past the float range included)."""
     ys = _limit_points(lp, y)
-    out = _f01_sum(lp, ys, 2, lp.jack_index, _density_constant(lp))
+    out = _f01_sum(lp, ys, partial(_f01_coeffs, lp.beta, lp.jack_index, 2), lp.jack_index,
+                   _density_constant(lp))
     return out if ys.ndim else float(out)
 
 
@@ -277,39 +285,32 @@ def q_limit_closed(lp: LimitParams, y: float):
                        * y^(1/2 - 1/beta) I_{2/beta - 1}(sqrt(y))
     (beta, m) = (2,2): e^(-y/4) [I_0(sqrt(y))^2 - I_1(sqrt(y))^2]
 
+    The Bessel forms are positive series e^(-beta*y/8) sum_k c_k (y/4)^k,
+    summed by _f01_sum from their closed term ratios c_k/c_(k-1): at
+    m = 1, 1/(k (2/beta + k - 1)), the ascending series of I_(2/beta-1);
+    at (2, 2), 2(2k - 1)/(k^2 (k + 1)), the Cauchy product
+    I_0^2 - I_1^2 = sum_k C(2k,k)/(k! (k+1)!) (y/4)^k.  Each rung's table
+    is the prefix sums of the ratios' logs (numerics._prefix_sums), so it
+    shares no code with the partition builder behind q_limit.
+
     Q(0) = 1 and Q(+inf) = 0 at every m, and every form is capped at 1,
-    as q_limit is; the (2, 2) form is 0 where I_0 and I_1 round to one
-    value (y from about 1e32).  A NaN or negative y, or an array, raises
-    DomainError.
+    as q_limit is.  A NaN or negative y, or an array, raises DomainError.
     """
     y = core._points(y, "y", scalar=True)
-    if y == 0.0:
-        return 1.0
-    if y == math.inf:
-        return 0.0
     beta, m = lp.beta, lp.jack_index
-    r = math.sqrt(y)
-    # factors combined in logs: e^(-beta y/8) underflows and I(r)
-    # overflows long before their product leaves double range
-    if m == 0:
-        log_q = -beta * y / 8.0
-    elif m == 1:
-        core.warn_outside("bessel", x=r)
-        rho = 2.0 / beta - 1.0
-        log_pref = (2.0 / beta - 1.0) * math.log(2.0) + math.lgamma(2.0 / beta)
-        i, scale = _bessel_i_scaled(rho, r)
-        log_q = log_pref - beta * y / 8.0 + (0.5 - 1.0 / beta) * math.log(y) + math.log(i) + scale
-    elif m == 2 and abs(beta - 2.0) < 1e-12:
-        core.warn_outside("bessel", x=r)
-        i0, scale = _bessel_i_scaled(0.0, r)  # orders 0 and 1 share their scale at every r
-        i1 = _bessel_i_scaled(1.0, r)[0]
-        diff = i0 * i0 - i1 * i1
-        if not diff > 0.0:
-            return 0.0
-        log_q = -y / 4.0 + 2.0 * scale + math.log(diff)
+    if m == 0 or y in (0.0, math.inf):  # Q(0) = 1 and Q(+inf) = 0 at every m
+        return min(1.0, math.exp(-beta * y / 8.0))  # capped as q_limit is
+    k = np.arange(1.0, core.K_MAX + 1.0)
+    if m == 1:  # c_k/c_(k-1) = 1/(k (2/beta + k - 1))
+        log_ratio = -np.log(k) - np.log(2.0 / beta + k - 1.0)
+    elif m == 2 and abs(beta - 2.0) < 1e-12:  # c_k/c_(k-1) = 2(2k - 1)/(k^2 (k + 1))
+        lp, log_ratio = LimitParams(2.0, 2), np.log(4.0 * k - 2.0) - 2.0 * np.log(k) - np.log(k + 1.0)
     else:
         return None
-    return min(1.0, math.exp(log_q))  # capped as q_limit is
+    core.warn_outside("bessel", x=math.sqrt(y))
+    log_ratio = log_ratio.tolist()
+    out = _f01_sum(lp, np.array(y), lambda rung: _prefix_sums([log_ratio[:_ladder_top(rung)]])[0], 0, 1.0)
+    return min(1.0, float(out))
 
 
 def _limit_prefactor(lp: LimitParams) -> float:

@@ -17,7 +17,6 @@ from .core import params_new
 from .exact import moment, q_exact
 from .jack import _log_weight_sums
 from .limit import LimitParams, p_limit, q_limit, q_limit_closed
-from .numerics import _bessel_i_scaled
 from .sampler import ks_validate, run_batch, tridiag_smallest
 
 
@@ -47,11 +46,12 @@ def _check_jack_plancherel():
 
 
 def _check_bessel():
-    # below the envelope's x every value is the unscaled series (scale 0)
-    i0, i1, i2 = (_bessel_i_scaled(rho, 1.0)[0] for rho in (0.0, 1.0, 2.0))
-    rec = i0 - i2 - 2.0 * i1
-    ok = abs(i0 - 1.2660658777520084) < 1e-14 and abs(rec) < 1e-13
-    return ok, f"I0(1)={i0:.16g}, recurrence residual {rec:.1e}"
+    # the closed forms at y = 1 against e^(-1/4) I_0(1) and
+    # e^(-1/4) (I_0(1)^2 - I_1(1)^2), from 17-digit literals
+    i0, i1 = 1.2660658777520084, 0.5651591039924851
+    d1 = abs(q_limit_closed(LimitParams(2.0, 1), 1.0) - math.exp(-0.25) * i0)
+    d2 = abs(q_limit_closed(LimitParams(2.0, 2), 1.0) - math.exp(-0.25) * (i0 * i0 - i1 * i1))
+    return d1 < 1e-14 and d2 < 1e-14, f"e^(-1/4) I0(1) diff {d1:.1e}, e^(-1/4) (I0^2-I1^2) diff {d2:.1e}"
 
 
 def _check_exact_closed_form():

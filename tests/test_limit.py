@@ -1,6 +1,7 @@
 """Hard-edge scaling limit: series, closed forms, density, diagnostics."""
 
 import math
+import sys
 import time
 import warnings
 from decimal import Decimal
@@ -163,8 +164,8 @@ def test_closed_form_nan_and_infinity():
 
 
 def test_closed_form_far_tail():
-    # the factors meet in logs: e^(-beta y/8) and I(sqrt y) no longer
-    # underflow and overflow (or run the Bessel series past 500 terms)
+    # e^(-beta y/8) sits in the exponent of every term of the series, so
+    # neither it nor I(sqrt y) has to be a double on its own
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PrecisionWarning)
         for lp in (LimitParams(2.0, 1), LimitParams(2.0, 2)):
@@ -180,8 +181,9 @@ def test_closed_form_far_tail():
 
 
 def test_closed_form_beta2_m2_is_capped_and_0_where_its_factors_meet():
-    # e^(-y/4) (I_0^2 - I_1^2) rounds to 1 + 4.4e-16 near y = 0; from
-    # y ~ 1e32 I_0 and I_1 round to one value and the difference is 0
+    # e^(-y/4) (I_0^2 - I_1^2) rounds to 1 + 4.4e-16 near y = 0; at
+    # y = 1e32 the value is far below the smallest subnormal, so it is 0
+    # with no sum
     lp = LimitParams(2.0, 2)
     y = 2.651457663012063e-07
     assert q_limit_closed(lp, y) <= 1.0
@@ -195,12 +197,118 @@ def test_closed_form_beta2_m2_is_capped_and_0_where_its_factors_meet():
     (0.3, 1e-300), (0.5, 1e-300),
 ])
 def test_closed_form_m1_at_small_beta(beta, y):
-    # the Bessel order 2/beta - 1 is large, so the series' prefactor
-    # underflows (this raised DivergenceError); Q is near 1 and capped there
+    # the Bessel order 2/beta - 1 is large, so the prefactor of an
+    # ascending Bessel series underflows (one raised DivergenceError
+    # here); the 0F1 form has none.  Q is near 1 and capped there
     lp = LimitParams(beta, 1)
     closed = q_limit_closed(lp, y)
     assert math.isfinite(closed) and closed <= 1.0
     assert closed == pytest.approx(q_limit(lp, y), rel=1e-10, abs=0.0)
+
+
+def test_closed_form_m1_past_the_bessel_envelope():
+    # a large-argument Bessel expansion overflowed to inf here and read
+    # that as converged (1.0 at beta = 0.002), or gave up and raised
+    # DivergenceError (beta = 0.01); the law is 0.9519 and 8.3e-162
+    for beta, y in [(0.002, 4e4), (0.01, 6.5e5)]:
+        lp = LimitParams(beta, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionWarning)
+            closed, series = q_limit_closed(lp, y), q_limit(lp, y)
+        assert 0.0 < closed < 0.96
+        assert closed == pytest.approx(series, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("y", [100.0, 1000.0, 2000.0, 2800.0])
+def test_closed_form_beta2_m2_does_not_cancel(y):
+    # I_0^2 - I_1^2 cancelled to 1.3e-11 at y = 2800; its Cauchy product
+    # has positive terms only
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionWarning)
+        closed = q_limit_closed(LimitParams(2.0, 2), y)
+    assert closed == pytest.approx(float(q_limit_beta2(2, y)), rel=1e-12, abs=0.0)
+
+
+def test_closed_form_frozen_value():
+    # e^(-1/4) I_0(1) and e^(-1/4) (I_0(1)^2 - I_1(1)^2), 17-digit literals
+    i0, i1 = 1.2660658777520084, 0.5651591039924851
+    assert q_limit_closed(LimitParams(2.0, 1), 1.0) == pytest.approx(
+        math.exp(-0.25) * i0, rel=1e-15, abs=0.0)
+    assert q_limit_closed(LimitParams(2.0, 2), 1.0) == pytest.approx(
+        math.exp(-0.25) * (i0 * i0 - i1 * i1), rel=1e-15, abs=0.0)
+
+
+def _bessel_i_of_closed_form(rho, x):
+    """I_rho(x) read off the m = 1 closed form at beta = 2/(rho + 1):
+    Q(x^2) e^(beta x^2/8) (x/2)^rho / Gamma(rho + 1)."""
+    beta = 2.0 / (rho + 1.0)
+    q = q_limit_closed(LimitParams(beta, 1), x * x)
+    return q * math.exp(beta * x * x / 8.0 + rho * math.log(x / 2.0) - math.lgamma(rho + 1.0))
+
+
+@pytest.mark.parametrize("rho", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 20.0])
+def test_closed_form_bessel_recurrence(rho, x):
+    # I_(rho-1)(x) - I_(rho+1)(x) = (2 rho / x) I_rho(x), each I from the
+    # m = 1 form at its own beta: three series that share no coefficient
+    lhs = _bessel_i_of_closed_form(rho - 1.0, x) - _bessel_i_of_closed_form(rho + 1.0, x)
+    rhs = 2.0 * rho / x * _bessel_i_of_closed_form(rho, x)
+    assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+def test_closed_form_m1_against_scipy_bessel():
+    # the m = 1 form against its Bessel expression with scipy's I_rho
+    for rho in (0.0, 1.0, 0.25, 1.8571428571428572):  # incl. 2/0.7 - 1
+        for x in (0.1, 1.0, 7.0, 30.0):
+            assert _bessel_i_of_closed_form(rho, x) == pytest.approx(
+                scipy.special.iv(rho, x), rel=1e-12, abs=0.0)
+
+
+def test_closed_form_envelope_warning():
+    # the Bessel forms warn for their argument sqrt(y) = 75
+    for lp in (LimitParams(2.0, 1), LimitParams(2.0, 2)):
+        with pytest.warns(PrecisionWarning):
+            q_limit_closed(lp, 75.0**2)
+
+
+def test_closed_form_divergence_guard(monkeypatch):
+    monkeypatch.setattr(core, "K_MAX", 3)
+    for lp in (LimitParams(2.0, 1), LimitParams(2.0, 2)):
+        with pytest.raises(DivergenceError):
+            q_limit_closed(lp, 900.0)
+
+
+def test_closed_form_reads_tail_tol_at_call_time(monkeypatch):
+    # at y = 900 the series needs about 60 terms for 1e-12, and far fewer
+    # for 1e-3, which leaves a relative error well above 1e-9
+    for lp in (LimitParams(2.0, 1), LimitParams(2.0, 2)):
+        full = q_limit_closed(lp, 900.0)
+        monkeypatch.setattr(core, "TAIL_TOL", 1e-3)
+        assert abs(q_limit_closed(lp, 900.0) / full - 1.0) > 1e-9
+        monkeypatch.undo()
+
+
+def test_closed_form_m1_far_tail_against_scaled_bessel():
+    # past x = sqrt(y) = 60 against e^(-x) I_rho(x) (scipy.special.ive)
+    # at rho = 2/beta - 1 = 0, 1, 0.25, 1.857 and 19, wherever Q is a
+    # normal double (worst seen 6.4e-14)
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionWarning)
+        for beta in (2.0, 1.0, 1.6, 0.7, 0.1):
+            rho = 2.0 / beta - 1.0
+            for x in (61.0, 100.0, 300.0, 700.0):
+                want = math.exp(
+                    rho * math.log(2.0) + math.lgamma(rho + 1.0) - beta * x * x / 8.0
+                    - rho * math.log(x) + math.log(scipy.special.ive(rho, x)) + x
+                )
+                got = q_limit_closed(LimitParams(beta, 1), x * x)
+                if want >= sys.float_info.min:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                    checked += 1
+                else:
+                    assert got < sys.float_info.min
+    assert checked == 5
 
 
 def test_density_at_zero():

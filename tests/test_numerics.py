@@ -1,108 +1,12 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.special
 
-from lagmin import core, limit, numerics
-from lagmin.errors import DivergenceError, PrecisionWarning
-from lagmin.numerics import _bessel_i_large, _bessel_i_scaled, _log_falling, _prefix_sums
-
-# I_0(1), 17 significant digits (independent series evaluation)
-I0_AT_1 = 1.2660658777520084
-
-
-class TestBesselI:
-    # up to the envelope's x = 60 _bessel_i_scaled is the series, scale 0;
-    # past it e^-x I_rho(x) from DLMF 10.40.1, scale x
-
-    def test_frozen_value(self):
-        value, scale = _bessel_i_scaled(0.0, 1.0)
-        assert scale == 0.0
-        assert value == pytest.approx(I0_AT_1, rel=1e-15, abs=0.0)
-
-    @pytest.mark.parametrize("rho", [1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("x", [0.5, 1.0, 5.0, 20.0])
-    def test_recurrence(self, rho, x):
-        # I_{rho-1}(x) - I_{rho+1}(x) = (2 rho / x) I_rho(x)
-        lhs = _bessel_i(rho - 1.0, x) - _bessel_i(rho + 1.0, x)
-        rhs = 2.0 * rho / x * _bessel_i(rho, x)
-        assert lhs == pytest.approx(rhs, rel=1e-9)
-
-    def test_against_scipy(self):
-        for rho in (0.0, 1.0, 0.25, 1.8571428571428572):  # incl. 2/0.7 - 1
-            for x in (0.1, 1.0, 7.0, 30.0):
-                assert _bessel_i(rho, x) == pytest.approx(
-                    scipy.special.iv(rho, x), rel=1e-12
-                )
-
-    def test_envelope_warning(self):
-        # the closed form warns for its Bessel argument sqrt(y) = 75
-        with pytest.warns(PrecisionWarning):
-            limit.q_limit_closed(limit.LimitParams(2.0, 1), 75.0**2)
-
-    def test_series_values_unchanged_up_to_the_envelope(self):
-        # the ascending series still answers at x <= 60, bit for bit
-        golden = [
-            (0.0, 60.0, "0x1.3807a3acd786fp+82"),
-            (1.0, 37.5, "0x1.1b519ea3dc11bp+50"),
-            (0.25, 7.0, "0x1.4f8e771919135p+7"),
-            (1.8571428571428572, 59.9, "0x1.127cb7e9b1cd1p+82"),
-            (0.0, 1e-3, "0x1.00000431bdec9p+0"),
-            (-0.5, 2.0, "0x1.0fb1150bb69a9p+1"),
-        ]
-        for rho, x, want in golden:
-            assert _bessel_i(rho, x).hex() == want
-
-    def test_large_argument_expansion(self):
-        # past the envelope e^-x I_rho(x) comes from DLMF 10.40.1, where
-        # the series needed more than 500 terms from x ~ 700 on
-        for rho in (0.0, 1.0, 0.25, 1.8571428571428572, 19.0):
-            for x in (61.0, 100.0, 300.0, 700.0):
-                value, scale = _bessel_i_scaled(rho, x)
-                assert scale == x
-                assert value == pytest.approx(scipy.special.ive(rho, x), rel=1e-13)
-
-    def test_cancellation_guard_falls_back_to_the_series(self):
-        # at rho = 30 the expansion's terms at x = 60.5 peak far above
-        # their sum, so it declines and the series answers (7e-14 off)
-        rho, x = 30.0, 60.5
-        assert _bessel_i_large(rho, x) is None
-        value, scale = _bessel_i_scaled(rho, x)
-        assert scale == 0.0
-        assert value == pytest.approx(scipy.special.iv(rho, x), rel=1e-12)
-
-    def test_prefactor_outside_the_normal_range(self):
-        # at rho = 199 (beta = 0.01 in q_limit_closed) (x/2)^rho /
-        # Gamma(rho+1) underflows: the series starts at 1 and the
-        # prefactor's log is the scale
-        rho = 199.0
-        for x, terms in ((1e-150, 1), (2.0, 8)):
-            value, scale = _bessel_i_scaled(rho, x)
-            assert scale == rho * math.log(0.5 * x) - math.lgamma(rho + 1.0)
-            want = [1.0]
-            for k in range(1, terms):
-                want.append(want[-1] * (0.5 * x) ** 2 / (k * (rho + k)))
-            assert value == pytest.approx(math.fsum(want), rel=1e-15, abs=0.0)
-
-    def test_divergence_guard(self, monkeypatch):
-        monkeypatch.setattr(core, "K_MAX", 3)
-        with pytest.raises(DivergenceError):
-            _bessel_i_scaled(0.0, 30.0)
-
-    def test_large_argument_reads_tail_tol_at_call_time(self, monkeypatch):
-        # the terms at x = 100 bottom out near e^-200: 1e-12 is reached,
-        # 1e-300 is not
-        assert _bessel_i_large(0.0, 100.0) is not None
-        monkeypatch.setattr(core, "TAIL_TOL", 1e-300)
-        assert _bessel_i_large(0.0, 100.0) is None
-
-
-def _bessel_i(rho, x):
-    """I_rho(x) at x <= 60, where _bessel_i_scaled is the unscaled series."""
-    value, scale = _bessel_i_scaled(rho, x)
-    assert scale == 0.0
-    return value
+from lagmin import limit, numerics
+from lagmin.numerics import _log_falling, _prefix_sums
 
 
 def _fsum_prefixes(row):
@@ -237,6 +141,7 @@ class TestSeriesSum:
     def test_limit_points_at_infinity(self):
         # y = +inf never reaches the assembler: Q and P are 0 there
         lp = limit.LimitParams(2.0, 1)
-        got = limit._f01_sum(lp, np.array([0.0, math.inf, 4.0]), 0, 0, 1.0)
+        coeffs = partial(limit._f01_coeffs, 2.0, 1, 0)
+        got = limit._f01_sum(lp, np.array([0.0, math.inf, 4.0]), coeffs, 0, 1.0)
         assert got[:2].tolist() == [1.0, 0.0]
         assert got[2] == pytest.approx(math.exp(-1.0) * scipy.special.iv(0, 2.0), rel=1e-15, abs=0.0)
