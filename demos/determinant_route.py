@@ -12,11 +12,16 @@ available at alpha = 2.
 Run:  python3 demos/determinant_route.py
 """
 
-from lagmin import det_laguerre, params_new, q_alpha2_sum, q_exact, q_exact_beta2
+from fractions import Fraction
+
+from lagmin import params_new, q_alpha2_sum, q_exact, q_exact_beta2
+from lagmin.beta2 import _det_integers
 
 
 def show_determinant_polynomial(n, alpha):
-    coeffs = det_laguerre(n, alpha)
+    # the integer coefficients over their common denominator, as the law reads them
+    ints, denom = _det_integers(n, alpha)
+    coeffs = [Fraction(c, denom) for c in ints]
     print(f"det polynomial for N={n}, alpha={alpha} (exact rationals, degree {len(coeffs) - 1})")
     for j, c in enumerate(coeffs):
         print(f"  s^{j}: {c}")

@@ -8,9 +8,9 @@ collapses to modified Bessel functions.
 The script tabulates the convergence (first order in 1/N, with
 coefficient -(3m/2) y P(y)), verifies
 the closed forms against the series, differentiates Q to get the
-density, and prints the diagnostics for the density prefactor A(m,beta)
-whose commonly printed closed form disagrees with -dQ/dy by a constant
-factor (64 at beta=2, m=1; 4 at beta=2, m=0).
+density, and prints the constant factor 2^(4m+2) (beta/2)^(beta/2) by
+which the density printed with the prefactor A(m,beta) disagrees with
+-dQ/dy (64 at beta=2, m=1; 4 at beta=2, m=0).
 
 Run:  python3 demos/scaling_limit.py
 """
@@ -21,7 +21,6 @@ from lagmin import (
     LimitParams,
     p_limit,
     params_new,
-    prefactor_diagnostics,
     q_exact,
     q_limit,
     q_limit_closed,
@@ -52,9 +51,9 @@ def convergence_table():
 
 
 def closed_forms():
-    print("closed forms vs the series (m=0 exponential, m=1 Bessel, m=2 pair)")
+    print("closed forms vs the series (m=0 exponential, m=1 Bessel, m=2 1F2)")
     print(f"  {'beta':>5} {'m':>3} {'y':>5} {'series':>20} {'closed':>20} {'diff':>10}")
-    for beta, m in [(2.0, 0), (1.0, 1), (2.0, 1), (4.0, 1), (2.0, 2)]:
+    for beta, m in [(2.0, 0), (1.0, 1), (2.0, 1), (4.0, 1), (1.0, 2), (2.0, 2), (4.0, 2)]:
         lp = LimitParams(beta, m)
         for y in (0.5, 2.0, 8.0):
             a = q_limit(lp, y)
@@ -83,12 +82,11 @@ def density():
 
 
 def prefactor_story():
-    print("density prefactor diagnostics")
-    for beta, m in [(2.0, 0), (2.0, 1)]:
-        diag = prefactor_diagnostics(LimitParams(beta, m), (0.5, 1.0, 2.0))
-        print(f"  beta={beta}, m={m}: printed/true ratio in "
-              f"[{diag['ratio_min']:.6g}, {diag['ratio_max']:.6g}], "
-              f"consistent={diag['consistent']}")
+    print("the printed density A(m,beta) y^m e^(-beta*y/8) 0F1(2m/beta + 2; (y/4) 1^m)")
+    print("over P = -dQ/dy: 2^(4m+2) (beta/2)^(beta/2) at every y")
+    for beta, m in [(2.0, 0), (2.0, 1), (1.0, 1), (4.0, 2)]:
+        ratio = 2.0 ** (4 * m + 2) * (beta / 2.0) ** (beta / 2.0)
+        print(f"  beta={beta}, m={m}: printed/true = {ratio:.6g}")
     print("  The printed closed form is off by a constant (y-independent)")
     print("  factor; -dQ/dy is the ground truth used everywhere else.")
     print()

@@ -22,14 +22,12 @@ from .exact import (
     q_oracle_n2,
 )
 from .beta2 import (
-    det_laguerre,
     q_alpha2_sum,
     q_exact_beta2,
 )
 from .limit import (
     LimitParams,
     p_limit,
-    prefactor_diagnostics,
     q_limit,
     q_limit_closed,
 )
@@ -58,7 +56,6 @@ __all__ = [
     "NonIntegerJackIndex",
     "PrecisionWarning",
     "SampleBatch",
-    "det_laguerre",
     "kolmogorov_sf",
     "ks_two_sample",
     "ks_validate",
@@ -67,7 +64,6 @@ __all__ = [
     "p_exact",
     "p_limit",
     "params_new",
-    "prefactor_diagnostics",
     "q_alpha2_sum",
     "q_exact",
     "q_exact_beta2",

@@ -10,7 +10,7 @@ polynomials, and inverting the transform term by term gives
 
 where sum_j c_j s^j = det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}.  This
 shares no code with the partition series, which it cross-validates to
-roundoff.  det_laguerre finds the exact c_j in integers: row k scaled
+roundoff.  _det_integers finds the exact c_j in integers: row k scaled
 by (N+k)!, each entry (N+k)! L_n^{(l)}(-s) = ((N+k)!/n!) P_n^(l) is an
 integer at integer s (0 where n = N+k-l < 0), with P_n^(l) = n! L_n^{(l)}(-s).
 Column 0 comes from the three-term recurrence (DLMF 18.9.1)
@@ -195,17 +195,6 @@ def _det_integers(n_dim: int, alpha: int) -> tuple:
     packed = alpha <= 3 or n_dim <= _PACKED_MAX_N.get(alpha, 0)
     coeffs, denom = (_det_packed if packed else _det_interpolated)(n_dim, alpha)
     return tuple(coeffs), denom
-
-
-def det_laguerre(n_dim: int, alpha: int) -> tuple:
-    """Exact coefficients, ascending in s, of the polynomial
-    det[ L_{N+k-l}^{(l)}(-s) ]_{k,l=0..alpha-1}: alpha*N + 1 Fractions,
-    (Fraction(1),) for the empty determinant alpha = 0.  fractions is
-    imported on the first call: no other route of the package uses it."""
-    from fractions import Fraction
-
-    coeffs, denom = _det_integers(_as_int(n_dim, "n_dim", 1), _as_int(alpha, "alpha", 0))
-    return tuple(Fraction(c, denom) for c in coeffs)
 
 
 @lru_cache(maxsize=32)

@@ -62,8 +62,8 @@ K_MAX = 500
 ENVELOPES = {
     "exact": {"N": (1, 50), "m": (0, 6)},  # q_exact, p_exact, moment
     "beta2": {"N": (1, 30), "alpha": (0, 6)},  # q_exact_beta2, alpha = M - N
-    "limit": {"y": (0.0, 100.0), "m": (0, 6)},  # q_limit, p_limit, prefactor_diagnostics
-    "bessel": {"x": (0.0, 60.0)},  # q_limit_closed at x = sqrt(y), a positive series (README table)
+    "limit": {"y": (0.0, 100.0), "m": (0, 6)},  # q_limit, p_limit
+    "bessel": {"x": (0.0, 60.0)},  # q_limit_closed at x = sqrt(y), m = 1, 2 (README table)
     "oracle_n2": {"beta": (0.1, 8.0), "M": (2, 200)},  # q_oracle_n2
 }
 

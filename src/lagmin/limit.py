@@ -65,24 +65,18 @@ Past the "limit" row of core.ENVELOPES (y <= 100, m <= 6) a call issues
 one PrecisionWarning.
 
 Closed forms (q_limit_closed) exist for m = 0 (pure exponential), m = 1
-(a single Bessel-I factor), and (beta, m) = (2, 2) (a Wronskian-like
-I0^2 - I1^2 combination); for all other parameter pairs the closed form
-is unavailable and None is returned.  The two Bessel forms are the same
-positive series e^(-beta*y/8) sum_k c_k u^k, with c_k from their closed
-term ratios in place of the partition builder, and go through the same
-_f01_sum: one stopping rule, one K_MAX and one underflow bound for all.
+(a single Bessel-I factor) and m = 2 (a 1F2, at every beta); for m >= 3
+the closed form is unavailable and None is returned.  The m = 1 and
+m = 2 forms are the same positive series e^(-beta*y/8) sum_k c_k u^k,
+with c_k from their closed term ratios in place of the partition
+builder, and go through the same _f01_sum: one stopping rule, one K_MAX
+and one underflow bound for all.  The m = 2 ratio was fitted to the
+exact c_k and is checked by the tests, not proved here.
 
 A note on the m = 1 closed form: the Bessel order consistent with the
 series (and with the beta = 2 Bessel kernel) is 2/beta - 1.  Orders that
 look like beta/2 - 1 appear plausible but disagree with the series for
 beta != 2.
-
-The density printed in the literature, A(m, beta) y^m e^(-beta*y/8)
-0F1 at b = 2m/beta + 2 (_limit_prefactor gives A), has the shape of P
-but does NOT integrate to one: it is P times A 4^m / D_m =
-2^(4m+2) (beta/2)^(beta/2), 4 at (beta, m) = (2, 0) and 64 at (2, 1).
-prefactor_diagnostics reports that ratio; use p_limit for anything
-quantitative.
 """
 
 from __future__ import annotations
@@ -278,20 +272,24 @@ def p_limit(lp: LimitParams, y):
 
 
 def q_limit_closed(lp: LimitParams, y: float):
-    """Closed-form Q(y) where one exists; None when unavailable.
+    """Closed-form Q(y) where one exists (m <= 2); None for m >= 3.
 
-    m = 0:             exp(-beta*y/8)
-    m = 1:             2^(2/beta - 1) Gamma(2/beta) e^(-beta*y/8)
-                       * y^(1/2 - 1/beta) I_{2/beta - 1}(sqrt(y))
-    (beta, m) = (2,2): e^(-y/4) [I_0(sqrt(y))^2 - I_1(sqrt(y))^2]
+    m = 0:  exp(-beta*y/8)
+    m = 1:  2^(2/beta - 1) Gamma(2/beta) e^(-beta*y/8)
+            * y^(1/2 - 1/beta) I_{2/beta - 1}(sqrt(y))
+    m = 2:  e^(-beta*y/8) 1F2(mu - 1/2; 2mu - 1, 2mu; y),  mu = 2/beta;
+            e^(-y/4) [I_0(sqrt(y))^2 - I_1(sqrt(y))^2] at beta = 2 and
+            e^(-y/2) (1 + I_0(2 sqrt(y)))/2 at beta = 4
 
-    The Bessel forms are positive series e^(-beta*y/8) sum_k c_k (y/4)^k,
-    summed by _f01_sum from their closed term ratios c_k/c_(k-1): at
-    m = 1, 1/(k (2/beta + k - 1)), the ascending series of I_(2/beta-1);
-    at (2, 2), 2(2k - 1)/(k^2 (k + 1)), the Cauchy product
-    I_0^2 - I_1^2 = sum_k C(2k,k)/(k! (k+1)!) (y/4)^k.  Each rung's table
-    is the prefix sums of the ratios' logs (numerics._prefix_sums), so it
-    shares no code with the partition builder behind q_limit.
+    The m = 1 and m = 2 forms are positive series e^(-beta*y/8)
+    sum_k c_k (y/4)^k, summed by _f01_sum from their closed term ratios
+    c_k/c_(k-1): at m = 1, 1/(k (2/beta + k - 1)), the ascending series
+    of I_(2/beta-1); at m = 2, c_1 = beta/2 and then
+    c_(k+1)/c_k = 2(2k + 2mu - 1)/((k+1)(k + 2mu - 1)(k + 2mu)), the 1F2
+    in y/4 (its k = 0 ratio is 0/0 at beta = 4, so the table starts at
+    c_1).  Each rung's table is the prefix sums of the logs of the ratios
+    it reads (numerics._prefix_sums), so it shares no code with the
+    partition builder behind q_limit.
 
     Q(0) = 1 and Q(+inf) = 0 at every m, and every form is capped at 1,
     as q_limit is.  A NaN or negative y, or an array, raises DomainError.
@@ -300,53 +298,16 @@ def q_limit_closed(lp: LimitParams, y: float):
     beta, m = lp.beta, lp.jack_index
     if m == 0 or y in (0.0, math.inf):  # Q(0) = 1 and Q(+inf) = 0 at every m
         return min(1.0, math.exp(-beta * y / 8.0))  # capped as q_limit is
-    k = np.arange(1.0, core.K_MAX + 1.0)
-    if m == 1:  # c_k/c_(k-1) = 1/(k (2/beta + k - 1))
-        log_ratio = -np.log(k) - np.log(2.0 / beta + k - 1.0)
-    elif m == 2 and abs(beta - 2.0) < 1e-12:  # c_k/c_(k-1) = 2(2k - 1)/(k^2 (k + 1))
-        lp, log_ratio = LimitParams(2.0, 2), np.log(4.0 * k - 2.0) - 2.0 * np.log(k) - np.log(k + 1.0)
+    if m == 1:  # c_k/c_(k-1) = 1/(k (2/beta + k - 1)), k >= 1
+        head, log_ratio = [], lambda k: -np.log(k) - np.log(2.0 / beta + k - 1.0)  # noqa: E731
+    elif m == 2:  # c_1 = beta/2, then c_(k+1)/c_k = 2(2k - 1 + 2mu)/((k+1)(k - 1 + 2mu)(k + 2mu)), k >= 1
+        two_mu = 4.0 / beta
+        head = [math.log(0.5 * beta)]
+        log_ratio = lambda k: np.log(  # noqa: E731
+            2.0 * (2.0 * k - 1.0 + two_mu) / ((k + 1.0) * (k - 1.0 + two_mu) * (k + two_mu)))
     else:
         return None
     core.warn_outside("bessel", x=math.sqrt(y))
-    log_ratio = log_ratio.tolist()
-    out = _f01_sum(lp, np.array(y), lambda rung: _prefix_sums([log_ratio[:_ladder_top(rung)]])[0], 0, 1.0)
+    out = _f01_sum(lp, np.array(y), lambda rung: _prefix_sums(  # the K_rung ratios the rung reads
+        [head + log_ratio(np.arange(1.0, _ladder_top(rung) + 1.0 - len(head))).tolist()])[0], 0, 1.0)
     return min(1.0, float(out))
-
-
-def _limit_prefactor(lp: LimitParams) -> float:
-    """The printed density prefactor
-    A(m, beta) = 4^m (beta/2)^(beta/2 + 2m + 1) Gamma(1 + beta/2)
-                 / (Gamma(1+m) Gamma(1 + m + beta/2)).
-    Known to be inconsistent with -dQ/dy; see module docstring.
-    DivergenceError where A leaves the float range (beta past ~300)."""
-    h, m = 0.5 * lp.beta, lp.jack_index
-    try:
-        return math.exp(m * math.log(4.0) + (h + 2.0 * m + 1.0) * math.log(h) + math.lgamma(1.0 + h)
-                        - math.lgamma(1.0 + m) - math.lgamma(1.0 + m + h))
-    except OverflowError:
-        raise DivergenceError(
-            f"printed prefactor A(m, beta) overflows a double (beta={lp.beta}, m={m})") from None
-
-
-def prefactor_diagnostics(lp: LimitParams, ys):
-    """Compare the printed density against the series density -dQ/dy on a
-    grid of y values (an array, never a single number): it is p_limit
-    times A 4^m / D_m (module docstring), one sum for both.  Returns a
-    report dict with per-point ratios and their range; a ratio != 1 means
-    the printed prefactor is off by exactly that constant."""
-    grid = core._points(ys, "y")
-    if not grid.ndim:
-        raise DomainError(f"ys must be an array of y values, got the number {float(grid)}")
-    prefactor = _limit_prefactor(lp)
-    series = p_limit(lp, grid.ravel())  # the call's one PrecisionWarning
-    with np.errstate(all="ignore"):  # D_m = 0 (no density is positive then); 4^m past the float range
-        scale = float(np.float64(prefactor) / _density_constant(lp))
-        power = float(np.float64(4.0) ** lp.jack_index)
-    ratio = scale * power  # may overflow where a p_printed does not
-    rows = [{"y": y, "p_series": t, "p_printed": t * scale * power if t > 0.0 else 0.0,
-             "ratio": ratio if t > 0.0 else math.inf}
-            for y, t in zip(grid.ravel().tolist(), series.tolist())]
-    fits = 0.0 < ratio < math.inf and bool(np.any(series > 0.0))
-    bound = ratio if fits else math.nan
-    return {"beta": lp.beta, "m": lp.jack_index, "points": rows, "ratio_min": bound, "ratio_max": bound,
-            "consistent": fits and abs(ratio - 1.0) <= 1e-8}

@@ -17,7 +17,7 @@ Every law of the package is a series S = e^offset sum_j c_j u^j v^(e-j),
 and ``_series_sum`` is the only code that sums one, over an array of
 points.  Q and P at finite N (both exact routes, ``_edge_sum``) take
 u = x, v = 1 - Nx; the moments take u = 1/N; the hard-edge limit and its
-Bessel closed forms take u = y/4, v = 1, offset -beta*y/8 and a stopping
+closed forms take u = y/4, v = 1, offset -beta*y/8 and a stopping
 rule.  Every term of every series is positive, so no sum cancels.
 """
 

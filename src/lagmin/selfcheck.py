@@ -86,16 +86,14 @@ def _check_beta2_routes():
 
 
 def _check_limit():
-    lp = LimitParams(2.0, 1)
-    d1 = abs(q_limit(lp, 1.0) - q_limit_closed(lp, 1.0))
-    lp2 = LimitParams(2.0, 2)
-    d2 = abs(q_limit(lp2, 1.0) - q_limit_closed(lp2, 1.0))
-    lp3 = LimitParams(1.0, 1)
+    diffs = [abs(q_limit(lp, 1.0) - q_limit_closed(lp, 1.0))
+             for lp in (LimitParams(2.0, 1), LimitParams(2.0, 2), LimitParams(1.0, 2))]
+    lp = LimitParams(1.0, 1)
     h = 1e-5
-    fd = (q_limit(lp3, 2.0 - h) - q_limit(lp3, 2.0 + h)) / (2 * h)
-    d3 = abs(fd - p_limit(lp3, 2.0))
-    ok = d1 < 1e-12 and d2 < 1e-12 and d3 < 1e-7
-    return ok, f"closed-form diffs {d1:.1e}/{d2:.1e}, P=-Q' residual {d3:.1e}"
+    fd = (q_limit(lp, 2.0 - h) - q_limit(lp, 2.0 + h)) / (2 * h)
+    residual = abs(fd - p_limit(lp, 2.0))
+    ok = max(diffs) < 1e-12 and residual < 1e-7
+    return ok, f"closed-form diffs {'/'.join(f'{d:.1e}' for d in diffs)}, P=-Q' residual {residual:.1e}"
 
 
 def _check_sampler_determinism():

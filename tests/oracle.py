@@ -35,7 +35,8 @@ The beta=2 determinant det[L_(N+k-l)^(l)(-s)]_(k,l<alpha) is expanded
 by cofactors along its first row, over polynomials with Fraction
 coefficients in ascending powers (the zero polynomial is []).  That
 expansion is slow, so the large beta=2 cases take their exact rationals
-from lagmin.beta2.det_laguerre, whose proof is in tests/test_beta2.py:
+from the integers of lagmin.beta2._det_integers (test_beta2.det_fractions
+turns them into Fractions), whose proof is in tests/test_beta2.py:
 it equals this expansion coefficient by coefficient for N <= 12 and
 alpha <= 4, equals the determinant of the evaluated entries at
 non-integer s for (N, alpha) = (12, 4) and (8, 6), and its Fractions

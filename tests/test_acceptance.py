@@ -10,12 +10,13 @@ import warnings
 import numpy as np
 import pytest
 from oracle import derivative, jack_c_one, laguerre, partitions, pochhammer
+from test_limit import printed_density
 
 from lagmin.beta2 import q_alpha2_sum, q_exact_beta2
 from lagmin.core import params_new
 from lagmin.errors import NonIntegerJackIndex, PrecisionWarning
 from lagmin.exact import moment, q_exact, q_oracle_n2
-from lagmin.limit import LimitParams, p_limit, prefactor_diagnostics, q_limit, q_limit_closed
+from lagmin.limit import LimitParams, p_limit, q_limit, q_limit_closed
 from lagmin.sampler import ks_two_sample, ks_validate, run_batch
 
 from fractions import Fraction
@@ -80,9 +81,9 @@ def test_criterion_3_beta2_route_agreement():
 
 
 def test_criterion_4_closed_form_limits():
-    """q_limit vs closed forms for m=0,1 (beta in {1,2,4}) and (2,2)."""
+    """q_limit vs closed forms for m=0,1 (beta in {1,2,4}) and m=2 (beta in {1,2,4})."""
     ys = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0]
-    cases = [(b, m) for b in (1.0, 2.0, 4.0) for m in (0, 1)] + [(2.0, 2)]
+    cases = [(b, m) for b in (1.0, 2.0, 4.0) for m in (0, 1)] + [(1.0, 2), (2.0, 2), (4.0, 2)]
     worst = 0.0
     for beta, m in cases:
         lp = LimitParams(beta, m)
@@ -91,7 +92,7 @@ def test_criterion_4_closed_form_limits():
             assert closed is not None
             worst = max(worst, abs(q_limit(lp, y) - closed))
     assert worst <= 1e-10
-    _report("criterion-4", f"7 (beta,m) cases on 8-pt y grids, worst {worst:.2e}")
+    _report("criterion-4", f"{len(cases)} (beta,m) cases on 8-pt y grids, worst {worst:.2e}")
 
 
 def test_criterion_5_finite_n_converges_to_limit():
@@ -247,15 +248,15 @@ def test_criterion_8_exact_rational_identities():
 
 def test_criterion_9_printed_prefactor_diagnosed_not_fatal():
     """The printed limiting-density prefactor disagrees with -dQ/dy by
-    constant factors (4 at m=0, 64 at beta=2 m=1); the diagnostics report
-    it and the series density remains a true derivative everywhere."""
-    rep1 = prefactor_diagnostics(LimitParams(2.0, 1), [0.5, 1.0, 2.0, 5.0, 10.0])
-    assert not rep1["consistent"]
-    assert rep1["ratio_min"] == pytest.approx(64.0, rel=1e-6)
-    assert rep1["ratio_max"] == pytest.approx(64.0, rel=1e-6)
-    rep0 = prefactor_diagnostics(LimitParams(2.0, 0), [0.5, 1.0, 2.0])
-    assert not rep0["consistent"]
-    assert rep0["ratio_min"] == pytest.approx(4.0, rel=1e-8)
+    constant factors (4 at m=0, 64 at beta=2 m=1), printed density over
+    p_limit at every y; the series density remains a true derivative
+    everywhere."""
+    for y in [0.5, 1.0, 2.0, 5.0, 10.0]:
+        ratio = printed_density(Fraction(1), 1, y) / p_limit(LimitParams(2.0, 1), y)
+        assert ratio == pytest.approx(64.0, rel=1e-6)
+    for y in [0.5, 1.0, 2.0]:
+        ratio = printed_density(Fraction(1), 0, y) / p_limit(LimitParams(2.0, 0), y)
+        assert ratio == pytest.approx(4.0, rel=1e-8)
 
     h = 1e-5
     worst = 0.0

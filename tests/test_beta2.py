@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracle import cofactor_det, derivative, evaluate, laguerre, laguerre_matrix, pochhammer
 
 from lagmin import beta2
-from lagmin.beta2 import det_laguerre, q_alpha2_sum, q_exact_beta2
+from lagmin.beta2 import q_alpha2_sum, q_exact_beta2
 from lagmin.core import params_new
 from lagmin.errors import DomainError, PrecisionWarning
 from lagmin.exact import q_exact
@@ -85,16 +85,27 @@ def test_identity_spot_case():
 
 # ---------- determinant ----------
 
+def _route(route, n, alpha):
+    coeffs, denom = route(n, alpha)
+    return tuple(Fraction(c, denom) for c in coeffs)
+
+
+def det_fractions(n, alpha):
+    """Coefficients ascending in s of det[L_(N+k-l)^(l)(-s)]_(k,l<alpha), as
+    Fractions from beta2._det_integers, the integer form the law reads."""
+    return _route(beta2._det_integers, n, alpha)
+
+
 def test_det_examples():
-    assert det_laguerre(1, 2) == (Fraction(1), Fraction(1), Fraction(1, 2))
-    assert det_laguerre(2, 1) == (Fraction(1), Fraction(2), Fraction(1, 2))
-    assert det_laguerre(4, 0) == (Fraction(1),)
+    assert det_fractions(1, 2) == (Fraction(1), Fraction(1), Fraction(1, 2))
+    assert det_fractions(2, 1) == (Fraction(1), Fraction(2), Fraction(1, 2))
+    assert det_fractions(4, 0) == (Fraction(1),)
 
 
 def test_det_degree_is_alpha_times_n():
     for n in range(1, 6):
         for alpha in range(0, 4):
-            coeffs = det_laguerre(n, alpha)
+            coeffs = det_fractions(n, alpha)
             assert len(coeffs) == alpha * n + 1
             assert coeffs[-1] != 0
 
@@ -121,21 +132,16 @@ def test_det_constant_term_matches_direct_evaluation():
                 for k in range(alpha)
             ]
             direct = _det(mat)
-            assert det_laguerre(n, alpha)[0] == direct
+            assert det_fractions(n, alpha)[0] == direct
 
 
 def test_det_matches_cofactor_reference():
-    # det_laguerre (packed up to alpha = 4 here) against a first-row
+    # the determinant (packed up to alpha = 4 here) against a first-row
     # cofactor expansion of the polynomial matrix, coefficient by coefficient
     for n in range(1, 13):
         for alpha in range(0, 5):
             want = cofactor_det(laguerre_matrix(n, alpha))
-            assert list(det_laguerre(n, alpha)) == want, (n, alpha)
-
-
-def _route(route, n, alpha):
-    coeffs, denom = route(n, alpha)
-    return tuple(Fraction(c, denom) for c in coeffs)
+            assert list(det_fractions(n, alpha)) == want, (n, alpha)
 
 
 # each side of the route rule: the last N of the packed route and the
@@ -149,11 +155,11 @@ _SMALL_EDGES = [(1, 0), (7, 0), (1, 1), (1, 2), (1, 6), (2, 5), (3, 6), (4, 5)]
 
 @pytest.mark.parametrize("n,alpha", _RULE_EDGES + _SMALL_EDGES)
 def test_packed_and_interpolated_routes_agree(n, alpha):
-    # the two integer routes give the same Fractions, and det_laguerre
+    # the two integer routes give the same Fractions, and _det_integers
     # returns them whichever route its rule picks
     packed = _route(beta2._det_packed, n, alpha)
     assert packed == _route(beta2._det_interpolated, n, alpha)
-    assert det_laguerre(n, alpha) == packed
+    assert det_fractions(n, alpha) == packed
     assert len(packed) == alpha * n + 1
 
 
@@ -162,19 +168,19 @@ def test_packed_and_interpolated_routes_agree(n, alpha):
     (9, 6, True), (10, 6, False), (1, 7, False),
 ])
 def test_route_rule(monkeypatch, n, alpha, packed):
-    # det_laguerre takes the packed route up to the measured crossover N
+    # _det_integers takes the packed route up to the measured crossover N
     # of each alpha, and evaluate-and-interpolate beyond it
     def refuse(*args):
         raise AssertionError("wrong route")
 
     monkeypatch.setattr(beta2, "_det_interpolated" if packed else "_det_packed", refuse)
     beta2._det_integers.cache_clear()
-    assert len(det_laguerre(n, alpha)) == alpha * n + 1
+    assert len(det_fractions(n, alpha)) == alpha * n + 1
 
 
 # sha256 of the exact (numerator, denominator) pairs, captured from the
 # polynomial Bareiss elimination over Fractions that the integer routes
-# replaced; det_laguerre takes the packed route at (16,4) and (24,4) and
+# replaced; _det_integers takes the packed route at (16,4) and (24,4) and
 # the interpolated one at (20,6) and (30,6)
 GOLDEN_DIGESTS = {
     (16, 4): "a2e878760ed5a189c30df6782ccb58bb21dfeaa4b8f45c827ca10ee4bc747d45",
@@ -186,7 +192,7 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("n,alpha", sorted(GOLDEN_DIGESTS))
 def test_det_golden_digest(n, alpha):
-    coeffs = det_laguerre(n, alpha)
+    coeffs = det_fractions(n, alpha)
     pairs = repr([(c.numerator, c.denominator) for c in coeffs]).encode()
     assert hashlib.sha256(pairs).hexdigest() == GOLDEN_DIGESTS[n, alpha]
 
@@ -197,7 +203,7 @@ def test_det_off_sample_points(n, alpha, s):
     # both routes work at integer s (0..alpha*N, or 2^K); at non-integer s
     # the polynomial must still equal the determinant of the entries there
     mat = [[evaluate(p, s) for p in row] for row in laguerre_matrix(n, alpha)]
-    assert evaluate(list(det_laguerre(n, alpha)), s) == _det(mat)
+    assert evaluate(list(det_fractions(n, alpha)), s) == _det(mat)
 
 
 def test_det_coefficients_positive():
@@ -205,7 +211,7 @@ def test_det_coefficients_positive():
     # without a search; they are leading minors, positive because these are
     for n in range(1, 13):
         for alpha in range(0, 7):
-            assert all(c > 0 for c in det_laguerre(n, alpha)), (n, alpha)
+            assert all(c > 0 for c in det_fractions(n, alpha)), (n, alpha)
 
 
 @pytest.mark.parametrize("n,alpha", [(8, 0), (12, 1), (20, 2), (16, 3), (10, 4), (20, 4),
@@ -216,23 +222,11 @@ def test_beta2_coeffs_are_logs_of_the_reduced_rationals(n, alpha):
     # products c_j * Gamma(MN)/Gamma(MN-j) in lowest terms
     mn = (n + alpha) * n
     logs, falling = [], 1
-    for j, c in enumerate(det_laguerre(n, alpha)):
+    for j, c in enumerate(det_fractions(n, alpha)):
         a = c * falling
         falling *= mn - 1 - j
         logs.append(math.log(a.numerator) - math.log(a.denominator))
     assert beta2._beta2_coeffs(n, alpha).tobytes() == np.array(logs).tobytes()
-
-
-def test_det_integer_arguments():
-    assert det_laguerre(3.0, 2) == det_laguerre(3, 2)
-    det_laguerre(1, 2)  # a cached int entry must not answer for a bool
-    for args in [(True, 2), (3, False), (2.5, 2), (3, "2")]:
-        with pytest.raises(DomainError):
-            det_laguerre(*args)
-    with pytest.raises(DomainError):
-        det_laguerre(0, 2)
-    with pytest.raises(DomainError):
-        det_laguerre(3, -1)
 
 
 # ---------- survival function ----------

@@ -14,11 +14,10 @@ from lagmin import core, errors
 from lagmin.core import EnsembleParams, params_new, require_jack_index
 from lagmin.errors import DomainError, NonIntegerJackIndex, PrecisionWarning
 from lagmin.exact import moment, p_exact, q_exact, q_oracle_n2
-from lagmin.beta2 import det_laguerre, q_alpha2_sum, q_exact_beta2
+from lagmin.beta2 import q_alpha2_sum, q_exact_beta2
 from lagmin.limit import (
     LimitParams,
     p_limit,
-    prefactor_diagnostics,
     q_limit,
     q_limit_closed,
 )
@@ -307,8 +306,7 @@ OUTSIDE_CALLS = {
     "q_oracle_n2": lambda: q_oracle_n2(params_new(8.5, 2, 4), [0.1, 0.2]),
     "q_limit": lambda: q_limit(LimitParams(2.0, 1), [1.0, 150.0, 200.0]),
     "p_limit": lambda: p_limit(LimitParams(2.0, 7), 1.0),
-    "prefactor_diagnostics": lambda: prefactor_diagnostics(LimitParams(2.0, 1), [150.0]),
-    "q_limit_closed": lambda: q_limit_closed(LimitParams(2.0, 2), 5000.0),  # two Bessel factors
+    "q_limit_closed": lambda: q_limit_closed(LimitParams(2.0, 2), 5000.0),  # the m = 2 form
     "q_limit_closed.m1": lambda: q_limit_closed(LimitParams(2.0, 1), 4900.0),  # one Bessel factor
 }
 
@@ -329,8 +327,6 @@ INTEGER_ARGS = {
     "EnsembleParams.n_dim": (lambda v: params_new(2.0, v, 5), 3, 0),
     "EnsembleParams.m_dim": (lambda v: EnsembleParams(2.0, 3, v), 5, 2),
     "LimitParams.jack_index": (lambda v: LimitParams(2.0, v), 1, -1),
-    "det_laguerre.n_dim": (lambda v: det_laguerre(v, 2), 3, 0),
-    "det_laguerre.alpha": (lambda v: det_laguerre(3, v), 2, -1),
     "q_exact_beta2.n_dim": (lambda v: q_exact_beta2(v, 5, 0.1), 3, 0),
     "q_exact_beta2.m_dim": (lambda v: q_exact_beta2(3, v, 0.1), 5, 2),
     "q_alpha2_sum.n_dim": (lambda v: q_alpha2_sum(v, 0.1), 3, 0),
@@ -396,10 +392,3 @@ def test_every_finite_n_law_is_0_past_its_support(name):
     if not scalar_only:
         assert call(np.array(past)).tolist() == [0.0, 0.0]
 
-
-def test_prefactor_diagnostics_takes_a_grid():
-    lp = LimitParams(2.0, 1)
-    assert prefactor_diagnostics(lp, np.array([0.5, 1.0])) == prefactor_diagnostics(lp, [0.5, 1.0])
-    for ys in (1.0, [0.5, math.nan], [-1.0], ["abc"], [[0.5], [1.0, 2.0]]):
-        with pytest.raises(DomainError):
-            prefactor_diagnostics(lp, ys)

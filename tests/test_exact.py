@@ -12,10 +12,10 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import law, ln, weight_sum
+from test_beta2 import det_fractions
 from test_jack import check_partition_stream
 
 from lagmin import exact, jack
-from lagmin.beta2 import det_laguerre
 from lagmin.core import params_new
 from lagmin.beta2 import q_alpha2_sum, q_exact_beta2
 from lagmin.errors import DomainError, NonIntegerJackIndex, PrecisionWarning
@@ -112,7 +112,7 @@ def test_coeffs_match_exact_beta2_rationals(n, alpha):
     # at beta=2, A_k = c_k * Gamma(MN)/Gamma(MN-k) with c_k the exact
     # coefficients of the Laguerre determinant
     log_a = exact._series_coeffs(params_new(2.0, n, n + alpha), 0)
-    rational = det_laguerre(n, alpha)
+    rational = det_fractions(n, alpha)
     assert len(log_a) == len(rational)
     mn = (n + alpha) * n
     falling = 1
@@ -274,7 +274,7 @@ def test_first_moment_equals_integral_of_q():
 def test_moments_match_exact_beta2_rationals(n, alpha):
     # mu_p = p sum_k c_k Gamma(MN)Gamma(p+k) / (Gamma(MN+p) N^(p+k)) at beta=2
     mn = (n + alpha) * n
-    c = det_laguerre(n, alpha)
+    c = det_fractions(n, alpha)
     for order in (1, 2):
         want = order * sum(
             ck * math.factorial(order + k - 1)
@@ -441,7 +441,7 @@ def _exact_beta2_law(n, alpha, xs, density=False):
     rational coefficients of the Laguerre determinant, by the oracle."""
     mn = (n + alpha) * n
     a, falling = [], 1
-    for j, c in enumerate(det_laguerre(n, alpha)):
+    for j, c in enumerate(det_fractions(n, alpha)):
         a.append(c * falling)
         falling *= mn - 1 - j
     e = mn - 1

@@ -1,4 +1,5 @@
-"""Hard-edge scaling limit: series, closed forms, density, diagnostics."""
+"""Hard-edge scaling limit: series, closed forms, density, and the
+printed density prefactor."""
 
 import math
 import sys
@@ -19,9 +20,7 @@ from lagmin import core, jack, limit
 from lagmin.errors import DivergenceError, DomainError, PrecisionWarning
 from lagmin.limit import (
     LimitParams,
-    _limit_prefactor,
     p_limit,
-    prefactor_diagnostics,
     q_limit,
     q_limit_closed,
 )
@@ -110,6 +109,36 @@ def test_closed_form_beta2_m2():
         assert closed == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("nu", [Fraction(2, 5), Fraction(5, 4), Fraction(2), Fraction(3), Fraction(1, 7)])
+def test_m2_term_ratio_is_exact(nu):
+    # c_1 = beta/2 and c_(k+1)/c_k = 2(2k + 2mu - 1)/((k+1)(k + 2mu - 1)(k + 2mu)),
+    # mu = 2/beta, against the partition sum in Fractions; nu = 2 (beta = 4)
+    # is where the k = 0 ratio would be 0/0
+    mu = 1 / nu
+    c = [weight_sum(nu, 2, k, 2 * mu) for k in range(13)]
+    assert c[0] == 1 and c[1] == nu
+    for k in range(1, 12):
+        assert c[k + 1] / c[k] == 2 * (2 * k + 2 * mu - 1) / ((k + 1) * (k + 2 * mu - 1) * (k + 2 * mu)), k
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0 / 3.0, 1.0, 2.0, 3.0, 4.0, 6.0])
+def test_m2_closed_form_matches_series(beta):
+    lp = LimitParams(beta, 2)
+    ys = np.concatenate([[1e-8, 1e-3], np.linspace(0.25, 100.0, 60)])
+    series = q_limit(lp, ys)
+    for y, want in zip(ys.tolist(), series.tolist()):
+        assert q_limit_closed(lp, y) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_m2_closed_form_at_beta4_is_one_bessel_factor():
+    # Q = e^(-y/2) (1 + I_0(2 sqrt y))/2 at beta = 4
+    lp = LimitParams(4.0, 2)
+    for y in (1e-6, 0.3, 1.0, 4.0, 17.5, 40.0, 99.0, 400.0, 3600.0):
+        x = 2.0 * math.sqrt(y)
+        want = 0.5 * (math.exp(-y / 2.0) + scipy.special.ive(0, x) * math.exp(x - y / 2.0))
+        assert q_limit_closed(lp, y) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_closed_form_fractional_beta():
     # m=1 closed form holds for non-classical beta too; its Bessel order
     # is 2/beta - 1 (NOT beta/2 - 1, which only coincides at beta=2)
@@ -146,8 +175,6 @@ def test_frozen_values():
 
 def test_closed_form_unavailable():
     assert q_limit_closed(LimitParams(1.0, 3), 2.0) is None
-    assert q_limit_closed(LimitParams(4.0, 2), 2.0) is None
-    assert q_limit_closed(LimitParams(0.7, 2), 2.0) is None
 
 
 def test_closed_form_nan_and_infinity():
@@ -356,50 +383,46 @@ def test_envelope_warnings():
 
 # ---------- the printed prefactor and its documented mismatch ----------
 
+def printed_prefactor(beta, m):
+    """The density prefactor printed in the source paper,
+    A(m, beta) = 4^m nu^(nu+2m+1) Gamma(1+nu) / (Gamma(1+m) Gamma(1+m+nu)),
+    nu = beta/2."""
+    nu = 0.5 * beta
+    return math.exp(m * math.log(4.0) + (nu + 2.0 * m + 1.0) * math.log(nu) + math.lgamma(1.0 + nu)
+                    - math.lgamma(1.0 + m) - math.lgamma(1.0 + m + nu))
+
+
+def printed_density(nu, m, y):
+    """The printed density A(m, beta) y^m e^(-beta*y/8) 0F1(2m/beta + 2; (y/4) 1^m)
+    at a Fraction nu = beta/2 and y <= 10, with the oracle's 0F1
+    coefficients (30 terms)."""
+    c = [weight_sum(nu, m, k, m / nu + 2) for k in range(30)]
+    return printed_prefactor(2 * nu, m) * y**m * float(law(c, Fraction(y) / 4, offset=-nu * Fraction(y) / 4))
+
+
 def test_prefactor_value():
     # A(1, 2) = 4 * 1 * Gamma(2)/(Gamma(2)Gamma(3)) = 2
-    assert _limit_prefactor(LimitParams(2.0, 1)) == pytest.approx(2.0, rel=1e-13, abs=0.0)
+    assert printed_prefactor(2.0, 1) == pytest.approx(2.0, rel=1e-13, abs=0.0)
 
 
 def test_printed_density_mismatch_is_constant_ratio():
     # the printed form is off by exactly 64 at (beta, m) = (2, 1) and by
     # exactly 4 at (2, 0); the ratio is y-independent, so the functional
     # shape matches and only the prefactor is wrong
-    rep = prefactor_diagnostics(LimitParams(2.0, 1), [0.5, 1.0, 2.0, 5.0, 10.0])
-    assert not rep["consistent"]
-    assert rep["ratio_min"] == pytest.approx(64.0, rel=1e-8)
-    assert rep["ratio_max"] == pytest.approx(64.0, rel=1e-8)
-
-    rep0 = prefactor_diagnostics(LimitParams(2.0, 0), [0.5, 1.0, 2.0])
-    assert not rep0["consistent"]
-    assert rep0["ratio_min"] == pytest.approx(4.0, rel=1e-10)
+    for m, ys, want in [(1, [0.5, 1.0, 2.0, 5.0, 10.0], 64.0), (0, [0.5, 1.0, 2.0], 4.0)]:
+        lp = LimitParams(2.0, m)
+        for y in ys:
+            assert printed_density(Fraction(1), m, y) / p_limit(lp, y) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0 / 3.0, 1.0, 2.0, 7.0 / 3.0, 4.0, 6.0])
 def test_printed_ratio_is_its_closed_form(beta):
-    # A 4^m / D_m = 2^(4m+2) (beta/2)^(beta/2), at every point alike
+    # the printed density over p_limit is A 4^m / D_m = 2^(4m+2) (beta/2)^(beta/2)
     nu = Fraction(beta) / 2
     for m in range(7):
-        rep = prefactor_diagnostics(LimitParams(beta, m), [0.5, 2.0, 10.0])
+        ratio = printed_prefactor(beta, m) * 4.0**m / limit._density_constant(LimitParams(beta, m))
         want = law([2 ** (4 * m + 2)], 1, offset=nu * Fraction(ln(nu)))
-        assert rep["ratio_min"] == rep["ratio_max"]
-        assert abs(Decimal(rep["ratio_min"]) - want) <= Decimal("1e-13") * want
-
-
-def test_prefactor_diagnostics_sums_the_series_once(monkeypatch):
-    lp, ys = LimitParams(2.0 / 3.0, 3), [0.0, 1e-8, 0.3, 17.5, math.inf]
-    calls = []
-    f01_sum = limit._f01_sum
-    monkeypatch.setattr(limit, "_f01_sum", lambda *args: calls.append(args) or f01_sum(*args))
-    rep = prefactor_diagnostics(lp, ys)
-    assert len(calls) == 1
-    assert [pt["p_series"] for pt in rep["points"]] == p_limit(lp, np.array(ys)).tolist()
-    assert [sorted(pt) for pt in rep["points"]] == [["p_printed", "p_series", "ratio", "y"]] * len(ys)
-    assert [pt["ratio"] for pt in rep["points"]] == [math.inf] + [rep["ratio_min"]] * 3 + [math.inf]
-    assert rep["points"][0]["p_printed"] == rep["points"][-1]["p_printed"] == 0.0
-    # no positive density: no ratio
-    empty = prefactor_diagnostics(lp, [0.0, math.inf])
-    assert math.isnan(empty["ratio_min"]) and math.isnan(empty["ratio_max"]) and not empty["consistent"]
+        assert abs(Decimal(ratio) - want) <= Decimal("1e-13") * want
 
 
 # ---------- the 0F1 coefficient table ----------
@@ -632,13 +655,6 @@ def test_underflow_rule_keeps_subnormal_and_small_values():
     # needs more than K_MAX powers, not 0
     with pytest.warns(PrecisionWarning), pytest.raises(DivergenceError, match="did not meet"):
         q_limit(LimitParams(0.01, 3), 796214.0)
-
-
-@pytest.mark.parametrize("beta,m", [(300.0, 0), (1e4, 1), (1e103, 2), (1e200, 0)])
-def test_prefactor_diagnostics_past_the_float_range(beta, m):
-    # the printed prefactor (beta/2)^(beta/2) ... overflows from beta ~ 300
-    with pytest.raises(DivergenceError, match="prefactor"):
-        prefactor_diagnostics(LimitParams(beta, m), [0.0, 1e-300])
 
 
 # ---------- array calls ----------
