@@ -80,20 +80,11 @@ CHUNK_ROWS = 1 << 17
 CHUNK_WIDTH = 8
 
 
-def _pair_tables(nu: float, m: int, length: int) -> np.ndarray:
-    """Row-pair hook tables T_l[p], l = 1..m-1 (row l-1 of the result),
-    p = 0..length: the log hook-length ratio of the cells of row i
-    against row i + l when kappa_i - kappa_(i+l) = p."""
-    t = nu * np.arange(length, dtype=float)
-    l_ = np.arange(1, m, dtype=float)[:, None]
-    logs = np.log(t + l_ + 1) + np.log(t + nu + l_) - np.log(t + l_) - np.log(t + nu + l_ - 1)
-    return _prefix_sums(logs.tolist())
-
-
 def _partition_chunks(m: int, lo: int, hi: int, cap: int):
     """Stream the partitions with at most m parts, weight in [lo, hi]
-    and first part at most cap as int32 arrays of shape (rows, m),
-    trailing zero parts included.
+    and first part at most cap as pairs (box, weights): box an int32
+    array of shape (rows, m), trailing zero parts included, and weights
+    the int64 weight of each row.
 
     Columns are built left to right.  The first part runs over
     [ceil(lo/m), min(cap, hi)]; a prefix of weight w whose last part is
@@ -104,35 +95,41 @@ def _partition_chunks(m: int, lo: int, hi: int, cap: int):
     it is wider than CHUNK_WIDTH columns, is split in halves first, so a
     chunk has at most max(CHUNK_ROWS, top + 1) rows and
     max(CHUNK_ROWS * CHUNK_WIDTH, (top + 1) * m) parts, top = min(cap, hi);
-    the chunks come out in a fixed order.
+    the chunks come out in a fixed order.  Each prefix carries its weight
+    down the stack, so no row is summed twice.
+
+    Columns are gathered with take(..., out=..., mode="clip"): under the
+    default mode="raise" numpy gathers into a buffer and copies it to out,
+    and these indices are all in range, so clipping changes nothing.
     """
     if m == 0:
         if lo == 0:
-            yield np.zeros((1, 0), dtype=np.int32)
+            yield np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=np.int64)
         return
     top = min(cap, hi)
-    stack = [np.arange(-(-lo // m), top + 1, dtype=np.int32)[:, None]]
+    first = np.arange(-(-lo // m), top + 1, dtype=np.int32)[:, None]
+    stack = [(first, first[:, 0].astype(np.int64))]
     while stack:
-        box = stack.pop()
+        box, w = stack.pop()
         j = box.shape[1]
         if j == m:
-            yield box
+            yield box, w
             continue
-        w = box.sum(axis=1, dtype=np.int64)
         low = np.maximum(-((w - lo) // (m - j)), 0)
         counts = np.minimum(box[:, j - 1], hi - w) - low + 1
         rows = int(counts.sum())
         if rows * max(j + 1, CHUNK_WIDTH) > CHUNK_ROWS * CHUNK_WIDTH and len(box) > 1:
             half = len(box) // 2
-            stack += [box[half:], box[:half]]
+            stack += [(box[half:], w[half:]), (box[:half], w[:half])]
             continue
         rep = np.repeat(np.arange(len(box)), counts)
         grown = np.empty((rows, j + 1), dtype=np.int32, order="F")
         for c in range(j):
-            np.take(box[:, c], rep, out=grown[:, c])
-        starts = np.cumsum(counts) - counts
-        grown[:, j] = low[rep] + (np.arange(rows) - starts[rep])
-        stack.append(grown)
+            box[:, c].take(rep, out=grown[:, c], mode="clip")
+        new = grown[:, j]  # row q of prefix i gains part low_i + q - start_i
+        (np.cumsum(counts) - counts - low).astype(np.int32).take(rep, out=new, mode="clip")
+        np.subtract(np.arange(rows, dtype=np.int32), new, out=new)
+        stack.append((grown, w[rep] + new))
 
 
 def _log_weight_sums(nu: float, m: int, shift: int, lo: int, hi: int, n: int | None = None):
@@ -142,11 +139,14 @@ def _log_weight_sums(nu: float, m: int, shift: int, lo: int, hi: int, n: int | N
     W_kappa is the term of the finite-N law with box width n, or of the
     0F1 where n is None, at Jack index m and b = m/nu + shift (module
     docstring); kappa runs over the partitions with at most m parts and
-    parts at most n (at most hi for the 0F1).  log W_kappa is gathered
-    from the row tables R_r and the pair tables T_l for each streamed
-    chunk; the chunk is reduced by weight with a per-k max shift and
-    merged into running (peak, sum) pairs, so memory stays at one chunk.
-    A weight that no partition has keeps peak -inf and total 0.
+    parts at most n (at most hi for the 0F1).  The row tables R_r and the
+    pair tables T_l are one _prefix_sums table.  For each streamed chunk
+    log W_kappa is summed into one buffer in the order R_i, then T_(j-i)
+    for j > i, i = 0, 1, ..., which fixes its rounding, each entry
+    gathered into a second buffer.  The chunk is reduced by weight with
+    a per-k max shift and merged into running (peak, sum) pairs, so
+    memory stays at one chunk.  A weight that no partition has keeps
+    peak -inf and total 0.
     """
     rows = min(m, hi)  # no partition of weight <= hi has more parts
     top = hi if n is None else n
@@ -155,20 +155,23 @@ def _log_weight_sums(nu: float, m: int, shift: int, lo: int, hi: int, n: int | N
     num = 2.0 * math.log(nu) if n is None else np.log(nu * n + r - t)
     row_terms = (num - np.log(t + m + nu * shift - r) - np.log(t + nu + rows - 1 - r)
                  + np.log1p((m - rows) / (t + rows - r)))
-    row_tab = _prefix_sums(row_terms.tolist())
-    pair_tab = _pair_tables(nu, rows, top)
+    l_ = np.arange(1, rows, dtype=float)[:, None]
+    t_l, t_nu_l = t + l_, t + nu + l_
+    pair_terms = np.log(t_l + 1) + np.log(t_nu_l) - np.log(t_l) - np.log(t_nu_l - 1)
+    tab = _prefix_sums(np.concatenate([row_terms, pair_terms]))  # R_0..R_(rows-1), T_1..T_(rows-1)
     peak = np.full(hi - lo + 1, -np.inf)
     total = np.zeros(hi - lo + 1)
-    for box in _partition_chunks(rows, lo, hi, top):
-        lw = np.zeros(len(box))
+    for box, k in _partition_chunks(rows, lo, hi, top):
+        lw, term = np.zeros(len(box)), np.empty(len(box))
+        diff = np.empty(len(box), dtype=np.int32)
         for i in range(rows):
             col = box[:, i]
-            lw += row_tab[i][col]
+            lw += tab[i].take(col, out=term, mode="clip")
             for j in range(i + 1, rows):
-                lw += pair_tab[j - i - 1][col - box[:, j]]
-        k = box.sum(axis=1, dtype=np.intp)
+                np.subtract(col, box[:, j], out=diff)
+                lw += tab[rows + j - i - 1].take(diff, out=term, mode="clip")
         k0, k1 = int(k.min()), int(k.max()) + 1
-        k -= k0
+        k = k - k0
         chunk_peak = np.full(k1 - k0, -np.inf)
         np.maximum.at(chunk_peak, k, lw)
         chunk_sum = np.bincount(k, weights=np.exp(lw - chunk_peak[k]), minlength=k1 - k0)

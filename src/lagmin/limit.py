@@ -283,8 +283,9 @@ def q_limit_closed(lp: LimitParams, y: float):
 
     The m = 1 and m = 2 forms are positive series e^(-beta*y/8)
     sum_k c_k (y/4)^k, summed by _f01_sum from their closed term ratios
-    c_k/c_(k-1): at m = 1, 1/(k (2/beta + k - 1)), the ascending series
-    of I_(2/beta-1); at m = 2, c_1 = beta/2 and then
+    c_k/c_(k-1): at m = 1, 1/(k ((k - 1) + 2/beta)), the ascending series
+    of I_(2/beta-1) (k - 1 first, so that 2/beta keeps its digits at a
+    huge beta); at m = 2, c_1 = beta/2 and then
     c_(k+1)/c_k = 2(2k + 2mu - 1)/((k+1)(k + 2mu - 1)(k + 2mu)), the 1F2
     in y/4 (its k = 0 ratio is 0/0 at beta = 4, so the table starts at
     c_1).  Each rung's table is the prefix sums of the logs of the ratios
@@ -298,8 +299,8 @@ def q_limit_closed(lp: LimitParams, y: float):
     beta, m = lp.beta, lp.jack_index
     if m == 0 or y in (0.0, math.inf):  # Q(0) = 1 and Q(+inf) = 0 at every m
         return min(1.0, math.exp(-beta * y / 8.0))  # capped as q_limit is
-    if m == 1:  # c_k/c_(k-1) = 1/(k (2/beta + k - 1)), k >= 1
-        head, log_ratio = [], lambda k: -np.log(k) - np.log(2.0 / beta + k - 1.0)  # noqa: E731
+    if m == 1:  # c_k/c_(k-1) = 1/(k ((k - 1) + 2/beta)), k >= 1
+        head, log_ratio = [], lambda k: -np.log(k) - np.log((k - 1.0) + 2.0 / beta)  # noqa: E731
     elif m == 2:  # c_1 = beta/2, then c_(k+1)/c_k = 2(2k - 1 + 2mu)/((k+1)(k - 1 + 2mu)(k + 2mu)), k >= 1
         two_mu = 4.0 / beta
         head = [math.log(0.5 * beta)]
@@ -309,5 +310,5 @@ def q_limit_closed(lp: LimitParams, y: float):
         return None
     core.warn_outside("bessel", x=math.sqrt(y))
     out = _f01_sum(lp, np.array(y), lambda rung: _prefix_sums(  # the K_rung ratios the rung reads
-        [head + log_ratio(np.arange(1.0, _ladder_top(rung) + 1.0 - len(head))).tolist()])[0], 0, 1.0)
+        [np.concatenate([head, log_ratio(np.arange(1.0, _ladder_top(rung) + 1.0 - len(head)))])])[0], 0, 1.0)
     return min(1.0, float(out))

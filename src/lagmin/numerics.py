@@ -11,7 +11,13 @@ rounded sum of its prefix (``_prefix_sums``): the hook tables of
 jack.py, the term-ratio tables of the hard-edge closed forms
 (limit.q_limit_closed), and ``_log_falling``, the table of
 log Gamma(g)/Gamma(g-k) that the partition series (exact.py) and the
-alpha=2 double sum (beta2.py) read.
+alpha=2 double sum (beta2.py) read.  Each entry is bit for bit the
+math.fsum of its prefix.  A table takes two cumsums: the running sums
+s, and c, the running sum of the exact TwoSum errors of the steps of s
+(Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26 (2005)).  Where c itself
+is exact (its own TwoSum errors are all 0), s + c is the exact prefix
+sum, and one IEEE add rounds it as fsum does.  Every other row takes one
+fsum per prefix.
 
 Every law of the package is a series S = e^offset sum_j c_j u^j v^(e-j),
 and ``_series_sum`` is the only code that sums one, over an array of
@@ -33,10 +39,52 @@ import numpy as np
 EDGE_SUM_BLOCK = 1 << 16
 
 
+def _two_sum_errors(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The rounding error (s_(k-1) + a_k) - s_k of each step of the
+    running sums s = cumsum(a) down axis 0 (s_(-1) = 0), by Knuth's
+    TwoSum: exact where no intermediate overflows, and inf or NaN where
+    one does or an entry is not finite."""
+    e = np.empty_like(a)
+    e[0] = 0.0
+    prev, step = s[:-1], s[1:]
+    back = step - prev
+    err = np.subtract(step, back, out=e[1:])
+    np.subtract(prev, err, out=err)
+    err += np.subtract(a[1:], back, out=back)
+    return e
+
+
 def _prefix_sums(rows) -> np.ndarray:
-    """Correctly rounded prefix sums of each row (a list of floats), with
-    a leading 0, as a 2-D array."""
-    return np.array([[math.fsum(t[:p]) for p in range(len(t) + 1)] for t in rows])
+    """Correctly rounded prefix sums of each row (a 2-D array, or a list
+    of equal-length lists of floats), with a leading 0, as a 2-D array:
+    entry p of a row is math.fsum of its first p entries, bit for bit.
+
+    The table is summed by two cumsums: s = cumsum(a), e the TwoSum
+    error of each of its steps and c = cumsum(e).  The exact prefix sum
+    is s + c wherever c made no rounding error of its own (its TwoSum
+    errors are all 0), and one IEEE add then rounds it as fsum does, ties
+    included; an exact 0 comes out +0.0, as from fsum.  A row whose c is
+    inexact, or that has an inf or NaN entry or an intermediate overflow
+    (which make an error inf or NaN), is summed by one fsum per prefix
+    instead (so inf - inf raises fsum's ValueError).
+    """
+    a = np.asarray(rows, dtype=float)
+    if a.ndim == 1:  # [], a table of no rows
+        a = a.reshape(0, 0)
+    out = np.zeros((len(a), a.shape[1] + 1))
+    exact = np.zeros(len(a), dtype=bool)
+    if a.size:  # a table of no entries has no steps
+        cols = a.T.copy()  # each step of the cumsums a contiguous block
+        with np.errstate(over="ignore", invalid="ignore"):  # the rows that go to fsum
+            s = cols.cumsum(axis=0)
+            e = _two_sum_errors(s, cols)
+            c = e.cumsum(axis=0)
+            exact = ~_two_sum_errors(c, e).any(axis=0)
+            np.add(s, c, out=out[:, 1:].T)
+    for i in np.flatnonzero(~exact):
+        t = a[i].tolist()
+        out[i, 1:] = [math.fsum(t[:p]) for p in range(1, len(t) + 1)]
+    return out
 
 
 @lru_cache(maxsize=32)  # one entry per parameter set of exact, or per N of q_alpha2_sum

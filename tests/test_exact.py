@@ -162,7 +162,7 @@ def test_box_stream_is_the_whole_box(m, n, chunk_rows, monkeypatch):
 def test_box_stream_chunks_are_bounded():
     # at (m, N) = (6, 25) the partitions with first part 25 alone number
     # C(30, 5) = 142,506, more than CHUNK_ROWS: a chunk must split them
-    rows = [len(c) for c in jack._partition_chunks(6, 0, 6 * 25, 25)]
+    rows = [len(box) for box, _ in jack._partition_chunks(6, 0, 6 * 25, 25)]
     assert sum(rows) == math.comb(31, 6)
     assert max(rows) <= jack.CHUNK_ROWS
 

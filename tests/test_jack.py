@@ -23,10 +23,13 @@ def check_partition_stream(monkeypatch, m: int, lo: int, hi: int, cap, chunk_row
     exactly the partitions with at most m parts, weight in [lo, hi] and
     first part at most cap, each once and padded with
     zero parts to m columns, in chunks of at most max(chunk_rows, top + 1)
-    rows, top = min(cap, hi); returns the number of partitions."""
+    rows, top = min(cap, hi), each row with its weight; returns the
+    number of partitions."""
     monkeypatch.setattr(jack, "CHUNK_ROWS", chunk_rows)
-    chunks = list(jack._partition_chunks(m, lo, hi, cap))
+    pairs = list(jack._partition_chunks(m, lo, hi, cap))
+    chunks = [box for box, _ in pairs]
     rows = np.concatenate(chunks) if chunks else np.zeros((0, m), dtype=np.int32)
+    assert all(weights.tolist() == box.sum(axis=1).tolist() for box, weights in pairs)
     want = {kappa + (0,) * (m - len(kappa)) for k in range(lo, hi + 1) for kappa in partitions(k, m, cap)}
     assert rows.shape == (len(want), m)
     assert {tuple(r) for r in rows.tolist()} == want
@@ -41,9 +44,59 @@ def test_chunk_parts_are_bounded_at_any_m(m, monkeypatch):
     # int32 parts, not CHUNK_ROWS rows of m parts: the m x 2 box of the
     # finite-N law, (m + 1)(m + 2)/2 partitions, in chunks of at most 2 KB
     monkeypatch.setattr(jack, "CHUNK_ROWS", 64)
-    chunks = list(jack._partition_chunks(m, 0, 2 * m, 2))
+    chunks = [box for box, _ in jack._partition_chunks(m, 0, 2 * m, 2)]
     assert sum(len(c) for c in chunks) == (m + 1) * (m + 2) // 2
     assert max(c.nbytes for c in chunks) <= 64 * jack.CHUNK_WIDTH * 4
+
+
+def fsum_gather_weight_sums(nu, m, shift, lo, hi, n=None):
+    """_log_weight_sums as it stood before its tables were rounded by
+    cumsums and its gathers written into buffers: the same np.log terms,
+    each table entry the math.fsum of its prefix, log W gathered by fancy
+    indexing in the order R_i, then T_(j-i) for j > i, each weight a row
+    sum, and the same per-chunk reduction and merge.  The boxes are the
+    streamer's, so that both sum each weight's terms in the same order."""
+    rows = min(m, hi)
+    top = hi if n is None else n
+    t = nu * np.arange(top, dtype=float)
+    r = np.arange(rows, dtype=float)[:, None]
+    num = 2.0 * math.log(nu) if n is None else np.log(nu * n + r - t)
+    row_terms = (num - np.log(t + m + nu * shift - r) - np.log(t + nu + rows - 1 - r)
+                 + np.log1p((m - rows) / (t + rows - r)))
+    l_ = np.arange(1, rows, dtype=float)[:, None]
+    pair_terms = np.log(t + l_ + 1) + np.log(t + nu + l_) - np.log(t + l_) - np.log(t + nu + l_ - 1)
+    row_tab, pair_tab = (np.array([[math.fsum(x[:p]) for p in range(len(x) + 1)] for x in terms.tolist()])
+                         for terms in (row_terms, pair_terms))
+    peak, total = np.full(hi - lo + 1, -np.inf), np.zeros(hi - lo + 1)
+    for box, _ in jack._partition_chunks(rows, lo, hi, top):
+        lw = np.zeros(len(box))
+        for i in range(rows):
+            lw += row_tab[i][box[:, i]]
+            for j in range(i + 1, rows):
+                lw += pair_tab[j - i - 1][box[:, i] - box[:, j]]
+        k = box.sum(axis=1, dtype=np.intp)
+        k0, k1 = int(k.min()), int(k.max()) + 1
+        k -= k0
+        chunk_peak = np.full(k1 - k0, -np.inf)
+        np.maximum.at(chunk_peak, k, lw)
+        chunk_sum = np.bincount(k, weights=np.exp(lw - chunk_peak[k]), minlength=k1 - k0)
+        s = slice(k0 - lo, k1 - lo)
+        new_peak = np.maximum(peak[s], chunk_peak)
+        ref = np.where(new_peak > -np.inf, new_peak, 0.0)
+        total[s] = total[s] * np.exp(peak[s] - ref) + chunk_sum * np.exp(chunk_peak - ref)
+        peak[s] = new_peak
+    return peak, total
+
+
+# (nu, m, shift, lo, hi, n): a band of 27,612 partitions, past numpy's
+# 8192-element take buffer; the 4 x 19 box of P; a 6 x 20 box that
+# streams two chunks
+@pytest.mark.parametrize("case", [(0.6, 5, 0, 41, 50, None), (1, 4, 2, 0, 76, 19), (1 / 3, 6, 0, 0, 120, 20)],
+                         ids=["band", "p-box", "two-chunks"])
+def test_weight_sums_keep_their_bits(case):
+    # a reordered gather or a table rounded otherwise moves bits here
+    got, want = jack._log_weight_sums(*case), fsum_gather_weight_sums(*case)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
 
 def test_oracle_imports_only_the_standard_library():

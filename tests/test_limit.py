@@ -233,6 +233,21 @@ def test_closed_form_m1_at_small_beta(beta, y):
     assert closed == pytest.approx(q_limit(lp, y), rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("beta,want", [
+    (1e13, 0.9999999999999999), (1e15, 0.9999999999992186), (1e17, 0.9999999921881509),
+])
+def test_closed_form_m1_at_huge_beta(beta, want):
+    # the ratio's order term as 2/beta + k - 1 lost 2/beta at k = 1: it
+    # read 0.9999999999961143 at 1e13 and 1.0 at 1e15, and was log 0, a
+    # numpy warning and a DivergenceError at 1e17
+    lp = LimitParams(beta, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed, series = q_limit_closed(lp, 1e-20), q_limit(lp, 1e-20)
+    assert series == want
+    assert closed == pytest.approx(series, rel=1e-15, abs=0.0)
+
+
 def test_closed_form_m1_past_the_bessel_envelope():
     # a large-argument Bessel expansion overflowed to inf here and read
     # that as converged (1.0 at beta = 0.002), or gave up and raised

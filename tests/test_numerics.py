@@ -1,16 +1,34 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from lagmin import limit, numerics
+from lagmin import jack, limit, numerics
 from lagmin.numerics import _log_falling, _prefix_sums
 
 
 def _fsum_prefixes(row):
     return [math.fsum(row[:p]) for p in range(len(row) + 1)]
+
+
+def _tables(entries):
+    """Tables of up to 5 rows of up to 60 entries, (0, L) and (n, 0)
+    tables included."""
+    return hnp.arrays(float, st.tuples(st.integers(0, 5), st.integers(0, 60)), elements=entries)
+
+
+# small multiples of powers of two in a narrow window: many running sums
+# and final adds fall exactly half-way between two doubles
+DYADIC = st.builds(math.ldexp, st.integers(-255, 255), st.integers(-60, 0))
+# entries from the subnormals to 1e300 of either sign
+SPAN = st.floats(-1e300, 1e300) | st.builds(lambda f, e: f * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300))
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]) | st.floats(-50.0, 50.0)
 
 
 class TestLogTables:
@@ -27,6 +45,38 @@ class TestLogTables:
         assert _prefix_sums([[2.5]]).tolist() == [[0.0, 2.5]]
         assert _prefix_sums([[]]).tolist() == [[0.0]]
         assert _prefix_sums([]).size == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_tables(DYADIC), _tables(SPAN), _tables(SPECIAL)))
+    def test_prefix_sums_are_fsum_bit_for_bit(self, table):
+        try:
+            want = [_fsum_prefixes(row) for row in table.tolist()]
+        except (ValueError, OverflowError) as err:  # inf - inf, or a sum past the float range
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                _prefix_sums(table)
+            return
+        got = _prefix_sums(table)
+        assert got.shape == (len(table), table.shape[1] + 1)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_inf_minus_inf_raises_as_fsum_does(self):
+        row = [0.5] * 60 + [math.inf, -math.inf]
+        with pytest.raises(ValueError, match=re.escape("-inf + inf in fsum")):
+            _prefix_sums([row])
+
+    def test_finite_tables_take_the_cumsum_path(self, monkeypatch):
+        # every entry of these tables is finite, and every row's c is exact
+        falling = _fsum_prefixes([math.log(240.5 - i) for i in range(1, 201)])
+        cases = [(0.6, 5, 0, 41, 50), (0.6, 1, 0, 0, 16)]  # the 9 x 51 table of R_0..R_4, T_1..T_4; 1 x 17
+        sums = [jack._log_weight_sums(*case) for case in cases]
+
+        def no_fsum(_):
+            raise AssertionError("math.fsum called")
+
+        monkeypatch.setattr(numerics.math, "fsum", no_fsum)
+        assert _log_falling.__wrapped__(240.5, 200).tolist() == falling
+        for case, want in zip(cases, sums):
+            assert [a.tobytes() for a in jack._log_weight_sums(*case)] == [b.tobytes() for b in want]
 
     @pytest.mark.parametrize("g,k_max", [(24, 48), (40.5, 20), (1e6 / 3, 40), (7.0, 0), (3.0, 5), (2.5, 4)])
     def test_log_falling_is_the_fsum_of_its_factor_logs(self, g, k_max):
