@@ -59,6 +59,9 @@ K_MAX = 500
 #: Validated envelope, route -> parameter -> (low, high), bounds included;
 #: the lows are the domain edges except the N=2 oracle's beta.  The limit
 #: row bounds the largest y in (0, inf): Q and P are exact at 0 and inf.
+#: The exact row bounds N and m, not beta: at N = 2, q_exact and p_exact
+#: were within 5e-15 relative of 60-digit references at m <= 3, and
+#: within 4.5e-14 at m = 16, at beta = 0.01, 1e-3, 1e-6, 1e-9 and 1e-15.
 ENVELOPES = {
     "exact": {"N": (1, 50), "m": (0, 6)},  # q_exact, p_exact, moment
     "beta2": {"N": (1, 30), "alpha": (0, 6)},  # q_exact_beta2, alpha = M - N

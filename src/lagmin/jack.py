@@ -38,9 +38,21 @@ cells of each row grouped by the row whose end bounds their leg,
                 + sum_{0<=i<j<L} T_{j-i}[kappa_i - kappa_j],
 
 where R_r[p] sums the row term of cell t over t < p (with its hooks
-against the empty row L) and T_l[p] sums
-log((nu*d + l + 1)(nu*d + nu + l) / ((nu*d + l)(nu*d + nu + l - 1)))
-over d < p, the hook-length ratio of a row pair; any L >= len(kappa) will do.
+against the empty row L) and T_l[p] sums the hook-length ratio of a row
+pair over d < p; any L >= len(kappa) will do.  Both read the hook pair
+of a cell of arm a and integer leg l,
+
+    lower(a, l) = nu*a + (l + 1),    upper(a, l) = nu*a + nu + l:
+
+T_l[p] sums log lower(d, l) + log upper(d, l) - log lower(d, l-1)
+- log upper(d, l-1), and the row term of row r holds the upper hook
+against the empty row, at leg L - 1 - r.  So one table of each hook
+log, over the legs 0..L-1, serves every R_r and T_l.  Each hook is
+formed from its integer leg before the leg meets nu*a.  Spelled
+nu*(a+1) + (l+1) - 1, it would be off by up to 2^-53 (l+1)/nu relative
+where nu is far below l+1 (2e-7 at beta = 1e-9), and the hook at
+a = l = 0 would round to 0 once nu is below 2^-53.  The other sums of
+the row term below add their integer parts first for the same reason.
 
 Both series sum C_kappa(1^m)/[b]_kappa at b = m/nu + shift (shift 0 for
 Q, 2 for P); the finite-N law has the extra (-1/nu)^k [-N]_kappa, N the
@@ -51,19 +63,20 @@ nu*t + L - r against the empty row is 1 + (m - L)/(nu*t + L - r), so
 the row term is
 
     log(nu*N + r - nu*t) [finite N]  or  2 log nu [0F1]
-      - log(nu*t + m + nu*shift - r) - log(nu*t + nu + L - 1 - r)
-      + log1p((m - L)/(nu*t + L - r)),
+      - log(nu*t + nu*shift + (m - r)) - log upper(t, L - 1 - r)
+      + log1p((m - L)/(nu*t + (L - r))),
 
 whose last term is exactly 0 at L = m.  (t is the cell's arm in the
 hooks and its column elsewhere; both run over t < p.)
 
 _log_weight_sums is the one builder: from the series parameters it
-writes that row term, builds the prefix tables R_r and T_l
-(numerics._prefix_sums, the one rule of every correctly rounded log
-table), streams the partitions with _partition_chunks (weight in a band
-[lo, hi], L = min(m, hi) rows, as no partition of weight <= hi has more
-parts, and parts at most N, or hi for the 0F1), and reduces them to
-sum_{|kappa|=k} W_kappa, k by k.  Memory stays at one bounded chunk.
+writes the two hook-log tables and from them that row term, builds
+the prefix tables R_r and T_l (numerics._prefix_sums, the one rule of
+every correctly rounded log table), streams the partitions with
+_partition_chunks (weight in a band [lo, hi], L = min(m, hi) rows, as
+no partition of weight <= hi has more parts, and parts at most N, or hi
+for the 0F1), and reduces them to sum_{|kappa|=k} W_kappa, k by k.
+Memory stays at one bounded chunk.
 """
 
 from __future__ import annotations
@@ -140,24 +153,24 @@ def _log_weight_sums(nu: float, m: int, shift: int, lo: int, hi: int, n: int | N
     0F1 where n is None, at Jack index m and b = m/nu + shift (module
     docstring); kappa runs over the partitions with at most m parts and
     parts at most n (at most hi for the 0F1).  The row tables R_r and the
-    pair tables T_l are one _prefix_sums table.  For each streamed chunk
+    pair tables T_l are one _prefix_sums table, written from one array
+    of lower and one of upper hook logs.  For each streamed chunk
     log W_kappa is summed into one buffer in the order R_i, then T_(j-i)
     for j > i, i = 0, 1, ..., which fixes its rounding, each entry
     gathered into a second buffer.  The chunk is reduced by weight with
-    a per-k max shift and merged into running (peak, sum) pairs, so
-    memory stays at one chunk.  A weight that no partition has keeps
-    peak -inf and total 0.
+    a per-k max shift and merged into running (peak, sum) pairs over the
+    whole band (a weight the chunk lacks adds an exact 0), so memory
+    stays at one chunk.  A weight that no partition has keeps peak -inf
+    and total 0.
     """
     rows = min(m, hi)  # no partition of weight <= hi has more parts
     top = hi if n is None else n
     t = nu * np.arange(top, dtype=float)
-    r = np.arange(rows, dtype=float)[:, None]
+    r = np.arange(rows, dtype=float)[:, None]  # row, and leg l in the hooks
+    lower, upper = np.log(t + (r + 1)), np.log(t + nu + r)
     num = 2.0 * math.log(nu) if n is None else np.log(nu * n + r - t)
-    row_terms = (num - np.log(t + m + nu * shift - r) - np.log(t + nu + rows - 1 - r)
-                 + np.log1p((m - rows) / (t + rows - r)))
-    l_ = np.arange(1, rows, dtype=float)[:, None]
-    t_l, t_nu_l = t + l_, t + nu + l_
-    pair_terms = np.log(t_l + 1) + np.log(t_nu_l) - np.log(t_l) - np.log(t_nu_l - 1)
+    row_terms = num - np.log(t + nu * shift + (m - r)) - upper[::-1] + np.log1p((m - rows) / (t + (rows - r)))
+    pair_terms = lower[1:] + upper[1:] - lower[:-1] - upper[:-1]
     tab = _prefix_sums(np.concatenate([row_terms, pair_terms]))  # R_0..R_(rows-1), T_1..T_(rows-1)
     peak = np.full(hi - lo + 1, -np.inf)
     total = np.zeros(hi - lo + 1)
@@ -170,14 +183,12 @@ def _log_weight_sums(nu: float, m: int, shift: int, lo: int, hi: int, n: int | N
             for j in range(i + 1, rows):
                 np.subtract(col, box[:, j], out=diff)
                 lw += tab[rows + j - i - 1].take(diff, out=term, mode="clip")
-        k0, k1 = int(k.min()), int(k.max()) + 1
-        k = k - k0
-        chunk_peak = np.full(k1 - k0, -np.inf)
+        k = k - lo
+        chunk_peak = np.full(len(peak), -np.inf)
         np.maximum.at(chunk_peak, k, lw)
-        chunk_sum = np.bincount(k, weights=np.exp(lw - chunk_peak[k]), minlength=k1 - k0)
-        s = slice(k0 - lo, k1 - lo)
-        new_peak = np.maximum(peak[s], chunk_peak)
+        chunk_sum = np.bincount(k, weights=np.exp(lw - chunk_peak[k]), minlength=len(peak))
+        new_peak = np.maximum(peak, chunk_peak)
         ref = np.where(new_peak > -np.inf, new_peak, 0.0)  # both -inf: weight absent so far
-        total[s] = total[s] * np.exp(peak[s] - ref) + chunk_sum * np.exp(chunk_peak - ref)
-        peak[s] = new_peak
+        total = total * np.exp(peak - ref) + chunk_sum * np.exp(chunk_peak - ref)
+        peak = new_peak
     return peak, total

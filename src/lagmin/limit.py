@@ -304,8 +304,11 @@ def q_limit_closed(lp: LimitParams, y: float):
     elif m == 2:  # c_1 = beta/2, then c_(k+1)/c_k = 2(2k - 1 + 2mu)/((k+1)(k - 1 + 2mu)(k + 2mu)), k >= 1
         two_mu = 4.0 / beta
         head = [math.log(0.5 * beta)]
-        log_ratio = lambda k: np.log(  # noqa: E731
-            2.0 * (2.0 * k - 1.0 + two_mu) / ((k + 1.0) * (k - 1.0 + two_mu) * (k + two_mu)))
+
+        def log_ratio(k):  # past 2mu ~ 1e154 the denominator overflows: a ratio of 0, log -inf
+            with np.errstate(over="ignore", divide="ignore"):
+                return np.log(
+                    2.0 * (2.0 * k - 1.0 + two_mu) / ((k + 1.0) * (k - 1.0 + two_mu) * (k + two_mu)))
     else:
         return None
     core.warn_outside("bessel", x=math.sqrt(y))

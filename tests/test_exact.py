@@ -417,6 +417,27 @@ def test_oracle_warns_outside_its_measured_band():
         q_oracle_n2(params_new(1.7, 2, 4), np.linspace(0.0, 0.5, 11))
 
 
+@pytest.mark.parametrize("beta", [1e-3, 1e-9, 1e-15])
+@pytest.mark.parametrize("m", [1, 2])
+def test_n2_laws_at_small_beta(beta, m):
+    # at N = 2, Q = I_z(a, b) and P = z^(a-1) (1-z)^(b-1) 4(1-2x) / B(a, b)
+    # with z = (1-2x)^2, a = (beta+1)/2 and b = beta(M-1)/2 = m + 1; the
+    # series' hooks nu*(arm+1) + leg must keep nu where it is far below 1
+    m_dim = round(1 + 2 * (m + 1) / beta)
+    p = params_new(beta, 2, m_dim)
+    assert p.jack_index == m
+    xs = np.array([0.001, 0.01, 0.1, 0.25, 0.4, 0.49])
+    with pytest.warns(PrecisionWarning, match="oracle_n2"):
+        want_q = q_oracle_n2(p, xs)
+    a, b = 0.5 * (beta + 1.0), 0.5 * beta * (m_dim - 1)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    z = (1.0 - 2.0 * xs) ** 2
+    want_p = [math.exp((a - 1.0) * math.log(zi) + (b - 1.0) * math.log1p(-zi) - log_beta) * 4.0 * (1.0 - 2.0 * x)
+              for zi, x in zip(z.tolist(), xs.tolist())]
+    assert np.max(np.abs(q_exact(p, xs) - want_q) / want_q) <= 1e-14
+    assert np.max(np.abs(p_exact(p, xs) - want_p) / want_p) <= 1e-14
+
+
 def test_oracle_rejects_points_off_its_support():
     # NaN and x < 0 are refused; past x = 1/2 the law is 0, as q_exact is
     p = params_new(1.0, 2, 4)

@@ -51,20 +51,21 @@ def test_chunk_parts_are_bounded_at_any_m(m, monkeypatch):
 
 def fsum_gather_weight_sums(nu, m, shift, lo, hi, n=None):
     """_log_weight_sums as it stood before its tables were rounded by
-    cumsums and its gathers written into buffers: the same np.log terms,
-    each table entry the math.fsum of its prefix, log W gathered by fancy
-    indexing in the order R_i, then T_(j-i) for j > i, each weight a row
-    sum, and the same per-chunk reduction and merge.  The boxes are the
-    streamer's, so that both sum each weight's terms in the same order."""
+    cumsums, its gathers written into buffers and its chunks merged over
+    the whole band: the same np.log terms, from the same hook logs at
+    integer legs, each table entry the math.fsum of its prefix, log W
+    gathered by fancy indexing in the order R_i, then T_(j-i) for j > i,
+    each weight a row sum, and each chunk reduced and merged over its own
+    weight window.  The boxes are the streamer's, so that both sum each
+    weight's terms in the same order."""
     rows = min(m, hi)
     top = hi if n is None else n
     t = nu * np.arange(top, dtype=float)
     r = np.arange(rows, dtype=float)[:, None]
+    lower, upper = np.log(t + (r + 1)), np.log(t + nu + r)
     num = 2.0 * math.log(nu) if n is None else np.log(nu * n + r - t)
-    row_terms = (num - np.log(t + m + nu * shift - r) - np.log(t + nu + rows - 1 - r)
-                 + np.log1p((m - rows) / (t + rows - r)))
-    l_ = np.arange(1, rows, dtype=float)[:, None]
-    pair_terms = np.log(t + l_ + 1) + np.log(t + nu + l_) - np.log(t + l_) - np.log(t + nu + l_ - 1)
+    row_terms = num - np.log(t + nu * shift + (m - r)) - upper[::-1] + np.log1p((m - rows) / (t + (rows - r)))
+    pair_terms = lower[1:] + upper[1:] - lower[:-1] - upper[:-1]
     row_tab, pair_tab = (np.array([[math.fsum(x[:p]) for p in range(len(x) + 1)] for x in terms.tolist()])
                          for terms in (row_terms, pair_terms))
     peak, total = np.full(hi - lo + 1, -np.inf), np.zeros(hi - lo + 1)
@@ -97,6 +98,31 @@ def test_weight_sums_keep_their_bits(case):
     # a reordered gather or a table rounded otherwise moves bits here
     got, want = jack._log_weight_sums(*case), fsum_gather_weight_sums(*case)
     assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def test_weight_sums_keep_their_bits_over_many_chunks(monkeypatch):
+    # hundreds of chunks, most covering a few weights of the band: a
+    # merge over the whole band adds exact zeros where a window stopped
+    monkeypatch.setattr(jack, "CHUNK_ROWS", 50)
+    for case in [(0.6, 5, 0, 41, 50, None), (1, 4, 2, 0, 76, 19), (1 / 3, 6, 0, 0, 120, 20)]:
+        got, want = jack._log_weight_sums(*case), fsum_gather_weight_sums(*case)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("nu", [1e-3, 1e-9, 1e-17, 5e-301])
+@pytest.mark.parametrize("n", [None, 3])
+def test_plancherel_identities_at_small_nu(nu, n):
+    # for k <= m the weight sums have closed forms: c_k = nu^k/k! for the
+    # 0F1 and S_k = N^k/k! in a box of width N, at any nu.  The hook
+    # nu*(a+1) + l formed as (nu*(a+1) + (l+1)) - 1 loses nu to rounding
+    # (and is 0 at a = l = 0 below nu = 2^-53); the bound grows as
+    # k*|log nu| is summed
+    for m in (1, 2, 3, 5, 8):
+        peak, total = jack._log_weight_sums(nu, m, 0, 0, m, n)
+        for k in range(m + 1):
+            want = k * math.log(nu if n is None else n) - math.lgamma(k + 1)
+            got = peak[k] + math.log(total[k])
+            assert abs(got - want) <= 1e-14 * (1 + k * abs(math.log(nu)))
 
 
 def test_oracle_imports_only_the_standard_library():

@@ -233,6 +233,19 @@ def test_closed_form_m1_at_small_beta(beta, y):
     assert closed == pytest.approx(q_limit(lp, y), rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("beta", [1e-16, 1e-20, 1e-300])
+@pytest.mark.parametrize("m", [1, 2])
+def test_series_laws_below_the_float_spacing_of_one(beta, m):
+    # nu = beta/2 is below 2^-53: a hook nu + l rounds to l, but nu itself
+    # (the hook at arm 0, leg 0) must stay, or the tables are NaN
+    lp = LimitParams(beta, m)
+    ys = [0.0, 0.5, 4.0, 30.0]
+    qs, ps = q_limit(lp, ys), p_limit(lp, ys)
+    assert np.all(np.isfinite(qs)) and np.all(np.isfinite(ps))
+    for y, q in zip(ys, qs):
+        assert abs(q - q_limit_closed(lp, y)) <= 1e-14
+
+
 @pytest.mark.parametrize("beta,want", [
     (1e13, 0.9999999999999999), (1e15, 0.9999999999992186), (1e17, 0.9999999921881509),
 ])
