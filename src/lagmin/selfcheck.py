@@ -16,7 +16,7 @@ from .beta2 import q_alpha2_sum, q_exact_beta2
 from .core import params_new
 from .exact import moment, q_exact
 from .jack import _log_weight_sums
-from .limit import LimitParams, p_limit, q_limit, q_limit_closed
+from .limit import LimitParams, _f01_coeffs, p_limit, q_limit, q_limit_closed
 from .sampler import ks_validate, run_batch, tridiag_smallest
 
 
@@ -98,6 +98,18 @@ def _check_limit():
     return ok, f"closed-form diffs {'/'.join(f'{d:.1e}' for d in diffs)}, P=-Q' residual {residual:.1e}"
 
 
+def _check_limit_recurrence():
+    # the recurrence tables of the limit's 0F1 coefficients (m = 1..5, both
+    # shifts) against the partition builder on the first rung, k <= 16:
+    # the largest difference of log c_k, i.e. of c_k relative
+    worst = 0.0
+    for m, beta in enumerate((0.5, 1.3, 2.0, 3.7, 5.9), start=1):
+        for shift in (0, 2):
+            peak, total = _log_weight_sums(0.5 * beta, m, shift, 0, 16)
+            worst = np.maximum(worst, np.max(np.abs(_f01_coeffs(beta, m, shift, 0) - peak - np.log(total))))
+    return worst < 1e-13, f"recurrence vs partitions for k <= 16, m <= 5, worst rel {worst:.1e}"
+
+
 def _check_sampler_determinism():
     # large enough for two worker spans
     p = params_new(2.0, 25, 26)
@@ -137,6 +149,7 @@ CHECKS = [
     ("first-moment", _check_moment),
     ("beta2-route-agreement", _check_beta2_routes),
     ("limit-laws", _check_limit),
+    ("limit-recurrence", _check_limit_recurrence),
     ("sampler-determinism", _check_sampler_determinism),
     ("eigensolver-oracle", _check_eigensolver),
     ("monte-carlo-ks", _check_monte_carlo_ks),

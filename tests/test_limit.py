@@ -5,9 +5,10 @@ import math
 import sys
 import time
 import warnings
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import derive_limit_recurrences
 import numpy as np
 import pytest
 import scipy.special
@@ -468,7 +469,7 @@ def test_coeffs_match_per_partition_reference(beta, shift):
     # c_k = sum_{|kappa|=k, len<=m} C_kappa(1^m) / ([b]_kappa k!), b = 2m/beta + shift,
     # in exact rationals at the float beta's exact value
     nu = Fraction(beta) / 2
-    for m in range(5):
+    for m in range(8):  # the recurrences to m = 5, then the partition ladder
         got = _table(beta, m, shift, 12)
         for k in range(13):
             want = weight_sum(nu, m, k, m / nu + shift)
@@ -509,39 +510,187 @@ def test_band_stream_is_the_whole_band(m, lo, hi, chunk_rows, monkeypatch):
     check_partition_stream(monkeypatch, m, lo, hi, hi, chunk_rows)
 
 
+def _band_logs(nu, m, shift, lo, hi):
+    """log c_k, k = lo..hi, from the partition builder."""
+    peak, total = jack._log_weight_sums(nu, m, shift, lo, hi)
+    with np.errstate(divide="ignore"):  # weights no partition has (m = 0)
+        return peak + np.log(total)
+
+
 def test_coeffs_do_not_depend_on_the_chunking(monkeypatch):
-    whole = limit._f01_coeffs(1.0, 4, 0, 1).copy()  # k <= 32
-    limit._f01_coeffs.cache_clear()
+    # the partition builder over the ladder's first two bands (k <= 32)
+    # in chunks of one row each
+    whole = np.concatenate([_band_logs(0.5, 4, 0, 0, 16), _band_logs(0.5, 4, 0, 17, 32)])
     monkeypatch.setattr(jack, "CHUNK_ROWS", 1)
-    split = limit._f01_coeffs(1.0, 4, 0, 1).copy()
-    limit._f01_coeffs.cache_clear()
+    split = np.concatenate([_band_logs(0.5, 4, 0, 0, 16), _band_logs(0.5, 4, 0, 17, 32)])
     assert split == pytest.approx(whole, rel=0.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, 5.9])
 @pytest.mark.parametrize("shift", [0, 2])
-def test_ladder_is_one_build_wherever_it_fits_one_chunk(beta, shift, monkeypatch):
+def test_ladder_is_one_build_wherever_it_fits_one_chunk(beta, shift):
     # a weight's sum depends only on the chunk that holds its partitions,
-    # so the rung-by-rung table equals one build over [0, K] bit for bit
-    # wherever that build is a single chunk, and within the chunking
-    # tolerance elsewhere
-    laddered = {m: [limit._f01_coeffs(beta, m, shift, rung).copy() for rung in range(5)]
-                for m in range(7)}  # K = 16, 32, 40, 50, 63
+    # so the partition ladder's tables, band by band, equal one build over
+    # [0, K] bit for bit wherever that build is a single chunk, and within
+    # the chunking tolerance elsewhere; at m = 6, _f01_coeffs is that ladder
+    nu = 0.5 * beta
     bitwise = set()
     for m in range(7):
-        for rung, table in enumerate(laddered[m]):
+        table = np.empty(0)
+        for rung in range(5):  # K = 16, 32, 40, 50, 63
             top = limit._ladder_top(rung)
-            limit._f01_coeffs.cache_clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(limit, "_ladder_top", lambda rung, top=top: top)
-                whole = limit._f01_coeffs(beta, m, shift, 0)
-            limit._f01_coeffs.cache_clear()
+            lo = 0 if rung == 0 else limit._ladder_top(rung - 1) + 1
+            table = np.concatenate([table, _band_logs(nu, m, shift, lo, top)])
+            if m == 6:
+                assert limit._f01_coeffs(beta, m, shift, rung).tobytes() == table.tobytes()
+            whole = _band_logs(nu, m, shift, 0, top)
             if sum(1 for _ in jack._partition_chunks(m, 0, top, top)) == 1:
                 assert whole.tobytes() == table.tobytes()
                 bitwise.add((m, top))
             else:
                 assert whole == pytest.approx(table, rel=0.0, abs=1e-13)
     assert (6, 50) in bitwise and (5, 63) in bitwise
+
+
+# ---------- the recurrences of the 0F1 coefficients, m = 1..5 ----------
+
+TABLES = derive_limit_recurrences.stored()
+
+
+def _at(poly, k, nu):
+    return sum(x * Fraction(k) ** a * nu**b for (a, b), x in poly.items())
+
+
+def _recurrence_polys(m, shift):
+    """p_0..p_d of the stored table, as {(a, b): coefficient of k^a nu^b}."""
+    return [derive_limit_recurrences.polynomial(t) for t in TABLES[m, shift]]
+
+
+def _recurrence_coeffs(nu, m, shift, k_max):
+    """c_0..c_k_max at a Fraction nu, from the head (nu^k/k! for k <= m at
+    shift 0, the oracle's c'_k for k < d at shift 2) and the stored
+    recurrence, in Fractions."""
+    polys = _recurrence_polys(m, shift)
+    d = len(polys) - 1
+    if shift == 0:
+        c, first = [nu**k / math.factorial(k) for k in range(m + 1)], m - d + 1
+    else:
+        c, first = [weight_sum(nu, m, k, m / nu + 2) for k in range(d)], 0
+    for k in range(first, k_max - d + 1):  # c_(k+d)
+        p = [_at(poly, k, nu) for poly in polys]
+        c.append(-sum(p[i] * c[k + i] for i in range(d)) / p[d])
+    return c[:k_max + 1]
+
+
+def _recurrence_logs(beta, m, shift, k_max, digits=40):
+    """log c_0..log c_k_max at the exact binary value of beta: the same
+    run in Decimals of that many digits, from exact integer values of the
+    polynomials (a 60-digit run agreed to 5e-37 at beta = 0.1)."""
+    nu = Fraction(beta) / 2
+    p, q = nu.numerator, nu.denominator
+    polys = _recurrence_polys(m, shift)
+    d = len(polys) - 1
+    # q^m p_i(k, nu) = sum_a k^a sum_b x q^(m-b) p^b, an integer
+    ints = [[sum(x * p**b * q ** (m - b) for (a2, b), x in poly.items() if a2 == a) for a in range(m + 2)]
+            for poly in polys]
+    head = _recurrence_coeffs(nu, m, shift, m if shift == 0 else d - 1)
+    first = m - d + 1 if shift == 0 else 0
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin, ctx.Emax = digits, -10**9, 10**9
+        c = [Decimal(x.numerator) / Decimal(x.denominator) for x in head]
+        for k in range(first, k_max - d + 1):
+            v = [Decimal(sum(x * k**a for a, x in enumerate(row))) for row in ints]
+            c.append(-sum(v[i] * c[k + i] for i in range(d)) / v[d])
+        return [x.ln() for x in c[:k_max + 1]]
+
+
+def test_the_tables_are_m_1_to_5_at_both_shifts():
+    assert set(TABLES) == {(m, shift) for m in range(1, 6) for shift in (0, 2)}
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("shift", [0, 2])
+def test_recurrences_reproduce_the_oracle_exactly(m, shift):
+    # c_k from the head and the table equals the partition sum for every
+    # k <= m + 10, at nu the fit did not use, one of them beta = 0.7 at its
+    # exact binary value
+    for nu in (Fraction(5, 3), Fraction(1, 9), Fraction(11, 2), Fraction(1, 1000), Fraction(0.7) / 2):
+        assert _recurrence_coeffs(nu, m, shift, m + 10) == [
+            weight_sum(nu, m, k, m / nu + shift) for k in range(m + 11)]
+
+
+@pytest.mark.parametrize("key", sorted(TABLES))
+def test_leading_polynomials_have_no_zero_from_their_start(key):
+    # p_d splits into factors k + c and k nu + a nu + g, each positive for
+    # every integer k from the recurrence's start on and every nu > 0
+    m, shift = key
+    assert derive_limit_recurrences.check_leading(m, shift, TABLES[key])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_closed_ratios_are_the_recurrence_rows(m):
+    # q_limit_closed's term ratios c_(k+1)/c_k = N/D: 1/((k+1)(k + 2/beta)) at
+    # m = 1 and 2(2k - 1 + 2mu)/((k+1)(k - 1 + 2mu)(k + 2mu)), mu = 2/beta, at
+    # m = 2.  Times nu^2, p_0 D + p_1 N is a polynomial of degree at most 6 in
+    # k and 4 in nu = beta/2; it vanishes on 8 x 6 points, so it is 0
+    p0, p1 = _recurrence_polys(m, 0)
+    for nu in (Fraction(1, 3), Fraction(2, 3), Fraction(4, 3), Fraction(5, 3), Fraction(7, 3), Fraction(8, 3)):
+        beta = 2 * nu
+        mu = 2 / beta
+        for k in range(8):
+            if m == 1:
+                num, den = Fraction(1), (k + 1) * (k + 2 / beta)
+            else:
+                num, den = 2 * (2 * k - 1 + 2 * mu), (k + 1) * (k - 1 + 2 * mu) * (k + 2 * mu)
+            assert _at(p0, k, nu) * den + _at(p1, k, nu) * num == 0
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.1, 0.5, 1.0, 2.0, 6.0, 100.0, 1e3])
+def test_recurrence_logs_are_exact_to_1e_14(beta):
+    # every log c_k, k <= K_MAX, within 1e-14 max(1, |log c_k|) of the exact
+    # run (worst seen 1.4e-15), both shifts, the head's floats included
+    rung = 0
+    while limit._ladder_top(rung) < core.K_MAX:
+        rung += 1
+    for m, shift in sorted(TABLES):
+        got = limit._f01_coeffs(beta, m, shift, rung)[:core.K_MAX + 1].tolist()
+        want = _recurrence_logs(beta, m, shift, core.K_MAX)
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(Decimal(g) - w) <= Decimal("1e-14") * max(1, abs(w)), (m, shift, k)
+
+
+def _refuse_partitions(*args):
+    raise AssertionError("the limit streamed partitions")
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_laws_at_m_up_to_5_stream_no_partitions(m, monkeypatch):
+    monkeypatch.setattr(jack, "_partition_chunks", _refuse_partitions)
+    limit._f01_coeffs.cache_clear()
+    lp, ys = LimitParams(1.3, m), np.array([0.0, 0.5, 10.0, 100.0])
+    assert np.all(np.isfinite(q_limit(lp, ys))) and np.all(np.isfinite(p_limit(lp, ys)))
+    limit._f01_coeffs.cache_clear()
+
+
+def test_far_tail_at_m5_needs_no_partitions(monkeypatch):
+    # 43 s on the partition ladder, whose work grows as K^m/(m!)^2: the
+    # series needs about 500 terms here.  Against the same recurrence in
+    # Fractions, summed in 60-digit Decimal; the term logs reach 3.9e3,
+    # whose ulp is 4.5e-13 (seen: 5.1e-13 for Q, 5.8e-13 for P)
+    monkeypatch.setattr(jack, "_partition_chunks", _refuse_partitions)
+    lp, y, nu = LimitParams(0.5, 5), 1e4, Fraction(1, 4)
+    limit._f01_coeffs.cache_clear()
+    start = time.perf_counter()
+    with pytest.warns(PrecisionWarning):
+        q, p = q_limit(lp, y), p_limit(lp, y)
+    assert time.perf_counter() - start < 1.0
+    u = Fraction(y) / 4
+    q_want = law(_recurrence_coeffs(nu, 5, 0, core.K_MAX), u, offset=-nu * u)
+    d_5 = nu**11 / (4 * math.factorial(5) * math.prod(i + nu for i in range(1, 6)))
+    p_want = law([d_5 * u**5 * c for c in _recurrence_coeffs(nu, 5, 2, core.K_MAX)], u, offset=-nu * u)
+    assert abs(Decimal(q) - q_want) <= Decimal("2e-12") * q_want
+    assert abs(Decimal(p) - p_want) <= Decimal("2e-12") * p_want
+    limit._f01_coeffs.cache_clear()
 
 
 # ---------- exact rational reference ----------
